@@ -1,10 +1,12 @@
 // bench_kernels_micro: backend A/B microbenchmark of the integer kernels.
 //
-// For each fig2-class conv shape (DS-CNN / MobileNetV2-style layers) and the
-// classifier FC shapes, the bench times the reference path (what a reference
-// interpreter actually dispatches: conv2d_s8_im2col / fully_connected_s8)
-// against the fast backend (packed panels + cache-blocked SIMD GEMM,
-// kernels_fast.cpp), verifies the two outputs byte-for-byte, and reports
+// For each fig2-class conv shape (DS-CNN / MobileNetV2-style layers), two
+// zoo depthwise layers and the classifier FC shape, the bench times the
+// reference path (what a reference interpreter actually dispatches:
+// conv2d_s8_im2col / depthwise_conv2d_s8 / fully_connected_s8) against the
+// fast backend (kernels_fast.cpp: packed panels + cache-blocked SIMD GEMM,
+// channel-vectorized depthwise), verifies the two outputs byte-for-byte, and
+// reports
 //
 //   <shape>_reference_us_p50 / <shape>_fast_us_p50   median per-call latency
 //   <shape>_backend_speedup                           reference / fast ratio
@@ -171,6 +173,51 @@ int main(int argc, char** argv) {
     if (c.gate) report.metric(std::string(c.name) + "_backend_speedup", speedup);
   }
   report.metric("conv_backend_speedup_min", min_conv_speedup);
+
+  // Depthwise shapes: the KWS-M body (25x5, 3x3, stride 1) and a VWW-S
+  // stride-2 3x3 expansion layer (24 channels: one 16-lane pass plus an
+  // 8-lane pass). The reference side is depthwise_conv2d_s8, what a
+  // reference interpreter dispatches.
+  const std::vector<ConvCase> dw_cases = {
+      {"kws_m_dw_25x5x144", geom(25, 5, 144, 144, 3, 3, 1, 1, 1)},
+      {"vww_dw_s2_50x50x24", geom(50, 50, 24, 24, 3, 3, 2, 0, 0)},
+  };
+
+  report.phase("depthwise_ab");
+  for (const ConvCase& c : dw_cases) {
+    const kernels::ConvGeometry& g = c.g;
+    Rng rng(opt.seed + 2);
+    TensorI8 x(Shape{g.in_h, g.in_w, g.in_ch});
+    TensorI8 w(Shape{g.kh, g.kw, g.in_ch});
+    TensorI8 y_ref(Shape{g.out_h, g.out_w, g.out_ch});
+    TensorI8 y_fast(Shape{g.out_h, g.out_w, g.out_ch});
+    fill_s8(x, rng);
+    fill_s8(w, rng);
+    std::vector<int32_t> bias(static_cast<size_t>(g.out_ch));
+    for (auto& b : bias) b = static_cast<int32_t>(rng.uniform_int(-4096, 4096));
+    const kernels::RequantParams rq = default_rq();
+
+    kernels::depthwise_conv2d_s8(x.span(), w.span(), bias, y_ref.span(), g, rq);
+    kernels::depthwise_conv2d_s8_fast(x.span(), w.span(), bias, y_fast.span(),
+                                      g, rq);
+    for (int64_t i = 0; i < y_ref.size(); ++i)
+      if (y_ref[i] != y_fast[i]) ++mismatches;
+
+    const double ref_us = median_us_per_call(reps, iters, [&] {
+      kernels::depthwise_conv2d_s8(x.span(), w.span(), bias, y_ref.span(), g,
+                                   rq);
+    });
+    const double fast_us = median_us_per_call(reps, iters, [&] {
+      kernels::depthwise_conv2d_s8_fast(x.span(), w.span(), bias,
+                                        y_fast.span(), g, rq);
+    });
+    const double speedup = ref_us / fast_us;
+    std::printf("  %-22s ref %8.2f us  fast %8.2f us  speedup %5.2fx\n",
+                c.name, ref_us, fast_us, speedup);
+    report.metric(std::string(c.name) + "_reference_us_p50", ref_us);
+    report.metric(std::string(c.name) + "_fast_us_p50", fast_us);
+    report.metric(std::string(c.name) + "_backend_speedup", speedup);
+  }
 
   report.phase("fc_ab");
   {

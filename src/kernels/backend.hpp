@@ -8,15 +8,19 @@
 //
 //   kReference — the single-strategy loops in kernels_s8/s4/opt.cpp. The
 //     semantic ground truth: every other backend must match it byte-for-byte.
-//   kFast — cache-blocked im2col-GEMM (kernels_fast.cpp): weight panels
-//     packed once at model-load time (16-byte row stride, zero-point
-//     correction sums), a block of output-pixel columns gathered per GEMM
-//     call so each weight row is streamed once per block instead of once per
-//     pixel, SSE2 pmaddwd inner dot products on x86-64 (exact integer
-//     arithmetic — never a source of divergence) with a scalar fallback
-//     elsewhere, and requant→activation-clamp fused into the store exactly
-//     like the reference kernels. Claims int8 conv2d and fully-connected;
-//     depthwise/pool/add/softmax and all int4 ops fall back.
+//   kFast — kernels_fast.cpp. Conv2d and fully-connected run a
+//     cache-blocked im2col-GEMM: weight panels packed once at model-load
+//     time (16-byte row stride, zero-point correction sums), a block of
+//     output-pixel columns gathered per GEMM call so each weight row is
+//     streamed once per block instead of once per pixel, SSE2 pmaddwd inner
+//     dot products on x86-64 (exact integer arithmetic — never a source of
+//     divergence) with a scalar fallback elsewhere, and requant→activation-
+//     clamp fused into the store exactly like the reference kernels.
+//     Depthwise runs channel-vectorized on the raw weights: 16 channels per
+//     SSE2 pass, (x - zp) * w formed exactly in int16 (|255 * 128| < 2^15),
+//     a sign-split SIMD requantization, and no panel. Claims int8 conv2d,
+//     depthwise and fully-connected; pool/add/softmax and all int4 ops fall
+//     back.
 //
 // The contract that makes a second backend safe at all: for every geometry
 // and every MN_THREADS, a claimed op's output is BYTE-IDENTICAL to the
@@ -109,6 +113,15 @@ void conv2d_s8_fast(std::span<const int8_t> input, const PackedOpWeights& packed
                     std::span<const int32_t> bias, std::span<int8_t> output,
                     std::span<int8_t> scratch, const ConvGeometry& g,
                     const RequantParams& rq);
+
+// Depthwise conv2d (multiplier 1) on the raw [kh, kw, ch] weights,
+// bit-identical to depthwise_conv2d_s8; needs no packed panel and no
+// scratch. Serial: one output pixel at a time, 16 channels per SSE2 pass.
+void depthwise_conv2d_s8_fast(std::span<const int8_t> input,
+                              std::span<const int8_t> weights,
+                              std::span<const int32_t> bias,
+                              std::span<int8_t> output, const ConvGeometry& g,
+                              const RequantParams& rq);
 
 // Fully connected on a packed panel, bit-identical to fully_connected_s8.
 void fully_connected_s8_fast(std::span<const int8_t> input,

@@ -51,11 +51,21 @@ void conv2d_s8(std::span<const int8_t> input, std::span<const int8_t> weights,
                std::span<const int32_t> bias, std::span<int8_t> output,
                const ConvGeometry& g, const RequantParams& rq);
 
-// Depthwise conv2d (multiplier 1): weights [kh, kw, ch].
+// Depthwise conv2d (multiplier 1): weights [kh, kw, ch]. The naive loop is
+// the test oracle for depthwise_conv2d_s8_fast (backend.hpp).
 void depthwise_conv2d_s8(std::span<const int8_t> input,
                          std::span<const int8_t> weights,
                          std::span<const int32_t> bias, std::span<int8_t> output,
                          const ConvGeometry& g, const RequantParams& rq);
+
+// Shared int8 depthwise argument check: throws std::invalid_argument
+// (prefixed with `who`) when in_ch != out_ch or the input, weights, a
+// non-empty bias or the output span is shorter than `g` needs.
+void check_depthwise_buffers(const char* who, std::span<const int8_t> input,
+                             std::span<const int8_t> weights,
+                             std::span<const int32_t> bias,
+                             std::span<const int8_t> output,
+                             const ConvGeometry& g);
 
 // Fully connected: weights [out, in].
 void fully_connected_s8(std::span<const int8_t> input,

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "kernels/kernels.hpp"
 #include "obs/obs.hpp"
@@ -60,12 +61,26 @@ void conv2d_s8(std::span<const int8_t> input, std::span<const int8_t> weights,
   });
 }
 
+void check_depthwise_buffers(const char* who, std::span<const int8_t> input,
+                             std::span<const int8_t> weights,
+                             std::span<const int32_t> bias,
+                             std::span<const int8_t> output,
+                             const ConvGeometry& g) {
+  if (g.in_ch != g.out_ch)
+    throw std::invalid_argument(std::string(who) + ": in_ch != out_ch");
+  if (static_cast<int64_t>(input.size()) < g.input_elements() ||
+      static_cast<int64_t>(weights.size()) < int64_t{g.kh} * g.kw * g.in_ch ||
+      (!bias.empty() && static_cast<int64_t>(bias.size()) < g.out_ch) ||
+      static_cast<int64_t>(output.size()) < g.output_elements())
+    throw std::invalid_argument(std::string(who) + ": buffer too small");
+}
+
 void depthwise_conv2d_s8(std::span<const int8_t> input,
                          std::span<const int8_t> weights,
                          std::span<const int32_t> bias, std::span<int8_t> output,
                          const ConvGeometry& g, const RequantParams& rq) {
-  if (g.in_ch != g.out_ch)
-    throw std::invalid_argument("depthwise_conv2d_s8: in_ch != out_ch");
+  check_depthwise_buffers("depthwise_conv2d_s8", input, weights, bias, output,
+                          g);
   obs::counter_add(obs::Counter::kKernelMacs, g.macs(/*depthwise=*/true));
   obs::counter_add(obs::Counter::kKernelBytesRead,
                    g.input_elements() + int64_t{g.kh} * g.kw * g.in_ch);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
@@ -26,16 +28,14 @@ struct RegionGuard {
 
 std::atomic<int> g_override{0};
 
+int hardware_threads() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw >= 1 ? static_cast<int>(std::min<unsigned>(hw, kMaxWorkers + 1))
+                 : 1;
+}
+
 int env_threads() {
-  static const int v = [] {
-    if (const char* s = std::getenv("MN_THREADS")) {
-      const int n = std::atoi(s);
-      if (n >= 1) return std::min(n, kMaxWorkers + 1);
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw >= 1 ? static_cast<int>(std::min<unsigned>(hw, kMaxWorkers + 1))
-                   : 1;
-  }();
+  static const int v = threads_from_env();
   return v;
 }
 
@@ -153,6 +153,23 @@ class Pool {
 };
 
 }  // namespace
+
+int threads_from_env() {
+  const char* env = std::getenv("MN_THREADS");
+  if (env == nullptr || env[0] == '\0') return hardware_threads();
+  char* end = nullptr;
+  errno = 0;
+  const long n = std::strtol(env, &end, 10);
+  if (errno == 0 && end != env && *end == '\0' && n >= 1)
+    return static_cast<int>(std::min<long>(n, kMaxWorkers + 1));
+  static std::atomic<bool> warned{false};
+  if (!warned.exchange(true))
+    std::fprintf(stderr,
+                 "mn: MN_THREADS='%s' is not a positive integer; using %d "
+                 "hardware threads\n",
+                 env, hardware_threads());
+  return hardware_threads();
+}
 
 int max_threads() {
   const int o = g_override.load(std::memory_order_relaxed);

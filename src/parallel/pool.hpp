@@ -35,6 +35,13 @@ inline constexpr int64_t kMaxChunks = 64;
 // Resolved worker count (>= 1). Override > MN_THREADS > hardware.
 int max_threads();
 
+// Parses MN_THREADS strictly: a positive integer (capped at 256) is the
+// default worker count; unset or empty means hardware concurrency. Anything
+// else — garbage, trailing characters, 0, a negative or out-of-range value —
+// warns once on stderr and falls back to hardware concurrency. Reads the
+// environment on every call; max_threads() resolves it once per process.
+int threads_from_env();
+
 // Programmatic override for tests and benches; n <= 0 restores the
 // environment/hardware default.
 void set_threads(int n);

@@ -16,16 +16,23 @@ namespace mn::rt {
 namespace {
 constexpr uint8_t kCanaryByte = 0xA5;
 
-// Claim predicate for the fast backend: int8 conv2d / fully-connected with a
-// constant int8 weight tensor (panels are packed once at load time, so
-// mutable weights cannot be claimed). Everything else falls back.
+// Claim predicate for the fast backend: int8 conv2d / depthwise /
+// fully-connected with a constant int8 weight tensor (conv/FC panels are
+// packed once at load time, so mutable weights cannot be claimed).
+// Everything else falls back.
 bool fast_claims(const ModelDef& m, const OpDef& op) {
-  if (op.type != OpType::kConv2D && op.type != OpType::kFullyConnected)
+  if (op.type != OpType::kConv2D && op.type != OpType::kDepthwiseConv2D &&
+      op.type != OpType::kFullyConnected)
     return false;
   const TensorDef& in = m.tensors[static_cast<size_t>(op.inputs[0])];
   const TensorDef& w = m.tensors[static_cast<size_t>(op.inputs[1])];
   const TensorDef& out = m.tensors[static_cast<size_t>(op.output)];
   return in.bits == 8 && w.bits == 8 && out.bits == 8 && w.is_const;
+}
+
+// Claimed ops that run on a packed panel: depthwise reads its raw weights.
+bool fast_packs(const ModelDef& m, const OpDef& op) {
+  return op.type != OpType::kDepthwiseConv2D && fast_claims(m, op);
 }
 
 }  // namespace
@@ -38,7 +45,7 @@ std::shared_ptr<const PackedModel> pack_model_weights(
   if (config.kind == kernels::BackendKind::kReference) return pm;
   for (size_t i = 0; i < model.ops.size(); ++i) {
     const OpDef& op = model.ops[i];
-    if (!fast_claims(model, op)) continue;
+    if (!fast_packs(model, op)) continue;
     const TensorDef& w = model.tensors[static_cast<size_t>(op.inputs[1])];
     const std::span<const int8_t> w_bytes{
         reinterpret_cast<const int8_t*>(model.weights_blob.data() +
@@ -96,8 +103,14 @@ Interpreter::Interpreter(ModelDef model, MemoryPlan plan,
     packed_ = std::move(packed);
   }
   op_backend_.assign(model_.ops.size(), kernels::BackendKind::kReference);
-  for (size_t i = 0; i < model_.ops.size(); ++i)
-    if (packed_->per_op[i] != nullptr) op_backend_[i] = backend_.kind;
+  if (backend_.kind == kernels::BackendKind::kFast)
+    for (size_t i = 0; i < model_.ops.size(); ++i) {
+      if (!fast_claims(model_, model_.ops[i])) continue;
+      if (fast_packs(model_, model_.ops[i]) && packed_->per_op[i] == nullptr)
+        throw std::runtime_error(
+            "Interpreter: shared PackedModel lacks a claimed op's panel");
+      op_backend_[i] = backend_.kind;
+    }
   // Shared conv scratch (CMSIS-NN analog), sized for whichever path each
   // conv dispatches to: one im2col column (reference) or a pixel block of
   // padded columns (fast).
@@ -331,7 +344,10 @@ void Interpreter::run_op(size_t i) {
       std::span<const int32_t> bias;
       if (op.inputs.size() > 2 && op.inputs[2] >= 0)
         bias = as_s32(tensor_bytes(op.inputs[2]));
-      if (bits == 8)
+      if (fast)
+        kernels::depthwise_conv2d_s8_fast(as_s8(in_b), as_s8(w_b), bias,
+                                          as_s8(out_b), p.conv, p.rq);
+      else if (bits == 8)
         kernels::depthwise_conv2d_s8(as_s8(in_b), as_s8(w_b), bias, as_s8(out_b),
                                      p.conv, p.rq);
       else

@@ -38,12 +38,13 @@ struct MemoryReport {
   int64_t model_flash() const { return weights_bytes + graph_def_bytes; }
 };
 
-// Weight panels for every op a fast backend claims, packed once per model
-// (DESIGN.md §14). Immutable after construction and shared — an
+// Weight panels for every conv/FC op a fast backend claims, packed once per
+// model (DESIGN.md §14). Immutable after construction and shared — an
 // InterpreterPool packs a variant's weights a single time and every replica
 // (including quarantine/reimage rebuilds) aliases the same panels, the same
-// way they share the MemoryPlan. Index-aligned with ModelDef::ops; ops the
-// backend does not claim hold nullptr.
+// way they share the MemoryPlan. Index-aligned with ModelDef::ops; ops with
+// no panel hold nullptr (unclaimed ops, and fast depthwise, which reads its
+// weights in place).
 struct PackedModel {
   kernels::BackendKind kind = kernels::BackendKind::kReference;
   std::vector<std::shared_ptr<const kernels::PackedOpWeights>> per_op;
@@ -56,8 +57,9 @@ struct PackedModel {
   }
 };
 
-// Packs the weights of every op `config.kind` claims (fast: int8 conv2d and
-// fully-connected). Returns an empty-per_op PackedModel for kReference.
+// Packs the weights of every op `config.kind` claims that runs on a panel
+// (fast: int8 conv2d and fully-connected; depthwise is claimed but needs
+// none). Returns an empty-per_op PackedModel for kReference.
 std::shared_ptr<const PackedModel> pack_model_weights(
     const ModelDef& model, kernels::BackendConfig config);
 

@@ -3,7 +3,9 @@
 // SIMD GEMM) must produce BYTE-IDENTICAL outputs to the reference kernels
 // over randomized conv/depthwise/FC geometries — odd sizes, stride 2,
 // symmetric and asymmetric padding, per-channel requant, channel counts that
-// are not multiples of the pack/tile width — and at MN_THREADS 1/2/8. Plus:
+// are not multiples of the pack/tile width — and at MN_THREADS 1/2/8; for
+// depthwise also the int16 product bound and the requantization's edge
+// multipliers and accumulators. Plus:
 // registry/env-resolution semantics, panel-packing invariants, a seeded
 // >=500-case geometry fuzzer cross-checking ConvGeometry::macs() against a
 // per-output-pixel counting oracle, an asymmetric-padding golden vector
@@ -11,7 +13,9 @@
 // claim-or-fall-back behavior.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <set>
 #include <vector>
 
 #include "kernels/backend.hpp"
@@ -255,21 +259,138 @@ TEST(BackendDifferential, FullyConnectedSweep) {
   }
 }
 
-// The fast backend does not claim depthwise — but the differential suite
-// still sweeps it so a future depthwise fast kernel inherits the harness,
-// and because the interpreter-level test relies on depthwise staying
-// reference-served (the fallback half of the claim-or-fall-back contract).
-TEST(BackendDifferential, DepthwiseStaysSelfConsistent) {
-  Rng rng(77);
-  const auto g = make_geom(9, 7, 12, 12, 3, 3, 2, 1, 2);
-  const auto rq = random_rq(rng, g.in_ch, true);
-  const auto x = random_s8(rng, g.input_elements());
-  const auto w = random_s8(rng, int64_t{g.kh} * g.kw * g.in_ch);
-  std::vector<int8_t> y1(static_cast<size_t>(g.output_elements()));
-  std::vector<int8_t> y2(y1.size());
-  kernels::depthwise_conv2d_s8(x, w, {}, y1, g, rq);
-  kernels::depthwise_conv2d_s8(x, w, {}, y2, g, rq);
-  EXPECT_EQ(y1, y2);
+namespace {
+
+// Runs depthwise_conv2d_s8 (the oracle) and depthwise_conv2d_s8_fast on the
+// same inputs at MN_THREADS 1, 2 and 8 and asserts every byte agrees.
+void check_depthwise_fast(const kernels::ConvGeometry& g,
+                          const kernels::RequantParams& rq,
+                          const std::vector<int8_t>& x,
+                          const std::vector<int8_t>& w,
+                          const std::vector<int32_t>& bias) {
+  std::vector<int8_t> y_ref(static_cast<size_t>(g.output_elements()));
+  std::vector<int8_t> y_fast(y_ref.size());
+  for (const int threads : {1, 2, 8}) {
+    parallel::set_threads(threads);
+    std::fill(y_ref.begin(), y_ref.end(), int8_t{0});
+    std::fill(y_fast.begin(), y_fast.end(), int8_t{1});
+    kernels::depthwise_conv2d_s8(x, w, bias, y_ref, g, rq);
+    kernels::depthwise_conv2d_s8_fast(x, w, bias, y_fast, g, rq);
+    ASSERT_EQ(y_fast, y_ref) << "fast depthwise diverged at " << threads
+                             << " threads";
+  }
+  parallel::set_threads(0);
+}
+
+}  // namespace
+
+TEST(BackendDifferential, DepthwiseFastMatchesOracleSweep) {
+  // Channel counts around the 16-lane pass and its 8-lane half pass
+  // (1, 8, 15, 16, 17, 48, 100), stride 1 and 2, the 3x3 zoo kernel plus
+  // 1x1 / 5x5 / 3x1 windows, pad_h != pad_w (including pads as wide as the
+  // kernel, whose border windows are all padding), per-tensor and
+  // per-channel multipliers, fused-relu clamps, with and without bias.
+  const struct {
+    int32_t kh, kw;
+  } kernel_shapes[] = {{3, 3}, {1, 1}, {5, 5}, {3, 1}};
+  uint64_t seed = 4000;
+  int cases = 0;
+  for (const int32_t ch : {1, 8, 15, 16, 17, 48, 100}) {
+    for (const int32_t stride : {1, 2}) {
+      for (const auto& k : kernel_shapes) {
+        const int variant = cases++;
+        const int32_t pad_h = k.kh / 2 + variant % 2;
+        const int32_t pad_w = k.kw / 2;
+        const auto g =
+            make_geom(7, 6, ch, ch, k.kh, k.kw, stride, pad_h, pad_w);
+        SCOPED_TRACE(testing::Message()
+                     << "ch " << ch << " stride " << stride << " k " << k.kh
+                     << "x" << k.kw << " pad " << pad_h << "/" << pad_w);
+        Rng rng(seed++);
+        const auto rq =
+            random_rq(rng, ch, /*per_channel=*/(variant / 2) % 2 == 0);
+        const auto x = random_s8(rng, g.input_elements());
+        const auto w = random_s8(rng, int64_t{g.kh} * g.kw * ch);
+        std::vector<int32_t> bias;
+        if (variant % 3 != 0) bias = random_bias(rng, ch);
+        check_depthwise_fast(g, rq, x, w, bias);
+      }
+    }
+  }
+  EXPECT_EQ(cases, 56);
+}
+
+TEST(BackendDifferential, DepthwiseFastInt16ProductBound) {
+  // The fast kernel forms (x - zp) in int16 and multiplies by the int16
+  // weight: all -128 inputs and weights at zp 127 give (-255) * (-128) =
+  // 32640, the largest product, and zp -128 / 0 the other corners. 24 and
+  // 17 channels run the 8-lane pass and the scalar tail on the same data.
+  for (const int32_t zp : {-128, 0, 127}) {
+    for (const int32_t ch : {48, 24, 17}) {
+      for (const bool per_channel : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "zp " << zp << " ch " << ch
+                                        << " per_channel " << per_channel);
+        const auto g = make_geom(5, 5, ch, ch, 3, 3, 1, 1, 1);
+        Rng rng(static_cast<uint64_t>(6000 + zp + ch));
+        kernels::RequantParams rq = random_rq(rng, ch, per_channel);
+        rq.input_zp = zp;
+        const std::vector<int8_t> x(static_cast<size_t>(g.input_elements()),
+                                    int8_t{-128});
+        const std::vector<int8_t> w(static_cast<size_t>(9 * ch), int8_t{-128});
+        check_depthwise_fast(g, rq, x, w, random_bias(rng, ch));
+      }
+    }
+  }
+}
+
+TEST(BackendDifferential, DepthwiseFastRequantEdgeCases) {
+  // A 1x1 layer whose input equals the zero point contributes nothing, so
+  // each accumulator is its bias: the requantization then sees the whole
+  // int32 range. Multipliers cover shifts 0 to -31 (the SIMD requant
+  // domain) and the cases outside it that must take the scalar path: a
+  // left shift, a right shift beyond 31, a zero and a negative multiplier.
+  const int32_t ch = 24;
+  const auto g = make_geom(2, 3, ch, ch, 1, 1, 1, 0, 0);
+  const std::vector<int32_t> accs = {
+      0,           1,          -1,         2,          -2,
+      1 << 30,     -(1 << 30), 2147483647, -2147483647 - 1,
+      123456789,   -987654321, 65535,      -65536,     (1 << 30) + 1,
+      -(1 << 30) - 1, 1 << 20, -(1 << 20), 7,          -7,
+      1000000000,  -1000000000, 3,         -3,         2147483646};
+  ASSERT_EQ(static_cast<int32_t>(accs.size()), ch);
+  const std::vector<quant::FixedMultiplier> mults = {
+      quant::quantize_multiplier(0.999), quant::quantize_multiplier(0.5),
+      quant::quantize_multiplier(0.3),   quant::quantize_multiplier(1e-3),
+      quant::quantize_multiplier(1e-9),  quant::FixedMultiplier{1 << 30, -31},
+      quant::FixedMultiplier{2147483647, 0},
+      quant::FixedMultiplier{1 << 30, 0},
+      quant::quantize_multiplier(1.5),   quant::quantize_multiplier(3.0),
+      quant::FixedMultiplier{1 << 30, -40},
+      quant::FixedMultiplier{0, -3},
+      quant::FixedMultiplier{-(1 << 30), -2}};
+  for (const int32_t zp : {-128, 5}) {
+    const std::vector<int8_t> x(static_cast<size_t>(g.input_elements()),
+                                static_cast<int8_t>(zp));
+    Rng rng(static_cast<uint64_t>(7000 + zp));
+    const auto w = random_s8(rng, ch);
+    for (size_t mi = 0; mi < mults.size(); ++mi) {
+      SCOPED_TRACE(testing::Message() << "zp " << zp << " multiplier #" << mi);
+      // output_zp stays 0: a saturated requant result plus any other zero
+      // point overflows int32 (the other sweeps cover nonzero ones).
+      kernels::RequantParams rq;
+      rq.input_zp = zp;
+      rq.mult = mults[mi];
+      check_depthwise_fast(g, rq, x, w, accs);
+      // Per channel: every multiplier in every lane position, so one lane
+      // outside the SIMD domain sends just its group to the scalar path.
+      for (int32_t c = 0; c < ch; ++c)
+        rq.per_channel.push_back(mults[(mi + static_cast<size_t>(c)) %
+                                       mults.size()]);
+      rq.act_min = -100;
+      rq.act_max = 90;
+      check_depthwise_fast(g, rq, x, w, accs);
+    }
+  }
 }
 
 // --- asymmetric-padding golden vector ---------------------------------------
@@ -446,7 +567,7 @@ TEST(BackendInterpreter, FastInvokeIsByteIdenticalToReference) {
   rt::Interpreter fast(m, plan, kernels::BackendConfig::fast());
   EXPECT_EQ(ref.backend(), kernels::BackendKind::kReference);
   EXPECT_EQ(fast.backend(), kernels::BackendKind::kFast);
-  // Claim-or-fall-back: the DS-CNN has conv + FC (claimed) and depthwise /
+  // Claim-or-fall-back: the DS-CNN has conv, depthwise and FC (claimed) and
   // pool / softmax (reference fallback) — both kinds must appear.
   int fast_ops = 0, ref_ops = 0;
   for (size_t i = 0; i < m.ops.size(); ++i)
@@ -463,6 +584,67 @@ TEST(BackendInterpreter, FastInvokeIsByteIdenticalToReference) {
     for (int64_t i = 0; i < out_ref.size(); ++i)
       ASSERT_EQ(out_ref[i], out_fast[i]) << "output byte " << i << " differs";
   }
+}
+
+TEST(BackendInterpreter, FastClaimsConvDepthwiseFcOnlyAtInt8) {
+  // Every int8 conv / depthwise / FC op is fast-served; pool, add and
+  // softmax fall back. The residual MobileNetV2 carries the add ops.
+  models::MobileNetV2Config cfg;
+  cfg.input = Shape{12, 12, 1};
+  cfg.num_classes = 2;
+  cfg.stem_channels = 8;
+  cfg.blocks = {{8, 8, 1}, {48, 8, 1}};
+  cfg.head_channels = 16;
+  models::BuildOptions opt;
+  opt.seed = 3;
+  opt.qat = false;
+  nn::Graph graph = models::build_mobilenet_v2(cfg, opt);
+  Rng rng(4);
+  TensorF batch(Shape{2, 12, 12, 1});
+  for (int64_t i = 0; i < batch.size(); ++i)
+    batch[i] = static_cast<float>(rng.normal(0.0, 0.5));
+  const rt::RangeMap ranges = rt::calibrate_ranges(graph, batch);
+  rt::ConvertOptions co;
+  co.name = "backend_resid";
+  co.append_softmax = true;
+  const rt::ModelDef m = rt::convert(graph, co, &ranges);
+  rt::Interpreter fast(m, rt::plan_memory(m), kernels::BackendConfig::fast());
+  std::set<rt::OpType> fast_types, ref_types;
+  for (size_t i = 0; i < m.ops.size(); ++i) {
+    const rt::OpType t = m.ops[i].type;
+    const bool claimed = t == rt::OpType::kConv2D ||
+                         t == rt::OpType::kDepthwiseConv2D ||
+                         t == rt::OpType::kFullyConnected;
+    EXPECT_EQ(fast.op_backend(i), claimed ? kernels::BackendKind::kFast
+                                          : kernels::BackendKind::kReference)
+        << "op " << i;
+    (claimed ? fast_types : ref_types).insert(t);
+    // Depthwise reads its weights in place: claimed, but no packed panel.
+    if (t == rt::OpType::kDepthwiseConv2D) {
+      EXPECT_EQ(fast.packed_model()->per_op[i], nullptr);
+    }
+  }
+  EXPECT_EQ(fast_types.count(rt::OpType::kDepthwiseConv2D), 1u);
+  EXPECT_EQ(ref_types.count(rt::OpType::kAdd), 1u);
+  EXPECT_EQ(ref_types.count(rt::OpType::kSoftmax), 1u);
+
+  // Int4: no fast kernel, so every op (depthwise included) stays on the
+  // reference backend and nothing is packed.
+  co.name = "backend_resid_s4";
+  co.append_softmax = false;
+  co.weight_bits = 4;
+  co.act_bits = 4;
+  const rt::ModelDef m4 = rt::convert(graph, co, &ranges);
+  rt::Interpreter fast4(m4, rt::plan_memory(m4),
+                        kernels::BackendConfig::fast());
+  bool has_dw = false;
+  for (size_t i = 0; i < m4.ops.size(); ++i) {
+    has_dw = has_dw || m4.ops[i].type == rt::OpType::kDepthwiseConv2D;
+    EXPECT_EQ(fast4.op_backend(i), kernels::BackendKind::kReference)
+        << "int4 op " << i;
+  }
+  EXPECT_TRUE(has_dw);
+  EXPECT_EQ(fast4.packed_model()->bytes(), 0);
 }
 
 TEST(BackendInterpreter, FastInvokeThreadInvariant) {
@@ -544,9 +726,19 @@ TEST(BackendInterpreter, SharedPackedModelIsReusedAndValidated) {
   EXPECT_THROW(
       rt::Interpreter(m, plan, kernels::BackendConfig::fast(), ref_packed),
       std::runtime_error);
+  // So is a fast-kind set missing a claimed conv/FC panel (now that the
+  // op's backend comes from the claim, not from the panel's presence).
+  auto holed = std::make_shared<rt::PackedModel>(*packed);
+  for (auto& p : holed->per_op)
+    if (p) {
+      p = nullptr;
+      break;
+    }
+  EXPECT_THROW(rt::Interpreter(m, plan, kernels::BackendConfig::fast(), holed),
+               std::runtime_error);
 }
 
-// --- hardened im2col validation ---------------------------------------------
+// --- hardened kernel validation --------------------------------------------
 
 TEST(BackendValidation, KernelsRejectUndersizedBuffers) {
   const auto g = make_geom(6, 6, 4, 4, 3, 3, 1, 1, 1);
@@ -584,4 +776,30 @@ TEST(BackendValidation, KernelsRejectUndersizedBuffers) {
                                            int64_t{g.kh} * g.kw * g.in_ch / 2);
   EXPECT_THROW(kernels::conv2d_s8_fast(x, wrong, {}, y, fast_scratch, g, rq),
                std::invalid_argument);
+
+  // Depthwise: the oracle and the fast kernel reject the same short spans
+  // (input, [kh, kw, ch] weights, a non-empty bias, output) and a channel
+  // multiplier other than 1, before touching any buffer.
+  const auto dw_w = random_s8(rng, int64_t{g.kh} * g.kw * g.in_ch);
+  const auto dw_bias = random_bias(rng, g.out_ch);
+  const std::span<const int8_t> short_x(x.data(), x.size() - 1);
+  const std::span<const int8_t> short_w(dw_w.data(), dw_w.size() - 1);
+  const std::span<const int32_t> short_bias(dw_bias.data(),
+                                            dw_bias.size() - 1);
+  auto grown = g;
+  grown.out_ch = g.in_ch + 1;
+  using DwKernel = void (*)(std::span<const int8_t>, std::span<const int8_t>,
+                            std::span<const int32_t>, std::span<int8_t>,
+                            const kernels::ConvGeometry&,
+                            const kernels::RequantParams&);
+  for (const DwKernel dw : {static_cast<DwKernel>(kernels::depthwise_conv2d_s8),
+                            static_cast<DwKernel>(
+                                kernels::depthwise_conv2d_s8_fast)}) {
+    EXPECT_NO_THROW(dw(x, dw_w, dw_bias, y, g, rq));
+    EXPECT_THROW(dw(short_x, dw_w, dw_bias, y, g, rq), std::invalid_argument);
+    EXPECT_THROW(dw(x, short_w, dw_bias, y, g, rq), std::invalid_argument);
+    EXPECT_THROW(dw(x, dw_w, short_bias, y, g, rq), std::invalid_argument);
+    EXPECT_THROW(dw(x, dw_w, dw_bias, small_out, g, rq), std::invalid_argument);
+    EXPECT_THROW(dw(x, dw_w, dw_bias, y, grown, rq), std::invalid_argument);
+  }
 }

@@ -12,8 +12,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -154,6 +156,31 @@ TEST_F(ParallelTest, SetThreadsOverridesAndRestores) {
   EXPECT_EQ(parallel::max_threads(), 3);
   parallel::set_threads(0);
   EXPECT_GE(parallel::max_threads(), 1);
+}
+
+TEST_F(ParallelTest, MnThreadsParsesStrictlyAndFallsBackToHardware) {
+  const char* saved = std::getenv("MN_THREADS");
+  const std::string restore = saved ? saved : "";
+  ASSERT_EQ(unsetenv("MN_THREADS"), 0);
+  const int hw = parallel::threads_from_env();
+  EXPECT_GE(hw, 1);
+  ASSERT_EQ(setenv("MN_THREADS", "3", 1), 0);
+  EXPECT_EQ(parallel::threads_from_env(), 3);
+  ASSERT_EQ(setenv("MN_THREADS", "100000", 1), 0);
+  EXPECT_EQ(parallel::threads_from_env(), 256);  // capped at the pool limit
+  // Garbage, trailing characters, 0, negatives and overflow warn once on
+  // stderr and mean hardware concurrency (atoi read "abc" as 0 and "2x"
+  // as 2).
+  for (const char* bad : {"abc", "2x", " ", "0", "-4", "99999999999999999999"}) {
+    ASSERT_EQ(setenv("MN_THREADS", bad, 1), 0);
+    EXPECT_EQ(parallel::threads_from_env(), hw) << "MN_THREADS='" << bad << "'";
+  }
+  ASSERT_EQ(setenv("MN_THREADS", "", 1), 0);
+  EXPECT_EQ(parallel::threads_from_env(), hw);
+  if (saved)
+    setenv("MN_THREADS", restore.c_str(), 1);
+  else
+    unsetenv("MN_THREADS");
 }
 
 // --- golden-vector kernel equivalence ---------------------------------------
