@@ -2,8 +2,8 @@
 //
 // For each fig2-class conv shape (DS-CNN / MobileNetV2-style layers), two
 // zoo depthwise layers and the classifier FC shape, the bench times the
-// reference path (what a reference interpreter actually dispatches:
-// conv2d_s8_im2col / depthwise_conv2d_s8 / fully_connected_s8) against the
+// reference path (what a reference interpreter actually dispatches: the
+// conv2d_s8 / depthwise_conv2d_s8 / fully_connected_s8 oracles) against the
 // fast backend (kernels_fast.cpp: packed panels + cache-blocked SIMD GEMM,
 // channel-vectorized depthwise), verifies the two outputs byte-for-byte, and
 // reports
@@ -17,8 +17,8 @@
 // metric to an ABSOLUTE floor (default 2.0, --speedup-floor): the fast
 // backend must earn >=2x on the machine the gate runs on, not merely match a
 // committed baseline. ab_mismatch_count is an exact-match metric — one
-// differing byte fails CI. Timings run single-threaded (parallel::
-// set_threads(1)) so the ratio measures the kernel, not the scheduler.
+// differing byte fails CI. Every kernel is serial, so the ratio measures the
+// kernel alone whatever MN_THREADS says.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -28,7 +28,6 @@
 #include "bench_util.hpp"
 #include "kernels/backend.hpp"
 #include "kernels/kernels.hpp"
-#include "parallel/pool.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/tensor.hpp"
 
@@ -104,10 +103,6 @@ int main(int argc, char** argv) {
   bench::print_header("kernel backend A/B microbench (reference vs fast)");
   bench::Reporter report("kernels_micro", opt);
 
-  // Single-threaded timing: the speedup should measure the packed-GEMM
-  // kernel, not how many workers the host happens to have.
-  parallel::set_threads(1);
-
   const int reps = opt.full ? 9 : 5;
   const int iters = opt.full ? 40 : 12;
 
@@ -139,8 +134,6 @@ int main(int argc, char** argv) {
     for (auto& b : bias) b = static_cast<int32_t>(rng.uniform_int(-4096, 4096));
     const kernels::RequantParams rq = default_rq();
 
-    std::vector<int8_t> ref_scratch(
-        static_cast<size_t>(kernels::conv2d_scratch_bytes(g)));
     const kernels::PackedOpWeights packed = kernels::pack_rows_s8(
         w.span(), g.out_ch, int64_t{g.kh} * g.kw * g.in_ch);
     std::vector<int8_t> fast_scratch(
@@ -148,16 +141,14 @@ int main(int argc, char** argv) {
 
     // A/B correctness first: the ratio below is only meaningful if the two
     // paths agree on every byte.
-    kernels::conv2d_s8_im2col(x.span(), w.span(), bias, y_ref.span(),
-                              ref_scratch, g, rq);
+    kernels::conv2d_s8(x.span(), w.span(), bias, y_ref.span(), g, rq);
     kernels::conv2d_s8_fast(x.span(), packed, bias, y_fast.span(), fast_scratch,
                             g, rq);
     for (int64_t i = 0; i < y_ref.size(); ++i)
       if (y_ref[i] != y_fast[i]) ++mismatches;
 
     const double ref_us = median_us_per_call(reps, iters, [&] {
-      kernels::conv2d_s8_im2col(x.span(), w.span(), bias, y_ref.span(),
-                                ref_scratch, g, rq);
+      kernels::conv2d_s8(x.span(), w.span(), bias, y_ref.span(), g, rq);
     });
     const double fast_us = median_us_per_call(reps, iters, [&] {
       kernels::conv2d_s8_fast(x.span(), packed, bias, y_fast.span(),
@@ -259,7 +250,6 @@ int main(int argc, char** argv) {
   std::printf("  min conv speedup %.2fx, mismatched bytes %lld\n",
               min_conv_speedup, static_cast<long long>(mismatches));
 
-  parallel::set_threads(0);
   report.finish();
   return mismatches == 0 ? 0 : 1;
 }

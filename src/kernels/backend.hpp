@@ -1,4 +1,4 @@
-// Pluggable kernel backends (DESIGN.md §14).
+// Kernel backends (DESIGN.md §14).
 //
 // A Backend names one execution strategy for the integer kernels. Selection
 // follows the TFLite-delegate claim-or-fall-back pattern: a requested backend
@@ -6,34 +6,35 @@
 // kReference per-op, so a model never fails to run because a backend lacks a
 // kernel — it just runs that op on the reference path.
 //
-//   kReference — the single-strategy loops in kernels_s8/s4/opt.cpp. The
-//     semantic ground truth: every other backend must match it byte-for-byte.
-//   kFast — kernels_fast.cpp. Conv2d and fully-connected run a
-//     cache-blocked im2col-GEMM: weight panels packed once at model-load
-//     time (16-byte row stride, zero-point correction sums), a block of
-//     output-pixel columns gathered per GEMM call so each weight row is
-//     streamed once per block instead of once per pixel, SSE2 pmaddwd inner
-//     dot products on x86-64 (exact integer arithmetic — never a source of
-//     divergence) with a scalar fallback elsewhere, and requant→activation-
-//     clamp fused into the store exactly like the reference kernels.
-//     Depthwise runs channel-vectorized on the raw weights: 16 channels per
-//     SSE2 pass, (x - zp) * w formed exactly in int16 (|255 * 128| < 2^15),
-//     a sign-split SIMD requantization, and no panel. Claims int8 conv2d,
-//     depthwise and fully-connected; pool/add/softmax and all int4 ops fall
-//     back.
+//   kFast (the default) — kernels_fast.cpp, the production int8 path.
+//     Conv2d and fully-connected run a cache-blocked im2col-GEMM: weight
+//     panels packed once at model-load time (16-byte row stride, zero-point
+//     correction sums), a block of output-pixel columns gathered per GEMM
+//     call so each weight row is streamed once per block instead of once per
+//     pixel, SSE2 pmaddwd inner dot products on x86-64 (exact integer
+//     arithmetic — never a source of divergence) with a scalar fallback
+//     elsewhere, and requant→activation-clamp fused into the store exactly
+//     like the reference kernels. Depthwise runs channel-vectorized on the
+//     raw weights: 16 channels per SSE2 pass, (x - zp) * w formed exactly in
+//     int16 (|255 * 128| < 2^15), a sign-split SIMD requantization, and no
+//     panel. Claims int8 conv2d, depthwise and fully-connected; pool, add,
+//     softmax and all int4 ops fall back.
+//   kReference — the naive loops in kernels_s8/s4.cpp: the semantic ground
+//     truth every claimed op must match byte-for-byte. Reached only through
+//     BackendConfig::reference() (test oracles, constant folding, the zoo
+//     benchmark's check), the way TFLM keeps its reference ops to verify the
+//     optimized ones.
 //
-// The contract that makes a second backend safe at all: for every geometry
-// and every MN_THREADS, a claimed op's output is BYTE-IDENTICAL to the
-// reference kernel's (tests/test_backends.cpp). Integer accumulation is
-// order-free (no rounding), so tiling/SIMD reassociation cannot change
-// results — which is why golden vectors, resume equivalence and serving
-// fingerprints carry over unchanged whichever backend served the op.
+// The contract that makes a second backend safe at all: for every geometry,
+// a claimed op's output is BYTE-IDENTICAL to the reference kernel's
+// (tests/test_backends.cpp). Integer accumulation is order-free (no
+// rounding), so tiling/SIMD reassociation cannot change results — which is
+// why golden vectors, resume equivalence and serving fingerprints carry over
+// unchanged whichever backend served the op.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "kernels/kernels.hpp"
@@ -45,22 +46,13 @@ enum class BackendKind : uint8_t {
   kFast,
 };
 
-// Stable lowercase names ("reference", "fast") used by MN_BACKEND, obs
-// output and bench JSON.
+// Stable lowercase names ("reference", "fast") used by obs output, profile
+// tables and bench JSON.
 const char* backend_name(BackendKind k);
-std::optional<BackendKind> parse_backend_name(std::string_view name);
 
-// Resolves the process-default backend from the MN_BACKEND environment
-// variable: "reference" (also unset/empty) or "fast". An unknown value warns
-// on stderr once and falls back to kReference — a typo must never silently
-// change numerical strategy without a trace in the log.
-BackendKind backend_from_env();
-
-// Per-interpreter backend request. Defaulting the member (not the ctor call
-// site) keeps env resolution at construction time, where it is observable
-// and testable.
+// Per-interpreter backend request; the default is the packed fast path.
 struct BackendConfig {
-  BackendKind kind = backend_from_env();
+  BackendKind kind = BackendKind::kFast;
 
   static BackendConfig reference() { return {BackendKind::kReference}; }
   static BackendConfig fast() { return {BackendKind::kFast}; }
@@ -105,10 +97,8 @@ inline constexpr int32_t kConvPixelBlock = 8;
 int64_t conv2d_fast_scratch_bytes(const ConvGeometry& g);
 
 // Cache-blocked conv2d, bit-identical to conv2d_s8. `packed` must come from
-// pack_rows_s8(weights, out_ch, kh*kw*in_ch); `scratch` must hold at least
-// conv2d_fast_scratch_bytes(g) (the serial path; parallel chunks gather into
-// their own blocks). Row-parallel with the same deterministic chunking as
-// the reference kernels.
+// pack_rows_s8(weights, out_ch, kh*kw*in_ch); every pixel block is gathered
+// into `scratch`, which must hold at least conv2d_fast_scratch_bytes(g).
 void conv2d_s8_fast(std::span<const int8_t> input, const PackedOpWeights& packed,
                     std::span<const int32_t> bias, std::span<int8_t> output,
                     std::span<int8_t> scratch, const ConvGeometry& g,
@@ -116,7 +106,7 @@ void conv2d_s8_fast(std::span<const int8_t> input, const PackedOpWeights& packed
 
 // Depthwise conv2d (multiplier 1) on the raw [kh, kw, ch] weights,
 // bit-identical to depthwise_conv2d_s8; needs no packed panel and no
-// scratch. Serial: one output pixel at a time, 16 channels per SSE2 pass.
+// scratch. One output pixel at a time, 16 channels per SSE2 pass.
 void depthwise_conv2d_s8_fast(std::span<const int8_t> input,
                               std::span<const int8_t> weights,
                               std::span<const int32_t> bias,

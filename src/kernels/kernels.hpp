@@ -6,6 +6,10 @@
 // stack buffers before the multiply-accumulate, mirroring the paper's custom
 // CMSIS-NN extension (§5.1.3); the latency overhead of the pack/unpack is
 // modeled (as negligible) in the MCU latency model, not here.
+//
+// Every kernel is a plain serial loop, as on a single-core MCU: concurrency
+// lives above the interpreter (training, DNAS, serving's request fan-out),
+// never inside one op.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +51,19 @@ struct RequantParams {
 };
 
 // Standard conv2d: weights [out_ch, kh, kw, in_ch], bias int32 (or empty).
+// The naive loop is the test oracle for conv2d_s8_fast (backend.hpp) and the
+// reference backend's int8 conv.
 void conv2d_s8(std::span<const int8_t> input, std::span<const int8_t> weights,
                std::span<const int32_t> bias, std::span<int8_t> output,
                const ConvGeometry& g, const RequantParams& rq);
+
+// Shared int8 conv argument check: throws std::invalid_argument (prefixed
+// with `who`) when the input, [out_ch, kh, kw, in_ch] weights, a non-empty
+// bias or the output span is shorter than `g` needs.
+void check_conv_buffers(const char* who, std::span<const int8_t> input,
+                        std::span<const int8_t> weights,
+                        std::span<const int32_t> bias,
+                        std::span<const int8_t> output, const ConvGeometry& g);
 
 // Depthwise conv2d (multiplier 1): weights [kh, kw, ch]. The naive loop is
 // the test oracle for depthwise_conv2d_s8_fast (backend.hpp).
@@ -67,12 +81,22 @@ void check_depthwise_buffers(const char* who, std::span<const int8_t> input,
                              std::span<const int8_t> output,
                              const ConvGeometry& g);
 
-// Fully connected: weights [out, in].
+// Fully connected: weights [out, in]. The test oracle for
+// fully_connected_s8_fast.
 void fully_connected_s8(std::span<const int8_t> input,
                         std::span<const int8_t> weights,
                         std::span<const int32_t> bias, std::span<int8_t> output,
                         int32_t in_features, int32_t out_features,
                         const RequantParams& rq);
+
+// Shared int8 fully-connected argument check: throws std::invalid_argument
+// (prefixed with `who`) when the input, [out, in] weights, a non-empty bias
+// or the output span is shorter than the feature counts need.
+void check_fc_buffers(const char* who, std::span<const int8_t> input,
+                      std::span<const int8_t> weights,
+                      std::span<const int32_t> bias,
+                      std::span<const int8_t> output, int32_t in_features,
+                      int32_t out_features);
 
 struct PoolGeometry {
   int32_t in_h = 0, in_w = 0, ch = 0;
@@ -101,16 +125,6 @@ void add_s8(std::span<const int8_t> a, std::span<const int8_t> b,
 // Softmax over the final dim; output fixed at scale 1/256, zero point -128.
 void softmax_s8(std::span<const int8_t> input, std::span<int8_t> output,
                 int32_t rows, int32_t cols, float input_scale);
-
-// Optimized conv2d: IM2COL into `scratch` (>= conv2d_scratch_bytes(g)), then
-// GEMM-style dense dot products — the CMSIS-NN strategy. Bit-identical to
-// conv2d_s8.
-void conv2d_s8_im2col(std::span<const int8_t> input,
-                      std::span<const int8_t> weights,
-                      std::span<const int32_t> bias, std::span<int8_t> output,
-                      std::span<int8_t> scratch, const ConvGeometry& g,
-                      const RequantParams& rq);
-int64_t conv2d_scratch_bytes(const ConvGeometry& g);
 
 // --- Packed int4 variants ---------------------------------------------------
 // Activations and weights are packed two nibbles per byte (see

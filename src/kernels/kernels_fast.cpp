@@ -22,7 +22,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
-#include <vector>
+#include <string>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -30,7 +30,6 @@
 
 #include "kernels/backend.hpp"
 #include "obs/obs.hpp"
-#include "parallel/pool.hpp"
 
 namespace mn::kernels {
 
@@ -79,6 +78,18 @@ inline int32_t dot_s8(const int8_t* x, const int8_t* w, int64_t n) {
   for (; i < n; ++i) s += static_cast<int32_t>(x[i]) * w[i];
   return s;
 #endif
+}
+
+// A panel must be packed for this op's shape and hold every padded row the
+// GEMM streams; anything else throws before a byte is read.
+void check_panel(const char* who, const PackedOpWeights& p, int64_t num_rows,
+                 int64_t row_len) {
+  if (p.num_rows != num_rows || p.row_len != row_len ||
+      p.row_stride < row_len ||
+      static_cast<int64_t>(p.rows.size()) < num_rows * p.row_stride ||
+      static_cast<int64_t>(p.sum_w.size()) < num_rows)
+    throw std::invalid_argument(std::string(who) +
+                                ": packed panel/geometry mismatch");
 }
 
 inline int8_t requant_store(int32_t acc, const RequantParams& rq, int32_t oc) {
@@ -286,11 +297,8 @@ void conv2d_s8_fast(std::span<const int8_t> input, const PackedOpWeights& packed
                     std::span<int8_t> scratch, const ConvGeometry& g,
                     const RequantParams& rq) {
   const int64_t ksize = int64_t{g.kh} * g.kw * g.in_ch;
-  if (packed.row_len != ksize || packed.num_rows != g.out_ch)
-    throw std::invalid_argument("conv2d_s8_fast: packed panel/geometry mismatch");
-  if (static_cast<int64_t>(input.size()) < g.input_elements() ||
-      static_cast<int64_t>(output.size()) < g.output_elements())
-    throw std::invalid_argument("conv2d_s8_fast: buffer too small");
+  check_panel("conv2d_s8_fast", packed, g.out_ch, ksize);
+  check_conv_buffers("conv2d_s8_fast", input, packed.rows, bias, output, g);
   if (static_cast<int64_t>(scratch.size()) < conv2d_fast_scratch_bytes(g))
     throw std::invalid_argument("conv2d_s8_fast: scratch too small");
   const int64_t row_stride = packed.row_stride;
@@ -304,60 +312,50 @@ void conv2d_s8_fast(std::span<const int8_t> input, const PackedOpWeights& packed
   // -zp*sum_w initializer turns that contribution into exactly zero).
   const int8_t pad_value =
       static_cast<int8_t>(std::clamp<int32_t>(rq.input_zp, -128, 127));
-  const int64_t chunks = parallel::num_chunks(g.out_h, /*grain=*/1);
-  parallel::for_chunks(chunks, [&](int64_t chunk) {
-    const parallel::Range rows = parallel::chunk_range(g.out_h, chunks, chunk);
-    std::vector<int8_t> local;
-    int8_t* block = scratch.data();
-    if (chunks > 1) {
-      local.resize(static_cast<size_t>(conv2d_fast_scratch_bytes(g)));
-      block = local.data();
-    }
-    for (int32_t oy = static_cast<int32_t>(rows.begin);
-         oy < static_cast<int32_t>(rows.end); ++oy) {
-      const int32_t iy0 = oy * g.stride - g.pad_h;
-      for (int32_t ox0 = 0; ox0 < g.out_w; ox0 += kConvPixelBlock) {
-        const int32_t np = std::min<int32_t>(kConvPixelBlock, g.out_w - ox0);
-        // Gather np im2col columns into the block; zero each column's pad
-        // tail so the SIMD loop can run over the full padded stride (zero
-        // weights times anything is zero, but a shared scratch may hold
-        // another op's bytes there).
-        for (int32_t p = 0; p < np; ++p) {
-          int8_t* col = block + int64_t{p} * row_stride;
-          const int32_t ix0 = (ox0 + p) * g.stride - g.pad_w;
-          for (int32_t ky = 0; ky < g.kh; ++ky) {
-            const int32_t iy = iy0 + ky;
-            for (int32_t kx = 0; kx < g.kw; ++kx) {
-              const int32_t ix = ix0 + kx;
-              if (iy < 0 || iy >= g.in_h || ix < 0 || ix >= g.in_w) {
-                std::memset(col, pad_value, static_cast<size_t>(g.in_ch));
-              } else {
-                std::memcpy(
-                    col, input.data() + (int64_t{iy} * g.in_w + ix) * g.in_ch,
-                    static_cast<size_t>(g.in_ch));
-              }
-              col += g.in_ch;
+  int8_t* block = scratch.data();
+  for (int32_t oy = 0; oy < g.out_h; ++oy) {
+    const int32_t iy0 = oy * g.stride - g.pad_h;
+    for (int32_t ox0 = 0; ox0 < g.out_w; ox0 += kConvPixelBlock) {
+      const int32_t np = std::min<int32_t>(kConvPixelBlock, g.out_w - ox0);
+      // Gather np im2col columns into the block; zero each column's pad
+      // tail so the SIMD loop can run over the full padded stride (zero
+      // weights times anything is zero, but a shared scratch may hold
+      // another op's bytes there).
+      for (int32_t p = 0; p < np; ++p) {
+        int8_t* col = block + int64_t{p} * row_stride;
+        const int32_t ix0 = (ox0 + p) * g.stride - g.pad_w;
+        for (int32_t ky = 0; ky < g.kh; ++ky) {
+          const int32_t iy = iy0 + ky;
+          for (int32_t kx = 0; kx < g.kw; ++kx) {
+            const int32_t ix = ix0 + kx;
+            if (iy < 0 || iy >= g.in_h || ix < 0 || ix >= g.in_w) {
+              std::memset(col, pad_value, static_cast<size_t>(g.in_ch));
+            } else {
+              std::memcpy(
+                  col, input.data() + (int64_t{iy} * g.in_w + ix) * g.in_ch,
+                  static_cast<size_t>(g.in_ch));
             }
+            col += g.in_ch;
           }
-          std::memset(col, 0, static_cast<size_t>(row_stride - ksize));
         }
-        // GEMM tile: stream each packed weight row once across the block.
-        int8_t* out_base =
-            output.data() + (int64_t{oy} * g.out_w + ox0) * g.out_ch;
-        for (int32_t oc = 0; oc < g.out_ch; ++oc) {
-          const int8_t* wr = packed.rows.data() + int64_t{oc} * row_stride;
-          const int32_t init =
-              (bias.empty() ? 0 : bias[static_cast<size_t>(oc)]) -
-              rq.input_zp * packed.sum_w[static_cast<size_t>(oc)];
-          for (int32_t p = 0; p < np; ++p) {
-            const int32_t acc =
-                init + dot_s8(block + int64_t{p} * row_stride, wr, row_stride);
-            out_base[int64_t{p} * g.out_ch + oc] = requant_store(acc, rq, oc);
-          }
+        std::memset(col, 0, static_cast<size_t>(row_stride - ksize));
+      }
+      // GEMM tile: stream each packed weight row once across the block.
+      int8_t* out_base =
+          output.data() + (int64_t{oy} * g.out_w + ox0) * g.out_ch;
+      for (int32_t oc = 0; oc < g.out_ch; ++oc) {
+        const int8_t* wr = packed.rows.data() + int64_t{oc} * row_stride;
+        const int32_t init =
+            (bias.empty() ? 0 : bias[static_cast<size_t>(oc)]) -
+            rq.input_zp * packed.sum_w[static_cast<size_t>(oc)];
+        for (int32_t p = 0; p < np; ++p) {
+          const int32_t acc =
+              init + dot_s8(block + int64_t{p} * row_stride, wr, row_stride);
+          out_base[int64_t{p} * g.out_ch + oc] = requant_store(acc, rq, oc);
         }
       }
     }
-  });
+  }
 }
 
 void fully_connected_s8_fast(std::span<const int8_t> input,
@@ -365,9 +363,9 @@ void fully_connected_s8_fast(std::span<const int8_t> input,
                              std::span<const int32_t> bias,
                              std::span<int8_t> output, int32_t in_features,
                              int32_t out_features, const RequantParams& rq) {
-  if (packed.row_len != in_features || packed.num_rows != out_features)
-    throw std::invalid_argument(
-        "fully_connected_s8_fast: packed panel/geometry mismatch");
+  check_panel("fully_connected_s8_fast", packed, out_features, in_features);
+  check_fc_buffers("fully_connected_s8_fast", input, packed.rows, bias, output,
+                   in_features, out_features);
   obs::counter_add(obs::Counter::kKernelMacs,
                    int64_t{in_features} * out_features);
   obs::counter_add(obs::Counter::kKernelBytesRead,
@@ -376,20 +374,13 @@ void fully_connected_s8_fast(std::span<const int8_t> input,
   // The input is the caller's span (no padded copy), so the dot runs over
   // in_features and takes the scalar tail; packed rows store the real
   // weights in their first row_len bytes.
-  parallel::parallel_for(
-      0, out_features,
-      [&](int64_t o_lo, int64_t o_hi) {
-        for (int32_t o = static_cast<int32_t>(o_lo); o < o_hi; ++o) {
-          const int8_t* wr =
-              packed.rows.data() + int64_t{o} * packed.row_stride;
-          const int32_t init =
-              (bias.empty() ? 0 : bias[static_cast<size_t>(o)]) -
-              rq.input_zp * packed.sum_w[static_cast<size_t>(o)];
-          const int32_t acc = init + dot_s8(input.data(), wr, in_features);
-          output[static_cast<size_t>(o)] = requant_store(acc, rq, o);
-        }
-      },
-      /*grain=*/16);
+  for (int32_t o = 0; o < out_features; ++o) {
+    const int8_t* wr = packed.rows.data() + int64_t{o} * packed.row_stride;
+    const int32_t init = (bias.empty() ? 0 : bias[static_cast<size_t>(o)]) -
+                         rq.input_zp * packed.sum_w[static_cast<size_t>(o)];
+    const int32_t acc = init + dot_s8(input.data(), wr, in_features);
+    output[static_cast<size_t>(o)] = requant_store(acc, rq, o);
+  }
 }
 
 void depthwise_conv2d_s8_fast(std::span<const int8_t> input,

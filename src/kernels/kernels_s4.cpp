@@ -7,7 +7,6 @@
 
 #include "kernels/kernels.hpp"
 #include "obs/obs.hpp"
-#include "parallel/pool.hpp"
 
 namespace mn::kernels {
 
@@ -48,20 +47,11 @@ void conv2d_s4(std::span<const uint8_t> input, std::span<const uint8_t> weights,
                        packed_size_s4(int64_t{g.out_ch} * ksize));
   obs::counter_add(obs::Counter::kKernelBytesWritten,
                    packed_size_s4(g.output_elements()));
-  // store_s4 read-modify-writes a shared byte holding two nibbles, so chunks
-  // must never split a byte: parallelize over *pairs* of output rows. A pair
-  // starts at element offset 2*p*out_w*out_ch — always even, so each chunk
-  // owns whole bytes regardless of row-size parity.
-  const int64_t row_pairs = (int64_t{g.out_h} + 1) / 2;
-  parallel::parallel_for(0, row_pairs, [&](int64_t p_lo, int64_t p_hi) {
   // Unpack one input row of channels at a time into a small buffer —
-  // this is the software emulation path the paper describes. Per-chunk so
-  // concurrent chunks don't share scratch.
+  // this is the software emulation path the paper describes.
   std::vector<int8_t> xbuf(static_cast<size_t>(g.in_ch));
   std::vector<int8_t> wbuf(static_cast<size_t>(g.in_ch));
-  const int32_t oy_lo = static_cast<int32_t>(2 * p_lo);
-  const int32_t oy_hi = std::min(g.out_h, static_cast<int32_t>(2 * p_hi));
-  for (int32_t oy = oy_lo; oy < oy_hi; ++oy) {
+  for (int32_t oy = 0; oy < g.out_h; ++oy) {
     for (int32_t ox = 0; ox < g.out_w; ++ox) {
       const int32_t iy0 = oy * g.stride - g.pad_h;
       const int32_t ix0 = ox * g.stride - g.pad_w;
@@ -89,7 +79,6 @@ void conv2d_s4(std::span<const uint8_t> input, std::span<const uint8_t> weights,
       }
     }
   }
-  });
 }
 
 void depthwise_conv2d_s4(std::span<const uint8_t> input,
@@ -104,12 +93,7 @@ void depthwise_conv2d_s4(std::span<const uint8_t> input,
                        packed_size_s4(int64_t{g.kh} * g.kw * g.in_ch));
   obs::counter_add(obs::Counter::kKernelBytesWritten,
                    packed_size_s4(g.output_elements()));
-  // Row pairs for packed-byte safety (see conv2d_s4).
-  const int64_t row_pairs = (int64_t{g.out_h} + 1) / 2;
-  parallel::parallel_for(0, row_pairs, [&](int64_t p_lo, int64_t p_hi) {
-  const int32_t oy_lo = static_cast<int32_t>(2 * p_lo);
-  const int32_t oy_hi = std::min(g.out_h, static_cast<int32_t>(2 * p_hi));
-  for (int32_t oy = oy_lo; oy < oy_hi; ++oy) {
+  for (int32_t oy = 0; oy < g.out_h; ++oy) {
     for (int32_t ox = 0; ox < g.out_w; ++ox) {
       const int32_t iy0 = oy * g.stride - g.pad_h;
       const int32_t ix0 = ox * g.stride - g.pad_w;
@@ -131,7 +115,6 @@ void depthwise_conv2d_s4(std::span<const uint8_t> input,
       }
     }
   }
-  });
 }
 
 void fully_connected_s4(std::span<const uint8_t> input,
@@ -146,24 +129,14 @@ void fully_connected_s4(std::span<const uint8_t> input,
                        packed_size_s4(int64_t{in_features} * out_features));
   obs::counter_add(obs::Counter::kKernelBytesWritten,
                    packed_size_s4(out_features));
-  // Output-feature *pairs* so no two chunks share a packed output byte.
-  const int64_t out_pairs = (int64_t{out_features} + 1) / 2;
-  parallel::parallel_for(
-      0, out_pairs,
-      [&](int64_t p_lo, int64_t p_hi) {
-        const int32_t o_lo = static_cast<int32_t>(2 * p_lo);
-        const int32_t o_hi =
-            std::min(out_features, static_cast<int32_t>(2 * p_hi));
-        for (int32_t o = o_lo; o < o_hi; ++o) {
-          int32_t acc = bias.empty() ? 0 : bias[static_cast<size_t>(o)];
-          const int64_t woff = int64_t{o} * in_features;
-          for (int32_t i = 0; i < in_features; ++i)
-            acc += (static_cast<int32_t>(load_s4(input, i)) - rq.input_zp) *
-                   static_cast<int32_t>(load_s4(weights, woff + i));
-          store_s4(output, o, requantize4(acc, rq, o));
-        }
-      },
-      /*grain=*/8);
+  for (int32_t o = 0; o < out_features; ++o) {
+    int32_t acc = bias.empty() ? 0 : bias[static_cast<size_t>(o)];
+    const int64_t woff = int64_t{o} * in_features;
+    for (int32_t i = 0; i < in_features; ++i)
+      acc += (static_cast<int32_t>(load_s4(input, i)) - rq.input_zp) *
+             static_cast<int32_t>(load_s4(weights, woff + i));
+    store_s4(output, o, requantize4(acc, rq, o));
+  }
 }
 
 void avg_pool_s4(std::span<const uint8_t> input, std::span<uint8_t> output,

@@ -5,7 +5,6 @@
 
 #include "kernels/kernels.hpp"
 #include "obs/obs.hpp"
-#include "parallel/pool.hpp"
 
 namespace mn::kernels {
 
@@ -17,23 +16,33 @@ int8_t requantize(int32_t acc, const RequantParams& rq, int32_t oc) {
   return static_cast<int8_t>(v);
 }
 
+bool shorter(size_t size, int64_t needed) {
+  return static_cast<int64_t>(size) < needed;
+}
+
 }  // namespace
+
+void check_conv_buffers(const char* who, std::span<const int8_t> input,
+                        std::span<const int8_t> weights,
+                        std::span<const int32_t> bias,
+                        std::span<const int8_t> output, const ConvGeometry& g) {
+  if (shorter(input.size(), g.input_elements()) ||
+      shorter(weights.size(), int64_t{g.out_ch} * g.kh * g.kw * g.in_ch) ||
+      (!bias.empty() && shorter(bias.size(), g.out_ch)) ||
+      shorter(output.size(), g.output_elements()))
+    throw std::invalid_argument(std::string(who) + ": buffer too small");
+}
 
 void conv2d_s8(std::span<const int8_t> input, std::span<const int8_t> weights,
                std::span<const int32_t> bias, std::span<int8_t> output,
                const ConvGeometry& g, const RequantParams& rq) {
-  if (static_cast<int64_t>(input.size()) < g.input_elements() ||
-      static_cast<int64_t>(output.size()) < g.output_elements())
-    throw std::invalid_argument("conv2d_s8: buffer too small");
+  check_conv_buffers("conv2d_s8", input, weights, bias, output, g);
   const int64_t ksize = int64_t{g.kh} * g.kw * g.in_ch;
   obs::counter_add(obs::Counter::kKernelMacs, g.macs(/*depthwise=*/false));
   obs::counter_add(obs::Counter::kKernelBytesRead,
                    g.input_elements() + int64_t{g.out_ch} * ksize);
   obs::counter_add(obs::Counter::kKernelBytesWritten, g.output_elements());
-  // Output rows are disjoint (and integer arithmetic is order-free), so the
-  // row loop parallelizes with exact-match results at any thread count.
-  parallel::parallel_for(0, g.out_h, [&](int64_t oy_lo, int64_t oy_hi) {
-  for (int32_t oy = static_cast<int32_t>(oy_lo); oy < oy_hi; ++oy) {
+  for (int32_t oy = 0; oy < g.out_h; ++oy) {
     for (int32_t ox = 0; ox < g.out_w; ++ox) {
       const int32_t iy0 = oy * g.stride - g.pad_h;
       const int32_t ix0 = ox * g.stride - g.pad_w;
@@ -58,7 +67,6 @@ void conv2d_s8(std::span<const int8_t> input, std::span<const int8_t> weights,
       }
     }
   }
-  });
 }
 
 void check_depthwise_buffers(const char* who, std::span<const int8_t> input,
@@ -68,10 +76,10 @@ void check_depthwise_buffers(const char* who, std::span<const int8_t> input,
                              const ConvGeometry& g) {
   if (g.in_ch != g.out_ch)
     throw std::invalid_argument(std::string(who) + ": in_ch != out_ch");
-  if (static_cast<int64_t>(input.size()) < g.input_elements() ||
-      static_cast<int64_t>(weights.size()) < int64_t{g.kh} * g.kw * g.in_ch ||
-      (!bias.empty() && static_cast<int64_t>(bias.size()) < g.out_ch) ||
-      static_cast<int64_t>(output.size()) < g.output_elements())
+  if (shorter(input.size(), g.input_elements()) ||
+      shorter(weights.size(), int64_t{g.kh} * g.kw * g.in_ch) ||
+      (!bias.empty() && shorter(bias.size(), g.out_ch)) ||
+      shorter(output.size(), g.output_elements()))
     throw std::invalid_argument(std::string(who) + ": buffer too small");
 }
 
@@ -85,8 +93,7 @@ void depthwise_conv2d_s8(std::span<const int8_t> input,
   obs::counter_add(obs::Counter::kKernelBytesRead,
                    g.input_elements() + int64_t{g.kh} * g.kw * g.in_ch);
   obs::counter_add(obs::Counter::kKernelBytesWritten, g.output_elements());
-  parallel::parallel_for(0, g.out_h, [&](int64_t oy_lo, int64_t oy_hi) {
-  for (int32_t oy = static_cast<int32_t>(oy_lo); oy < oy_hi; ++oy) {
+  for (int32_t oy = 0; oy < g.out_h; ++oy) {
     for (int32_t ox = 0; ox < g.out_w; ++ox) {
       const int32_t iy0 = oy * g.stride - g.pad_h;
       const int32_t ix0 = ox * g.stride - g.pad_w;
@@ -108,7 +115,18 @@ void depthwise_conv2d_s8(std::span<const int8_t> input,
       }
     }
   }
-  });
+}
+
+void check_fc_buffers(const char* who, std::span<const int8_t> input,
+                      std::span<const int8_t> weights,
+                      std::span<const int32_t> bias,
+                      std::span<const int8_t> output, int32_t in_features,
+                      int32_t out_features) {
+  if (shorter(input.size(), in_features) ||
+      shorter(weights.size(), int64_t{in_features} * out_features) ||
+      (!bias.empty() && shorter(bias.size(), out_features)) ||
+      shorter(output.size(), out_features))
+    throw std::invalid_argument(std::string(who) + ": buffer too small");
 }
 
 void fully_connected_s8(std::span<const int8_t> input,
@@ -116,27 +134,22 @@ void fully_connected_s8(std::span<const int8_t> input,
                         std::span<const int32_t> bias, std::span<int8_t> output,
                         int32_t in_features, int32_t out_features,
                         const RequantParams& rq) {
+  check_fc_buffers("fully_connected_s8", input, weights, bias, output,
+                   in_features, out_features);
   obs::counter_add(obs::Counter::kKernelMacs,
                    int64_t{in_features} * out_features);
   obs::counter_add(obs::Counter::kKernelBytesRead,
                    in_features + int64_t{in_features} * out_features);
   obs::counter_add(obs::Counter::kKernelBytesWritten, out_features);
-  // Each output feature is an independent dot product; grain keeps tiny
-  // classifier heads from paying dispatch overhead per feature.
-  parallel::parallel_for(
-      0, out_features,
-      [&](int64_t o_lo, int64_t o_hi) {
-        for (int32_t o = static_cast<int32_t>(o_lo); o < o_hi; ++o) {
-          const int8_t* wr = weights.data() + int64_t{o} * in_features;
-          int32_t acc = bias.empty() ? 0 : bias[static_cast<size_t>(o)];
-          for (int32_t i = 0; i < in_features; ++i)
-            acc += (static_cast<int32_t>(input[static_cast<size_t>(i)]) -
-                    rq.input_zp) *
-                   static_cast<int32_t>(wr[i]);
-          output[static_cast<size_t>(o)] = requantize(acc, rq, o);
-        }
-      },
-      /*grain=*/16);
+  for (int32_t o = 0; o < out_features; ++o) {
+    const int8_t* wr = weights.data() + int64_t{o} * in_features;
+    int32_t acc = bias.empty() ? 0 : bias[static_cast<size_t>(o)];
+    for (int32_t i = 0; i < in_features; ++i)
+      acc += (static_cast<int32_t>(input[static_cast<size_t>(i)]) -
+              rq.input_zp) *
+             static_cast<int32_t>(wr[i]);
+    output[static_cast<size_t>(o)] = requantize(acc, rq, o);
+  }
 }
 
 void avg_pool_s8(std::span<const int8_t> input, std::span<int8_t> output,

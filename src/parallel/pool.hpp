@@ -8,8 +8,10 @@
 // and any cross-chunk combination goes through the fixed-order tree_reduce()
 // below, results are bit-identical at every thread count — including the
 // serial fallback at threads=1, which executes the exact same chunk schedule
-// inline. This is what lets the kernels, trainer, and DNAS keep PR 2's
-// bitwise resume-equivalence guarantee while running multi-threaded.
+// inline. This is what lets the trainer and DNAS keep their bitwise
+// resume-equivalence guarantee while running multi-threaded, and serving fan
+// whole requests out without changing a fingerprint. (Inference kernels are
+// serial and never open a region.)
 //
 // Thread count resolution: set_threads(n) override if set, else the
 // MN_THREADS environment variable, else std::thread::hardware_concurrency().

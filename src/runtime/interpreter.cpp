@@ -111,16 +111,17 @@ Interpreter::Interpreter(ModelDef model, MemoryPlan plan,
             "Interpreter: shared PackedModel lacks a claimed op's panel");
       op_backend_[i] = backend_.kind;
     }
-  // Shared conv scratch (CMSIS-NN analog), sized for whichever path each
-  // conv dispatches to: one im2col column (reference) or a pixel block of
-  // padded columns (fast).
+  // Shared conv scratch (CMSIS-NN analog): a pixel block of padded im2col
+  // columns for each fast conv; reference ops need none.
+  op_scratch_bytes_.assign(model_.ops.size(), 0);
   int64_t scratch = 0;
   for (size_t i = 0; i < model_.ops.size(); ++i)
-    if (model_.ops[i].type == OpType::kConv2D)
-      scratch = std::max(scratch,
-                         op_backend_[i] == kernels::BackendKind::kFast
-                             ? kernels::conv2d_fast_scratch_bytes(prepared_[i].conv)
-                             : kernels::conv2d_scratch_bytes(prepared_[i].conv));
+    if (model_.ops[i].type == OpType::kConv2D &&
+        op_backend_[i] == kernels::BackendKind::kFast) {
+      op_scratch_bytes_[i] =
+          kernels::conv2d_fast_scratch_bytes(prepared_[i].conv);
+      scratch = std::max(scratch, op_scratch_bytes_[i]);
+    }
   scratch_.assign(static_cast<size_t>(scratch), 0);
   expected_weights_crc_ = model_.weights_crc();
   op_macs_.resize(model_.ops.size());
@@ -128,16 +129,6 @@ Interpreter::Interpreter(ModelDef model, MemoryPlan plan,
   for (size_t i = 0; i < model_.ops.size(); ++i)
     op_macs_[i] = model_.ops[i].macs(model_.tensors);
   op_live_bytes_ = plan_.occupancy_timeline(static_cast<int>(model_.ops.size()));
-  op_scratch_bytes_.assign(model_.ops.size(), 0);
-  for (size_t i = 0; i < model_.ops.size(); ++i) {
-    const TensorDef& in =
-        model_.tensors[static_cast<size_t>(model_.ops[i].inputs[0])];
-    if (model_.ops[i].type == OpType::kConv2D && in.bits == 8)
-      op_scratch_bytes_[i] =
-          op_backend_[i] == kernels::BackendKind::kFast
-              ? kernels::conv2d_fast_scratch_bytes(prepared_[i].conv)
-              : kernels::conv2d_scratch_bytes(prepared_[i].conv);
-  }
   obs::gauge_set_max(obs::Gauge::kArenaPeakBytes, plan_.arena_bytes);
   obs::gauge_set_max(obs::Gauge::kScratchPeakBytes,
                      static_cast<int64_t>(scratch_.size()));
@@ -330,8 +321,8 @@ void Interpreter::run_op(size_t i) {
         kernels::conv2d_s8_fast(as_s8(in_b), *packed_->per_op[i], bias,
                                 as_s8(out_b), scratch_, p.conv, p.rq);
       else if (bits == 8)
-        kernels::conv2d_s8_im2col(as_s8(in_b), as_s8(w_b), bias, as_s8(out_b),
-                                  scratch_, p.conv, p.rq);
+        kernels::conv2d_s8(as_s8(in_b), as_s8(w_b), bias, as_s8(out_b), p.conv,
+                           p.rq);
       else
         kernels::conv2d_s4(in_b, w_b, bias, out_b, p.conv, p.rq);
       break;

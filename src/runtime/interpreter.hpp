@@ -66,8 +66,8 @@ std::shared_ptr<const PackedModel> pack_model_weights(
 class Interpreter {
  public:
   // The interpreter stores a copy of the model ("flash contents") and
-  // allocates its arena up front (AllocateTensors analog). The kernel
-  // backend resolves from MN_BACKEND (kernels::backend_from_env).
+  // allocates its arena up front (AllocateTensors analog). Runs on the
+  // default (fast) kernel backend.
   explicit Interpreter(ModelDef model);
 
   // Pre-planned construction: reuses a MemoryPlan computed once per model so
@@ -189,7 +189,8 @@ class Interpreter {
   std::vector<PreparedOp> prepared_;
   // Layout: [guard band | planned tensors (plan_.arena_bytes) | guard band].
   std::vector<uint8_t> arena_;
-  // IM2COL column buffer shared by all conv ops (CMSIS-NN scratch analog).
+  // Pixel block of im2col columns shared by all fast conv ops (CMSIS-NN
+  // scratch analog).
   std::vector<int8_t> scratch_;
   int64_t invocations_ = 0;
   uint32_t expected_weights_crc_ = 0;

@@ -677,8 +677,8 @@ bool ServingEngine::dispatch_one(int tenant_index, std::vector<size_t>* fresh) {
 void ServingEngine::execute_batch(const std::vector<size_t>& fresh) {
   // Real inference for every dispatch, fanned out across the worker pool.
   // Each record owns a distinct instance, so the only shared state threads
-  // touch is their own Inflight slot. Kernels' nested parallel_for calls run
-  // serially inline (the pool rejects nested regions), so this composes.
+  // touch is their own Inflight slot. The kernels are serial, so this is the
+  // only parallel region a dispatch opens.
   parallel::parallel_for(
       0, static_cast<int64_t>(fresh.size()),
       [&](int64_t lo, int64_t hi) {

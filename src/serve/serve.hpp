@@ -66,7 +66,7 @@ struct VariantSpec {
   rt::ModelDef model;
   Tick service_ticks = 1;
   int instances = 1;
-  // Kernel backend the variant's replicas execute on (default: MN_BACKEND).
+  // Kernel backend the variant's replicas execute on (default: fast).
   // Weight panels are packed once per variant and shared by every replica,
   // including quarantine/reimage rebuilds — outputs are bit-identical either
   // way, so fingerprints and golden vectors do not depend on this choice.

@@ -6,15 +6,14 @@
 // are not multiples of the pack/tile width — and at MN_THREADS 1/2/8; for
 // depthwise also the int16 product bound and the requantization's edge
 // multipliers and accumulators. Plus:
-// registry/env-resolution semantics, panel-packing invariants, a seeded
+// backend names and the fast default, panel-packing invariants, a seeded
 // >=500-case geometry fuzzer cross-checking ConvGeometry::macs() against a
 // per-output-pixel counting oracle, an asymmetric-padding golden vector
-// computed by an independent naive loop, and the interpreter/pool-facing
-// claim-or-fall-back behavior.
+// computed by an independent naive loop, the interpreter/pool-facing
+// claim-or-fall-back behavior, and serial inference (no pool regions).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <set>
 #include <vector>
 
@@ -82,8 +81,8 @@ std::vector<int32_t> random_bias(Rng& rng, int64_t n) {
   return v;
 }
 
-// Runs conv2d_s8 (ground truth), conv2d_s8_im2col, and conv2d_s8_fast on the
-// same inputs and asserts all three agree on every byte.
+// Runs conv2d_s8 (ground truth) and conv2d_s8_fast on the same inputs and
+// asserts they agree on every byte.
 void check_conv_all_backends(const kernels::ConvGeometry& g,
                              const kernels::RequantParams& rq, Rng& rng,
                              bool with_bias) {
@@ -92,56 +91,31 @@ void check_conv_all_backends(const kernels::ConvGeometry& g,
   std::vector<int32_t> bias;
   if (with_bias) bias = random_bias(rng, g.out_ch);
   std::vector<int8_t> y_ref(static_cast<size_t>(g.output_elements()));
-  std::vector<int8_t> y_im2col(y_ref.size());
   std::vector<int8_t> y_fast(y_ref.size());
   kernels::conv2d_s8(x, w, bias, y_ref, g, rq);
-  std::vector<int8_t> scratch(
-      static_cast<size_t>(kernels::conv2d_scratch_bytes(g)));
-  kernels::conv2d_s8_im2col(x, w, bias, y_im2col, scratch, g, rq);
   const kernels::PackedOpWeights packed = kernels::pack_rows_s8(
       w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch);
   std::vector<int8_t> fast_scratch(
       static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
   kernels::conv2d_s8_fast(x, packed, bias, y_fast, fast_scratch, g, rq);
-  ASSERT_EQ(y_im2col, y_ref) << "im2col diverged from reference";
   ASSERT_EQ(y_fast, y_ref) << "fast backend diverged from reference";
 }
 
 }  // namespace
 
-// --- registry / env resolution ----------------------------------------------
+// --- registry ----------------------------------------------------------------
 
 TEST(BackendRegistry, NamesRoundTrip) {
   EXPECT_STREQ(kernels::backend_name(kernels::BackendKind::kReference),
                "reference");
   EXPECT_STREQ(kernels::backend_name(kernels::BackendKind::kFast), "fast");
-  EXPECT_EQ(kernels::parse_backend_name("reference"),
-            kernels::BackendKind::kReference);
-  EXPECT_EQ(kernels::parse_backend_name("fast"), kernels::BackendKind::kFast);
-  EXPECT_FALSE(kernels::parse_backend_name("turbo").has_value());
-  EXPECT_FALSE(kernels::parse_backend_name("").has_value());
-  EXPECT_FALSE(kernels::parse_backend_name("FAST").has_value());
 }
 
-TEST(BackendRegistry, EnvResolution) {
-  ::unsetenv("MN_BACKEND");
-  EXPECT_EQ(kernels::backend_from_env(), kernels::BackendKind::kReference);
-  ::setenv("MN_BACKEND", "", 1);
-  EXPECT_EQ(kernels::backend_from_env(), kernels::BackendKind::kReference);
-  ::setenv("MN_BACKEND", "fast", 1);
-  EXPECT_EQ(kernels::backend_from_env(), kernels::BackendKind::kFast);
-  ::setenv("MN_BACKEND", "not-a-backend", 1);
-  EXPECT_EQ(kernels::backend_from_env(), kernels::BackendKind::kReference);
-  ::unsetenv("MN_BACKEND");
-  // BackendConfig's default member initializer resolves from the env at
-  // construction time; the factories ignore the env entirely.
-  ::setenv("MN_BACKEND", "fast", 1);
+TEST(BackendRegistry, DefaultConfigIsFast) {
   EXPECT_EQ(kernels::BackendConfig{}.kind, kernels::BackendKind::kFast);
+  EXPECT_EQ(kernels::BackendConfig::fast().kind, kernels::BackendKind::kFast);
   EXPECT_EQ(kernels::BackendConfig::reference().kind,
             kernels::BackendKind::kReference);
-  ::unsetenv("MN_BACKEND");
-  EXPECT_EQ(kernels::BackendConfig{}.kind, kernels::BackendKind::kReference);
-  EXPECT_EQ(kernels::BackendConfig::fast().kind, kernels::BackendKind::kFast);
 }
 
 // --- panel packing -----------------------------------------------------------
@@ -396,7 +370,7 @@ TEST(BackendDifferential, DepthwiseFastRequantEdgeCases) {
 // --- asymmetric-padding golden vector ---------------------------------------
 
 // Independent per-output-pixel oracle: the naive direct convolution written
-// from the definition, sharing no code with kernels_s8/opt/fast. Guards the
+// from the definition, sharing no code with kernels_s8/fast. Guards the
 // pad_h != pad_w regression the im2col family is prone to (transposed pads).
 TEST(BackendGolden, AsymmetricPaddingOracle) {
   const auto g = make_geom(5, 4, 3, 4, 3, 3, 1, 2, 1);  // pad_h=2, pad_w=1
@@ -434,11 +408,6 @@ TEST(BackendGolden, AsymmetricPaddingOracle) {
   std::vector<int8_t> y(oracle.size());
   kernels::conv2d_s8(x, w, bias, y, g, rq);
   EXPECT_EQ(y, oracle) << "reference conv disagrees with the naive oracle";
-  std::vector<int8_t> scratch(
-      static_cast<size_t>(kernels::conv2d_scratch_bytes(g)));
-  std::fill(y.begin(), y.end(), int8_t{0});
-  kernels::conv2d_s8_im2col(x, w, bias, y, scratch, g, rq);
-  EXPECT_EQ(y, oracle) << "im2col conv disagrees with the naive oracle";
   const auto packed = kernels::pack_rows_s8(
       w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch);
   std::vector<int8_t> fast_scratch(
@@ -526,7 +495,7 @@ TEST(BackendThreads, FastConvBitIdenticalAcrossThreadCounts) {
 
 namespace {
 
-rt::ModelDef tiny_model(uint64_t seed = 1) {
+rt::ModelDef tiny_model(uint64_t seed = 1, int bits = 8) {
   models::DsCnnConfig cfg;
   cfg.input = Shape{12, 8, 1};
   cfg.num_classes = 4;
@@ -545,16 +514,45 @@ rt::ModelDef tiny_model(uint64_t seed = 1) {
   const rt::RangeMap ranges = rt::calibrate_ranges(g, batch);
   rt::ConvertOptions co;
   co.name = "backend_tiny";
+  co.weight_bits = bits;
+  co.act_bits = bits;
   return rt::convert(g, co, &ranges);
+}
+
+// A residual MobileNetV2: conv, depthwise, FC, pool and add ops, plus a
+// softmax at int8 (int4 has none).
+rt::ModelDef residual_model(int bits) {
+  models::MobileNetV2Config cfg;
+  cfg.input = Shape{12, 12, 1};
+  cfg.num_classes = 2;
+  cfg.stem_channels = 8;
+  cfg.blocks = {{8, 8, 1}, {48, 8, 1}};
+  cfg.head_channels = 16;
+  models::BuildOptions opt;
+  opt.seed = 3;
+  opt.qat = false;
+  nn::Graph graph = models::build_mobilenet_v2(cfg, opt);
+  Rng rng(4);
+  TensorF batch(Shape{2, 12, 12, 1});
+  for (int64_t i = 0; i < batch.size(); ++i)
+    batch[i] = static_cast<float>(rng.normal(0.0, 0.5));
+  const rt::RangeMap ranges = rt::calibrate_ranges(graph, batch);
+  rt::ConvertOptions co;
+  co.name = bits == 8 ? "backend_resid" : "backend_resid_s4";
+  co.append_softmax = bits == 8;
+  co.weight_bits = bits;
+  co.act_bits = bits;
+  return rt::convert(graph, co, &ranges);
 }
 
 TensorI8 random_input(const rt::ModelDef& m, uint64_t seed) {
   const rt::TensorDef& in =
       m.tensors[static_cast<size_t>(m.input_tensor)];
+  const int lim = in.bits == 8 ? 127 : 7;
   TensorI8 t(in.shape);
   Rng rng(seed);
   for (int64_t i = 0; i < t.size(); ++i)
-    t[i] = static_cast<int8_t>(rng.uniform_int(-127, 127));
+    t[i] = static_cast<int8_t>(rng.uniform_int(-lim, lim));
   return t;
 }
 
@@ -589,25 +587,7 @@ TEST(BackendInterpreter, FastInvokeIsByteIdenticalToReference) {
 TEST(BackendInterpreter, FastClaimsConvDepthwiseFcOnlyAtInt8) {
   // Every int8 conv / depthwise / FC op is fast-served; pool, add and
   // softmax fall back. The residual MobileNetV2 carries the add ops.
-  models::MobileNetV2Config cfg;
-  cfg.input = Shape{12, 12, 1};
-  cfg.num_classes = 2;
-  cfg.stem_channels = 8;
-  cfg.blocks = {{8, 8, 1}, {48, 8, 1}};
-  cfg.head_channels = 16;
-  models::BuildOptions opt;
-  opt.seed = 3;
-  opt.qat = false;
-  nn::Graph graph = models::build_mobilenet_v2(cfg, opt);
-  Rng rng(4);
-  TensorF batch(Shape{2, 12, 12, 1});
-  for (int64_t i = 0; i < batch.size(); ++i)
-    batch[i] = static_cast<float>(rng.normal(0.0, 0.5));
-  const rt::RangeMap ranges = rt::calibrate_ranges(graph, batch);
-  rt::ConvertOptions co;
-  co.name = "backend_resid";
-  co.append_softmax = true;
-  const rt::ModelDef m = rt::convert(graph, co, &ranges);
+  const rt::ModelDef m = residual_model(8);
   rt::Interpreter fast(m, rt::plan_memory(m), kernels::BackendConfig::fast());
   std::set<rt::OpType> fast_types, ref_types;
   for (size_t i = 0; i < m.ops.size(); ++i) {
@@ -630,11 +610,7 @@ TEST(BackendInterpreter, FastClaimsConvDepthwiseFcOnlyAtInt8) {
 
   // Int4: no fast kernel, so every op (depthwise included) stays on the
   // reference backend and nothing is packed.
-  co.name = "backend_resid_s4";
-  co.append_softmax = false;
-  co.weight_bits = 4;
-  co.act_bits = 4;
-  const rt::ModelDef m4 = rt::convert(graph, co, &ranges);
+  const rt::ModelDef m4 = residual_model(4);
   rt::Interpreter fast4(m4, rt::plan_memory(m4),
                         kernels::BackendConfig::fast());
   bool has_dw = false;
@@ -664,6 +640,38 @@ TEST(BackendInterpreter, FastInvokeThreadInvariant) {
     }
   }
   parallel::set_threads(0);
+}
+
+TEST(BackendInterpreter, InvokeOpensNoPoolRegion) {
+#if defined(MN_OBS_DISABLED)
+  GTEST_SKIP() << "pool counters are compiled out";
+#else
+  // Inference kernels are serial on every backend and bit width: even with
+  // a 4-thread pool available, an invoke never enters a parallel region.
+  const rt::ModelDef m8 = residual_model(8);
+  std::set<rt::OpType> types;
+  for (const rt::OpDef& op : m8.ops) types.insert(op.type);
+  for (const rt::OpType t :
+       {rt::OpType::kConv2D, rt::OpType::kDepthwiseConv2D,
+        rt::OpType::kFullyConnected, rt::OpType::kAvgPool2D, rt::OpType::kAdd,
+        rt::OpType::kSoftmax})
+    EXPECT_EQ(types.count(t), 1u) << rt::op_type_name(t);
+  const rt::ModelDef m4 = tiny_model(7, /*bits=*/4);
+  rt::Interpreter by_default(m8);
+  EXPECT_EQ(by_default.backend(), kernels::BackendKind::kFast);
+  rt::Interpreter reference(m8, rt::plan_memory(m8),
+                            kernels::BackendConfig::reference());
+  rt::Interpreter int4(m4);
+  parallel::set_threads(4);
+  for (rt::Interpreter* interp : {&by_default, &reference, &int4}) {
+    SCOPED_TRACE(interp->model().name + " on " +
+                 kernels::backend_name(interp->backend()));
+    const int64_t before = obs::counter_value(obs::Counter::kPoolRegions);
+    interp->invoke_quantized(random_input(interp->model(), 77));
+    EXPECT_EQ(obs::counter_value(obs::Counter::kPoolRegions), before);
+  }
+  parallel::set_threads(0);
+#endif
 }
 
 TEST(BackendInterpreter, DispatchCountersAndProfileReportBackend) {
@@ -746,46 +754,84 @@ TEST(BackendValidation, KernelsRejectUndersizedBuffers) {
   const auto rq = random_rq(rng, g.out_ch, false);
   const auto x = random_s8(rng, g.input_elements());
   const auto w = random_s8(rng, int64_t{g.out_ch} * g.kh * g.kw * g.in_ch);
+  const auto bias = random_bias(rng, g.out_ch);
   std::vector<int8_t> y(static_cast<size_t>(g.output_elements()));
+
+  // Each oracle and its fast kernel reject the same short input, non-empty
+  // bias and output, before touching any buffer.
+  const auto expect_span_checks = [](const auto& run,
+                                     std::span<const int8_t> in,
+                                     std::span<const int32_t> b,
+                                     std::span<int8_t> out) {
+    EXPECT_NO_THROW(run(in, b, out));
+    EXPECT_NO_THROW(run(in, std::span<const int32_t>{}, out));
+    EXPECT_THROW(run(in.first(in.size() - 1), b, out), std::invalid_argument);
+    EXPECT_THROW(run(in, b.first(b.size() - 1), out), std::invalid_argument);
+    EXPECT_THROW(run(in, b, out.first(out.size() - 1)), std::invalid_argument);
+  };
+
+  // Conv: plus a short weights span (oracle), a short scratch, and a panel
+  // packed for another geometry or cut short (fast).
+  const int64_t ksize = int64_t{g.kh} * g.kw * g.in_ch;
+  const auto packed = kernels::pack_rows_s8(w, g.out_ch, ksize);
   std::vector<int8_t> scratch(
-      static_cast<size_t>(kernels::conv2d_scratch_bytes(g)));
-  std::vector<int8_t> small_out(y.size() - 1);
-  std::vector<int8_t> small_scratch(scratch.size() - 1);
-  EXPECT_THROW(
-      kernels::conv2d_s8_im2col(x, w, {}, small_out, scratch, g, rq),
-      std::invalid_argument);
-  EXPECT_THROW(kernels::conv2d_s8_im2col(x, w, {}, y, small_scratch, g, rq),
-               std::invalid_argument);
-  EXPECT_THROW(
-      kernels::conv2d_s8_im2col(std::span<const int8_t>(x.data(), x.size() - 1),
-                                w, {}, y, scratch, g, rq),
-      std::invalid_argument);
-  const auto packed = kernels::pack_rows_s8(
-      w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch);
-  std::vector<int8_t> fast_scratch(
       static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
-  std::vector<int8_t> small_fast_scratch(fast_scratch.size() - 1);
-  EXPECT_THROW(
-      kernels::conv2d_s8_fast(x, packed, {}, y, small_fast_scratch, g, rq),
-      std::invalid_argument);
-  EXPECT_THROW(
-      kernels::conv2d_s8_fast(x, packed, {}, small_out, fast_scratch, g, rq),
-      std::invalid_argument);
-  // A panel packed for a different geometry is rejected up front.
-  const auto wrong = kernels::pack_rows_s8(w, g.out_ch * 2,
-                                           int64_t{g.kh} * g.kw * g.in_ch / 2);
-  EXPECT_THROW(kernels::conv2d_s8_fast(x, wrong, {}, y, fast_scratch, g, rq),
+  const auto conv_fast = [&](const kernels::PackedOpWeights& panel,
+                             std::span<int8_t> scr) {
+    return [&g, &rq, p = &panel, scr](std::span<const int8_t> in,
+                                      std::span<const int32_t> b,
+                                      std::span<int8_t> out) {
+      kernels::conv2d_s8_fast(in, *p, b, out, scr, g, rq);
+    };
+  };
+  expect_span_checks(
+      [&](std::span<const int8_t> in, std::span<const int32_t> b,
+          std::span<int8_t> out) { kernels::conv2d_s8(in, w, b, out, g, rq); },
+      x, bias, y);
+  expect_span_checks(conv_fast(packed, scratch), x, bias, y);
+  EXPECT_THROW(kernels::conv2d_s8(x, std::span(w).first(w.size() - 1), bias,
+                                  y, g, rq),
+               std::invalid_argument);
+  EXPECT_THROW(conv_fast(packed, std::span(scratch).first(scratch.size() - 1))(
+                   x, bias, y),
+               std::invalid_argument);
+  const auto wrong = kernels::pack_rows_s8(w, g.out_ch * 2, ksize / 2);
+  EXPECT_THROW(conv_fast(wrong, scratch)(x, bias, y), std::invalid_argument);
+  auto truncated = packed;
+  truncated.rows.pop_back();
+  EXPECT_THROW(conv_fast(truncated, scratch)(x, bias, y),
                std::invalid_argument);
 
-  // Depthwise: the oracle and the fast kernel reject the same short spans
-  // (input, [kh, kw, ch] weights, a non-empty bias, output) and a channel
-  // multiplier other than 1, before touching any buffer.
+  // Fully connected: the same contract over [out, in] weights.
+  const int32_t in_f = 19, out_f = 5;
+  const auto fx = random_s8(rng, in_f);
+  const auto fw = random_s8(rng, int64_t{in_f} * out_f);
+  const auto fb = random_bias(rng, out_f);
+  const auto fpacked = kernels::pack_rows_s8(fw, out_f, in_f);
+  std::vector<int8_t> fy(static_cast<size_t>(out_f));
+  expect_span_checks(
+      [&](std::span<const int8_t> in, std::span<const int32_t> b,
+          std::span<int8_t> out) {
+        kernels::fully_connected_s8(in, fw, b, out, in_f, out_f, rq);
+      },
+      fx, fb, fy);
+  expect_span_checks(
+      [&](std::span<const int8_t> in, std::span<const int32_t> b,
+          std::span<int8_t> out) {
+        kernels::fully_connected_s8_fast(in, fpacked, b, out, in_f, out_f, rq);
+      },
+      fx, fb, fy);
+  EXPECT_THROW(kernels::fully_connected_s8(fx, std::span(fw).first(fw.size() - 1),
+                                           fb, fy, in_f, out_f, rq),
+               std::invalid_argument);
+  EXPECT_THROW(kernels::fully_connected_s8_fast(fx, fpacked, fb, fy, in_f + 1,
+                                                out_f, rq),
+               std::invalid_argument);
+
+  // Depthwise: also a short [kh, kw, ch] weights span and a channel
+  // multiplier other than 1.
   const auto dw_w = random_s8(rng, int64_t{g.kh} * g.kw * g.in_ch);
-  const auto dw_bias = random_bias(rng, g.out_ch);
-  const std::span<const int8_t> short_x(x.data(), x.size() - 1);
   const std::span<const int8_t> short_w(dw_w.data(), dw_w.size() - 1);
-  const std::span<const int32_t> short_bias(dw_bias.data(),
-                                            dw_bias.size() - 1);
   auto grown = g;
   grown.out_ch = g.in_ch + 1;
   using DwKernel = void (*)(std::span<const int8_t>, std::span<const int8_t>,
@@ -795,11 +841,11 @@ TEST(BackendValidation, KernelsRejectUndersizedBuffers) {
   for (const DwKernel dw : {static_cast<DwKernel>(kernels::depthwise_conv2d_s8),
                             static_cast<DwKernel>(
                                 kernels::depthwise_conv2d_s8_fast)}) {
-    EXPECT_NO_THROW(dw(x, dw_w, dw_bias, y, g, rq));
-    EXPECT_THROW(dw(short_x, dw_w, dw_bias, y, g, rq), std::invalid_argument);
-    EXPECT_THROW(dw(x, short_w, dw_bias, y, g, rq), std::invalid_argument);
-    EXPECT_THROW(dw(x, dw_w, short_bias, y, g, rq), std::invalid_argument);
-    EXPECT_THROW(dw(x, dw_w, dw_bias, small_out, g, rq), std::invalid_argument);
-    EXPECT_THROW(dw(x, dw_w, dw_bias, y, grown, rq), std::invalid_argument);
+    expect_span_checks(
+        [&](std::span<const int8_t> in, std::span<const int32_t> b,
+            std::span<int8_t> out) { dw(in, dw_w, b, out, g, rq); },
+        x, bias, y);
+    EXPECT_THROW(dw(x, short_w, bias, y, g, rq), std::invalid_argument);
+    EXPECT_THROW(dw(x, dw_w, bias, y, grown, rq), std::invalid_argument);
   }
 }

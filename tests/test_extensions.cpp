@@ -1,6 +1,5 @@
 // Unit tests for the library extensions: checkpoints, model summaries, the
-// IM2COL conv path, the streaming audio front-end, and the direct-latency
-// DNAS constraint.
+// streaming audio front-end, and the direct-latency DNAS constraint.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -8,7 +7,6 @@
 #include "core/dnas.hpp"
 #include "datasets/kws.hpp"
 #include "dsp/streaming.hpp"
-#include "kernels/kernels.hpp"
 #include "mcu/perf_model.hpp"
 #include "models/backbones.hpp"
 #include "nn/checkpoint.hpp"
@@ -119,53 +117,6 @@ TEST(Summary, ContainsOpsAndTotals) {
   const std::string d = rt::deployment_summary(interp);
   EXPECT_NE(d.find("arena plan"), std::string::npos);
   EXPECT_NE(d.find("SRAM:"), std::string::npos);
-}
-
-TEST(Im2col, BitIdenticalToReferenceConv) {
-  Rng rng(37);
-  kernels::ConvGeometry g;
-  g.in_h = 9;
-  g.in_w = 7;
-  g.in_ch = 5;
-  g.out_ch = 6;
-  g.kh = g.kw = 3;
-  g.stride = 2;
-  g.pad_h = g.pad_w = 1;
-  g.out_h = 5;
-  g.out_w = 4;
-  TensorI8 x(Shape{g.in_h, g.in_w, g.in_ch}), w(Shape{g.out_ch, 3, 3, g.in_ch});
-  for (int64_t i = 0; i < x.size(); ++i) x[i] = static_cast<int8_t>(rng.uniform_int(-128, 127));
-  for (int64_t i = 0; i < w.size(); ++i) w[i] = static_cast<int8_t>(rng.uniform_int(-128, 127));
-  std::vector<int32_t> bias(static_cast<size_t>(g.out_ch));
-  for (auto& b : bias) b = static_cast<int32_t>(rng.uniform_int(-1000, 1000));
-  kernels::RequantParams rq;
-  rq.input_zp = -3;
-  rq.output_zp = 7;
-  rq.mult = quant::quantize_multiplier(0.0043);
-  for (int32_t oc = 0; oc < g.out_ch; ++oc)
-    rq.per_channel.push_back(quant::quantize_multiplier(0.001 * (oc + 1)));
-  TensorI8 y_ref(Shape{g.out_h, g.out_w, g.out_ch});
-  TensorI8 y_opt(Shape{g.out_h, g.out_w, g.out_ch});
-  std::vector<int8_t> scratch(static_cast<size_t>(kernels::conv2d_scratch_bytes(g)));
-  kernels::conv2d_s8(x.span(), w.span(), bias, y_ref.span(), g, rq);
-  kernels::conv2d_s8_im2col(x.span(), w.span(), bias, y_opt.span(), scratch, g, rq);
-  EXPECT_EQ(y_ref, y_opt);
-}
-
-TEST(Im2col, RejectsSmallScratch) {
-  kernels::ConvGeometry g;
-  g.in_h = g.in_w = 4;
-  g.in_ch = g.out_ch = 4;
-  g.kh = g.kw = 3;
-  g.out_h = g.out_w = 4;
-  g.pad_h = g.pad_w = 1;
-  TensorI8 x(Shape{4, 4, 4}), w(Shape{4, 3, 3, 4}), y(Shape{4, 4, 4});
-  std::vector<int8_t> scratch(4);
-  kernels::RequantParams rq;
-  rq.mult = quant::quantize_multiplier(0.01);
-  EXPECT_THROW(
-      kernels::conv2d_s8_im2col(x.span(), w.span(), {}, y.span(), scratch, g, rq),
-      std::invalid_argument);
 }
 
 TEST(Streaming, MatchesBatchMfcc) {

@@ -316,6 +316,56 @@ TEST(KernelsS4, Conv2DMatchesIntReference) {
       }
 }
 
+// int4 depthwise against unpacked integer math: stride 2, odd out_h, and a
+// channel count (5) that is not a multiple of 4, so rows and the whole
+// output (75 elements) end mid-byte.
+TEST(KernelsS4, DepthwiseMatchesIntReference) {
+  Rng rng(7);
+  ConvGeometry g;
+  g.in_h = 9;
+  g.in_w = 6;
+  g.in_ch = g.out_ch = 5;
+  g.kh = g.kw = 3;
+  g.stride = 2;
+  g.pad_h = g.pad_w = 1;
+  g.out_h = 5;
+  g.out_w = 3;
+  TensorI8 xq(Shape{9, 6, 5}), wq(Shape{3, 3, 5});
+  for (int64_t i = 0; i < xq.size(); ++i)
+    xq[i] = static_cast<int8_t>(rng.uniform_int(-8, 7));
+  for (int64_t i = 0; i < wq.size(); ++i)
+    wq[i] = static_cast<int8_t>(rng.uniform_int(-8, 7));
+  std::vector<int32_t> bias(5);
+  for (auto& b : bias) b = static_cast<int32_t>(rng.uniform_int(-40, 40));
+  RequantParams rq;
+  rq.input_zp = 3;
+  rq.output_zp = -1;
+  rq.mult = quant::quantize_multiplier(0.03);
+  rq.act_min = -8;
+  rq.act_max = 7;
+  const auto xp = quant::pack_int4(xq);
+  const auto wp = quant::pack_int4(wq);
+  std::vector<uint8_t> yp(static_cast<size_t>(packed_size_s4(5 * 3 * 5)), 0);
+  depthwise_conv2d_s4(xp, wp, bias, yp, g, rq);
+  for (int32_t oy = 0; oy < 5; ++oy)
+    for (int32_t ox = 0; ox < 3; ++ox)
+      for (int32_t c = 0; c < 5; ++c) {
+        int32_t acc = bias[static_cast<size_t>(c)];
+        for (int32_t ky = 0; ky < 3; ++ky)
+          for (int32_t kx = 0; kx < 3; ++kx) {
+            const int32_t iy = oy * 2 - 1 + ky, ix = ox * 2 - 1 + kx;
+            if (iy < 0 || iy >= 9 || ix < 0 || ix >= 6) continue;
+            acc += (xq[(int64_t{iy} * 6 + ix) * 5 + c] - rq.input_zp) *
+                   wq[(int64_t{ky} * 3 + kx) * 5 + c];
+          }
+        int32_t v = quant::multiply_by_quantized_multiplier(acc, rq.mult) +
+                    rq.output_zp;
+        v = std::clamp(v, -8, 7);
+        EXPECT_EQ(load_s4(yp, (int64_t{oy} * 3 + ox) * 5 + c), v)
+            << "oy " << oy << " ox " << ox << " c " << c;
+      }
+}
+
 TEST(KernelsS4, FullyConnectedMatchesUnpackedMath) {
   Rng rng(8);
   const int32_t in_f = 20, out_f = 6;
