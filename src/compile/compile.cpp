@@ -132,7 +132,7 @@ std::optional<TensorI8> read_const_values(const ModelDef& m, int id) {
   if (t.bits == 8) {
     std::memcpy(out.data(), bytes.data(), static_cast<size_t>(out.size()));
   } else {
-    for (int64_t i = 0; i < out.size(); ++i) out[i] = kernels::load_s4(bytes, i);
+    quant::unpack_int4(bytes, out.span());
   }
   return out;
 }

@@ -17,10 +17,14 @@
 //     like the reference kernels. Depthwise runs channel-vectorized on the
 //     raw weights: 16 channels per SSE2 pass, (x - zp) * w formed exactly in
 //     int16 (|255 * 128| < 2^15), a sign-split SIMD requantization, and no
-//     panel. Claims int8 conv2d, depthwise and fully-connected; pool, add,
-//     softmax and all int4 ops fall back.
-//   kReference — the naive loops in kernels_s8/s4.cpp: the semantic ground
-//     truth every claimed op must match byte-for-byte. Reached only through
+//     panel. Claims conv2d, depthwise and fully-connected when input,
+//     weights and output are all int8 or all int4; pool, add and softmax
+//     fall back. Int4 ops run these same kernels: the interpreter unpacks
+//     their input into scratch and packs the result, and their panels hold
+//     the weights unpacked (int4 depthwise: one unpacked row).
+//   kReference — the naive loops in kernels_s8.cpp: the semantic ground
+//     truth every claimed op must match byte-for-byte, at int4 through the
+//     same unpack/pack staging. Reached only through
 //     BackendConfig::reference() (test oracles, constant folding, the zoo
 //     benchmark's check), the way TFLM keeps its reference ops to verify the
 //     optimized ones.

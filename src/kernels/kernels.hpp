@@ -1,11 +1,13 @@
-// Integer inference kernels (CMSIS-NN analog): int8 and packed-int4 variants
-// with fixed-point requantization. Kernels operate on single images (no batch
-// dimension), NHWC layout, exactly like the TFLM/CMSIS-NN reference kernels.
+// Integer inference kernels (CMSIS-NN analog): int8 kernels with fixed-point
+// requantization. Kernels operate on single images (no batch dimension),
+// NHWC layout, exactly like the TFLM/CMSIS-NN reference kernels.
 //
-// The int4 kernels emulate sub-byte support by unpacking nibbles into small
-// stack buffers before the multiply-accumulate, mirroring the paper's custom
-// CMSIS-NN extension (§5.1.3); the latency overhead of the pack/unpack is
-// modeled (as negligible) in the MCU latency model, not here.
+// Int4 is a storage format, not a second kernel set: the interpreter unpacks
+// an int4 op's input into scratch, runs the int8 kernel, and packs the result
+// back into the nibble-packed arena (the paper's unpack-in-front-of-int8
+// scheme, §5.1.3). That is exact because nibbles fit in int8, integer
+// accumulation is order-free, and the int4 fused-activation clamp
+// (activation_range at 4 bits) lies inside [-8, 7].
 //
 // Every kernel is a plain serial loop, as on a single-core MCU: concurrency
 // lives above the interpreter (training, DNAS, serving's request fan-out),
@@ -126,31 +128,21 @@ void add_s8(std::span<const int8_t> a, std::span<const int8_t> b,
 void softmax_s8(std::span<const int8_t> input, std::span<int8_t> output,
                 int32_t rows, int32_t cols, float input_scale);
 
-// --- Packed int4 variants ---------------------------------------------------
-// Activations and weights are packed two nibbles per byte (see
-// quant::pack_int4). Geometry counts are in *elements*, not bytes.
-
-void conv2d_s4(std::span<const uint8_t> input, std::span<const uint8_t> weights,
-               std::span<const int32_t> bias, std::span<uint8_t> output,
-               const ConvGeometry& g, const RequantParams& rq);
-
-void depthwise_conv2d_s4(std::span<const uint8_t> input,
-                         std::span<const uint8_t> weights,
-                         std::span<const int32_t> bias, std::span<uint8_t> output,
-                         const ConvGeometry& g, const RequantParams& rq);
-
-void fully_connected_s4(std::span<const uint8_t> input,
-                        std::span<const uint8_t> weights,
-                        std::span<const int32_t> bias, std::span<uint8_t> output,
-                        int32_t in_features, int32_t out_features,
-                        const RequantParams& rq);
-
-void avg_pool_s4(std::span<const uint8_t> input, std::span<uint8_t> output,
-                 const PoolGeometry& g, int32_t act_min, int32_t act_max);
-
-// Packed-element accessors shared with the interpreter.
-int8_t load_s4(std::span<const uint8_t> packed, int64_t index);
-void store_s4(std::span<uint8_t> packed, int64_t index, int8_t value);
+// --- Packed int4 element accessors -------------------------------------------
+// Element `index` of a nibble-packed buffer (see quant::pack_int4; whole
+// tensors go through the bulk codec there). store_s4 keeps only the value's
+// low nibble.
+inline int8_t load_s4(std::span<const uint8_t> packed, int64_t index) {
+  const uint8_t byte = packed[static_cast<size_t>(index / 2)];
+  const int shift = index % 2 == 0 ? 4 : 0;
+  return static_cast<int8_t>(static_cast<int8_t>(byte << shift) >> 4);
+}
+inline void store_s4(std::span<uint8_t> packed, int64_t index, int8_t value) {
+  uint8_t& byte = packed[static_cast<size_t>(index / 2)];
+  const uint8_t nib = static_cast<uint8_t>(value & 0x0F);
+  byte = index % 2 == 0 ? static_cast<uint8_t>((byte & 0xF0) | nib)
+                        : static_cast<uint8_t>((byte & 0x0F) | (nib << 4));
+}
 
 // Bytes needed to store n int4 elements.
 inline int64_t packed_size_s4(int64_t n) { return (n + 1) / 2; }

@@ -61,7 +61,7 @@ enum class Counter : uint32_t {
 // marks); reset with reset_counters().
 enum class Gauge : uint32_t {
   kArenaPeakBytes = 0,   // largest planned activation arena (excl. guards)
-  kScratchPeakBytes,     // largest shared im2col scratch allocation
+  kScratchPeakBytes,     // largest interpreter scratch: im2col + int4 staging
   kPoolWorkers,          // worker threads spawned (excludes the caller)
   kPoolRegionChunksMax,  // widest region's chunk count (peak queue depth)
   kTraceHighWater,       // most events ever resident in the ring buffer

@@ -103,18 +103,33 @@ int32_t multiply_by_quantized_multiplier(int32_t x, FixedMultiplier m) {
   return result;
 }
 
-std::vector<uint8_t> pack_int4(const TensorI8& values) {
-  const int64_t n = values.size();
-  std::vector<uint8_t> out(static_cast<size_t>((n + 1) / 2), 0);
-  for (int64_t i = 0; i < n; ++i) {
-    const int8_t v = values[i];
-    if (v < -8 || v > 7) throw std::invalid_argument("pack_int4: value out of range");
-    const uint8_t nib = static_cast<uint8_t>(v & 0x0F);
-    if (i % 2 == 0)
-      out[static_cast<size_t>(i / 2)] |= nib;
-    else
-      out[static_cast<size_t>(i / 2)] |= static_cast<uint8_t>(nib << 4);
+void unpack_int4(std::span<const uint8_t> packed, std::span<int8_t> out) {
+  const size_t pairs = out.size() / 2;
+  for (size_t j = 0; j < pairs; ++j) {
+    // Arithmetic right shifts sign-extend each nibble.
+    out[2 * j] = static_cast<int8_t>(static_cast<int8_t>(packed[j] << 4) >> 4);
+    out[2 * j + 1] = static_cast<int8_t>(static_cast<int8_t>(packed[j]) >> 4);
   }
+  if (out.size() % 2 != 0)
+    out[2 * pairs] =
+        static_cast<int8_t>(static_cast<int8_t>(packed[pairs] << 4) >> 4);
+}
+
+void pack_int4(std::span<const int8_t> values, std::span<uint8_t> packed) {
+  const size_t pairs = values.size() / 2;
+  for (size_t j = 0; j < pairs; ++j)
+    packed[j] = static_cast<uint8_t>(
+        (values[2 * j] & 0x0F) | (static_cast<uint8_t>(values[2 * j + 1]) << 4));
+  if (values.size() % 2 != 0)
+    packed[pairs] = static_cast<uint8_t>(values[2 * pairs] & 0x0F);
+}
+
+std::vector<uint8_t> pack_int4(const TensorI8& values) {
+  for (int64_t i = 0; i < values.size(); ++i)
+    if (values[i] < -8 || values[i] > 7)
+      throw std::invalid_argument("pack_int4: value out of range");
+  std::vector<uint8_t> out(static_cast<size_t>((values.size() + 1) / 2));
+  pack_int4(values.span(), out);
   return out;
 }
 
@@ -123,13 +138,7 @@ TensorI8 unpack_int4(const std::vector<uint8_t>& packed, Shape shape) {
   if (static_cast<int64_t>(packed.size()) < (n + 1) / 2)
     throw std::invalid_argument("unpack_int4: too few bytes");
   TensorI8 out(shape);
-  for (int64_t i = 0; i < n; ++i) {
-    const uint8_t byte = packed[static_cast<size_t>(i / 2)];
-    uint8_t nib = (i % 2 == 0) ? (byte & 0x0F) : (byte >> 4);
-    // Sign extend from 4 bits.
-    out[i] = static_cast<int8_t>(nib >= 8 ? static_cast<int>(nib) - 16
-                                          : static_cast<int>(nib));
-  }
+  unpack_int4(packed, out.span());
   return out;
 }
 

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -61,13 +62,21 @@ FixedMultiplier quantize_multiplier(double m);
 int32_t multiply_by_quantized_multiplier(int32_t x, FixedMultiplier m);
 
 // --- Sub-byte packing (int4) -----------------------------------------------
-
-// Packs signed int4 values (stored one-per-int8, range [-8, 7]) two per byte:
+// Signed int4 values (one per int8, range [-8, 7]) pack two per byte:
 // element 2i in the low nibble, 2i+1 in the high nibble. Odd lengths pad
 // the final high nibble with zero.
-std::vector<uint8_t> pack_int4(const TensorI8& values);
 
-// Unpacks `count` int4 values from packed bytes (sign-extended).
+// Bulk nibble codec: one byte pair at a time, with no per-element divide,
+// branch or throw. unpack_int4 sign-extends the first out.size() nibbles of
+// `packed`; pack_int4 writes values.size() elements into the first
+// (values.size() + 1) / 2 bytes of `packed`, keeping only each value's low
+// nibble — validate the range first where out-of-range values can arrive.
+void unpack_int4(std::span<const uint8_t> packed, std::span<int8_t> out);
+void pack_int4(std::span<const int8_t> values, std::span<uint8_t> packed);
+
+// Tensor forms over the codec. pack_int4 throws std::invalid_argument on a
+// value outside [-8, 7]; unpack_int4 reads shape.elements() values.
+std::vector<uint8_t> pack_int4(const TensorI8& values);
 TensorI8 unpack_int4(const std::vector<uint8_t>& packed, Shape shape);
 
 }  // namespace mn::quant

@@ -16,9 +16,17 @@ namespace mn::rt {
 namespace {
 constexpr uint8_t kCanaryByte = 0xA5;
 
-// Claim predicate for the fast backend: int8 conv2d / depthwise /
-// fully-connected with a constant int8 weight tensor (conv/FC panels are
-// packed once at load time, so mutable weights cannot be claimed).
+// Ops that run int4 as a storage format: their activation inputs are
+// unpacked into interpreter scratch, the int8 kernel runs, and the result is
+// packed back. Every op but softmax, whose output is fixed at int8.
+bool stages_int4(const ModelDef& m, const OpDef& op) {
+  return m.tensors[static_cast<size_t>(op.inputs[0])].bits == 4 &&
+         op.type != OpType::kSoftmax;
+}
+
+// Claim predicate for the fast backend: conv2d / depthwise / fully-connected
+// whose input, constant weights and output are all int8 or all int4 (panels
+// are packed once at load time, so mutable weights cannot be claimed).
 // Everything else falls back.
 bool fast_claims(const ModelDef& m, const OpDef& op) {
   if (op.type != OpType::kConv2D && op.type != OpType::kDepthwiseConv2D &&
@@ -27,12 +35,16 @@ bool fast_claims(const ModelDef& m, const OpDef& op) {
   const TensorDef& in = m.tensors[static_cast<size_t>(op.inputs[0])];
   const TensorDef& w = m.tensors[static_cast<size_t>(op.inputs[1])];
   const TensorDef& out = m.tensors[static_cast<size_t>(op.output)];
-  return in.bits == 8 && w.bits == 8 && out.bits == 8 && w.is_const;
+  return (in.bits == 8 || in.bits == 4) && w.bits == in.bits &&
+         out.bits == in.bits && w.is_const;
 }
 
-// Claimed ops that run on a packed panel: depthwise reads its raw weights.
+// Claimed ops that run on a packed panel: int8 depthwise reads its raw
+// weights, int4 depthwise an unpacked copy held as a one-row panel.
 bool fast_packs(const ModelDef& m, const OpDef& op) {
-  return op.type != OpType::kDepthwiseConv2D && fast_claims(m, op);
+  return fast_claims(m, op) &&
+         (op.type != OpType::kDepthwiseConv2D ||
+          m.tensors[static_cast<size_t>(op.inputs[1])].bits == 4);
 }
 
 }  // namespace
@@ -47,16 +59,25 @@ std::shared_ptr<const PackedModel> pack_model_weights(
     const OpDef& op = model.ops[i];
     if (!fast_packs(model, op)) continue;
     const TensorDef& w = model.tensors[static_cast<size_t>(op.inputs[1])];
-    const std::span<const int8_t> w_bytes{
-        reinterpret_cast<const int8_t*>(model.weights_blob.data() +
-                                        w.blob_offset),
-        static_cast<size_t>(w.storage_bytes())};
+    const uint8_t* w_bytes = model.weights_blob.data() + w.blob_offset;
+    // Panels hold int8 values; int4 weights are unpacked once, here.
+    std::vector<int8_t> unpacked;
+    std::span<const int8_t> values{reinterpret_cast<const int8_t*>(w_bytes),
+                                   static_cast<size_t>(w.elements())};
+    if (w.bits == 4) {
+      unpacked.resize(static_cast<size_t>(w.elements()));
+      quant::unpack_int4({w_bytes, static_cast<size_t>(w.storage_bytes())},
+                         unpacked);
+      values = unpacked;
+    }
     // Conv weights: [out_ch][kh][kw][in_ch]; FC weights: [out][in]. Both are
-    // row-major with one row per output channel/feature.
-    const int64_t rows = w.shape.dim(0);
+    // row-major with one row per output channel/feature. Depthwise weights
+    // [1][kh][kw][ch] stay one row.
+    const int64_t rows =
+        op.type == OpType::kDepthwiseConv2D ? 1 : w.shape.dim(0);
     const int64_t row_len = w.elements() / rows;
     pm->per_op[i] = std::make_shared<const kernels::PackedOpWeights>(
-        kernels::pack_rows_s8(w_bytes, rows, row_len));
+        kernels::pack_rows_s8(values, rows, row_len));
   }
   return pm;
 }
@@ -112,17 +133,40 @@ Interpreter::Interpreter(ModelDef model, MemoryPlan plan,
       op_backend_[i] = backend_.kind;
     }
   // Shared conv scratch (CMSIS-NN analog): a pixel block of padded im2col
-  // columns for each fast conv; reference ops need none.
+  // columns for each fast conv; reference ops need none. Int4 staging: an
+  // int4 op's unpacked input and int8 result, plus its unpacked weights when
+  // no panel holds them. All sized here, so an invoke never allocates.
   op_scratch_bytes_.assign(model_.ops.size(), 0);
-  int64_t scratch = 0;
-  for (size_t i = 0; i < model_.ops.size(); ++i)
-    if (model_.ops[i].type == OpType::kConv2D &&
-        op_backend_[i] == kernels::BackendKind::kFast) {
+  int64_t scratch = 0, stage_in = 0, stage_out = 0, stage_w = 0;
+  for (size_t i = 0; i < model_.ops.size(); ++i) {
+    const OpDef& op = model_.ops[i];
+    const bool fast = op_backend_[i] == kernels::BackendKind::kFast;
+    if (op.type == OpType::kConv2D && fast) {
       op_scratch_bytes_[i] =
           kernels::conv2d_fast_scratch_bytes(prepared_[i].conv);
       scratch = std::max(scratch, op_scratch_bytes_[i]);
     }
+    if (!stages_int4(model_, op)) continue;
+    const auto elements = [&](int id) {
+      return model_.tensors[static_cast<size_t>(id)].elements();
+    };
+    const bool weighted = op.type == OpType::kConv2D ||
+                          op.type == OpType::kDepthwiseConv2D ||
+                          op.type == OpType::kFullyConnected;
+    // Add stages both operands back to back.
+    const int64_t in = elements(op.inputs[0]) +
+                       (op.type == OpType::kAdd ? elements(op.inputs[1]) : 0);
+    const int64_t out = elements(op.output);
+    const int64_t w = weighted && !fast ? elements(op.inputs[1]) : 0;
+    stage_in = std::max(stage_in, in);
+    stage_out = std::max(stage_out, out);
+    stage_w = std::max(stage_w, w);
+    op_scratch_bytes_[i] += in + out + w;
+  }
   scratch_.assign(static_cast<size_t>(scratch), 0);
+  stage_in_.assign(static_cast<size_t>(stage_in), 0);
+  stage_out_.assign(static_cast<size_t>(stage_out), 0);
+  stage_w_.assign(static_cast<size_t>(stage_w), 0);
   expected_weights_crc_ = model_.weights_crc();
   op_macs_.resize(model_.ops.size());
   op_wall_ns_.assign(model_.ops.size(), 0);
@@ -131,7 +175,7 @@ Interpreter::Interpreter(ModelDef model, MemoryPlan plan,
   op_live_bytes_ = plan_.occupancy_timeline(static_cast<int>(model_.ops.size()));
   obs::gauge_set_max(obs::Gauge::kArenaPeakBytes, plan_.arena_bytes);
   obs::gauge_set_max(obs::Gauge::kScratchPeakBytes,
-                     static_cast<int64_t>(scratch_.size()));
+                     scratch + stage_in + stage_out + stage_w);
   obs::gauge_set_max(obs::Gauge::kArenaLiveBytesPeak,
                      plan_.peak_live_bytes(static_cast<int>(model_.ops.size())));
 }
@@ -259,6 +303,17 @@ void Interpreter::prepare() {
       case OpType::kOpTypeCount:
         throw std::runtime_error("Interpreter: invalid op type");
     }
+    // Int4 results go through the nibble codec, which keeps only the low
+    // four bits: the fused clamp must already land in [-8, 7].
+    const int32_t lo = op.type == OpType::kAdd ? p.add.act_min : p.rq.act_min;
+    const int32_t hi = op.type == OpType::kAdd ? p.add.act_max : p.rq.act_max;
+    if (out.bits == 4 && stages_int4(model_, op) &&
+        (lo < -8 || hi > 7 || lo > hi))
+      throw_rt_error(RtError{
+          ErrorCode::kUnsupportedOp,
+          "Interpreter: int4 op " + std::to_string(i) + " (" +
+              op_type_name(op.type) + ") clamps to [" + std::to_string(lo) +
+              ", " + std::to_string(hi) + "], outside [-8, 7]"});
   }
 }
 
@@ -288,6 +343,19 @@ std::span<const int32_t> as_s32(std::span<const uint8_t> b) {
 }
 }  // namespace
 
+std::span<const int8_t> Interpreter::op_weights(size_t i) {
+  const OpDef& op = model_.ops[i];
+  if (const auto& panel = packed_->per_op[i])  // int4 depthwise, unpacked
+    return {panel->rows.data(), static_cast<size_t>(panel->row_len)};
+  const TensorDef& w = model_.tensors[static_cast<size_t>(op.inputs[1])];
+  const auto w_b = tensor_bytes(op.inputs[1]);
+  if (w.bits == 8) return as_s8(w_b);
+  const std::span<int8_t> values{stage_w_.data(),
+                                 static_cast<size_t>(w.elements())};
+  quant::unpack_int4(w_b, values);
+  return values;
+}
+
 void Interpreter::run_op(size_t i) {
   const OpDef& op = model_.ops[i];
   const PreparedOp& p = prepared_[i];
@@ -296,6 +364,18 @@ void Interpreter::run_op(size_t i) {
   const int bits = in_t.bits;
   if (bits != 8 && bits != 4)
     throw std::runtime_error("Interpreter: unsupported activation bits");
+  const bool weighted = op.type == OpType::kConv2D ||
+                        op.type == OpType::kDepthwiseConv2D ||
+                        op.type == OpType::kFullyConnected;
+  if (out_t.bits != bits ||
+      ((weighted || op.type == OpType::kAdd) &&
+       model_.tensors[static_cast<size_t>(op.inputs[1])].bits != bits))
+    throw std::runtime_error(std::string("Interpreter: mixed-precision ") +
+                             op_type_name(op.type) + " unsupported");
+  const bool s4 = bits == 4;
+  if (s4 && !stages_int4(model_, op))
+    throw std::runtime_error(std::string("Interpreter: int4 ") +
+                             op_type_name(op.type) + " unsupported");
   const bool fast = op_backend_[i] == kernels::BackendKind::kFast;
   obs::counter_add(fast ? obs::Counter::kBackendFastOps
                         : obs::Counter::kBackendReferenceOps,
@@ -306,87 +386,76 @@ void Interpreter::run_op(size_t i) {
   if (fast)
     backend_span.emplace("backend_fast", obs::Cat::kKernel, "op",
                          static_cast<int64_t>(i));
-  auto in_b = tensor_bytes(op.inputs[0]);
-  auto out_b = arena_span(op.output);
+  const auto in_b = tensor_bytes(op.inputs[0]);
+  const auto out_b = arena_span(op.output);
+  // Int4 is a storage format: the int8 kernel runs on the op's unpacked
+  // input and writes into scratch, and the result is packed into the arena.
+  std::span<const int8_t> x = as_s8(in_b);
+  std::span<int8_t> y = as_s8(out_b);
+  if (s4) {
+    const std::span<int8_t> x4{stage_in_.data(),
+                               static_cast<size_t>(in_t.elements())};
+    quant::unpack_int4(in_b, x4);
+    x = x4;
+    y = {stage_out_.data(), static_cast<size_t>(out_t.elements())};
+  }
+  // Add's second operand, staged behind the first at int4.
+  std::span<const int8_t> b;
+  if (op.type == OpType::kAdd) {
+    const auto b_b = tensor_bytes(op.inputs[1]);
+    b = as_s8(b_b);
+    if (s4) {
+      const std::span<int8_t> b4{
+          stage_in_.data() + x.size(),
+          static_cast<size_t>(
+              model_.tensors[static_cast<size_t>(op.inputs[1])].elements())};
+      quant::unpack_int4(b_b, b4);
+      b = b4;
+    }
+  }
+  std::span<const int32_t> bias;
+  if (weighted && op.inputs.size() > 2 && op.inputs[2] >= 0)
+    bias = as_s32(tensor_bytes(op.inputs[2]));
   switch (op.type) {
-    case OpType::kConv2D: {
-      const TensorDef& w = model_.tensors[static_cast<size_t>(op.inputs[1])];
-      if (w.bits != bits || out_t.bits != bits)
-        throw std::runtime_error("Interpreter: mixed-precision conv unsupported");
-      auto w_b = tensor_bytes(op.inputs[1]);
-      std::span<const int32_t> bias;
-      if (op.inputs.size() > 2 && op.inputs[2] >= 0)
-        bias = as_s32(tensor_bytes(op.inputs[2]));
+    case OpType::kConv2D:
       if (fast)
-        kernels::conv2d_s8_fast(as_s8(in_b), *packed_->per_op[i], bias,
-                                as_s8(out_b), scratch_, p.conv, p.rq);
-      else if (bits == 8)
-        kernels::conv2d_s8(as_s8(in_b), as_s8(w_b), bias, as_s8(out_b), p.conv,
-                           p.rq);
+        kernels::conv2d_s8_fast(x, *packed_->per_op[i], bias, y, scratch_,
+                                p.conv, p.rq);
       else
-        kernels::conv2d_s4(in_b, w_b, bias, out_b, p.conv, p.rq);
+        kernels::conv2d_s8(x, op_weights(i), bias, y, p.conv, p.rq);
       break;
-    }
-    case OpType::kDepthwiseConv2D: {
-      const TensorDef& w = model_.tensors[static_cast<size_t>(op.inputs[1])];
-      if (w.bits != bits || out_t.bits != bits)
-        throw std::runtime_error("Interpreter: mixed-precision dwconv unsupported");
-      auto w_b = tensor_bytes(op.inputs[1]);
-      std::span<const int32_t> bias;
-      if (op.inputs.size() > 2 && op.inputs[2] >= 0)
-        bias = as_s32(tensor_bytes(op.inputs[2]));
+    case OpType::kDepthwiseConv2D:
       if (fast)
-        kernels::depthwise_conv2d_s8_fast(as_s8(in_b), as_s8(w_b), bias,
-                                          as_s8(out_b), p.conv, p.rq);
-      else if (bits == 8)
-        kernels::depthwise_conv2d_s8(as_s8(in_b), as_s8(w_b), bias, as_s8(out_b),
-                                     p.conv, p.rq);
+        kernels::depthwise_conv2d_s8_fast(x, op_weights(i), bias, y, p.conv,
+                                          p.rq);
       else
-        kernels::depthwise_conv2d_s4(in_b, w_b, bias, out_b, p.conv, p.rq);
+        kernels::depthwise_conv2d_s8(x, op_weights(i), bias, y, p.conv, p.rq);
       break;
-    }
-    case OpType::kFullyConnected: {
-      auto w_b = tensor_bytes(op.inputs[1]);
-      std::span<const int32_t> bias;
-      if (op.inputs.size() > 2 && op.inputs[2] >= 0)
-        bias = as_s32(tensor_bytes(op.inputs[2]));
+    case OpType::kFullyConnected:
       if (fast)
-        kernels::fully_connected_s8_fast(as_s8(in_b), *packed_->per_op[i], bias,
-                                         as_s8(out_b), p.fc_in, p.fc_out, p.rq);
-      else if (bits == 8)
-        kernels::fully_connected_s8(as_s8(in_b), as_s8(w_b), bias, as_s8(out_b),
-                                    p.fc_in, p.fc_out, p.rq);
+        kernels::fully_connected_s8_fast(x, *packed_->per_op[i], bias, y,
+                                         p.fc_in, p.fc_out, p.rq);
       else
-        kernels::fully_connected_s4(in_b, w_b, bias, out_b, p.fc_in, p.fc_out, p.rq);
+        kernels::fully_connected_s8(x, op_weights(i), bias, y, p.fc_in,
+                                    p.fc_out, p.rq);
       break;
-    }
     case OpType::kAvgPool2D:
-      if (bits == 8)
-        kernels::avg_pool_s8(as_s8(in_b), as_s8(out_b), p.pool, p.rq.act_min,
-                             p.rq.act_max);
-      else
-        kernels::avg_pool_s4(in_b, out_b, p.pool, p.rq.act_min, p.rq.act_max);
+      kernels::avg_pool_s8(x, y, p.pool, p.rq.act_min, p.rq.act_max);
       break;
     case OpType::kMaxPool2D:
-      if (bits != 8) throw std::runtime_error("Interpreter: int4 max pool unsupported");
-      kernels::max_pool_s8(as_s8(in_b), as_s8(out_b), p.pool, p.rq.act_min,
-                           p.rq.act_max);
+      kernels::max_pool_s8(x, y, p.pool, p.rq.act_min, p.rq.act_max);
       break;
-    case OpType::kAdd: {
-      if (bits != 8) throw std::runtime_error("Interpreter: int4 add unsupported");
-      auto b_b = tensor_bytes(op.inputs[1]);
-      kernels::add_s8(as_s8(in_b), as_s8(b_b), as_s8(out_b), p.add);
+    case OpType::kAdd:
+      kernels::add_s8(x, b, y, p.add);
       break;
-    }
-    case OpType::kSoftmax: {
-      if (bits != 8) throw std::runtime_error("Interpreter: int4 softmax unsupported");
-      const int32_t cols = static_cast<int32_t>(in_t.elements());
-      kernels::softmax_s8(as_s8(in_b), as_s8(out_b), 1, cols, p.softmax_scale);
+    case OpType::kSoftmax:
+      kernels::softmax_s8(x, y, 1, static_cast<int32_t>(in_t.elements()),
+                          p.softmax_scale);
       break;
-    }
     case OpType::kOpTypeCount:
       throw std::runtime_error("Interpreter: invalid op type");
   }
+  if (s4) quant::pack_int4(y, out_b);
 }
 
 Expected<TensorI8> Interpreter::try_invoke_quantized(const TensorI8& input) {
@@ -400,14 +469,21 @@ Expected<TensorI8> Interpreter::try_invoke_quantized(const TensorI8& input) {
     return RtError{ErrorCode::kCrcMismatch,
                    "Interpreter: weights blob CRC drifted since load "
                    "(flash fault or unannounced update)"};
+  // The nibble codec keeps only the low four bits, so an out-of-range int4
+  // value is refused here rather than silently wrapped.
+  if (in_t.bits == 4)
+    for (int64_t i = 0; i < input.size(); ++i)
+      if (input[i] < -8 || input[i] > 7)
+        return RtError{ErrorCode::kInputMismatch,
+                       "Interpreter: int4 input element " + std::to_string(i) +
+                           " is " + std::to_string(input[i]) +
+                           ", outside [-8, 7]"};
   try {
     auto in_b = arena_span(model_.input_tensor);
-    if (in_t.bits == 8) {
+    if (in_t.bits == 8)
       std::memcpy(in_b.data(), input.data(), static_cast<size_t>(input.size()));
-    } else {
-      for (int64_t i = 0; i < input.size(); ++i)
-        kernels::store_s4(in_b, i, input[i]);
-    }
+    else
+      quant::pack_int4(input.span(), in_b);
     {
       obs::SpanScope invoke_span("invoke", obs::Cat::kRuntime, "ops",
                                  static_cast<int64_t>(model_.ops.size()));
@@ -450,11 +526,10 @@ Expected<TensorI8> Interpreter::try_invoke_quantized(const TensorI8& input) {
     const TensorDef& out_t = model_.tensors[static_cast<size_t>(model_.output_tensor)];
     auto out_b = tensor_bytes(model_.output_tensor);
     TensorI8 out(out_t.shape);
-    if (out_t.bits == 8) {
+    if (out_t.bits == 8)
       std::memcpy(out.data(), out_b.data(), static_cast<size_t>(out.size()));
-    } else {
-      for (int64_t i = 0; i < out.size(); ++i) out[i] = kernels::load_s4(out_b, i);
-    }
+    else
+      quant::unpack_int4(out_b, out.span());
     return out;
   } catch (const std::exception& e) {
     // run_op rejects op/precision combinations the kernels cannot execute.

@@ -43,8 +43,9 @@ struct MemoryReport {
 // InterpreterPool packs a variant's weights a single time and every replica
 // (including quarantine/reimage rebuilds) aliases the same panels, the same
 // way they share the MemoryPlan. Index-aligned with ModelDef::ops; ops with
-// no panel hold nullptr (unclaimed ops, and fast depthwise, which reads its
-// weights in place).
+// no panel hold nullptr (unclaimed ops, and int8 depthwise, which reads its
+// weights in place). Int4 weights are unpacked into their panels (int4
+// depthwise: one row holding the unpacked [kh, kw, ch] weights).
 struct PackedModel {
   kernels::BackendKind kind = kernels::BackendKind::kReference;
   std::vector<std::shared_ptr<const kernels::PackedOpWeights>> per_op;
@@ -58,8 +59,9 @@ struct PackedModel {
 };
 
 // Packs the weights of every op `config.kind` claims that runs on a panel
-// (fast: int8 conv2d and fully-connected; depthwise is claimed but needs
-// none). Returns an empty-per_op PackedModel for kReference.
+// (fast: int8/int4 conv2d and fully-connected, and int4 depthwise; int8
+// depthwise is claimed but needs none). Returns an empty-per_op PackedModel
+// for kReference.
 std::shared_ptr<const PackedModel> pack_model_weights(
     const ModelDef& model, kernels::BackendConfig config);
 
@@ -89,7 +91,8 @@ class Interpreter {
   TensorF invoke(const TensorF& input_image);
 
   // Raw int8 path. Int4 models take one int8 value per element here; the
-  // interpreter packs values into nibbles internally.
+  // interpreter packs values into nibbles internally, and a value outside
+  // [-8, 7] fails with kInputMismatch.
   TensorI8 invoke_quantized(const TensorI8& input);
 
   // --- hardened no-throw path ---------------------------------------------
@@ -154,8 +157,8 @@ class Interpreter {
 
   // --- memory & energy counter tracks --------------------------------------
   // While obs tracing is on, every invoke emits per-op samples on the
-  // "arena_bytes" (live activation bytes), "scratch_bytes" (im2col column
-  // buffer in use) and "cumulative_macs" counter tracks — the arena
+  // "arena_bytes" (live activation bytes), "scratch_bytes" (im2col columns
+  // and int4 staging in use) and "cumulative_macs" counter tracks — the arena
   // fill/drain curve of the paper's Fig. 2 rendered over the trace timeline.
   // Installing a per-op energy table (from mcu::per_op_energy_uj; one entry
   // per op, microjoules) adds the "op_energy_uj" track. The runtime cannot
@@ -176,6 +179,9 @@ class Interpreter {
 
   void prepare();
   void run_op(size_t op_index);
+  // An unpanelled op's int8 weights: in place at int8, unpacked into
+  // stage_w_ at int4 (int4 depthwise on the fast backend: its panel).
+  std::span<const int8_t> op_weights(size_t op_index);
   void fill_guards();
 
   std::span<uint8_t> arena_span(int tensor_id);
@@ -192,6 +198,9 @@ class Interpreter {
   // Pixel block of im2col columns shared by all fast conv ops (CMSIS-NN
   // scratch analog).
   std::vector<int8_t> scratch_;
+  // Int4 staging, sized for the largest int4 op: its unpacked input, its
+  // int8 result before packing, and reference-served unpacked weights.
+  std::vector<int8_t> stage_in_, stage_out_, stage_w_;
   int64_t invocations_ = 0;
   uint32_t expected_weights_crc_ = 0;
   bool verify_weights_crc_ = false;

@@ -513,7 +513,7 @@ rt::ModelDef tiny_model(uint64_t seed = 1, int bits = 8) {
     batch[i] = static_cast<float>(rng.normal(0.0, 0.5));
   const rt::RangeMap ranges = rt::calibrate_ranges(g, batch);
   rt::ConvertOptions co;
-  co.name = "backend_tiny";
+  co.name = bits == 8 ? "backend_tiny" : "backend_tiny_s4";
   co.weight_bits = bits;
   co.act_bits = bits;
   return rt::convert(g, co, &ranges);
@@ -545,14 +545,40 @@ rt::ModelDef residual_model(int bits) {
   return rt::convert(graph, co, &ranges);
 }
 
+// A KWS-int4-shaped DS-CNN at int4: the 49x10 input and 10x4 stride-2 stem
+// of micronet_kws_int4(), with odd channel and class counts so activations
+// and the logits end mid-byte. Weights carry per-channel scales.
+rt::ModelDef kws_int4_shaped_model() {
+  models::DsCnnConfig cfg = models::micronet_kws_int4();
+  cfg.num_classes = 11;
+  cfg.stem_channels = 21;
+  cfg.blocks = {{23, 1}, {27, 2}};
+  models::BuildOptions opt;
+  opt.seed = 11;
+  opt.qat = false;
+  nn::Graph g = models::build_ds_cnn(cfg, opt);
+  Rng rng(12);
+  TensorF batch(Shape{2, 49, 10, 1});
+  for (int64_t i = 0; i < batch.size(); ++i)
+    batch[i] = static_cast<float>(rng.normal(0.0, 0.5));
+  const rt::RangeMap ranges = rt::calibrate_ranges(g, batch);
+  rt::ConvertOptions co;
+  co.name = "backend_kws_s4";
+  co.weight_bits = 4;
+  co.act_bits = 4;
+  return rt::convert(g, co, &ranges);
+}
+
+// Uniform over the input tensor's full range: [-127, 127] at int8, every
+// nibble value [-8, 7] at int4.
 TensorI8 random_input(const rt::ModelDef& m, uint64_t seed) {
   const rt::TensorDef& in =
       m.tensors[static_cast<size_t>(m.input_tensor)];
-  const int lim = in.bits == 8 ? 127 : 7;
+  const int lo = in.bits == 8 ? -127 : -8, hi = in.bits == 8 ? 127 : 7;
   TensorI8 t(in.shape);
   Rng rng(seed);
   for (int64_t i = 0; i < t.size(); ++i)
-    t[i] = static_cast<int8_t>(rng.uniform_int(-lim, lim));
+    t[i] = static_cast<int8_t>(rng.uniform_int(lo, hi));
   return t;
 }
 
@@ -584,59 +610,109 @@ TEST(BackendInterpreter, FastInvokeIsByteIdenticalToReference) {
   }
 }
 
-TEST(BackendInterpreter, FastClaimsConvDepthwiseFcOnlyAtInt8) {
-  // Every int8 conv / depthwise / FC op is fast-served; pool, add and
-  // softmax fall back. The residual MobileNetV2 carries the add ops.
-  const rt::ModelDef m = residual_model(8);
-  rt::Interpreter fast(m, rt::plan_memory(m), kernels::BackendConfig::fast());
-  std::set<rt::OpType> fast_types, ref_types;
-  for (size_t i = 0; i < m.ops.size(); ++i) {
-    const rt::OpType t = m.ops[i].type;
-    const bool claimed = t == rt::OpType::kConv2D ||
-                         t == rt::OpType::kDepthwiseConv2D ||
-                         t == rt::OpType::kFullyConnected;
-    EXPECT_EQ(fast.op_backend(i), claimed ? kernels::BackendKind::kFast
-                                          : kernels::BackendKind::kReference)
-        << "op " << i;
-    (claimed ? fast_types : ref_types).insert(t);
-    // Depthwise reads its weights in place: claimed, but no packed panel.
-    if (t == rt::OpType::kDepthwiseConv2D) {
-      EXPECT_EQ(fast.packed_model()->per_op[i], nullptr);
+TEST(BackendInterpreter, FastClaimsConvDepthwiseFcAtInt8AndInt4) {
+  // Every int8 and int4 conv / depthwise / FC op is fast-served; pool, add
+  // and softmax fall back. The residual MobileNetV2 carries the add ops.
+  for (const int bits : {8, 4}) {
+    SCOPED_TRACE("bits " + std::to_string(bits));
+    const rt::ModelDef m = residual_model(bits);
+    rt::Interpreter fast(m, rt::plan_memory(m), kernels::BackendConfig::fast());
+    std::set<rt::OpType> fast_types, ref_types;
+    for (size_t i = 0; i < m.ops.size(); ++i) {
+      const rt::OpType t = m.ops[i].type;
+      const bool claimed = t == rt::OpType::kConv2D ||
+                           t == rt::OpType::kDepthwiseConv2D ||
+                           t == rt::OpType::kFullyConnected;
+      EXPECT_EQ(fast.op_backend(i), claimed ? kernels::BackendKind::kFast
+                                            : kernels::BackendKind::kReference)
+          << "op " << i;
+      (claimed ? fast_types : ref_types).insert(t);
+      // Int8 depthwise reads its weights in place: claimed, but no panel.
+      // Every int4 claimed op holds its weights unpacked in a panel.
+      const auto& panel = fast.packed_model()->per_op[i];
+      if (t == rt::OpType::kDepthwiseConv2D && bits == 8) {
+        EXPECT_EQ(panel, nullptr);
+      } else if (claimed) {
+        ASSERT_NE(panel, nullptr) << "op " << i;
+        EXPECT_GT(panel->bytes(), 0);
+        const rt::TensorDef& w =
+            m.tensors[static_cast<size_t>(m.ops[i].inputs[1])];
+        EXPECT_EQ(int64_t{panel->num_rows} * panel->row_len, w.elements());
+      }
     }
+    EXPECT_EQ(fast_types.count(rt::OpType::kConv2D), 1u);
+    EXPECT_EQ(fast_types.count(rt::OpType::kDepthwiseConv2D), 1u);
+    EXPECT_EQ(fast_types.count(rt::OpType::kFullyConnected), 1u);
+    EXPECT_EQ(ref_types.count(rt::OpType::kAdd), 1u);
+    EXPECT_EQ(ref_types.count(rt::OpType::kSoftmax), bits == 8 ? 1u : 0u);
   }
-  EXPECT_EQ(fast_types.count(rt::OpType::kDepthwiseConv2D), 1u);
-  EXPECT_EQ(ref_types.count(rt::OpType::kAdd), 1u);
-  EXPECT_EQ(ref_types.count(rt::OpType::kSoftmax), 1u);
+}
 
-  // Int4: no fast kernel, so every op (depthwise included) stays on the
-  // reference backend and nothing is packed.
-  const rt::ModelDef m4 = residual_model(4);
-  rt::Interpreter fast4(m4, rt::plan_memory(m4),
-                        kernels::BackendConfig::fast());
-  bool has_dw = false;
-  for (size_t i = 0; i < m4.ops.size(); ++i) {
-    has_dw = has_dw || m4.ops[i].type == rt::OpType::kDepthwiseConv2D;
-    EXPECT_EQ(fast4.op_backend(i), kernels::BackendKind::kReference)
-        << "int4 op " << i;
+// Int4 runs the int8 kernels on unpacked operands, so the fast backend must
+// match the reference backend byte for byte on int4 models too: a plain
+// DS-CNN, a residual MobileNetV2 (add falls back to reference; avg pool
+// runs on the int8 oracle) and a KWS-int4-shaped model with a stride-2 10x4
+// stem, per-channel multipliers and odd element counts. Inputs cover every
+// nibble value.
+TEST(BackendInterpreter, FastInt4InvokeIsByteIdenticalToReference) {
+  for (const rt::ModelDef& m :
+       {tiny_model(8, /*bits=*/4), residual_model(4), kws_int4_shaped_model()}) {
+    SCOPED_TRACE(m.name);
+    const rt::TensorDef& out_t = m.tensors[static_cast<size_t>(m.output_tensor)];
+    if (m.name == "backend_kws_s4") {
+      EXPECT_EQ(out_t.elements() % 2, 1);
+      const rt::OpDef& stem = m.ops.front();
+      EXPECT_EQ(stem.type, rt::OpType::kConv2D);
+      EXPECT_EQ(stem.stride, 2);
+      EXPECT_FALSE(
+          m.tensors[static_cast<size_t>(stem.inputs[1])].channel_scales.empty());
+    }
+    const rt::MemoryPlan plan = rt::plan_memory(m);
+    obs::reset_counters();
+    rt::Interpreter ref(m, plan, kernels::BackendConfig::reference());
+#if !defined(MN_OBS_DISABLED)
+    // The staging buffers count as scratch: at least the stem's unpacked
+    // input and int8 result.
+    const rt::OpDef& stem = m.ops.front();
+    EXPECT_GE(obs::gauge_value(obs::Gauge::kScratchPeakBytes),
+              m.tensors[static_cast<size_t>(stem.inputs[0])].elements() +
+                  m.tensors[static_cast<size_t>(stem.output)].elements());
+#endif
+    rt::Interpreter fast(m, plan, kernels::BackendConfig::fast());
+    int claimed = 0;
+    for (size_t i = 0; i < m.ops.size(); ++i)
+      claimed += fast.op_backend(i) == kernels::BackendKind::kFast;
+    EXPECT_GT(claimed, 0);
+    std::set<int> seen;
+    for (int trial = 0; trial < 3; ++trial) {
+      const TensorI8 in = random_input(m, 1300 + static_cast<uint64_t>(trial));
+      for (int64_t i = 0; i < in.size(); ++i) seen.insert(in[i]);
+      const TensorI8 out_ref = ref.invoke_quantized(in);
+      const TensorI8 out_fast = fast.invoke_quantized(in);
+      ASSERT_EQ(out_ref.size(), out_fast.size());
+      for (int64_t i = 0; i < out_ref.size(); ++i)
+        ASSERT_EQ(out_ref[i], out_fast[i]) << "output element " << i;
+    }
+    EXPECT_EQ(seen.size(), 16u);
   }
-  EXPECT_TRUE(has_dw);
-  EXPECT_EQ(fast4.packed_model()->bytes(), 0);
 }
 
 TEST(BackendInterpreter, FastInvokeThreadInvariant) {
-  const rt::ModelDef m = tiny_model(4);
-  rt::Interpreter fast(m, rt::plan_memory(m), kernels::BackendConfig::fast());
-  const TensorI8 in = random_input(m, 900);
-  TensorI8 baseline;
-  for (const int threads : {1, 2, 8}) {
-    parallel::set_threads(threads);
-    const TensorI8 out = fast.invoke_quantized(in);
-    if (baseline.size() == 0) {
-      baseline = out;
-    } else {
-      ASSERT_EQ(out.size(), baseline.size());
-      for (int64_t i = 0; i < out.size(); ++i)
-        ASSERT_EQ(out[i], baseline[i]) << "thread count " << threads;
+  for (const rt::ModelDef& m : {tiny_model(4), tiny_model(4, /*bits=*/4)}) {
+    SCOPED_TRACE(m.name);
+    rt::Interpreter fast(m, rt::plan_memory(m), kernels::BackendConfig::fast());
+    const TensorI8 in = random_input(m, 900);
+    TensorI8 baseline;
+    for (const int threads : {1, 2, 8}) {
+      parallel::set_threads(threads);
+      const TensorI8 out = fast.invoke_quantized(in);
+      if (baseline.size() == 0) {
+        baseline = out;
+      } else {
+        ASSERT_EQ(out.size(), baseline.size());
+        for (int64_t i = 0; i < out.size(); ++i)
+          ASSERT_EQ(out[i], baseline[i]) << "thread count " << threads;
+      }
     }
   }
   parallel::set_threads(0);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "kernels/backend.hpp"
 #include "kernels/kernels.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/tensor.hpp"
@@ -271,7 +272,28 @@ TEST(KernelsS4, PackedAccessors) {
   EXPECT_EQ(packed_size_s4(8), 4);
 }
 
-// int4 conv against an int-domain reference using the same quantized values.
+// Int4 runs as a storage format: unpack the packed input, run an int8
+// kernel, pack the result — what the interpreter does for every int4 op.
+// `kernel(x, y)` reads the unpacked input and writes out_n int8 results.
+template <typename Kernel>
+std::vector<uint8_t> run_int4(const std::vector<uint8_t>& xp, int64_t in_n,
+                              int64_t out_n, Kernel kernel) {
+  std::vector<int8_t> x(static_cast<size_t>(in_n)), y(static_cast<size_t>(out_n));
+  quant::unpack_int4(xp, x);
+  kernel(std::span<const int8_t>(x), std::span<int8_t>(y));
+  std::vector<uint8_t> yp(static_cast<size_t>(packed_size_s4(out_n)), 0);
+  quant::pack_int4(y, yp);
+  return yp;
+}
+
+std::vector<int8_t> unpacked(const std::vector<uint8_t>& packed, int64_t n) {
+  std::vector<int8_t> v(static_cast<size_t>(n));
+  quant::unpack_int4(packed, v);
+  return v;
+}
+
+// int4 conv through the int8 oracle and the fast kernel, against an
+// int-domain reference using the same quantized values.
 TEST(KernelsS4, Conv2DMatchesIntReference) {
   Rng rng(6);
   ConvGeometry g;
@@ -294,9 +316,15 @@ TEST(KernelsS4, Conv2DMatchesIntReference) {
   rq.act_min = -8;
   rq.act_max = 7;
   const auto xp = quant::pack_int4(xq);
-  const auto wp = quant::pack_int4(wq);
-  std::vector<uint8_t> yp(static_cast<size_t>(packed_size_s4(5 * 5 * 3)), 0);
-  conv2d_s4(xp, wp, {}, yp, g, rq);
+  const auto w = unpacked(quant::pack_int4(wq), wq.size());
+  const PackedOpWeights panel = pack_rows_s8(w, 3, 3 * 3 * 4);
+  std::vector<int8_t> scratch(static_cast<size_t>(conv2d_fast_scratch_bytes(g)));
+  const auto oracle = run_int4(xp, xq.size(), 5 * 5 * 3, [&](auto x, auto y) {
+    conv2d_s8(x, w, {}, y, g, rq);
+  });
+  const auto fast = run_int4(xp, xq.size(), 5 * 5 * 3, [&](auto x, auto y) {
+    conv2d_s8_fast(x, panel, {}, y, scratch, g, rq);
+  });
   // Reference: integer accumulate then same requant.
   for (int32_t oy = 0; oy < 5; ++oy)
     for (int32_t ox = 0; ox < 5; ++ox)
@@ -312,7 +340,9 @@ TEST(KernelsS4, Conv2DMatchesIntReference) {
           }
         int32_t v = quant::multiply_by_quantized_multiplier(acc, rq.mult);
         v = std::clamp(v, -8, 7);
-        EXPECT_EQ(load_s4(yp, (int64_t{oy} * 5 + ox) * 3 + oc), v);
+        const int64_t idx = (int64_t{oy} * 5 + ox) * 3 + oc;
+        EXPECT_EQ(load_s4(oracle, idx), v);
+        EXPECT_EQ(load_s4(fast, idx), v);
       }
 }
 
@@ -344,9 +374,13 @@ TEST(KernelsS4, DepthwiseMatchesIntReference) {
   rq.act_min = -8;
   rq.act_max = 7;
   const auto xp = quant::pack_int4(xq);
-  const auto wp = quant::pack_int4(wq);
-  std::vector<uint8_t> yp(static_cast<size_t>(packed_size_s4(5 * 3 * 5)), 0);
-  depthwise_conv2d_s4(xp, wp, bias, yp, g, rq);
+  const auto w = unpacked(quant::pack_int4(wq), wq.size());
+  const auto oracle = run_int4(xp, xq.size(), 5 * 3 * 5, [&](auto x, auto y) {
+    depthwise_conv2d_s8(x, w, bias, y, g, rq);
+  });
+  const auto fast = run_int4(xp, xq.size(), 5 * 3 * 5, [&](auto x, auto y) {
+    depthwise_conv2d_s8_fast(x, w, bias, y, g, rq);
+  });
   for (int32_t oy = 0; oy < 5; ++oy)
     for (int32_t ox = 0; ox < 3; ++ox)
       for (int32_t c = 0; c < 5; ++c) {
@@ -361,14 +395,17 @@ TEST(KernelsS4, DepthwiseMatchesIntReference) {
         int32_t v = quant::multiply_by_quantized_multiplier(acc, rq.mult) +
                     rq.output_zp;
         v = std::clamp(v, -8, 7);
-        EXPECT_EQ(load_s4(yp, (int64_t{oy} * 3 + ox) * 5 + c), v)
+        const int64_t idx = (int64_t{oy} * 3 + ox) * 5 + c;
+        EXPECT_EQ(load_s4(oracle, idx), v)
+            << "oy " << oy << " ox " << ox << " c " << c;
+        EXPECT_EQ(load_s4(fast, idx), v)
             << "oy " << oy << " ox " << ox << " c " << c;
       }
 }
 
 TEST(KernelsS4, FullyConnectedMatchesUnpackedMath) {
   Rng rng(8);
-  const int32_t in_f = 20, out_f = 6;
+  const int32_t in_f = 20, out_f = 7;  // odd: the output ends mid-byte
   TensorI8 xq(Shape{in_f}), wq(Shape{out_f, in_f});
   for (int64_t i = 0; i < xq.size(); ++i) xq[i] = static_cast<int8_t>(rng.uniform_int(-8, 7));
   for (int64_t i = 0; i < wq.size(); ++i) wq[i] = static_cast<int8_t>(rng.uniform_int(-8, 7));
@@ -377,15 +414,21 @@ TEST(KernelsS4, FullyConnectedMatchesUnpackedMath) {
   rq.act_min = -8;
   rq.act_max = 7;
   const auto xp = quant::pack_int4(xq);
-  const auto wp = quant::pack_int4(wq);
-  std::vector<uint8_t> yp(static_cast<size_t>(packed_size_s4(out_f)), 0);
-  fully_connected_s4(xp, wp, {}, yp, in_f, out_f, rq);
+  const auto w = unpacked(quant::pack_int4(wq), wq.size());
+  const PackedOpWeights panel = pack_rows_s8(w, out_f, in_f);
+  const auto oracle = run_int4(xp, in_f, out_f, [&](auto x, auto y) {
+    fully_connected_s8(x, w, {}, y, in_f, out_f, rq);
+  });
+  const auto fast = run_int4(xp, in_f, out_f, [&](auto x, auto y) {
+    fully_connected_s8_fast(x, panel, {}, y, in_f, out_f, rq);
+  });
   for (int32_t o = 0; o < out_f; ++o) {
     int32_t acc = 0;
     for (int32_t i = 0; i < in_f; ++i) acc += xq[i] * wq.at2(o, i);
     int32_t v = quant::multiply_by_quantized_multiplier(acc, rq.mult);
     v = std::clamp(v, -8, 7);
-    EXPECT_EQ(load_s4(yp, o), v);
+    EXPECT_EQ(load_s4(oracle, o), v);
+    EXPECT_EQ(load_s4(fast, o), v);
   }
 }
 
@@ -399,9 +442,8 @@ TEST(KernelsS4, AvgPoolStaysInRange) {
   TensorI8 xq(Shape{4, 4, 2});
   Rng rng(9);
   for (int64_t i = 0; i < xq.size(); ++i) xq[i] = static_cast<int8_t>(rng.uniform_int(-8, 7));
-  const auto xp = quant::pack_int4(xq);
-  std::vector<uint8_t> yp(static_cast<size_t>(packed_size_s4(2 * 2 * 2)), 0);
-  avg_pool_s4(xp, yp, g, -8, 7);
+  const auto yp = run_int4(quant::pack_int4(xq), xq.size(), 2 * 2 * 2,
+                           [&](auto x, auto y) { avg_pool_s8(x, y, g, -8, 7); });
   for (int64_t i = 0; i < 8; ++i) {
     EXPECT_GE(load_s4(yp, i), -8);
     EXPECT_LE(load_s4(yp, i), 7);

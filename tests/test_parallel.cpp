@@ -186,12 +186,9 @@ TEST_F(ParallelTest, MnThreadsParsesStrictlyAndFallsBackToHardware) {
 
 // --- golden-vector kernel equivalence ---------------------------------------
 
-kernels::RequantParams test_rq(int bits) {
+kernels::RequantParams test_rq() {
   kernels::RequantParams rq;
   rq.mult = quant::quantize_multiplier(0.01);
-  const quant::QRange r = quant::qrange(bits);
-  rq.act_min = r.qmin;
-  rq.act_max = r.qmax;
   return rq;
 }
 
@@ -227,7 +224,7 @@ std::vector<int32_t> random_bias(int64_t n, uint64_t seed) {
 }
 
 // Shapes chosen to hit the awkward cases: channels not divisible by 4,
-// odd output heights (int4 outputs ending mid-byte), stride 2, and pad 0.
+// odd output heights, stride 2, and pad 0.
 struct ShapeCase {
   int32_t in_h, in_w, in_ch, out_ch, k, stride, pad;
 };
@@ -262,7 +259,7 @@ TEST_F(ParallelTest, Conv2dS8MatchesSerialGolden) {
     const TensorI8 w =
         random_i8(Shape{g.out_ch, g.kh, g.kw, g.in_ch}, -127, 127, seed++);
     const auto bias = random_bias(g.out_ch, seed++);
-    const auto rq = test_rq(8);
+    const auto rq = test_rq();
     expect_thread_invariant([&] {
       std::vector<int8_t> y(static_cast<size_t>(int64_t{g.out_h} * g.out_w * g.out_ch));
       kernels::conv2d_s8(x.span(), w.span(), bias, y, g, rq);
@@ -285,7 +282,7 @@ TEST_F(ParallelTest, DepthwiseConv2dS8MatchesSerialGolden) {
     const TensorI8 x = random_i8(Shape{g.in_h, g.in_w, g.in_ch}, -127, 127, seed++);
     const TensorI8 w = random_i8(Shape{g.kh, g.kw, g.in_ch}, -127, 127, seed++);
     const auto bias = random_bias(g.in_ch, seed++);
-    const auto rq = test_rq(8);
+    const auto rq = test_rq();
     expect_thread_invariant([&] {
       std::vector<int8_t> y(static_cast<size_t>(int64_t{g.out_h} * g.out_w * g.out_ch));
       kernels::depthwise_conv2d_s8(x.span(), w.span(), bias, y, g, rq);
@@ -300,79 +297,11 @@ TEST_F(ParallelTest, FullyConnectedS8MatchesSerialGolden) {
     const TensorI8 x = random_i8(Shape{in_f}, -127, 127, seed++);
     const TensorI8 w = random_i8(Shape{out_f, in_f}, -127, 127, seed++);
     const auto bias = random_bias(out_f, seed++);
-    const auto rq = test_rq(8);
+    const auto rq = test_rq();
     expect_thread_invariant([&] {
       std::vector<int8_t> y(static_cast<size_t>(out_f));
       kernels::fully_connected_s8(x.span(), w.span(), bias, y, in_f, out_f, rq);
       return y;
-    });
-  }
-}
-
-TEST_F(ParallelTest, Conv2dS4MatchesSerialGolden) {
-  uint64_t seed = 500;
-  for (const ShapeCase& sc : kConvCases) {
-    const auto g = make_geom(sc.in_h, sc.in_w, sc.in_ch, sc.out_ch, sc.k,
-                             sc.stride, sc.pad);
-    const TensorI8 x = random_i8(Shape{g.in_h, g.in_w, g.in_ch}, -8, 7, seed++);
-    const TensorI8 w =
-        random_i8(Shape{g.out_ch, g.kh, g.kw, g.in_ch}, -8, 7, seed++);
-    const auto xp = quant::pack_int4(x);
-    const auto wp = quant::pack_int4(w);
-    const auto bias = random_bias(g.out_ch, seed++);
-    const auto rq = test_rq(4);
-    expect_thread_invariant([&] {
-      std::vector<uint8_t> yp(static_cast<size_t>(
-          kernels::packed_size_s4(int64_t{g.out_h} * g.out_w * g.out_ch)));
-      kernels::conv2d_s4(xp, wp, bias, yp, g, rq);
-      return yp;
-    });
-  }
-}
-
-TEST_F(ParallelTest, DepthwiseConv2dS4MatchesSerialGolden) {
-  uint64_t seed = 600;
-  // Odd out_h exercises the row-pair tail (last chunk covers a lone row);
-  // odd out_h*out_w*out_ch means chunks share no output byte only because
-  // row pairs keep every boundary byte-aligned.
-  const ShapeCase cases[] = {
-      {9, 9, 5, 5, 3, 1, 1},   // out 9x9 (odd rows)
-      {11, 7, 3, 3, 3, 2, 1},  // stride 2 -> out 6x4
-      {8, 8, 10, 10, 3, 2, 1}, // out 4x4
-  };
-  for (const ShapeCase& sc : cases) {
-    const auto g = make_geom(sc.in_h, sc.in_w, sc.in_ch, sc.out_ch, sc.k,
-                             sc.stride, sc.pad);
-    const TensorI8 x = random_i8(Shape{g.in_h, g.in_w, g.in_ch}, -8, 7, seed++);
-    const TensorI8 w = random_i8(Shape{g.kh, g.kw, g.in_ch}, -8, 7, seed++);
-    const auto xp = quant::pack_int4(x);
-    const auto wp = quant::pack_int4(w);
-    const auto bias = random_bias(g.in_ch, seed++);
-    const auto rq = test_rq(4);
-    expect_thread_invariant([&] {
-      std::vector<uint8_t> yp(static_cast<size_t>(
-          kernels::packed_size_s4(int64_t{g.out_h} * g.out_w * g.out_ch)));
-      kernels::depthwise_conv2d_s4(xp, wp, bias, yp, g, rq);
-      return yp;
-    });
-  }
-}
-
-TEST_F(ParallelTest, FullyConnectedS4MatchesSerialGolden) {
-  uint64_t seed = 700;
-  // Odd out_features: the final output-feature pair is a lone feature.
-  for (const auto& [in_f, out_f] : {std::pair{40, 9}, {64, 33}, {17, 4}}) {
-    const TensorI8 x = random_i8(Shape{in_f}, -8, 7, seed++);
-    const TensorI8 w = random_i8(Shape{out_f, in_f}, -8, 7, seed++);
-    const auto xp = quant::pack_int4(x);
-    const auto wp = quant::pack_int4(w);
-    const auto bias = random_bias(out_f, seed++);
-    const auto rq = test_rq(4);
-    expect_thread_invariant([&] {
-      std::vector<uint8_t> yp(
-          static_cast<size_t>(kernels::packed_size_s4(out_f)));
-      kernels::fully_connected_s4(xp, wp, bias, yp, in_f, out_f, rq);
-      return yp;
     });
   }
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "quant/quant.hpp"
 #include "tensor/rng.hpp"
@@ -143,6 +145,33 @@ TEST(Int4Packing, SignExtension) {
   const TensorI8 back = unpack_int4(packed, vals.shape());
   EXPECT_EQ(back[0], -8);
   EXPECT_EQ(back[1], -1);
+}
+
+// The bulk span codec over every nibble at both byte positions, at odd and
+// even lengths: bytes match the documented layout, the odd tail's high
+// nibble is zero, no byte past (n + 1) / 2 is touched, and unpack inverts.
+TEST(Int4Packing, SpanCodecRoundTripsAllNibbles) {
+  for (const size_t n : {size_t{1}, size_t{31}, size_t{32}, size_t{33}, size_t{65}}) {
+    // Indices 0-15 hold nibbles 0-15 and indices 16-31 the same nibbles
+    // shifted by one, so from n = 32 on each nibble sits at both parities.
+    std::vector<int8_t> vals(n);
+    for (size_t i = 0; i < n; ++i)
+      vals[i] = static_cast<int8_t>(static_cast<int>((i + i / 16) % 16) - 8);
+    std::vector<uint8_t> packed((n + 1) / 2 + 2, 0xFF);
+    pack_int4(vals, packed);
+    for (size_t j = 0; j < (n + 1) / 2; ++j) {
+      const uint8_t lo = static_cast<uint8_t>(vals[2 * j] & 0x0F);
+      const uint8_t hi =
+          2 * j + 1 < n ? static_cast<uint8_t>(vals[2 * j + 1] & 0x0F) : 0;
+      EXPECT_EQ(packed[j], static_cast<uint8_t>(lo | (hi << 4)))
+          << "n " << n << " byte " << j;
+    }
+    EXPECT_EQ(packed[(n + 1) / 2], 0xFF) << "n " << n;
+    std::vector<int8_t> back(n + 1, 99);
+    unpack_int4(packed, std::span<int8_t>(back).first(n));
+    for (size_t i = 0; i < n; ++i) EXPECT_EQ(back[i], vals[i]) << "n " << n;
+    EXPECT_EQ(back[n], 99) << "n " << n;
+  }
 }
 
 }  // namespace

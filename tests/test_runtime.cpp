@@ -182,6 +182,44 @@ TEST(Interpreter, MixedPrecisionConvIsRejected) {
   EXPECT_THROW(interp.invoke(img), std::runtime_error);
 }
 
+TEST(Interpreter, OutOfRangeInt4InputIsAnInputMismatch) {
+  // A caller-supplied int4 value outside [-8, 7] cannot be packed into a
+  // nibble: it is refused as kInputMismatch naming the element, not wrapped
+  // and not reported as an unsupported op.
+  Interpreter interp(tiny_model(15, 4, 4));
+  TensorI8 in(Shape{12, 8, 1});
+  in.fill(0);
+  in[5] = 8;
+  const auto r = interp.try_invoke_quantized(in);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.code(), ErrorCode::kInputMismatch);
+  EXPECT_NE(r.error().message.find("element 5"), std::string::npos)
+      << r.error().message;
+  in[5] = -9;
+  EXPECT_EQ(interp.try_invoke_quantized(in).code(), ErrorCode::kInputMismatch);
+  EXPECT_THROW(interp.invoke_quantized(in), std::invalid_argument);
+  in[5] = -8;
+  EXPECT_TRUE(interp.try_invoke_quantized(in).ok());
+}
+
+TEST(Interpreter, Int4ClampOutsideNibbleRangeIsRejectedAtLoad) {
+  // A fused relu(6) whose output zero point lies above 7 would clamp an
+  // int4 result to values no nibble holds; construction refuses the model.
+  ModelDef m = tiny_model(15, 4, 4);
+  const OpDef& stem = m.ops.front();
+  ASSERT_EQ(stem.type, OpType::kConv2D);
+  ASSERT_NE(stem.act, Activation::kNone);
+  m.tensors[static_cast<size_t>(stem.output)].qp.zero_point = 9;
+  try {
+    Interpreter interp(std::move(m));
+    FAIL() << "expected the constructor to throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("kUnsupportedOp"), std::string::npos) << what;
+    EXPECT_NE(what.find("outside [-8, 7]"), std::string::npos) << what;
+  }
+}
+
 TEST(Converter, FoldsBatchNormExactly) {
   // A float graph with BN must produce (nearly) the same function after
   // conversion as the float forward pass in inference mode.
