@@ -172,7 +172,7 @@ std::string fmt_bool(bool deployable) { return deployable ? "yes" : "ND"; }
 
 rt::ModelDef calibrated_model(nn::Graph& graph, Shape input,
                               const std::string& name, int weight_bits,
-                              int act_bits, bool fuse_activations) {
+                              int act_bits) {
   Rng rng(0xCA11B);
   TensorF batch = input.rank() == 1
                       ? TensorF(Shape{2, input.dim(0)})
@@ -184,7 +184,6 @@ rt::ModelDef calibrated_model(nn::Graph& graph, Shape input,
   co.name = name;
   co.weight_bits = weight_bits;
   co.act_bits = act_bits;
-  co.fuse_activations = fuse_activations;
   return rt::convert(graph, co, &ranges);
 }
 

@@ -92,12 +92,9 @@ rt::Interpreter calibrated_interpreter(nn::Graph& graph, Shape input,
 // Same calibration + conversion, but hands back the ModelDef itself — for
 // callers (serve::InterpreterPool) that plan and replicate instances
 // themselves rather than wanting a single ready interpreter.
-// fuse_activations=false emits the converter's naive form (activations as
-// standalone clamp ops), the shape the graph compiler's fusion pass exists
-// to clean up — bench_compile measures how much of it the pipeline recovers.
 rt::ModelDef calibrated_model(nn::Graph& graph, Shape input,
                               const std::string& name, int weight_bits = 8,
-                              int act_bits = 8, bool fuse_activations = true);
+                              int act_bits = 8);
 
 // Scales a DS-CNN / MobileNetV2 config's channel counts by 1/divisor
 // (rounded to multiples of 4): the trainable fast-mode proxies used for the

@@ -108,6 +108,13 @@ struct PoolGeometry {
   int32_t pad_h = 0, pad_w = 0;
 };
 
+// Shared pooling/softmax argument check: throws std::invalid_argument
+// (prefixed with `who`) when the input span is shorter than `in_elements` or
+// the output span is shorter than `out_elements`.
+void check_io_buffers(const char* who, std::span<const int8_t> input,
+                      int64_t in_elements, std::span<const int8_t> output,
+                      int64_t out_elements);
+
 // Pooling: input and output share scale/zero-point (TFLite semantics).
 void avg_pool_s8(std::span<const int8_t> input, std::span<int8_t> output,
                  const PoolGeometry& g, int32_t act_min, int32_t act_max);

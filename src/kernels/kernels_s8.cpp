@@ -152,8 +152,17 @@ void fully_connected_s8(std::span<const int8_t> input,
   }
 }
 
+void check_io_buffers(const char* who, std::span<const int8_t> input,
+                      int64_t in_elements, std::span<const int8_t> output,
+                      int64_t out_elements) {
+  if (shorter(input.size(), in_elements) || shorter(output.size(), out_elements))
+    throw std::invalid_argument(std::string(who) + ": buffer too small");
+}
+
 void avg_pool_s8(std::span<const int8_t> input, std::span<int8_t> output,
                  const PoolGeometry& g, int32_t act_min, int32_t act_max) {
+  check_io_buffers("avg_pool_s8", input, int64_t{g.in_h} * g.in_w * g.ch,
+                   output, int64_t{g.out_h} * g.out_w * g.ch);
   obs::counter_add(obs::Counter::kKernelBytesRead,
                    int64_t{g.in_h} * g.in_w * g.ch);
   obs::counter_add(obs::Counter::kKernelBytesWritten,
@@ -185,6 +194,8 @@ void avg_pool_s8(std::span<const int8_t> input, std::span<int8_t> output,
 
 void max_pool_s8(std::span<const int8_t> input, std::span<int8_t> output,
                  const PoolGeometry& g, int32_t act_min, int32_t act_max) {
+  check_io_buffers("max_pool_s8", input, int64_t{g.in_h} * g.in_w * g.ch,
+                   output, int64_t{g.out_h} * g.out_w * g.ch);
   obs::counter_add(obs::Counter::kKernelBytesRead,
                    int64_t{g.in_h} * g.in_w * g.ch);
   obs::counter_add(obs::Counter::kKernelBytesWritten,
@@ -232,13 +243,15 @@ void softmax_s8(std::span<const int8_t> input, std::span<int8_t> output,
                 int32_t rows, int32_t cols, float input_scale) {
   // Float-internal softmax quantized to the TFLite convention
   // (scale 1/256, zero point -128).
+  check_io_buffers("softmax_s8", input, int64_t{rows} * cols, output,
+                   int64_t{rows} * cols);
   obs::counter_add(obs::Counter::kKernelBytesRead, int64_t{rows} * cols);
   obs::counter_add(obs::Counter::kKernelBytesWritten, int64_t{rows} * cols);
   for (int32_t r = 0; r < rows; ++r) {
     const int8_t* in = input.data() + int64_t{r} * cols;
     int8_t* out = output.data() + int64_t{r} * cols;
-    int8_t mx = in[0];
-    for (int32_t c = 1; c < cols; ++c) mx = std::max(mx, in[c]);
+    int8_t mx = -128;
+    for (int32_t c = 0; c < cols; ++c) mx = std::max(mx, in[c]);
     double sum = 0.0;
     for (int32_t c = 0; c < cols; ++c)
       sum += std::exp(static_cast<double>(input_scale) * (in[c] - mx));

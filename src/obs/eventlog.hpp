@@ -111,7 +111,7 @@ void postmortem_clear();
 
 // Shared MN_OBS_RING parse used for the span ring and event ring default
 // capacities: a positive integer overrides `fallback`; an unparseable value
-// warns once on stderr and falls back (the MN_THREADS/MN_COMPILE pattern).
+// warns once on stderr and falls back (the MN_THREADS pattern).
 std::size_t ring_capacity_from_env(std::size_t fallback);
 
 #else  // MN_OBS_DISABLED: every entry point is an inline no-op.

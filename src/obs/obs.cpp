@@ -33,9 +33,6 @@ const char* counter_name(Counter c) {
     case Counter::kServeDegraded: return "serve_degraded";
     case Counter::kBackendFastOps: return "backend_fast_ops";
     case Counter::kBackendReferenceOps: return "backend_reference_ops";
-    case Counter::kCompileOpsRemoved: return "compile_ops_removed";
-    case Counter::kCompileBytesFolded: return "compile_bytes_folded";
-    case Counter::kCompilePeakBytesSaved: return "compile_peak_bytes_saved";
     case Counter::kEventsEmitted: return "events_emitted";
     case Counter::kEventsDropped: return "events_dropped";
     case Counter::kPostmortemDumps: return "postmortem_dumps";

@@ -48,9 +48,6 @@ enum class Counter : uint32_t {
   kServeDegraded,        // invokes routed to a tenant's fallback variant
   kBackendFastOps,       // ops dispatched to a fast-backend kernel
   kBackendReferenceOps,  // ops run on the reference path (incl. fallbacks)
-  kCompileOpsRemoved,    // graph-compiler: ops folded/fused/eliminated
-  kCompileBytesFolded,   // graph-compiler: const bytes materialized into blob
-  kCompilePeakBytesSaved,  // graph-compiler: peak_live_bytes reduction
   kEventsEmitted,        // flight-recorder events emitted (eventlog.hpp)
   kEventsDropped,        // flight-recorder events evicted by ring wrap
   kPostmortemDumps,      // postmortem captures taken (stall/breaker/abort)

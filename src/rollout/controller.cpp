@@ -48,7 +48,6 @@ int RolloutController::deploy_initial(int version) {
   spec.model = v.image;
   spec.service_ticks = v.service_ticks;
   spec.instances = v.instances;
-  spec.compile = v.compile_cfg;
   const int variant = engine_.stage_variant(std::move(spec));
   registry_.set_variant(version, variant);
   registry_.set_active(version);
@@ -97,7 +96,6 @@ rt::Expected<int> RolloutController::begin(int version) {
   spec.model = v.image;
   spec.service_ticks = v.service_ticks;
   spec.instances = v.instances;
-  spec.compile = v.compile_cfg;
   candidate_variant_ = engine_.stage_variant(std::move(spec));
   registry_.set_variant(version, candidate_variant_);
 

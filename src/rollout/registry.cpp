@@ -6,7 +6,7 @@ namespace mn::rollout {
 
 rt::Expected<int> VersionRegistry::add_version(
     std::string tag, rt::ModelDef image, Tick service_ticks, int instances,
-    std::optional<uint32_t> manifest_crc, compile::CompileConfig compile_cfg) {
+    std::optional<uint32_t> manifest_crc) {
   if (service_ticks < 1)
     throw std::invalid_argument("VersionRegistry: service_ticks must be >= 1");
   if (instances < 1)
@@ -23,14 +23,6 @@ rt::Expected<int> VersionRegistry::add_version(
   v.manifest_crc = crc;
   v.service_ticks = service_ticks;
   v.instances = instances;
-  v.compile_cfg = compile_cfg;
-  if (compile_cfg.enabled) {
-    // Record the provenance of what the fleet will actually serve: compile a
-    // copy now and pin the compiled image's CRC. verify() re-derives it.
-    rt::ModelDef compiled = v.image;
-    compile::Pipeline(compile_cfg).run(compiled);
-    v.compiled_crc = compiled.image_crc();
-  }
   const int id = static_cast<int>(versions_.size());
   versions_.push_back(std::move(v));
   return id;
@@ -42,18 +34,6 @@ std::optional<rt::RtError> VersionRegistry::verify(int id) const {
     return rt::RtError{rt::ErrorCode::kCrcMismatch,
                        "VersionRegistry: staged image '" + v.tag +
                            "' drifted from its manifest CRC"};
-  if (v.compile_cfg.enabled) {
-    // Compiled-image provenance: re-derive the compiled image from the
-    // (just-verified) staged bytes and compare to the CRC pinned at
-    // add_version. Catches a compiler whose output drifted between staging
-    // and flashing — the compile pipeline is deterministic by contract.
-    rt::ModelDef compiled = v.image;
-    compile::Pipeline(v.compile_cfg).run(compiled);
-    if (compiled.image_crc() != v.compiled_crc)
-      return rt::RtError{rt::ErrorCode::kCrcMismatch,
-                         "VersionRegistry: compiled image of '" + v.tag +
-                             "' does not match its recorded provenance CRC"};
-  }
   return std::nullopt;
 }
 

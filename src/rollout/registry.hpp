@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "compile/compile.hpp"
 #include "rollout/rollout.hpp"
 #include "runtime/model.hpp"
 #include "runtime/rt_error.hpp"
@@ -25,12 +24,6 @@ class VersionRegistry {
     Tick service_ticks = 1;     // virtual cost per invoke on this version
     int instances = 1;          // replicas to build when staged
     int variant = -1;           // pool variant id once staged (-1 = not yet)
-    // Graph-compiler config the fleet will stage this version with, and the
-    // image_crc of the *compiled* image recorded at add_version. verify()
-    // recompiles and re-checks it, so both a corrupted staged image and a
-    // non-deterministic compiler are caught before any replica is flashed.
-    compile::CompileConfig compile_cfg = compile::CompileConfig::none();
-    uint32_t compiled_crc = 0;
   };
 
   // Adds a version. When `manifest_crc` is supplied it is checked against
@@ -40,9 +33,7 @@ class VersionRegistry {
   rt::Expected<int> add_version(std::string tag, rt::ModelDef image,
                                 Tick service_ticks, int instances,
                                 std::optional<uint32_t> manifest_crc =
-                                    std::nullopt,
-                                compile::CompileConfig compile_cfg =
-                                    compile::CompileConfig::from_env());
+                                    std::nullopt);
 
   int num_versions() const { return static_cast<int>(versions_.size()); }
   const Version& version(int id) const {

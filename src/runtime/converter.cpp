@@ -82,37 +82,6 @@ class Converter {
     return static_cast<int>(model_.tensors.size()) - 1;
   }
 
-  // Emits a conv-like op, splitting off its activation as a standalone
-  // unit-window clamp op in naive mode (fuse_activations == false). The
-  // intermediate shares the output's quantization, so the producer's requant
-  // arithmetic is untouched and the split is bit-identical to the fused
-  // form: conv-with-act clamps to activation_range(act), and the unit pool
-  // applies exactly that clamp. MaxPool carries the clamp for 8-bit; int4
-  // (which has no max-pool kernel) uses the identity unit AvgPool.
-  void push_conv_like(OpDef op, const std::string& name, Shape out_shape) {
-    if (opt_.fuse_activations || op.act == Activation::kNone ||
-        out_shape.rank() != 3) {
-      model_.ops.push_back(op);
-      return;
-    }
-    const int out_t = op.output;
-    const quant::QuantParams qp =
-        model_.tensors[static_cast<size_t>(out_t)].qp;
-    const int mid_t = new_passthrough_tensor(name + "/preact", out_shape, qp);
-    OpDef clamp;
-    clamp.type = opt_.act_bits == 4 ? OpType::kAvgPool2D : OpType::kMaxPool2D;
-    clamp.act = op.act;
-    clamp.inputs = {mid_t};
-    clamp.output = out_t;
-    clamp.kh = 1;
-    clamp.kw = 1;
-    clamp.stride = 1;
-    op.act = Activation::kNone;
-    op.output = mid_t;
-    model_.ops.push_back(op);
-    model_.ops.push_back(clamp);
-  }
-
   // Quantizes folded weights per output channel and appends to the blob.
   // `rows` = out channels, `cols` = weights per channel (contiguous).
   int add_weight_tensor(const std::string& name, Shape shape, const TensorF& w,
@@ -309,7 +278,7 @@ ModelDef Converter::run() {
           nn::conv_pad_total(in_shape.dim(0), opt.kh, opt.stride, opt.padding) / 2);
       op.pad_w = static_cast<int32_t>(
           nn::conv_pad_total(in_shape.dim(1), opt.kw, opt.stride, opt.padding) / 2);
-      push_conv_like(op, node.name(), out_shape);
+      model_.ops.push_back(op);
       node_tensor_[static_cast<size_t>(id)] = out_t;
       node_tensor_[static_cast<size_t>(ch.end)] = out_t;
       continue;
@@ -350,7 +319,7 @@ ModelDef Converter::run() {
           nn::conv_pad_total(in_shape.dim(0), opt.kh, opt.stride, opt.padding) / 2);
       op.pad_w = static_cast<int32_t>(
           nn::conv_pad_total(in_shape.dim(1), opt.kw, opt.stride, opt.padding) / 2);
-      push_conv_like(op, node.name(), out_shape);
+      model_.ops.push_back(op);
       node_tensor_[static_cast<size_t>(id)] = out_t;
       node_tensor_[static_cast<size_t>(ch.end)] = out_t;
       continue;

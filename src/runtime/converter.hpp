@@ -19,12 +19,6 @@ struct ConvertOptions {
   int act_bits = 8;
   // Append a softmax op after the final layer (8-bit models only).
   bool append_softmax = false;
-  // When false, conv/depthwise ops are emitted *unfused*: act == kNone plus a
-  // standalone unit-window clamp op through a passthrough-quantized
-  // intermediate — the shape a naive front-end produces and exactly what
-  // compile::fuse_activations folds back (bit-identical either way; the
-  // fused clamp and the standalone clamp share activation_range).
-  bool fuse_activations = true;
 };
 
 // Observed activation range per graph node id, for converting float-trained

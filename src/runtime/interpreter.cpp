@@ -10,19 +10,8 @@
 
 namespace mn::rt {
 
-// activation_range (the fused-activation clamp in the quantized domain)
-// lives in model.cpp now, shared with the compile:: passes.
-
 namespace {
 constexpr uint8_t kCanaryByte = 0xA5;
-
-// Ops that run int4 as a storage format: their activation inputs are
-// unpacked into interpreter scratch, the int8 kernel runs, and the result is
-// packed back. Every op but softmax, whose output is fixed at int8.
-bool stages_int4(const ModelDef& m, const OpDef& op) {
-  return m.tensors[static_cast<size_t>(op.inputs[0])].bits == 4 &&
-         op.type != OpType::kSoftmax;
-}
 
 // Claim predicate for the fast backend: conv2d / depthwise / fully-connected
 // whose input, constant weights and output are all int8 or all int4 (panels
@@ -111,6 +100,7 @@ Interpreter::Interpreter(ModelDef model, MemoryPlan plan,
   arena_.assign(static_cast<size_t>(plan_.arena_bytes + 2 * kArenaGuardBytes), 0);
   fill_guards();
   prepare();
+  locate_operands();
   // Backend resolution: pack weight panels (or adopt the shared set), then
   // record per-op which backend actually serves each op — claimed ops run on
   // the requested backend, the rest fall back to reference.
@@ -146,7 +136,9 @@ Interpreter::Interpreter(ModelDef model, MemoryPlan plan,
           kernels::conv2d_fast_scratch_bytes(prepared_[i].conv);
       scratch = std::max(scratch, op_scratch_bytes_[i]);
     }
-    if (!stages_int4(model_, op)) continue;
+    // Int4 ops run as a storage format: their activation inputs are
+    // unpacked here, the int8 kernel runs, and the result is packed back.
+    if (model_.tensors[static_cast<size_t>(op.inputs[0])].bits != 4) continue;
     const auto elements = [&](int id) {
       return model_.tensors[static_cast<size_t>(id)].elements();
     };
@@ -213,12 +205,29 @@ void Interpreter::prepare() {
   for (size_t i = 0; i < model_.ops.size(); ++i) {
     const OpDef& op = model_.ops[i];
     PreparedOp& p = prepared_[i];
+    const TensorDef& in = model_.tensors[static_cast<size_t>(op.inputs[0])];
     const TensorDef& out = model_.tensors[static_cast<size_t>(op.output)];
+    activation_range(op.act, out.qp, out.bits, &p.rq.act_min, &p.rq.act_max);
     switch (op.type) {
       case OpType::kConv2D:
-      case OpType::kDepthwiseConv2D: {
-        const TensorDef& in = model_.tensors[static_cast<size_t>(op.inputs[0])];
+      case OpType::kDepthwiseConv2D:
+      case OpType::kFullyConnected: {
         const TensorDef& w = model_.tensors[static_cast<size_t>(op.inputs[1])];
+        p.rq.input_zp = in.qp.zero_point;
+        p.rq.output_zp = out.qp.zero_point;
+        if (w.channel_scales.empty()) {
+          p.rq.mult = quant::quantize_multiplier(
+              static_cast<double>(in.qp.scale) * w.qp.scale / out.qp.scale);
+        } else {
+          for (float ws : w.channel_scales)
+            p.rq.per_channel.push_back(quant::quantize_multiplier(
+                static_cast<double>(in.qp.scale) * ws / out.qp.scale));
+        }
+        if (op.type == OpType::kFullyConnected) {
+          p.fc_in = static_cast<int32_t>(w.shape.dim(1));
+          p.fc_out = static_cast<int32_t>(w.shape.dim(0));
+          break;
+        }
         p.conv.in_h = static_cast<int32_t>(in.shape.dim(0));
         p.conv.in_w = static_cast<int32_t>(in.shape.dim(1));
         p.conv.in_ch = static_cast<int32_t>(in.shape.dim(2));
@@ -230,43 +239,10 @@ void Interpreter::prepare() {
         p.conv.stride = op.stride;
         p.conv.pad_h = op.pad_h;
         p.conv.pad_w = op.pad_w;
-        p.rq.input_zp = in.qp.zero_point;
-        p.rq.output_zp = out.qp.zero_point;
-        if (w.channel_scales.empty()) {
-          p.rq.mult = quant::quantize_multiplier(
-              static_cast<double>(in.qp.scale) * w.qp.scale / out.qp.scale);
-        } else {
-          p.rq.per_channel.reserve(w.channel_scales.size());
-          for (float ws : w.channel_scales)
-            p.rq.per_channel.push_back(quant::quantize_multiplier(
-                static_cast<double>(in.qp.scale) * ws / out.qp.scale));
-        }
-        activation_range(op.act, out.qp, out.bits, &p.rq.act_min, &p.rq.act_max);
-        break;
-      }
-      case OpType::kFullyConnected: {
-        const TensorDef& in = model_.tensors[static_cast<size_t>(op.inputs[0])];
-        const TensorDef& w = model_.tensors[static_cast<size_t>(op.inputs[1])];
-        p.fc_in = static_cast<int32_t>(w.shape.dim(1));
-        p.fc_out = static_cast<int32_t>(w.shape.dim(0));
-        if (in.elements() != p.fc_in)
-          throw std::runtime_error("Interpreter: FC input size mismatch");
-        p.rq.input_zp = in.qp.zero_point;
-        p.rq.output_zp = out.qp.zero_point;
-        if (w.channel_scales.empty()) {
-          p.rq.mult = quant::quantize_multiplier(
-              static_cast<double>(in.qp.scale) * w.qp.scale / out.qp.scale);
-        } else {
-          for (float ws : w.channel_scales)
-            p.rq.per_channel.push_back(quant::quantize_multiplier(
-                static_cast<double>(in.qp.scale) * ws / out.qp.scale));
-        }
-        activation_range(op.act, out.qp, out.bits, &p.rq.act_min, &p.rq.act_max);
         break;
       }
       case OpType::kAvgPool2D:
-      case OpType::kMaxPool2D: {
-        const TensorDef& in = model_.tensors[static_cast<size_t>(op.inputs[0])];
+      case OpType::kMaxPool2D:
         p.pool.in_h = static_cast<int32_t>(in.shape.dim(0));
         p.pool.in_w = static_cast<int32_t>(in.shape.dim(1));
         p.pool.ch = static_cast<int32_t>(in.shape.dim(2));
@@ -277,58 +253,66 @@ void Interpreter::prepare() {
         p.pool.stride = op.stride;
         p.pool.pad_h = op.pad_h;
         p.pool.pad_w = op.pad_w;
-        activation_range(op.act, out.qp, out.bits, &p.rq.act_min, &p.rq.act_max);
         break;
-      }
       case OpType::kAdd: {
-        const TensorDef& a = model_.tensors[static_cast<size_t>(op.inputs[0])];
         const TensorDef& b = model_.tensors[static_cast<size_t>(op.inputs[1])];
-        const double twice_max = 2.0 * std::max(a.qp.scale, b.qp.scale);
-        p.add.a_zp = a.qp.zero_point;
+        const double twice_max = 2.0 * std::max(in.qp.scale, b.qp.scale);
+        p.add.a_zp = in.qp.zero_point;
         p.add.b_zp = b.qp.zero_point;
         p.add.out_zp = out.qp.zero_point;
         p.add.left_shift = 20;
-        p.add.a_mult = quant::quantize_multiplier(a.qp.scale / twice_max);
+        p.add.a_mult = quant::quantize_multiplier(in.qp.scale / twice_max);
         p.add.b_mult = quant::quantize_multiplier(b.qp.scale / twice_max);
         p.add.out_mult = quant::quantize_multiplier(
             twice_max / ((1 << p.add.left_shift) * static_cast<double>(out.qp.scale)));
-        activation_range(op.act, out.qp, out.bits, &p.add.act_min, &p.add.act_max);
+        p.add.act_min = p.rq.act_min;
+        p.add.act_max = p.rq.act_max;
         break;
       }
-      case OpType::kSoftmax: {
-        const TensorDef& in = model_.tensors[static_cast<size_t>(op.inputs[0])];
+      case OpType::kSoftmax:
         p.softmax_scale = in.qp.scale;
         break;
-      }
-      case OpType::kOpTypeCount:
-        throw std::runtime_error("Interpreter: invalid op type");
+      case OpType::kOpTypeCount:  // rejected by ModelDef::check
+        break;
     }
-    // Int4 results go through the nibble codec, which keeps only the low
-    // four bits: the fused clamp must already land in [-8, 7].
-    const int32_t lo = op.type == OpType::kAdd ? p.add.act_min : p.rq.act_min;
-    const int32_t hi = op.type == OpType::kAdd ? p.add.act_max : p.rq.act_max;
-    if (out.bits == 4 && stages_int4(model_, op) &&
-        (lo < -8 || hi > 7 || lo > hi))
-      throw_rt_error(RtError{
-          ErrorCode::kUnsupportedOp,
-          "Interpreter: int4 op " + std::to_string(i) + " (" +
-              op_type_name(op.type) + ") clamps to [" + std::to_string(lo) +
-              ", " + std::to_string(hi) + "], outside [-8, 7]"});
   }
 }
 
-std::span<uint8_t> Interpreter::arena_span(int tensor_id) {
+Interpreter::Operand Interpreter::locate(int tensor_id) const {
+  if (tensor_id < 0) return {};
+  const TensorDef& t = model_.tensors[static_cast<size_t>(tensor_id)];
+  if (t.is_const) return {true, t.blob_offset, t.storage_bytes()};
+  // Every arena tensor has an allocation: plan_memory places them all, and
+  // an injected plan was checked for it above.
   const TensorAllocation* a = plan_.find(tensor_id);
-  if (a == nullptr) throw std::runtime_error("Interpreter: not an arena tensor");
-  return {arena_.data() + kArenaGuardBytes + a->offset, static_cast<size_t>(a->bytes)};
+  return {false, kArenaGuardBytes + a->offset, a->bytes};
 }
 
-std::span<const uint8_t> Interpreter::tensor_bytes(int tensor_id) {
-  const TensorDef& t = model_.tensors[static_cast<size_t>(tensor_id)];
-  if (t.is_const)
-    return {model_.weights_blob.data() + t.blob_offset,
-            static_cast<size_t>(t.storage_bytes())};
-  return arena_span(tensor_id);
+void Interpreter::locate_operands() {
+  operands_.resize(model_.ops.size());
+  for (size_t i = 0; i < model_.ops.size(); ++i) {
+    const OpDef& op = model_.ops[i];
+    OpOperands& o = operands_[i];
+    o.in = locate(op.inputs[0]);
+    o.out = locate(op.output);
+    if (op.type == OpType::kAdd) o.in2 = locate(op.inputs[1]);
+    if (op.type == OpType::kConv2D || op.type == OpType::kDepthwiseConv2D ||
+        op.type == OpType::kFullyConnected) {
+      o.weights = locate(op.inputs[1]);
+      if (op.inputs.size() > 2) o.bias = locate(op.inputs[2]);
+    }
+  }
+  model_in_ = locate(model_.input_tensor);
+  model_out_ = locate(model_.output_tensor);
+}
+
+std::span<const uint8_t> Interpreter::bytes(const Operand& o) const {
+  const uint8_t* base = o.in_blob ? model_.weights_blob.data() : arena_.data();
+  return {base + o.offset, static_cast<size_t>(o.bytes)};
+}
+
+std::span<uint8_t> Interpreter::arena_bytes(const Operand& o) {
+  return {arena_.data() + o.offset, static_cast<size_t>(o.bytes)};
 }
 
 namespace {
@@ -348,7 +332,7 @@ std::span<const int8_t> Interpreter::op_weights(size_t i) {
   if (const auto& panel = packed_->per_op[i])  // int4 depthwise, unpacked
     return {panel->rows.data(), static_cast<size_t>(panel->row_len)};
   const TensorDef& w = model_.tensors[static_cast<size_t>(op.inputs[1])];
-  const auto w_b = tensor_bytes(op.inputs[1]);
+  const auto w_b = bytes(operands_[i].weights);
   if (w.bits == 8) return as_s8(w_b);
   const std::span<int8_t> values{stage_w_.data(),
                                  static_cast<size_t>(w.elements())};
@@ -357,25 +341,12 @@ std::span<const int8_t> Interpreter::op_weights(size_t i) {
 }
 
 void Interpreter::run_op(size_t i) {
+  // ModelDef::check has already refused every op this cannot run.
   const OpDef& op = model_.ops[i];
   const PreparedOp& p = prepared_[i];
-  const TensorDef& out_t = model_.tensors[static_cast<size_t>(op.output)];
+  const OpOperands& o = operands_[i];
   const TensorDef& in_t = model_.tensors[static_cast<size_t>(op.inputs[0])];
-  const int bits = in_t.bits;
-  if (bits != 8 && bits != 4)
-    throw std::runtime_error("Interpreter: unsupported activation bits");
-  const bool weighted = op.type == OpType::kConv2D ||
-                        op.type == OpType::kDepthwiseConv2D ||
-                        op.type == OpType::kFullyConnected;
-  if (out_t.bits != bits ||
-      ((weighted || op.type == OpType::kAdd) &&
-       model_.tensors[static_cast<size_t>(op.inputs[1])].bits != bits))
-    throw std::runtime_error(std::string("Interpreter: mixed-precision ") +
-                             op_type_name(op.type) + " unsupported");
-  const bool s4 = bits == 4;
-  if (s4 && !stages_int4(model_, op))
-    throw std::runtime_error(std::string("Interpreter: int4 ") +
-                             op_type_name(op.type) + " unsupported");
+  const bool s4 = in_t.bits == 4;
   const bool fast = op_backend_[i] == kernels::BackendKind::kFast;
   obs::counter_add(fast ? obs::Counter::kBackendFastOps
                         : obs::Counter::kBackendReferenceOps,
@@ -386,8 +357,8 @@ void Interpreter::run_op(size_t i) {
   if (fast)
     backend_span.emplace("backend_fast", obs::Cat::kKernel, "op",
                          static_cast<int64_t>(i));
-  const auto in_b = tensor_bytes(op.inputs[0]);
-  const auto out_b = arena_span(op.output);
+  const auto in_b = bytes(o.in);
+  const auto out_b = arena_bytes(o.out);
   // Int4 is a storage format: the int8 kernel runs on the op's unpacked
   // input and writes into scratch, and the result is packed into the arena.
   std::span<const int8_t> x = as_s8(in_b);
@@ -397,25 +368,18 @@ void Interpreter::run_op(size_t i) {
                                static_cast<size_t>(in_t.elements())};
     quant::unpack_int4(in_b, x4);
     x = x4;
-    y = {stage_out_.data(), static_cast<size_t>(out_t.elements())};
+    y = {stage_out_.data(),
+         static_cast<size_t>(
+             model_.tensors[static_cast<size_t>(op.output)].elements())};
   }
   // Add's second operand, staged behind the first at int4.
-  std::span<const int8_t> b;
-  if (op.type == OpType::kAdd) {
-    const auto b_b = tensor_bytes(op.inputs[1]);
-    b = as_s8(b_b);
-    if (s4) {
-      const std::span<int8_t> b4{
-          stage_in_.data() + x.size(),
-          static_cast<size_t>(
-              model_.tensors[static_cast<size_t>(op.inputs[1])].elements())};
-      quant::unpack_int4(b_b, b4);
-      b = b4;
-    }
+  std::span<const int8_t> b = as_s8(bytes(o.in2));
+  if (s4 && op.type == OpType::kAdd) {
+    const std::span<int8_t> b4{stage_in_.data() + x.size(), x.size()};
+    quant::unpack_int4(bytes(o.in2), b4);
+    b = b4;
   }
-  std::span<const int32_t> bias;
-  if (weighted && op.inputs.size() > 2 && op.inputs[2] >= 0)
-    bias = as_s32(tensor_bytes(op.inputs[2]));
+  const std::span<const int32_t> bias = as_s32(bytes(o.bias));
   switch (op.type) {
     case OpType::kConv2D:
       if (fast)
@@ -453,7 +417,7 @@ void Interpreter::run_op(size_t i) {
                           p.softmax_scale);
       break;
     case OpType::kOpTypeCount:
-      throw std::runtime_error("Interpreter: invalid op type");
+      break;
   }
   if (s4) quant::pack_int4(y, out_b);
 }
@@ -478,63 +442,58 @@ Expected<TensorI8> Interpreter::try_invoke_quantized(const TensorI8& input) {
                        "Interpreter: int4 input element " + std::to_string(i) +
                            " is " + std::to_string(input[i]) +
                            ", outside [-8, 7]"};
-  try {
-    auto in_b = arena_span(model_.input_tensor);
-    if (in_t.bits == 8)
-      std::memcpy(in_b.data(), input.data(), static_cast<size_t>(input.size()));
-    else
-      quant::pack_int4(input.span(), in_b);
-    {
-      obs::SpanScope invoke_span("invoke", obs::Cat::kRuntime, "ops",
-                                 static_cast<int64_t>(model_.ops.size()));
-      obs::counter_add(obs::Counter::kInterpreterInvokes, 1);
-      obs::counter_add(obs::Counter::kInterpreterOps,
-                       static_cast<int64_t>(model_.ops.size()));
-      for (size_t i = 0; i < model_.ops.size(); ++i) {
-        obs::SpanScope op_span(op_type_name(model_.ops[i].type),
-                               obs::Cat::kKernel, "op",
-                               static_cast<int64_t>(i), "macs", op_macs_[i]);
-        if (profiling_) {
-          const auto t0 = std::chrono::steady_clock::now();
-          run_op(i);
-          op_wall_ns_[i] += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
-        } else {
-          run_op(i);
-        }
-        // Per-op counter-track samples: the arena fill/drain curve (Fig. 2
-        // over the trace timeline), scratch in use, the global MAC counter,
-        // and — when a table was injected — the op's predicted energy.
-        if (obs::tracing_enabled()) {
-          obs::trace_counter("arena_bytes",
-                             static_cast<double>(op_live_bytes_[i]));
-          obs::trace_counter("scratch_bytes",
-                             static_cast<double>(op_scratch_bytes_[i]));
-          obs::trace_counter(
-              "cumulative_macs",
-              static_cast<double>(
-                  obs::counter_value(obs::Counter::kKernelMacs)));
-          if (!op_energy_uj_.empty())
-            obs::trace_counter("op_energy_uj", op_energy_uj_[i]);
-        }
+  auto in_b = arena_bytes(model_in_);
+  if (in_t.bits == 8)
+    std::memcpy(in_b.data(), input.data(), static_cast<size_t>(input.size()));
+  else
+    quant::pack_int4(input.span(), in_b);
+  {
+    obs::SpanScope invoke_span("invoke", obs::Cat::kRuntime, "ops",
+                               static_cast<int64_t>(model_.ops.size()));
+    obs::counter_add(obs::Counter::kInterpreterInvokes, 1);
+    obs::counter_add(obs::Counter::kInterpreterOps,
+                     static_cast<int64_t>(model_.ops.size()));
+    for (size_t i = 0; i < model_.ops.size(); ++i) {
+      obs::SpanScope op_span(op_type_name(model_.ops[i].type),
+                             obs::Cat::kKernel, "op",
+                             static_cast<int64_t>(i), "macs", op_macs_[i]);
+      if (profiling_) {
+        const auto t0 = std::chrono::steady_clock::now();
+        run_op(i);
+        op_wall_ns_[i] += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+      } else {
+        run_op(i);
       }
-      if (profiling_) ++profiled_invocations_;
+      // Per-op counter-track samples: the arena fill/drain curve (Fig. 2
+      // over the trace timeline), scratch in use, the global MAC counter,
+      // and — when a table was injected — the op's predicted energy.
+      if (obs::tracing_enabled()) {
+        obs::trace_counter("arena_bytes",
+                           static_cast<double>(op_live_bytes_[i]));
+        obs::trace_counter("scratch_bytes",
+                           static_cast<double>(op_scratch_bytes_[i]));
+        obs::trace_counter(
+            "cumulative_macs",
+            static_cast<double>(
+                obs::counter_value(obs::Counter::kKernelMacs)));
+        if (!op_energy_uj_.empty())
+          obs::trace_counter("op_energy_uj", op_energy_uj_[i]);
+      }
     }
-    ++invocations_;
-    if (auto err = check_canaries()) return *err;
-    const TensorDef& out_t = model_.tensors[static_cast<size_t>(model_.output_tensor)];
-    auto out_b = tensor_bytes(model_.output_tensor);
-    TensorI8 out(out_t.shape);
-    if (out_t.bits == 8)
-      std::memcpy(out.data(), out_b.data(), static_cast<size_t>(out.size()));
-    else
-      quant::unpack_int4(out_b, out.span());
-    return out;
-  } catch (const std::exception& e) {
-    // run_op rejects op/precision combinations the kernels cannot execute.
-    return RtError{ErrorCode::kUnsupportedOp, e.what()};
+    if (profiling_) ++profiled_invocations_;
   }
+  ++invocations_;
+  if (auto err = check_canaries()) return *err;
+  const TensorDef& out_t = model_.tensors[static_cast<size_t>(model_.output_tensor)];
+  auto out_b = bytes(model_out_);
+  TensorI8 out(out_t.shape);
+  if (out_t.bits == 8)
+    std::memcpy(out.data(), out_b.data(), static_cast<size_t>(out.size()));
+  else
+    quant::unpack_int4(out_b, out.span());
+  return out;
 }
 
 Expected<TensorF> Interpreter::try_invoke(const TensorF& input_image) {

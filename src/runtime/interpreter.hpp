@@ -69,7 +69,9 @@ class Interpreter {
  public:
   // The interpreter stores a copy of the model ("flash contents") and
   // allocates its arena up front (AllocateTensors analog). Runs on the
-  // default (fast) kernel backend.
+  // default (fast) kernel backend. Every constructor refuses a model that
+  // fails ModelDef::check(), throwing its typed RtError, so an interpreter
+  // that exists can run every op of its model.
   explicit Interpreter(ModelDef model);
 
   // Pre-planned construction: reuses a MemoryPlan computed once per model so
@@ -98,8 +100,8 @@ class Interpreter {
   // --- hardened no-throw path ---------------------------------------------
   // Same execution as invoke/invoke_quantized but returns typed errors
   // (input mismatch, NaN/Inf input or output, weights CRC drift, arena
-  // canary overrun, unsupported op) instead of throwing. The throwing API
-  // above is a thin wrapper over these.
+  // canary overrun) instead of throwing. The throwing API above is a thin
+  // wrapper over these.
   Expected<TensorF> try_invoke(const TensorF& input_image);
   Expected<TensorI8> try_invoke_quantized(const TensorI8& input);
 
@@ -177,15 +179,30 @@ class Interpreter {
     float softmax_scale = 0.f;
   };
 
+  // Where a tensor's bytes live, resolved once at construction: `offset`
+  // into the weights blob (const tensors) or into arena_ (past the leading
+  // guard band). Offsets, not pointers, so a copied or moved interpreter
+  // stays correct. bytes == 0 marks an absent operand (no bias).
+  struct Operand {
+    bool in_blob = false;
+    int64_t offset = 0;
+    int64_t bytes = 0;
+  };
+  // Add's second input is `in2`; conv/depthwise/FC read `weights`/`bias`.
+  struct OpOperands {
+    Operand in, in2, weights, bias, out;
+  };
+
   void prepare();
+  void locate_operands();
+  Operand locate(int tensor_id) const;
+  std::span<const uint8_t> bytes(const Operand& o) const;
+  std::span<uint8_t> arena_bytes(const Operand& o);
   void run_op(size_t op_index);
   // An unpanelled op's int8 weights: in place at int8, unpacked into
   // stage_w_ at int4 (int4 depthwise on the fast backend: its panel).
   std::span<const int8_t> op_weights(size_t op_index);
   void fill_guards();
-
-  std::span<uint8_t> arena_span(int tensor_id);
-  std::span<const uint8_t> tensor_bytes(int tensor_id);
 
   ModelDef model_;
   MemoryPlan plan_;
@@ -193,6 +210,8 @@ class Interpreter {
   std::shared_ptr<const PackedModel> packed_;
   std::vector<kernels::BackendKind> op_backend_;
   std::vector<PreparedOp> prepared_;
+  std::vector<OpOperands> operands_;
+  Operand model_in_, model_out_;
   // Layout: [guard band | planned tensors (plan_.arena_bytes) | guard band].
   std::vector<uint8_t> arena_;
   // Pixel block of im2col columns shared by all fast conv ops (CMSIS-NN

@@ -1,6 +1,7 @@
 #include "runtime/model.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -50,9 +51,12 @@ void activation_range(Activation act, const quant::QuantParams& out_qp,
     *act_min = std::max(*act_min, out_qp.zero_point);
   } else if (act == Activation::kRelu6) {
     *act_min = std::max(*act_min, out_qp.zero_point);
-    const int32_t six =
-        out_qp.zero_point + static_cast<int32_t>(std::lround(6.f / out_qp.scale));
-    *act_max = std::min(*act_max, six);
+    // In double, so that no zero point or scale a model file holds can
+    // overflow; exact for every value the clamp can take.
+    const double six = static_cast<double>(out_qp.zero_point) +
+                       std::round(6.f / out_qp.scale);
+    if (six < *act_max)
+      *act_max = static_cast<int32_t>(std::max<double>(six, INT32_MIN));
   }
 }
 
@@ -444,6 +448,153 @@ ModelDef ModelDef::load(const std::string& path) {
   return try_load(path).take_or_throw();
 }
 
+namespace {
+
+bool is_weighted(OpType t) {
+  return t == OpType::kConv2D || t == OpType::kDepthwiseConv2D ||
+         t == OpType::kFullyConnected;
+}
+
+RtError op_error(ErrorCode code, size_t i, const OpDef& op,
+                 const std::string& what) {
+  return RtError{code, "ModelDef: op " + std::to_string(i) + " (" +
+                           op_type_name(op.type) + ") " + what};
+}
+
+// What the interpreter needs to run op `i`: its precision (kUnsupportedOp)
+// and every size its kernel reads or writes (kGraphInvalid). Runs after the
+// structural checks, so the op's tensor ids and ranks are valid.
+std::optional<RtError> check_op_runnable(const ModelDef& m, size_t i) {
+  const OpDef& op = m.ops[i];
+  const TensorDef& in = m.tensors[static_cast<size_t>(op.inputs[0])];
+  const TensorDef& out = m.tensors[static_cast<size_t>(op.output)];
+  // Weights for conv/depthwise/FC, the second operand for add.
+  const TensorDef* second =
+      is_weighted(op.type) || op.type == OpType::kAdd
+          ? &m.tensors[static_cast<size_t>(op.inputs[1])]
+          : nullptr;
+
+  // Precision: one bit width per op, int8 or int4. Int4 runs as a storage
+  // format (unpack, int8 kernel, pack), which softmax cannot: its output is
+  // fixed at int8.
+  if (in.bits != 8 && in.bits != 4)
+    return op_error(ErrorCode::kUnsupportedOp, i, op,
+                    std::to_string(in.bits) + "-bit activations unsupported");
+  if (out.bits != in.bits || (second != nullptr && second->bits != in.bits))
+    return op_error(ErrorCode::kUnsupportedOp, i, op,
+                    "mixed-precision operands unsupported");
+  if (in.bits == 4 && op.type == OpType::kSoftmax)
+    return op_error(ErrorCode::kUnsupportedOp, i, op, "int4 unsupported");
+  // The fused clamp must be a non-empty range of the output's bit width; an
+  // int4 result goes through the nibble codec, which keeps only the low four
+  // bits.
+  if (op.type != OpType::kSoftmax) {
+    int32_t lo = 0, hi = 0;
+    activation_range(op.act, out.qp, out.bits, &lo, &hi);
+    if (lo > hi) {
+      const quant::QRange r = quant::qrange(out.bits);
+      return op_error(ErrorCode::kUnsupportedOp, i, op,
+                      "clamps to [" + std::to_string(lo) + ", " +
+                          std::to_string(hi) + "], outside [" +
+                          std::to_string(r.qmin) + ", " +
+                          std::to_string(r.qmax) + "]");
+    }
+  }
+
+  // Sizes: what each kernel reads and writes.
+  const Shape& is = in.shape;
+  const Shape& os = out.shape;
+  const Shape& ws = second != nullptr ? second->shape : is;
+  bool fits = true;
+  switch (op.type) {
+    case OpType::kConv2D:  // weights [out_ch][kh][kw][in_ch]
+      fits = ws.dim(0) == os.dim(2) && ws.dim(3) == is.dim(2);
+      break;
+    case OpType::kDepthwiseConv2D:  // weights [1][kh][kw][ch]
+      fits = os.dim(2) == is.dim(2) && ws.dim(3) == is.dim(2);
+      break;
+    case OpType::kFullyConnected:  // weights [out][in]
+      fits = in.elements() == ws.dim(1) && out.elements() == ws.dim(0);
+      break;
+    case OpType::kAvgPool2D:
+    case OpType::kMaxPool2D:
+      fits = os.dim(2) == is.dim(2);
+      break;
+    case OpType::kAdd:
+      fits = ws.elements() == is.elements() && os.elements() == is.elements();
+      break;
+    case OpType::kSoftmax:
+      fits = os.elements() == is.elements();
+      break;
+    case OpType::kOpTypeCount:
+      break;
+  }
+  const auto mismatch = [&](const std::string& what) {
+    return op_error(ErrorCode::kGraphInvalid, i, op, what);
+  };
+  if (!fits)
+    return mismatch("shapes do not fit: input " + is.to_string() +
+                    (second != nullptr ? ", " + ws.to_string() : "") +
+                    ", output " + os.to_string());
+  if (!is_weighted(op.type)) return std::nullopt;
+  // Per-channel scales and the int32 bias hold one entry per output channel.
+  const int64_t channels =
+      op.type == OpType::kFullyConnected ? ws.dim(0) : os.dim(2);
+  if (!second->channel_scales.empty() &&
+      static_cast<int64_t>(second->channel_scales.size()) != channels)
+    return mismatch("weights carry " +
+                    std::to_string(second->channel_scales.size()) +
+                    " channel scales for " + std::to_string(channels) +
+                    " output channels");
+  if (op.inputs.size() > 2 && op.inputs[2] >= 0) {
+    const TensorDef& bias = m.tensors[static_cast<size_t>(op.inputs[2])];
+    if (bias.bits != 32 || bias.elements() != channels)
+      return mismatch("bias " + bias.shape.to_string() + " at " +
+                      std::to_string(bias.bits) + " bits is not " +
+                      std::to_string(channels) + " int32 values");
+  }
+  return std::nullopt;
+}
+
+// Arena dataflow, the lifetimes the planner derives: the model input is
+// written by no op, every other arena tensor by exactly one op before any op
+// reads it, and every arena tensor but the model output is read.
+std::optional<RtError> check_dataflow(const ModelDef& m) {
+  const auto invalid = [](const std::string& what) {
+    return RtError{ErrorCode::kGraphInvalid, "ModelDef: " + what};
+  };
+  const TensorDef& input = m.tensors[static_cast<size_t>(m.input_tensor)];
+  if (input.is_const)
+    return invalid("model input " + input.name + " is a const tensor");
+  std::vector<bool> written(m.tensors.size(), false), read(m.tensors.size(), false);
+  written[static_cast<size_t>(m.input_tensor)] = true;
+  for (size_t i = 0; i < m.ops.size(); ++i) {
+    const OpDef& op = m.ops[i];
+    for (int id : op.inputs) {
+      if (id < 0 || m.tensors[static_cast<size_t>(id)].is_const) continue;
+      if (!written[static_cast<size_t>(id)])
+        return invalid("op " + std::to_string(i) + " reads " +
+                       m.tensors[static_cast<size_t>(id)].name +
+                       " before any op writes it");
+      read[static_cast<size_t>(id)] = true;
+    }
+    if (written[static_cast<size_t>(op.output)])
+      return invalid("op " + std::to_string(i) + " rewrites " +
+                     m.tensors[static_cast<size_t>(op.output)].name);
+    written[static_cast<size_t>(op.output)] = true;
+  }
+  read[static_cast<size_t>(m.output_tensor)] = true;
+  for (size_t t = 0; t < m.tensors.size(); ++t) {
+    if (m.tensors[t].is_const) continue;
+    if (!written[t])
+      return invalid("tensor never written: " + m.tensors[t].name);
+    if (!read[t]) return invalid("tensor never read: " + m.tensors[t].name);
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
 std::optional<RtError> ModelDef::check() const {
   const int nt = static_cast<int>(tensors.size());
   auto bad_id = [&](int id) { return id < 0 || id >= nt; };
@@ -454,6 +605,8 @@ std::optional<RtError> ModelDef::check() const {
   if (bad_id(input_tensor)) return id_error(input_tensor, "model input");
   if (bad_id(output_tensor)) return id_error(output_tensor, "model output");
   for (const TensorDef& t : tensors) {
+    if (t.elements() < 1)
+      return RtError{ErrorCode::kGraphInvalid, "ModelDef: empty tensor " + t.name};
     if (!std::isfinite(t.qp.scale))
       return RtError{ErrorCode::kGraphInvalid,
                      "ModelDef: non-finite quant scale on " + t.name};
@@ -493,10 +646,7 @@ std::optional<RtError> ModelDef::check() const {
                      std::string("ModelDef: ") + op_type_name(op.type) +
                          " writes const tensor " +
                          tensors[static_cast<size_t>(op.output)].name};
-    const bool is_mac_op = op.type == OpType::kConv2D ||
-                           op.type == OpType::kDepthwiseConv2D ||
-                           op.type == OpType::kFullyConnected;
-    if (is_mac_op) {
+    if (is_weighted(op.type)) {
       if (op.inputs.size() < 2 || op.inputs[0] < 0 || op.inputs[1] < 0)
         return RtError{ErrorCode::kGraphInvalid,
                        std::string("ModelDef: ") + op_type_name(op.type) +
@@ -526,7 +676,18 @@ std::optional<RtError> ModelDef::check() const {
         (op.inputs.size() < 2 || op.inputs[0] < 0 || op.inputs[1] < 0))
       return RtError{ErrorCode::kGraphInvalid, "ModelDef: ADD needs two inputs"};
   }
-  return std::nullopt;
+  // The interpreter's rules, all checked here so that a model which loads
+  // also runs: invoke itself checks nothing.
+  for (size_t i = 0; i < ops.size(); ++i)
+    if (auto err = check_op_runnable(*this, i)) return err;
+  for (int id : {input_tensor, output_tensor}) {
+    const TensorDef& t = tensors[static_cast<size_t>(id)];
+    if (t.bits != 8 && t.bits != 4)
+      return RtError{ErrorCode::kUnsupportedOp,
+                     "ModelDef: model input/output " + t.name + " is " +
+                         std::to_string(t.bits) + "-bit, not int8 or int4"};
+  }
+  return check_dataflow(*this);
 }
 
 void ModelDef::validate() const {

@@ -28,8 +28,8 @@ enum class OpType : uint8_t {
   kSoftmax = 6,
   // Keep last. Every dispatch switch carries a static_assert against this
   // (same pattern as serve::outcome_name), so adding an op type fails to
-  // compile until the parser, interpreter, perf model and compiler passes
-  // are all updated.
+  // compile until the parser, validator, interpreter and perf model are all
+  // updated.
   kOpTypeCount,
 };
 
@@ -45,9 +45,8 @@ const char* activation_name(Activation a);
 
 // Fused-activation clamp bounds in the quantized domain: the [min, max] the
 // kernels clamp an op's outputs to for `act` at the output tensor's
-// quantization. Shared by the interpreter (requant preparation) and the
-// graph compiler (activation-fusion legality: a standalone clamp op is
-// foldable iff its transfer function equals clamp to one of these ranges).
+// quantization. Shared by the validator (ModelDef::check's int4 clamp rule)
+// and the interpreter (requant preparation).
 void activation_range(Activation act, const quant::QuantParams& out_qp,
                       int bits, int32_t* act_min, int32_t* act_max);
 

@@ -1,7 +1,6 @@
 #include "runtime/planner.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace mn::rt {
 
@@ -47,10 +46,6 @@ MemoryPlan plan_memory(const ModelDef& model) {
       for (int in : op.inputs)
         if (in == id) a.last_op = std::max(a.last_op, oi);
     }
-    if (a.first_op == -2)
-      throw std::runtime_error("plan_memory: tensor never written: " + t.name);
-    if (a.last_op == -2)
-      throw std::runtime_error("plan_memory: tensor never read: " + t.name);
     allocs.push_back(a);
   }
 

@@ -38,7 +38,9 @@ struct MemoryPlan {
   int64_t peak_live_bytes(int num_ops) const;
 };
 
-// Plans all non-const tensors of the model into a single arena.
+// Plans all non-const tensors of the model into a single arena. The model
+// must pass ModelDef::check(), whose dataflow rules are the lifetimes this
+// derives.
 MemoryPlan plan_memory(const ModelDef& model);
 
 // Naive upper bound (sum of all activation tensors), used to quantify how

@@ -38,6 +38,7 @@ enum class ErrorCode : uint8_t {
   kNonFiniteOutput,     // NaN/Inf in the dequantized output (corrupt scales)
   kArenaOverrun,        // guard-band canary clobbered by a kernel overrun
   kUnsupportedOp,       // op/precision combination the kernels cannot run
+                        // (refused at load by ModelDef::check)
   // --- environment ----------------------------------------------------------
   kIoError,             // file open/read failure
   // --- serving (admission / scheduling) -------------------------------------

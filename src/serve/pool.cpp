@@ -15,11 +15,6 @@ int InterpreterPool::add_variant(VariantSpec spec) {
   Variant v;
   v.pristine = std::move(spec.model);
   v.pristine.validate();
-  // Compile once per variant (like planning and panel packing): the compiled
-  // graph becomes the golden flash image all replicas are built from, so the
-  // CRC baseline, the shared plan and the packed panels all describe the
-  // *compiled* model. Disabled configs are a guaranteed no-op.
-  v.compile_report = compile::Pipeline(spec.compile).run(v.pristine);
   v.plan = rt::plan_memory(v.pristine);  // planned once, shared by replicas
   v.backend = spec.backend;
   // Packed once like the plan: replicas alias the same immutable panels, so

@@ -95,13 +95,6 @@ class InterpreterPool {
     return variants_[static_cast<size_t>(variant)].backend.kind;
   }
 
-  // Graph-compiler report for a variant (enabled == false when the variant
-  // was registered with compilation off). Compilation runs once per variant
-  // at add_variant; replicas share its result like the plan and the panels.
-  const compile::CompileReport& compile_report(int variant) const {
-    return variants_[static_cast<size_t>(variant)].compile_report;
-  }
-
  private:
   struct Variant {
     rt::ModelDef pristine;
@@ -110,7 +103,6 @@ class InterpreterPool {
     // reimage rebuilds) aliases the same immutable panels.
     kernels::BackendConfig backend{};
     std::shared_ptr<const rt::PackedModel> packed;
-    compile::CompileReport compile_report;
     Tick service_ticks = 1;
     uint32_t weights_crc = 0;
   };

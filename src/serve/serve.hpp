@@ -71,12 +71,9 @@ struct VariantSpec {
   // including quarantine/reimage rebuilds — outputs are bit-identical either
   // way, so fingerprints and golden vectors do not depend on this choice.
   kernels::BackendConfig backend{};
-  // Graph-compiler config (default: MN_COMPILE). Like the plan and the
-  // packed panels, compilation runs ONCE per variant: the compiled model
-  // becomes the golden flash image every replica (including quarantine /
-  // reimage rebuilds) is built from. The bit-identity contract means
-  // fingerprints and golden vectors do not depend on this choice either.
-  compile::CompileConfig compile = compile::CompileConfig::from_env();
+  // Ignored. It exists only so the zoo benchmark's pins (zoobench/pins.cpp)
+  // keep building, and goes away when the benchmark is next revised.
+  compile::CompileConfig compile;
 };
 
 struct TenantConfig {

@@ -924,4 +924,33 @@ TEST(BackendValidation, KernelsRejectUndersizedBuffers) {
     EXPECT_THROW(dw(x, short_w, bias, y, g, rq), std::invalid_argument);
     EXPECT_THROW(dw(x, dw_w, bias, y, grown, rq), std::invalid_argument);
   }
+
+  // Pools: a short input, and an output slot sized for fewer channels than
+  // the input has (a 1x1 pool from 4x4x8 into a 4x4x1 slot).
+  kernels::PoolGeometry pg;
+  pg.in_h = pg.in_w = pg.out_h = pg.out_w = 4;
+  pg.ch = 8;
+  pg.kh = pg.kw = 1;
+  const auto px = random_s8(rng, 4 * 4 * 8);
+  std::vector<int8_t> py(px.size());
+  using PoolKernel = void (*)(std::span<const int8_t>, std::span<int8_t>,
+                              const kernels::PoolGeometry&, int32_t, int32_t);
+  for (const PoolKernel pool : {static_cast<PoolKernel>(kernels::avg_pool_s8),
+                                static_cast<PoolKernel>(kernels::max_pool_s8)}) {
+    EXPECT_NO_THROW(pool(px, py, pg, -128, 127));
+    EXPECT_THROW(pool(std::span(px).first(px.size() - 1), py, pg, -128, 127),
+                 std::invalid_argument);
+    EXPECT_THROW(pool(px, std::span(py).first(4 * 4), pg, -128, 127),
+                 std::invalid_argument);
+  }
+
+  // Softmax: rows x cols on both sides.
+  const auto sx = random_s8(rng, 2 * 5);
+  std::vector<int8_t> sy(sx.size());
+  EXPECT_NO_THROW(kernels::softmax_s8(sx, sy, 2, 5, 0.1f));
+  EXPECT_THROW(kernels::softmax_s8(std::span(sx).first(sx.size() - 1), sy, 2,
+                                   5, 0.1f),
+               std::invalid_argument);
+  EXPECT_THROW(kernels::softmax_s8(sx, std::span(sy).first(5), 2, 5, 0.1f),
+               std::invalid_argument);
 }

@@ -128,16 +128,6 @@ TEST(RegressRules, ClassifiesByMetricName) {
   EXPECT_EQ(tools::classify_metric("conv_shapes_count"), Rule::kExact);
   EXPECT_EQ(tools::classify_metric("img_conv_20x20x64_fast_us_p50"),
             Rule::kTailUpperBound);
-  // Compiler-gate rules (PR 9). "compiled_peak" wins over the "bytes" exact
-  // marker so a pipeline that shrinks the arena peak further never fails the
-  // gate; uncompiled peaks and op/fusion counts stay exact.
-  EXPECT_EQ(tools::classify_metric("kws_compiled_peak_live_bytes"),
-            Rule::kArenaPeakUpperBound);
-  EXPECT_EQ(tools::classify_metric("kws_uncompiled_peak_live_bytes"),
-            Rule::kExact);
-  EXPECT_EQ(tools::classify_metric("kws_ops_removed_count"), Rule::kExact);
-  EXPECT_EQ(tools::classify_metric("kws_compile_latency_ratio"),
-            Rule::kRelative);
   // Flight-recorder rules (PR 10). "accounting" wins over everything (the
   // exactly-one-terminal invariant must be zero); "p999" in virtual ticks
   // stays exact via the "ticks" marker, while host-clock p999 gets its own
@@ -345,29 +335,6 @@ TEST(RegressGate, BackendSpeedupIsAnAbsoluteFloorNotBaselineRelative) {
   EXPECT_FALSE(diff(R"("conv_backend_speedup_min": 4.0)",
                     R"("conv_backend_speedup_min": 2.5)", strict)
                    .ok());
-}
-
-TEST(RegressGate, CompiledPeakIsUpperBoundedWithZeroDefaultSlack) {
-  // The compiler shrinking the arena peak further (a new pass firing) is an
-  // improvement and passes; growth of even one byte means a pass stopped
-  // firing and fails with the default zero slack.
-  EXPECT_TRUE(diff(R"("kws_compiled_peak_live_bytes": 4096)",
-                   R"("kws_compiled_peak_live_bytes": 4000)")
-                  .ok());
-  EXPECT_TRUE(diff(R"("kws_compiled_peak_live_bytes": 4096)",
-                   R"("kws_compiled_peak_live_bytes": 4096)")
-                  .ok());
-  const RegressResult r = diff(R"("kws_compiled_peak_live_bytes": 4096)",
-                               R"("kws_compiled_peak_live_bytes": 4097)");
-  EXPECT_FALSE(r.ok());
-  ASSERT_EQ(r.checks.size(), 1u);
-  EXPECT_EQ(r.checks[0].rule, Rule::kArenaPeakUpperBound);
-  EXPECT_NE(r.checks[0].detail.find("arena peak"), std::string::npos);
-  RegressConfig loose;
-  loose.arena_peak_slack = 64.0;
-  EXPECT_TRUE(diff(R"("kws_compiled_peak_live_bytes": 4096)",
-                   R"("kws_compiled_peak_live_bytes": 4128)", loose)
-                  .ok());
 }
 
 TEST(ChaosSpec, ParsesWellFormedSpecs) {

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 
 #include "models/backbones.hpp"
 #include "nn/trainer.hpp"
@@ -99,6 +100,144 @@ TEST(ModelDef, ValidateCatchesBadIndices) {
   EXPECT_THROW(m.validate(), std::runtime_error);
 }
 
+// Appends an op of `type` that reads the model output (twice for ADD) and
+// writes a new tensor of `shape`, which becomes the model output.
+ModelDef with_head(ModelDef m, OpType type, Shape shape) {
+  TensorDef out = m.tensors[static_cast<size_t>(m.output_tensor)];
+  out.name = "head";
+  out.shape = shape;
+  m.tensors.push_back(out);
+  OpDef op;
+  op.type = type;
+  op.inputs = {m.output_tensor};
+  if (type == OpType::kAdd) op.inputs.push_back(m.output_tensor);
+  op.output = static_cast<int>(m.tensors.size()) - 1;
+  m.ops.push_back(op);
+  m.output_tensor = op.output;
+  return m;
+}
+
+TensorDef& tensor(ModelDef& m, int id) {
+  return m.tensors[static_cast<size_t>(id)];
+}
+
+TEST(ModelDef, CheckRejectsUnrunnableGraphs) {
+  // Every rule the interpreter relies on is checked at load time, so an
+  // unrunnable graph fails with the same typed error from check(), from
+  // try_deserialize of its image, and from Interpreter construction.
+  // tiny_model: conv, dw, conv, dw, conv (stem/blocks), avg pool, FC.
+  const ModelDef m8 = tiny_model(15);
+  const ModelDef m4 = tiny_model(15, 4, 4);
+  ASSERT_EQ(m8.ops[5].type, OpType::kAvgPool2D);
+  ASSERT_EQ(m8.ops[6].type, OpType::kFullyConnected);
+  struct Case {
+    const char* name;
+    ModelDef model;
+    ErrorCode code;
+  };
+  std::vector<Case> cases;
+  const auto add = [&](const char* name, ModelDef m, ErrorCode code,
+                       const std::function<void(ModelDef&)>& mutate) {
+    mutate(m);
+    cases.push_back({name, std::move(m), code});
+  };
+  const ErrorCode kOp = ErrorCode::kUnsupportedOp;
+  const ErrorCode kGraph = ErrorCode::kGraphInvalid;
+  // Precision.
+  add("int32 activations", m8, kOp,
+      [](ModelDef& m) { tensor(m, m.input_tensor).bits = 32; });
+  add("int4 weights on an int8 conv", m8, kOp,
+      [](ModelDef& m) { tensor(m, m.ops[0].inputs[1]).bits = 4; });
+  add("int8 output of an int4 conv", m4, kOp,
+      [](ModelDef& m) { tensor(m, m.ops[0].output).bits = 8; });
+  add("int4 softmax", with_head(m4, OpType::kSoftmax, Shape{4}), kOp,
+      [](ModelDef&) {});
+  add("int4 clamp outside [-8, 7]", m4, kOp,
+      [](ModelDef& m) { tensor(m, m.ops[0].output).qp.zero_point = 9; });
+  add("int32 model output", m8, kOp,
+      [](ModelDef& m) { m.output_tensor = m.ops[6].inputs[2]; });
+  // Sizes.
+  add("conv output channels", m8, kGraph,
+      [](ModelDef& m) { tensor(m, m.ops[0].output).shape = Shape{6, 4, 4}; });
+  add("conv input channels", m8, kGraph,
+      [](ModelDef& m) { tensor(m, m.input_tensor).shape = Shape{12, 8, 2}; });
+  add("depthwise channels", m8, kGraph,
+      [](ModelDef& m) { tensor(m, m.ops[1].output).shape = Shape{6, 4, 4}; });
+  add("fc input elements", m8, kGraph,
+      [](ModelDef& m) { tensor(m, m.ops[5].output).shape = Shape{1, 2, 12}; });
+  add("fc output elements", m8, kGraph,
+      [](ModelDef& m) { tensor(m, m.ops[6].output).shape = Shape{5}; });
+  add("add operand sizes", with_head(m8, OpType::kAdd, Shape{3}), kGraph,
+      [](ModelDef&) {});
+  add("bias length", m8, kGraph,
+      [](ModelDef& m) { tensor(m, m.ops[0].inputs[2]).shape = Shape{7}; });
+  add("bias bits", m8, kGraph,
+      [](ModelDef& m) { tensor(m, m.ops[6].inputs[2]).bits = 8; });
+  add("channel scale count", m8, kGraph, [](ModelDef& m) {
+    tensor(m, m.ops[0].inputs[1]).channel_scales.resize(7, 1.f);
+  });
+  add("avg pool output channels", m8, kGraph,
+      [](ModelDef& m) { tensor(m, m.ops[5].output).shape = Shape{1, 1, 1}; });
+  add("max pool output channels", m8, kGraph, [](ModelDef& m) {
+    // A 1x1 max pool from 6x4x12 into 6x4x1 would write 6*4*12 bytes into
+    // a 6*4-byte arena slot.
+    OpDef& pool = m.ops[5];
+    pool.type = OpType::kMaxPool2D;
+    pool.kh = pool.kw = 1;
+    tensor(m, pool.output).shape = Shape{6, 4, 1};
+  });
+  add("softmax output size", with_head(m8, OpType::kSoftmax, Shape{2}),
+      kGraph, [](ModelDef&) {});
+  add("empty tensor", m8, kGraph,
+      [](ModelDef& m) { tensor(m, m.ops[1].output).shape = Shape{6, 0, 8}; });
+  // Dataflow: the lifetimes the planner derives.
+  add("const model input", m8, kGraph, [](ModelDef& m) {
+    tensor(m, m.input_tensor).is_const = true;
+    tensor(m, m.input_tensor).blob_offset = 0;
+  });
+  add("orphan tensor", m8, kGraph, [](ModelDef& m) {
+    TensorDef orphan;
+    orphan.name = "orphan";
+    orphan.shape = Shape{4};
+    m.tensors.push_back(orphan);
+  });
+  add("dead tensor", m8, kGraph, [](ModelDef& m) {
+    TensorDef dead = tensor(m, m.output_tensor);
+    dead.name = "dead";
+    m.tensors.push_back(dead);
+    OpDef writer = m.ops.back();
+    writer.output = static_cast<int>(m.tensors.size()) - 1;
+    m.ops.push_back(writer);
+  });
+  add("read before write", m8, kGraph,
+      [](ModelDef& m) { std::swap(m.ops[1], m.ops[2]); });
+  add("tensor written twice", m8, kGraph,
+      [](ModelDef& m) { m.ops[3].output = m.ops[1].output; });
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto err = c.model.check();
+    ASSERT_TRUE(err.has_value());
+    EXPECT_EQ(err->code, c.code) << err->message;
+    const auto loaded = ModelDef::try_deserialize(c.model.serialize());
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.code(), c.code) << loaded.error().message;
+    const std::string tag = std::string("[") + error_code_name(c.code) + "]";
+    try {
+      Interpreter interp(c.model);
+      ADD_FAILURE() << "expected the constructor to throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(tag, 0), 0u) << e.what();
+    }
+  }
+  // The unmutated models pass all three.
+  for (const ModelDef* m : {&m8, &m4}) {
+    EXPECT_FALSE(m->check().has_value());
+    EXPECT_TRUE(ModelDef::try_deserialize(m->serialize()).ok());
+    EXPECT_NO_THROW(Interpreter{*m});
+  }
+}
+
 TEST(Planner, LifetimesDoNotOverlapInArena) {
   const ModelDef m = tiny_model();
   const MemoryPlan plan = plan_memory(m);
@@ -135,51 +274,22 @@ TEST(Planner, ArenaAtLeastLargestConcurrentPair) {
   }
 }
 
-TEST(Planner, OrphanTensorNeverWrittenThrows) {
-  ModelDef m = tiny_model();
-  TensorDef orphan;
-  orphan.name = "orphan";
-  orphan.shape = Shape{4};
-  orphan.is_const = false;
-  m.tensors.push_back(orphan);  // no op writes it, it is not the input
-  try {
-    plan_memory(m);
-    FAIL() << "expected plan_memory to throw";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("never written"), std::string::npos);
-  }
-}
-
-TEST(Planner, DeadTensorNeverReadThrows) {
-  ModelDef m = tiny_model();
-  TensorDef dead = m.tensors[static_cast<size_t>(m.output_tensor)];
-  dead.name = "dead";
-  m.tensors.push_back(dead);
-  OpDef writer = m.ops.back();  // writes the new tensor; nobody reads it
-  writer.output = static_cast<int>(m.tensors.size()) - 1;
-  m.ops.push_back(writer);
-  try {
-    plan_memory(m);
-    FAIL() << "expected plan_memory to throw";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("never read"), std::string::npos);
-  }
-}
-
 TEST(Interpreter, MixedPrecisionConvIsRejected) {
-  // int4 weights driving int8 activations is not a supported kernel combo;
-  // the throwing path raises and the hardened path reports kUnsupportedOp.
+  // int4 weights driving int8 activations is not a supported kernel combo:
+  // the model is refused at load time with kUnsupportedOp, before any
+  // invoke.
   ModelDef m = tiny_model(15);
   const OpDef& stem = m.ops.front();
   ASSERT_EQ(stem.type, OpType::kConv2D);
   m.tensors[static_cast<size_t>(stem.inputs[1])].bits = 4;
-  Interpreter interp(std::move(m));
-  const TensorF img(Shape{12, 8, 1}, 0.2f);
-  const auto r = interp.try_invoke(img);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.code(), ErrorCode::kUnsupportedOp);
-  EXPECT_NE(r.error().message.find("mixed-precision"), std::string::npos);
-  EXPECT_THROW(interp.invoke(img), std::runtime_error);
+  try {
+    Interpreter interp(std::move(m));
+    FAIL() << "expected the constructor to throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("kUnsupportedOp"), std::string::npos) << what;
+    EXPECT_NE(what.find("mixed-precision"), std::string::npos) << what;
+  }
 }
 
 TEST(Interpreter, OutOfRangeInt4InputIsAnInputMismatch) {

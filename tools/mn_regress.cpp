@@ -3,7 +3,7 @@
 // Usage:
 //   mn_regress [--rel-tol F] [--r2-drop F] [--tail-headroom F]
 //              [--shed-slack F] [--throughput-drop F] [--promotion-slack F]
-//              [--speedup-floor F] [--arena-peak-slack F] [--p999-headroom F]
+//              [--speedup-floor F] [--p999-headroom F]
 //              BASELINE CURRENT [BASELINE CURRENT]...
 //
 // Each (BASELINE, CURRENT) pair is a committed bench/baselines/BENCH_*.json
@@ -40,7 +40,7 @@ int usage() {
                "usage: mn_regress [--rel-tol F] [--r2-drop F] "
                "[--tail-headroom F] [--shed-slack F] [--throughput-drop F] "
                "[--promotion-slack F] [--speedup-floor F] "
-               "[--arena-peak-slack F] [--p999-headroom F] "
+               "[--p999-headroom F] "
                "BASELINE CURRENT [BASELINE CURRENT]...\n");
   return 2;
 }
@@ -65,8 +65,6 @@ int main(int argc, char** argv) {
       cfg.promotion_slack = std::stod(argv[++i]);
     } else if (std::strcmp(argv[i], "--speedup-floor") == 0 && i + 1 < argc) {
       cfg.speedup_floor = std::stod(argv[++i]);
-    } else if (std::strcmp(argv[i], "--arena-peak-slack") == 0 && i + 1 < argc) {
-      cfg.arena_peak_slack = std::stod(argv[++i]);
     } else if (std::strcmp(argv[i], "--p999-headroom") == 0 && i + 1 < argc) {
       cfg.p999_headroom = std::stod(argv[++i]);
     } else if (argv[i][0] == '-') {

@@ -54,13 +54,6 @@ struct RegressConfig {
   // floor, independent of what the committed baseline recorded — the fast
   // backend has to *earn* its place on every machine the gate runs on.
   double speedup_floor = 2.0;
-  // Compiler-gate rule: a "compiled_peak" metric (arena peak_live_bytes of a
-  // graph after the compile pipeline, measured by bench_compile) may never
-  // grow past baseline + arena_peak_slack. The planner and compiler are
-  // deterministic, so the default slack is zero — shrinking the peak further
-  // is an improvement the gate waves through; growing it even one byte means
-  // a pass stopped firing.
-  double arena_peak_slack = 0.0;
   // Flight-recorder gate rule: a "p999" metric measured in host time gets a
   // wider one-sided headroom than p50/p95/p99 — a 1-in-1000 host-time tail
   // is the noisiest quantity the gate sees. ("..._p999_ticks" percentiles
@@ -78,7 +71,6 @@ enum class Rule {
   kThroughputLowerBound,
   kPromotionUpperBound,
   kSpeedupLowerBound,
-  kArenaPeakUpperBound,
   kP999UpperBound,
   kZeroExact,
   kStringEqual,
@@ -94,7 +86,6 @@ inline const char* rule_name(Rule r) {
     case Rule::kThroughputLowerBound: return "throughput-lower";
     case Rule::kPromotionUpperBound: return "promotion-upper";
     case Rule::kSpeedupLowerBound: return "speedup-floor";
-    case Rule::kArenaPeakUpperBound: return "peak-upper-bound";
     case Rule::kP999UpperBound: return "p999-upper-bound";
     case Rule::kZeroExact: return "zero-exact";
     case Rule::kStringEqual: return "string";
@@ -124,13 +115,6 @@ inline Rule classify_metric(const std::string& name) {
   // Deliberately "backend_speedup", not "speedup": fig3's "anomaly_speedup"
   // is an unrelated simulated ratio that must keep its relative rule.
   if (contains(name, "backend_speedup")) return Rule::kSpeedupLowerBound;
-  // Checked before the exact markers: "..._compiled_peak_live_bytes" contains
-  // "bytes", but a compiled peak that *shrinks* (a new pass firing) is an
-  // improvement, not a drift — only growth may fail the gate. The "uncompiled"
-  // guard matters: "uncompiled_peak" contains "compiled_peak" as a substring,
-  // and the *uncompiled* plan is deterministic, so it stays bytes-exact.
-  if (contains(name, "compiled_peak") && !contains(name, "uncompiled"))
-    return Rule::kArenaPeakUpperBound;
   static const char* kExactMarkers[] = {
       "bytes", "flash", "sram", "arena",  "samples", "invokes",
       "layers", "models", "count", "pareto", "size", "epochs",
@@ -249,12 +233,6 @@ inline MetricCheck check_metric(const std::string& name, const JsonValue& base,
       c.pass = v >= cfg.speedup_floor;
       if (!c.pass)
         c.detail = "backend speedup below floor " + num_str(cfg.speedup_floor);
-      break;
-    case Rule::kArenaPeakUpperBound:
-      c.pass = v <= b + cfg.arena_peak_slack;
-      if (!c.pass)
-        c.detail = "compiled arena peak grew past baseline + " +
-                   num_str(cfg.arena_peak_slack);
       break;
     case Rule::kP999UpperBound:
       c.pass = v <= b * (1.0 + cfg.p999_headroom);
