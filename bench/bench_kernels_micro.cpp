@@ -4,13 +4,13 @@
 // zoo depthwise layers and the classifier FC shape, the bench times the
 // reference path (what a reference interpreter actually dispatches: the
 // conv2d_s8 / depthwise_conv2d_s8 / fully_connected_s8 oracles) against the
-// fast backend (kernels_fast.cpp: packed panels + cache-blocked SIMD GEMM,
-// channel-vectorized depthwise), verifies the two outputs byte-for-byte, and
+// fast backend (kernels_fast.cpp: packed panels + the register-tiled conv
+// micro-kernel, which FC shares; channel-vectorized depthwise), verifies the two outputs byte-for-byte, and
 // reports
 //
 //   <shape>_reference_us_p50 / <shape>_fast_us_p50   median per-call latency
 //   <shape>_backend_speedup                           reference / fast ratio
-//   conv_backend_speedup_min                          worst gated-shape ratio
+//   conv_backend_speedup_min                          worst conv-shape ratio
 //   ab_mismatch_count                                 bytes that differed (0)
 //
 // The regression gate (tools/mn_regress) holds every *_backend_speedup
@@ -37,10 +37,6 @@ namespace {
 struct ConvCase {
   const char* name;
   kernels::ConvGeometry g;
-  // Shapes with in_ch == 1 (the KWS stem) are gather-bound, not GEMM-bound:
-  // their ratio hovers right at the floor and would flake the gate on slower
-  // machines, so they are timed and printed but not held to the floor.
-  bool gate = true;
 };
 
 kernels::ConvGeometry geom(int32_t in_h, int32_t in_w, int32_t in_ch,
@@ -107,14 +103,19 @@ int main(int argc, char** argv) {
   const int iters = opt.full ? 40 : 12;
 
   // Fig. 2-class shapes: DS-CNN KWS stem (non-square 10x4 kernel, stride 2,
-  // asymmetric padding), its 3x3 body conv, a MobileNetV2-style VWW
-  // pointwise, a channel-expanding 3x3, and a larger-image 3x3.
+  // asymmetric padding), its 3x3 body conv, a MobileNetV2-style pointwise,
+  // a channel-expanding 3x3 (K = 288), and a larger-image 3x3. Then VWW-S's
+  // own small-K layers: its 50x50 3x3 stem and the 1x1 expansions of its
+  // first two blocks (K = 4 and 8).
   const std::vector<ConvCase> conv_cases = {
-      {"kws_stem_49x10x1", geom(49, 10, 1, 64, 10, 4, 2, 4, 1), false},
+      {"kws_stem_49x10x1", geom(49, 10, 1, 64, 10, 4, 2, 4, 1)},
       {"kws_body_25x5x64", geom(25, 5, 64, 64, 3, 3, 1, 1, 1)},
       {"vww_pw_10x10x64", geom(10, 10, 64, 64, 1, 1, 1, 0, 0)},
-      {"vww_expand_10x10x32", geom(10, 10, 32, 64, 3, 3, 1, 1, 1)},
+      {"conv3x3_10x10x32", geom(10, 10, 32, 64, 3, 3, 1, 1, 1)},
       {"img_conv_20x20x64", geom(20, 20, 64, 64, 3, 3, 1, 1, 1)},
+      {"vww_stem_50x50x1", geom(50, 50, 1, 8, 3, 3, 1, 1, 1)},
+      {"vww_expand_50x50x4", geom(50, 50, 4, 24, 1, 1, 1, 0, 0)},
+      {"vww_expand_25x25x8", geom(25, 25, 8, 48, 1, 1, 1, 0, 0)},
   };
 
   int64_t mismatches = 0;
@@ -134,7 +135,7 @@ int main(int argc, char** argv) {
     for (auto& b : bias) b = static_cast<int32_t>(rng.uniform_int(-4096, 4096));
     const kernels::RequantParams rq = default_rq();
 
-    const kernels::PackedOpWeights packed = kernels::pack_rows_s8(
+    const kernels::PackedOpWeights packed = kernels::pack_conv_panel(
         w.span(), g.out_ch, int64_t{g.kh} * g.kw * g.in_ch);
     std::vector<int8_t> fast_scratch(
         static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
@@ -155,13 +156,12 @@ int main(int argc, char** argv) {
                               fast_scratch, g, rq);
     });
     const double speedup = ref_us / fast_us;
-    if (c.gate) min_conv_speedup = std::min(min_conv_speedup, speedup);
-    std::printf("  %-22s ref %8.2f us  fast %8.2f us  speedup %5.2fx%s\n",
-                c.name, ref_us, fast_us, speedup,
-                c.gate ? "" : "  (ungated)");
+    min_conv_speedup = std::min(min_conv_speedup, speedup);
+    std::printf("  %-22s ref %8.2f us  fast %8.2f us  speedup %5.2fx\n",
+                c.name, ref_us, fast_us, speedup);
     report.metric(std::string(c.name) + "_reference_us_p50", ref_us);
     report.metric(std::string(c.name) + "_fast_us_p50", fast_us);
-    if (c.gate) report.metric(std::string(c.name) + "_backend_speedup", speedup);
+    report.metric(std::string(c.name) + "_backend_speedup", speedup);
   }
   report.metric("conv_backend_speedup_min", min_conv_speedup);
 
@@ -220,12 +220,15 @@ int main(int argc, char** argv) {
     fill_s8(w, rng);
     const kernels::RequantParams rq = default_rq();
     const kernels::PackedOpWeights packed =
-        kernels::pack_rows_s8(w.span(), out_f, in_f);
+        kernels::pack_conv_panel(w.span(), out_f, in_f);
+    std::vector<int8_t> fast_scratch(
+        static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(
+            kernels::fully_connected_geometry(in_f, out_f))));
 
     kernels::fully_connected_s8(x.span(), w.span(), {}, y_ref.span(), in_f,
                                 out_f, rq);
-    kernels::fully_connected_s8_fast(x.span(), packed, {}, y_fast.span(), in_f,
-                                     out_f, rq);
+    kernels::fully_connected_s8_fast(x.span(), packed, {}, y_fast.span(),
+                                     fast_scratch, in_f, out_f, rq);
     for (int64_t i = 0; i < y_ref.size(); ++i)
       if (y_ref[i] != y_fast[i]) ++mismatches;
 
@@ -235,7 +238,7 @@ int main(int argc, char** argv) {
     });
     const double fast_us = median_us_per_call(reps, iters * 4, [&] {
       kernels::fully_connected_s8_fast(x.span(), packed, {}, y_fast.span(),
-                                       in_f, out_f, rq);
+                                       fast_scratch, in_f, out_f, rq);
     });
     const double speedup = ref_us / fast_us;
     std::printf("  %-22s ref %8.2f us  fast %8.2f us  speedup %5.2fx\n",

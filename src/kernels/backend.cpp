@@ -12,21 +12,27 @@ const char* backend_name(BackendKind k) {
   return "?";
 }
 
-PackedOpWeights pack_rows_s8(std::span<const int8_t> weights, int64_t num_rows,
-                             int64_t row_len) {
+int64_t conv_panel_bytes(int32_t out_ch, int64_t k) {
+  const int64_t groups = (out_ch + kPanelLanes - 1) / kPanelLanes;
+  return groups * ((k + 1) / 2) * 2 * kPanelLanes;
+}
+
+PackedOpWeights pack_conv_panel(std::span<const int8_t> weights,
+                                int32_t out_ch, int64_t k) {
   PackedOpWeights p;
-  p.row_len = row_len;
-  p.row_stride = (row_len + kPackAlign - 1) / kPackAlign * kPackAlign;
-  p.num_rows = static_cast<int32_t>(num_rows);
-  p.rows.assign(static_cast<size_t>(num_rows * p.row_stride), 0);
-  p.sum_w.assign(static_cast<size_t>(num_rows), 0);
-  for (int64_t r = 0; r < num_rows; ++r) {
-    const int8_t* src = weights.data() + r * row_len;
-    std::memcpy(p.rows.data() + r * p.row_stride, src,
-                static_cast<size_t>(row_len));
-    int32_t s = 0;
-    for (int64_t k = 0; k < row_len; ++k) s += src[k];
-    p.sum_w[static_cast<size_t>(r)] = s;
+  p.out_ch = out_ch;
+  p.k = k;
+  p.values.assign(static_cast<size_t>(conv_panel_bytes(out_ch, k)), 0);
+  const int64_t pairs = (k + 1) / 2;
+  for (int32_t oc = 0; oc < out_ch; ++oc) {
+    // Channel oc's tap pairs sit 16 bytes apart in its group.
+    int8_t* dst = p.values.data() +
+                  int64_t{oc / kPanelLanes} * pairs * 2 * kPanelLanes +
+                  (oc % kPanelLanes) * 2;
+    const int8_t* row = weights.data() + int64_t{oc} * k;
+    for (int64_t t = 0; t + 1 < k; t += 2, dst += 2 * kPanelLanes)
+      std::memcpy(dst, row + t, 2);
+    if (k % 2 != 0) dst[0] = row[k - 1];
   }
   return p;
 }

@@ -7,21 +7,23 @@
 // kernel — it just runs that op on the reference path.
 //
 //   kFast (the default) — kernels_fast.cpp, the production int8 path.
-//     Conv2d and fully-connected run a cache-blocked im2col-GEMM: weight
-//     panels packed once at model-load time (16-byte row stride, zero-point
-//     correction sums), a block of output-pixel columns gathered per GEMM
-//     call so each weight row is streamed once per block instead of once per
-//     pixel, SSE2 pmaddwd inner dot products on x86-64 (exact integer
-//     arithmetic — never a source of divergence) with a scalar fallback
-//     elsewhere, and requant→activation-clamp fused into the store exactly
-//     like the reference kernels. Depthwise runs channel-vectorized on the
-//     raw weights: 16 channels per SSE2 pass, (x - zp) * w formed exactly in
-//     int16 (|255 * 128| < 2^15), a sign-split SIMD requantization, and no
-//     panel. Claims conv2d, depthwise and fully-connected when input,
-//     weights and output are all int8 or all int4; pool, add and softmax
-//     fall back. Int4 ops run these same kernels: the interpreter unpacks
-//     their input into scratch and packs the result, and their panels hold
-//     the weights unpacked (int4 depthwise: one unpacked row).
+//     Conv2d and fully-connected share one register-tiled micro-kernel:
+//     weights packed once at model-load time into 8-channel panels, a tile
+//     of 4 output pixels gathered as int16 columns of (x - input_zp), SSE2
+//     pmaddwd into 8 channels x 4 pixels of int32 accumulators (exact
+//     integer arithmetic — never a source of divergence), and the
+//     requant→activation-clamp of 8 channels at a time in SIMD, exact like
+//     the reference kernels' scalar primitive. A fully-connected layer is a
+//     1x1 conv on one pixel. Non-x86 hosts, and zero points outside int8
+//     range, take a scalar loop over the same panel. Depthwise runs
+//     channel-vectorized on the raw weights: 16 channels per SSE2 pass,
+//     (x - zp) * w formed exactly in int16 (|255 * 128| < 2^15), the same
+//     SIMD requantization, and no panel. Claims conv2d, depthwise and
+//     fully-connected when input, weights and output are all int8 or all
+//     int4; pool, add and softmax fall back. Int4 ops run these same
+//     kernels: the interpreter unpacks their input into scratch and packs
+//     the result, and their panels are packed from the unpacked weights
+//     (int4 depthwise: the unpacked weights as they are).
 //   kReference — the naive loops in kernels_s8.cpp: the semantic ground
 //     truth every claimed op must match byte-for-byte, at int4 through the
 //     same unpack/pack staging. Reached only through
@@ -64,45 +66,48 @@ struct BackendConfig {
 
 // --- packed weight panels (fast backend, built once at model load) ----------
 
-// Row stride granule: SSE2 register width. Rows padded to a multiple of this
-// never need a scalar tail when the right-hand side is also padded.
-inline constexpr int64_t kPackAlign = 16;
+// Output channels per panel group: one micro-kernel tile is this many
+// channels wide.
+inline constexpr int32_t kPanelLanes = 8;
 
-// One conv/FC weight matrix repacked for the fast GEMM: `num_rows` rows
-// (output channels / features) of `row_len` int8 values, each stored at a
-// 16-byte-aligned stride with a zero tail, plus the per-row weight sums that
-// fold the input zero point out of the inner loop:
-//   sum((x - zp) * w) == sum(x * w) - zp * sum(w)
-// (exact in integer arithmetic, so bit-exactness is preserved).
+// Weights a fast-served op reads from host memory instead of the model
+// blob, prepared once at load.
+//
+// Conv and fully-connected weights (out_ch rows of k values: conv
+// [out_ch][kh][kw][in_ch], k = kh*kw*in_ch; FC [out][in], k = in) are laid
+// out for the micro-kernel as
+//   [ceil(out_ch / 8) groups][ceil(k / 2) pairs][8 channels][2 taps]
+// so one 16-byte load holds a tap pair for 8 output channels. Missing
+// channels and the odd last tap are zero weights, whose products vanish.
+// Int4 depthwise keeps its unpacked [kh, kw, ch] weights as they are in
+// `values`, with out_ch = k = 0.
 struct PackedOpWeights {
-  std::vector<int8_t> rows;    // [num_rows][row_stride], tails zeroed
-  std::vector<int32_t> sum_w;  // per-row sum of weights
-  int64_t row_len = 0;
-  int64_t row_stride = 0;      // row_len rounded up to kPackAlign
-  int32_t num_rows = 0;
+  std::vector<int8_t> values;
+  int32_t out_ch = 0;
+  int64_t k = 0;
 
-  int64_t bytes() const {
-    return static_cast<int64_t>(rows.size() + 4 * sum_w.size());
-  }
+  int64_t bytes() const { return static_cast<int64_t>(values.size()); }
 };
 
-// Packs `num_rows` x `row_len` row-major int8 weights (conv: rows = out_ch,
-// row_len = kh*kw*in_ch; FC: rows = out_features, row_len = in_features).
-PackedOpWeights pack_rows_s8(std::span<const int8_t> weights, int64_t num_rows,
-                             int64_t row_len);
+// Bytes of the panel for out_ch rows of k weights.
+int64_t conv_panel_bytes(int32_t out_ch, int64_t k);
+
+// Packs out_ch x k row-major int8 weights into the panel layout above.
+PackedOpWeights pack_conv_panel(std::span<const int8_t> weights,
+                                int32_t out_ch, int64_t k);
 
 // --- fast-backend kernels ---------------------------------------------------
 
-// Output-pixel columns gathered per GEMM call (the cache block): each packed
-// weight row is read once per block instead of once per pixel.
-inline constexpr int32_t kConvPixelBlock = 8;
-
-// Scratch for the blocked conv: kConvPixelBlock padded im2col columns.
+// Scratch for conv2d_s8_fast on `g`: the per-call requantization and bias
+// table of every channel group, and one tile of int16 im2col columns.
 int64_t conv2d_fast_scratch_bytes(const ConvGeometry& g);
 
-// Cache-blocked conv2d, bit-identical to conv2d_s8. `packed` must come from
-// pack_rows_s8(weights, out_ch, kh*kw*in_ch); every pixel block is gathered
-// into `scratch`, which must hold at least conv2d_fast_scratch_bytes(g).
+// Conv2d, bit-identical to conv2d_s8. `packed` must come from
+// pack_conv_panel(weights, out_ch, kh*kw*in_ch) and `scratch` hold at least
+// conv2d_fast_scratch_bytes(g). The micro-kernel computes a tile of 8
+// output channels x 4 output pixels in int32 registers over int16 columns
+// of (x - input_zp), then requantizes the 8 channels of each pixel at once
+// and stores them with one 8-byte write.
 void conv2d_s8_fast(std::span<const int8_t> input, const PackedOpWeights& packed,
                     std::span<const int32_t> bias, std::span<int8_t> output,
                     std::span<int8_t> scratch, const ConvGeometry& g,
@@ -117,11 +122,19 @@ void depthwise_conv2d_s8_fast(std::span<const int8_t> input,
                               std::span<int8_t> output, const ConvGeometry& g,
                               const RequantParams& rq);
 
-// Fully connected on a packed panel, bit-identical to fully_connected_s8.
+// The 1x1 conv on one pixel that a fully-connected layer is.
+ConvGeometry fully_connected_geometry(int32_t in_features,
+                                      int32_t out_features);
+
+// Fully connected, bit-identical to fully_connected_s8: conv2d_s8_fast on
+// fully_connected_geometry. `packed` must come from
+// pack_conv_panel(weights, out_features, in_features) and `scratch` hold
+// conv2d_fast_scratch_bytes(fully_connected_geometry(...)).
 void fully_connected_s8_fast(std::span<const int8_t> input,
                              const PackedOpWeights& packed,
                              std::span<const int32_t> bias,
-                             std::span<int8_t> output, int32_t in_features,
+                             std::span<int8_t> output,
+                             std::span<int8_t> scratch, int32_t in_features,
                              int32_t out_features, const RequantParams& rq);
 
 }  // namespace mn::kernels

@@ -1,26 +1,37 @@
-// Fast-backend kernels: cache-blocked im2col-GEMM over weight panels packed
-// at model-load time (see backend.hpp for the layout and the bit-exactness
-// contract).
+// Fast-backend kernels (see backend.hpp for the panel layout and the
+// bit-exactness contract).
 //
-// Three ingredients, each exact in integer arithmetic:
-//   1. Zero-point folding. The reference inner loop computes
-//      sum((x - zp) * w); the packed panel carries sum(w) per row, so the
-//      loop runs the plain dot sum(x * w) and the initializer absorbs
-//      -zp * sum(w). Same int32 value, one subtraction fewer per MAC.
-//   2. Pixel-block cache blocking. A block of kConvPixelBlock im2col columns
-//      is gathered once, then every weight row is streamed once *per block*
-//      instead of once per output pixel — an out_ch x block GEMM tile.
-//   3. SSE2 pmaddwd dot products on x86-64 (sign-extend int8 lanes to
-//      int16, multiply-accumulate pairs into int32). Integer SIMD wraps
-//      exactly like scalar int32 arithmetic, so reassociating the
-//      accumulation order cannot change the result. Non-x86 hosts take the
-//      unrolled scalar path below — slower, still byte-identical.
+// Conv2d and fully-connected run one register-tiled micro-kernel, each step
+// exact in integer arithmetic:
+//   1. Gather. A tile of kTilePixels output pixels is gathered into int16
+//      im2col columns holding x - input_zp (padding taps hold 0, which is
+//      what the reference kernel's skipped taps contribute), laid out
+//      [tap pair][pixel][2] to match the panel's [tap pair][channel][2].
+//   2. Multiply-accumulate. For each tap pair, 16 panel bytes (8 output
+//      channels x 2 taps) are loaded once and widened to int16; each
+//      pixel's 2 column values are broadcast and pmaddwd sums the two
+//      products per channel into int32. With the zero point in int8 range,
+//      |x - zp| <= 255 and |w| <= 128, so each pair sum is at most
+//      2 * 255 * 128 < 2^31: exact. Accumulating in int32 wraps exactly like
+//      the reference's scalar int32 sum, and integer addition is order-free,
+//      so the tiling cannot change a result. The 8 x 4 accumulators start
+//      at the bias and never need a horizontal reduction.
+//   3. Store. Each pixel's 8 channels are requantized at once by
+//      requant_lanes (exact, see there), clamped in int16 and written with
+//      one 8-byte store; a group with a lane outside requant_lanes' domain,
+//      or a clamp wider than int8, requantizes through the scalar primitive
+//      instead.
+// A fully-connected layer is the same kernel on a 1x1 conv of one pixel,
+// run with a one-pixel tile. Non-x86 hosts, and zero points outside int8
+// range, run the scalar loop over the same panel — slower, byte-identical.
 //
-// Depthwise needs none of the three: it runs channel-vectorized on the raw
-// weights (see depthwise_group_sse2 for the int16 product bound and
-// requant_lanes for the exact SIMD requantization).
+// Depthwise needs no panel: it runs channel-vectorized on the raw weights
+// (see depthwise_group_sse2 for the int16 product bound) with the same
+// requant_lanes.
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <new>
 #include <stdexcept>
 #include <string>
 
@@ -35,6 +46,13 @@ namespace mn::kernels {
 
 namespace {
 
+// Output pixels per conv micro-kernel tile.
+constexpr int kTilePixels = 4;
+
+// Scratch bytes per 8-channel group for its per-call constants
+// (GroupConsts below).
+constexpr int64_t kGroupConstsBytes = 144;
+
 #if defined(__SSE2__)
 // Sign-extends the low / high 8 bytes of `v` to int16 lanes (unpack-with-
 // self + arithmetic shift: SSE2 has no pmovsxbw).
@@ -46,48 +64,12 @@ inline __m128i widen_hi_s8(__m128i v) {
 }
 #endif
 
-// Exact dot product of two int8 rows. `n` may exceed the logically valid
-// prefix only when both tails are zero-padded (packed rows / padded columns).
-inline int32_t dot_s8(const int8_t* x, const int8_t* w, int64_t n) {
-#if defined(__SSE2__)
-  __m128i acc = _mm_setzero_si128();
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i xv =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i));
-    const __m128i wv =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + i));
-    // Products of int16 pairs summed into int32 lanes: exact.
-    acc = _mm_add_epi32(acc, _mm_madd_epi16(widen_lo_s8(xv), widen_lo_s8(wv)));
-    acc = _mm_add_epi32(acc, _mm_madd_epi16(widen_hi_s8(xv), widen_hi_s8(wv)));
-  }
-  alignas(16) int32_t lanes[4];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
-  int32_t s = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < n; ++i) s += static_cast<int32_t>(x[i]) * w[i];
-  return s;
-#else
-  int32_t s = 0;
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    s += static_cast<int32_t>(x[i]) * w[i];
-    s += static_cast<int32_t>(x[i + 1]) * w[i + 1];
-    s += static_cast<int32_t>(x[i + 2]) * w[i + 2];
-    s += static_cast<int32_t>(x[i + 3]) * w[i + 3];
-  }
-  for (; i < n; ++i) s += static_cast<int32_t>(x[i]) * w[i];
-  return s;
-#endif
-}
-
-// A panel must be packed for this op's shape and hold every padded row the
-// GEMM streams; anything else throws before a byte is read.
-void check_panel(const char* who, const PackedOpWeights& p, int64_t num_rows,
-                 int64_t row_len) {
-  if (p.num_rows != num_rows || p.row_len != row_len ||
-      p.row_stride < row_len ||
-      static_cast<int64_t>(p.rows.size()) < num_rows * p.row_stride ||
-      static_cast<int64_t>(p.sum_w.size()) < num_rows)
+// A panel must be packed for this op's shape and hold every group the
+// kernel streams; anything else throws before a byte is read.
+void check_panel(const char* who, const PackedOpWeights& p, int32_t out_ch,
+                 int64_t k) {
+  if (p.out_ch != out_ch || p.k != k ||
+      static_cast<int64_t>(p.values.size()) < conv_panel_bytes(out_ch, k))
     throw std::invalid_argument(std::string(who) +
                                 ": packed panel/geometry mismatch");
 }
@@ -178,12 +160,14 @@ inline __m128i requant_lanes(__m128i x, const RequantLanes& k) {
 }
 
 // Fills `lanes` for channels [c, c + 4 * n) and reports whether every one
-// of them is in requant_lanes' exact domain.
+// of them below `end` is in requant_lanes' exact domain. Lanes at or past
+// `end` (a partial conv group's missing channels) get zero constants; their
+// results are never stored.
 inline bool requant_lanes_for(const RequantParams& rq, int32_t c, int n,
-                              RequantLanes* lanes) {
+                              int32_t end, RequantLanes* lanes) {
   for (int j = 0; j < n; ++j) {
-    alignas(16) int32_t mult[4], round[4], scale[4];
-    for (int l = 0; l < 4; ++l) {
+    alignas(16) int32_t mult[4] = {}, round[4] = {}, scale[4] = {};
+    for (int l = 0; l < 4 && c + 4 * j + l < end; ++l) {
       const quant::FixedMultiplier& m = rq.channel_mult(c + 4 * j + l);
       if (m.multiplier <= 0 || m.shift > 0 || m.shift < -31) return false;
       const int r = -m.shift;
@@ -228,7 +212,7 @@ void depthwise_group_sse2(std::span<const int8_t> input,
           reinterpret_cast<const __m128i*>(bias.data() + c + 4 * j));
   RequantLanes rql[4];
   const bool simd_requant = rq.act_min >= -128 && rq.act_max <= 127 &&
-                            requant_lanes_for(rq, c, kVecs, rql);
+                            requant_lanes_for(rq, c, kVecs, c + 4 * kVecs, rql);
   const __m128i out_zp = _mm_set1_epi32(rq.output_zp);
   const __m128i act_min = _mm_set1_epi16(static_cast<int16_t>(rq.act_min));
   const __m128i act_max = _mm_set1_epi16(static_cast<int16_t>(rq.act_max));
@@ -282,105 +266,336 @@ void depthwise_group_sse2(std::span<const int8_t> input,
         }
       });
 }
+
+// --- conv / fully connected ----------------------------------------------
+
+// One 8-channel conv group's constants, built in scratch once per call:
+// the accumulators' initial value (the bias; zero past out_ch), the SIMD
+// requantization of both 4-channel halves, and whether the group may use
+// it (every lane in requant_lanes' domain and the clamp inside int8).
+struct GroupConsts {
+  __m128i bias[2];
+  RequantLanes lanes[2];
+  bool simd;
+};
+static_assert(sizeof(GroupConsts) == kGroupConstsBytes);
+
+// Gathers the im2col columns of output pixels [p0, p0 + np) into `cols`
+// as int16 x - zp, laid out [tap pair][kPx][2]; padding taps, the odd last
+// tap and pixels past np hold 0. When in_ch is a multiple of 4 every tap
+// starts a pair, so 8 (or 4) channels of the kPx pixels are widened and
+// transposed into place at once.
+template <int kPx>
+void gather_tile(const int8_t* input, const ConvGeometry& g, int32_t zp,
+                 int64_t p0, int np, int16_t* cols) {
+  const int32_t ch = g.in_ch;
+  const int64_t k = int64_t{g.kh} * g.kw * ch;
+  if (k % 2 != 0)
+    for (int px = 0; px < kPx; ++px) cols[(k / 2) * 2 * kPx + 2 * px + 1] = 0;
+  int32_t iy0[kPx], ix0[kPx];
+  for (int px = 0; px < kPx; ++px) {
+    const int64_t p = p0 + px;
+    // A pixel past np sits above the input, so every one of its taps pads.
+    iy0[px] = px < np ? static_cast<int32_t>(p / g.out_w) * g.stride - g.pad_h
+                      : -g.kh;
+    ix0[px] = static_cast<int32_t>(p % g.out_w) * g.stride - g.pad_w;
+  }
+  const __m128i zp16 = _mm_set1_epi16(static_cast<int16_t>(zp));
+  for (int32_t ky = 0; ky < g.kh; ++ky) {
+    for (int32_t kx = 0; kx < g.kw; ++kx) {
+      const int8_t* src[kPx];
+      for (int px = 0; px < kPx; ++px) {
+        const int32_t iy = iy0[px] + ky, ix = ix0[px] + kx;
+        src[px] = iy < 0 || iy >= g.in_h || ix < 0 || ix >= g.in_w
+                      ? nullptr
+                      : input + (int64_t{iy} * g.in_w + ix) * ch;
+      }
+      const int64_t t0 = (int64_t{ky} * g.kw + kx) * ch;
+      int32_t c = 0;
+      if (ch % 4 == 0) {
+        for (; c < ch; c += 8) {
+          const bool half = c + 8 > ch;  // the last 4 channels
+          __m128i v[4] = {};
+          for (int px = 0; px < kPx; ++px) {
+            if (src[px] == nullptr) continue;
+            __m128i raw;
+            if (half) {
+              int32_t four;
+              std::memcpy(&four, src[px] + c, 4);
+              raw = _mm_cvtsi32_si128(four);
+            } else {
+              raw = _mm_loadl_epi64(
+                  reinterpret_cast<const __m128i*>(src[px] + c));
+            }
+            v[px] = _mm_sub_epi16(widen_lo_s8(raw), zp16);
+          }
+          __m128i* dst =
+              reinterpret_cast<__m128i*>(cols + (t0 + c) / 2 * 2 * kPx);
+          if constexpr (kPx == 1) {
+            if (half)
+              _mm_storel_epi64(dst, v[0]);
+            else
+              _mm_storeu_si128(dst, v[0]);
+          } else {
+            // 4x4 transpose of int32 tap pairs: row j of the result is tap
+            // pair j of pixels 0..3.
+            const __m128i ab_lo = _mm_unpacklo_epi32(v[0], v[1]);
+            const __m128i cd_lo = _mm_unpacklo_epi32(v[2], v[3]);
+            _mm_storeu_si128(dst, _mm_unpacklo_epi64(ab_lo, cd_lo));
+            _mm_storeu_si128(dst + 1, _mm_unpackhi_epi64(ab_lo, cd_lo));
+            if (!half) {
+              const __m128i ab_hi = _mm_unpackhi_epi32(v[0], v[1]);
+              const __m128i cd_hi = _mm_unpackhi_epi32(v[2], v[3]);
+              _mm_storeu_si128(dst + 2, _mm_unpacklo_epi64(ab_hi, cd_hi));
+              _mm_storeu_si128(dst + 3, _mm_unpackhi_epi64(ab_hi, cd_hi));
+            }
+          }
+        }
+      }
+      for (; c < ch; ++c) {
+        const int64_t t = t0 + c;
+        int16_t* dst = cols + (t / 2) * 2 * kPx + t % 2;
+        for (int px = 0; px < kPx; ++px)
+          dst[2 * px] = static_cast<int16_t>(
+              src[px] == nullptr ? 0 : src[px][c] - zp);
+      }
+    }
+  }
+}
+
+// Fills `consts` for every 8-channel group of a conv layer.
+void build_group_consts(std::span<const int32_t> bias, const RequantParams& rq,
+                        int32_t out_ch, GroupConsts* consts) {
+  const bool clamp_in_s8 = rq.act_min >= -128 && rq.act_max <= 127;
+  for (int32_t oc0 = 0; oc0 < out_ch; oc0 += kPanelLanes) {
+    GroupConsts* gc = new (consts + oc0 / kPanelLanes) GroupConsts{};
+    alignas(16) int32_t b[kPanelLanes] = {};
+    for (int32_t l = 0; l < kPanelLanes && oc0 + l < out_ch; ++l)
+      b[l] = bias.empty() ? 0 : bias[static_cast<size_t>(oc0 + l)];
+    gc->bias[0] = _mm_load_si128(reinterpret_cast<const __m128i*>(b));
+    gc->bias[1] = _mm_load_si128(reinterpret_cast<const __m128i*>(b + 4));
+    gc->simd = clamp_in_s8 && requant_lanes_for(rq, oc0, 2, out_ch, gc->lanes);
+  }
+}
+
+// Accumulates a group's 8 channels (acc[px][0]: channels 0-3, [1]: 4-7)
+// over every tap pair of the tile's pixels: one 16-byte panel load and
+// widening per pair, then per pixel a broadcast of its int16 tap pair and
+// two pmaddwd. Named accumulators keep all of them in registers.
+inline void tile_mac(const int8_t* w, const int16_t* x, int64_t pairs,
+                     __m128i (&acc)[1][2]) {
+  __m128i lo = acc[0][0], hi = acc[0][1];
+  for (int64_t j = 0; j < pairs; ++j, w += 2 * kPanelLanes, x += 2) {
+    const __m128i wv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(w));
+    int32_t x_pair;
+    std::memcpy(&x_pair, x, 4);
+    const __m128i xb = _mm_set1_epi32(x_pair);
+    lo = _mm_add_epi32(lo, _mm_madd_epi16(widen_lo_s8(wv), xb));
+    hi = _mm_add_epi32(hi, _mm_madd_epi16(widen_hi_s8(wv), xb));
+  }
+  acc[0][0] = lo;
+  acc[0][1] = hi;
+}
+
+inline void tile_mac(const int8_t* w, const int16_t* x, int64_t pairs,
+                     __m128i (&acc)[kTilePixels][2]) {
+  static_assert(kTilePixels == 4);
+  __m128i a0 = acc[0][0], b0 = acc[0][1], a1 = acc[1][0], b1 = acc[1][1];
+  __m128i a2 = acc[2][0], b2 = acc[2][1], a3 = acc[3][0], b3 = acc[3][1];
+  for (int64_t j = 0; j < pairs; ++j, w += 2 * kPanelLanes, x += 8) {
+    const __m128i wv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(w));
+    const __m128i w_lo = widen_lo_s8(wv);
+    const __m128i w_hi = widen_hi_s8(wv);
+    // The 4 pixels' tap pairs are one aligned vector of 4 int32 lanes.
+    const __m128i xv = _mm_load_si128(reinterpret_cast<const __m128i*>(x));
+    __m128i xb = _mm_shuffle_epi32(xv, 0x00);
+    a0 = _mm_add_epi32(a0, _mm_madd_epi16(w_lo, xb));
+    b0 = _mm_add_epi32(b0, _mm_madd_epi16(w_hi, xb));
+    xb = _mm_shuffle_epi32(xv, 0x55);
+    a1 = _mm_add_epi32(a1, _mm_madd_epi16(w_lo, xb));
+    b1 = _mm_add_epi32(b1, _mm_madd_epi16(w_hi, xb));
+    xb = _mm_shuffle_epi32(xv, 0xAA);
+    a2 = _mm_add_epi32(a2, _mm_madd_epi16(w_lo, xb));
+    b2 = _mm_add_epi32(b2, _mm_madd_epi16(w_hi, xb));
+    xb = _mm_shuffle_epi32(xv, 0xFF);
+    a3 = _mm_add_epi32(a3, _mm_madd_epi16(w_lo, xb));
+    b3 = _mm_add_epi32(b3, _mm_madd_epi16(w_hi, xb));
+  }
+  acc[0][0] = a0, acc[0][1] = b0, acc[1][0] = a1, acc[1][1] = b1;
+  acc[2][0] = a2, acc[2][1] = b2, acc[3][0] = a3, acc[3][1] = b3;
+}
+
+// The micro-kernel over every output pixel, kPx pixels per tile: 8 output
+// channels x kPx pixels of int32 accumulators per group (kPx 4 keeps 8 of
+// the 16 xmm registers for them).
+template <int kPx>
+void conv_tiles_sse2(const int8_t* input, const int8_t* panel,
+                     int8_t* output, const GroupConsts* consts,
+                     int16_t* cols, const ConvGeometry& g,
+                     const RequantParams& rq) {
+  const int64_t pixels = int64_t{g.out_h} * g.out_w;
+  const int64_t pairs = (int64_t{g.kh} * g.kw * g.in_ch + 1) / 2;
+  const int64_t group_bytes = pairs * 2 * kPanelLanes;
+  const __m128i out_zp = _mm_set1_epi32(rq.output_zp);
+  const __m128i act_min = _mm_set1_epi16(static_cast<int16_t>(rq.act_min));
+  const __m128i act_max = _mm_set1_epi16(static_cast<int16_t>(rq.act_max));
+  for (int64_t p0 = 0; p0 < pixels; p0 += kPx) {
+    const int np = static_cast<int>(std::min<int64_t>(kPx, pixels - p0));
+    gather_tile<kPx>(input, g, rq.input_zp, p0, np, cols);
+    for (int32_t oc0 = 0; oc0 < g.out_ch; oc0 += kPanelLanes) {
+      const GroupConsts& gc = consts[oc0 / kPanelLanes];
+      __m128i acc[kPx][2];
+      for (int px = 0; px < kPx; ++px) {
+        acc[px][0] = gc.bias[0];
+        acc[px][1] = gc.bias[1];
+      }
+      const int8_t* w = panel + oc0 / kPanelLanes * group_bytes;
+      tile_mac(w, cols, pairs, acc);
+      const int lanes = std::min(kPanelLanes, g.out_ch - oc0);
+      int8_t* out = output + p0 * g.out_ch + oc0;
+      for (int px = 0; px < np; ++px, out += g.out_ch) {
+        if (gc.simd) {
+          // The clamp lies in int8 range, so saturating to int16 and then
+          // clamping gives the same bytes as clamping the int32.
+          __m128i v = _mm_packs_epi32(
+              _mm_add_epi32(requant_lanes(acc[px][0], gc.lanes[0]), out_zp),
+              _mm_add_epi32(requant_lanes(acc[px][1], gc.lanes[1]), out_zp));
+          v = _mm_min_epi16(_mm_max_epi16(v, act_min), act_max);
+          v = _mm_packs_epi16(v, v);
+          if (lanes == kPanelLanes) {
+            _mm_storel_epi64(reinterpret_cast<__m128i*>(out), v);
+          } else {
+            alignas(16) int8_t bytes[16];
+            _mm_store_si128(reinterpret_cast<__m128i*>(bytes), v);
+            std::memcpy(out, bytes, static_cast<size_t>(lanes));
+          }
+        } else {
+          alignas(16) int32_t lane_acc[kPanelLanes];
+          _mm_store_si128(reinterpret_cast<__m128i*>(lane_acc), acc[px][0]);
+          _mm_store_si128(reinterpret_cast<__m128i*>(lane_acc + 4),
+                          acc[px][1]);
+          for (int l = 0; l < lanes; ++l)
+            out[l] = requant_store(lane_acc[l], rq, oc0 + l);
+        }
+      }
+    }
+  }
+}
 #endif  // __SSE2__
+
+// The portable conv: the reference arithmetic over the panel, one output
+// pixel and 8 channels at a time. Runs on non-SSE2 hosts, and for zero
+// points outside int8 range, whose x - zp int16 columns cannot hold.
+void conv_scalar(std::span<const int8_t> input, const PackedOpWeights& packed,
+                 std::span<const int32_t> bias, std::span<int8_t> output,
+                 const ConvGeometry& g, const RequantParams& rq) {
+  const int64_t group_bytes = (packed.k + 1) / 2 * 2 * kPanelLanes;
+  int8_t* out = output.data();
+  for (int32_t oy = 0; oy < g.out_h; ++oy) {
+    for (int32_t ox = 0; ox < g.out_w; ++ox, out += g.out_ch) {
+      for (int32_t oc0 = 0; oc0 < g.out_ch; oc0 += kPanelLanes) {
+        const int lanes = std::min(kPanelLanes, g.out_ch - oc0);
+        const int8_t* w =
+            packed.values.data() + oc0 / kPanelLanes * group_bytes;
+        int32_t acc[kPanelLanes] = {};
+        if (!bias.empty())
+          for (int l = 0; l < lanes; ++l)
+            acc[l] = bias[static_cast<size_t>(oc0 + l)];
+        for (int32_t ky = 0; ky < g.kh; ++ky) {
+          const int32_t iy = oy * g.stride - g.pad_h + ky;
+          if (iy < 0 || iy >= g.in_h) continue;
+          for (int32_t kx = 0; kx < g.kw; ++kx) {
+            const int32_t ix = ox * g.stride - g.pad_w + kx;
+            if (ix < 0 || ix >= g.in_w) continue;
+            const int8_t* x =
+                input.data() + (int64_t{iy} * g.in_w + ix) * g.in_ch;
+            const int64_t t0 = (int64_t{ky} * g.kw + kx) * g.in_ch;
+            for (int32_t c = 0; c < g.in_ch; ++c) {
+              const int64_t t = t0 + c;
+              const int8_t* wt = w + t / 2 * 2 * kPanelLanes + t % 2;
+              const int32_t v = static_cast<int32_t>(x[c]) - rq.input_zp;
+              for (int l = 0; l < kPanelLanes; ++l) acc[l] += v * wt[2 * l];
+            }
+          }
+        }
+        for (int l = 0; l < lanes; ++l)
+          out[oc0 + l] = requant_store(acc[l], rq, oc0 + l);
+      }
+    }
+  }
+}
+
+// Checks, counts and runs one conv (or FC, as a 1x1 conv) on the fast
+// backend; `who` names the public kernel in errors.
+void conv_fast(const char* who, std::span<const int8_t> input,
+               const PackedOpWeights& packed, std::span<const int32_t> bias,
+               std::span<int8_t> output, std::span<int8_t> scratch,
+               const ConvGeometry& g, const RequantParams& rq) {
+  const int64_t ksize = int64_t{g.kh} * g.kw * g.in_ch;
+  check_panel(who, packed, g.out_ch, ksize);
+  check_conv_buffers(who, input, packed.values, bias, output, g);
+  if (static_cast<int64_t>(scratch.size()) < conv2d_fast_scratch_bytes(g))
+    throw std::invalid_argument(std::string(who) + ": scratch too small");
+  obs::counter_add(obs::Counter::kKernelMacs, g.macs(/*depthwise=*/false));
+  obs::counter_add(obs::Counter::kKernelBytesRead,
+                   g.input_elements() + int64_t{g.out_ch} * ksize);
+  obs::counter_add(obs::Counter::kKernelBytesWritten, g.output_elements());
+  obs::counter_add(obs::Counter::kIm2colBytes,  // int16 columns
+                   2 * int64_t{g.out_h} * g.out_w * ksize);
+#if defined(__SSE2__)
+  if (rq.input_zp >= -128 && rq.input_zp <= 127) {
+    // Scratch: 16-byte alignment slack, the group constants, the columns.
+    const uintptr_t base =
+        (reinterpret_cast<uintptr_t>(scratch.data()) + 15) & ~uintptr_t{15};
+    auto* consts = reinterpret_cast<GroupConsts*>(base);
+    auto* cols = reinterpret_cast<int16_t*>(
+        base + (g.out_ch + kPanelLanes - 1) / kPanelLanes * kGroupConstsBytes);
+    build_group_consts(bias, rq, g.out_ch, consts);
+    if (int64_t{g.out_h} * g.out_w == 1)
+      conv_tiles_sse2<1>(input.data(), packed.values.data(), output.data(),
+                         consts, cols, g, rq);
+    else
+      conv_tiles_sse2<kTilePixels>(input.data(), packed.values.data(),
+                                   output.data(), consts, cols, g, rq);
+    return;
+  }
+#endif
+  conv_scalar(input, packed, bias, output, g, rq);
+}
 
 }  // namespace
 
 int64_t conv2d_fast_scratch_bytes(const ConvGeometry& g) {
-  const int64_t ksize = int64_t{g.kh} * g.kw * g.in_ch;
-  const int64_t stride = (ksize + kPackAlign - 1) / kPackAlign * kPackAlign;
-  return int64_t{kConvPixelBlock} * stride;
+  const int64_t groups = (g.out_ch + kPanelLanes - 1) / kPanelLanes;
+  const int64_t pairs = (int64_t{g.kh} * g.kw * g.in_ch + 1) / 2;
+  return 16 + groups * kGroupConstsBytes +
+         pairs * 2 * kTilePixels * static_cast<int64_t>(sizeof(int16_t));
 }
 
 void conv2d_s8_fast(std::span<const int8_t> input, const PackedOpWeights& packed,
                     std::span<const int32_t> bias, std::span<int8_t> output,
                     std::span<int8_t> scratch, const ConvGeometry& g,
                     const RequantParams& rq) {
-  const int64_t ksize = int64_t{g.kh} * g.kw * g.in_ch;
-  check_panel("conv2d_s8_fast", packed, g.out_ch, ksize);
-  check_conv_buffers("conv2d_s8_fast", input, packed.rows, bias, output, g);
-  if (static_cast<int64_t>(scratch.size()) < conv2d_fast_scratch_bytes(g))
-    throw std::invalid_argument("conv2d_s8_fast: scratch too small");
-  const int64_t row_stride = packed.row_stride;
-  obs::counter_add(obs::Counter::kKernelMacs, g.macs(/*depthwise=*/false));
-  obs::counter_add(obs::Counter::kKernelBytesRead,
-                   g.input_elements() + int64_t{g.out_ch} * ksize);
-  obs::counter_add(obs::Counter::kKernelBytesWritten, g.output_elements());
-  obs::counter_add(obs::Counter::kIm2colBytes,
-                   int64_t{g.out_h} * g.out_w * ksize);
-  // Padding slots hold the raw zero point (the loop dots x*w directly; the
-  // -zp*sum_w initializer turns that contribution into exactly zero).
-  const int8_t pad_value =
-      static_cast<int8_t>(std::clamp<int32_t>(rq.input_zp, -128, 127));
-  int8_t* block = scratch.data();
-  for (int32_t oy = 0; oy < g.out_h; ++oy) {
-    const int32_t iy0 = oy * g.stride - g.pad_h;
-    for (int32_t ox0 = 0; ox0 < g.out_w; ox0 += kConvPixelBlock) {
-      const int32_t np = std::min<int32_t>(kConvPixelBlock, g.out_w - ox0);
-      // Gather np im2col columns into the block; zero each column's pad
-      // tail so the SIMD loop can run over the full padded stride (zero
-      // weights times anything is zero, but a shared scratch may hold
-      // another op's bytes there).
-      for (int32_t p = 0; p < np; ++p) {
-        int8_t* col = block + int64_t{p} * row_stride;
-        const int32_t ix0 = (ox0 + p) * g.stride - g.pad_w;
-        for (int32_t ky = 0; ky < g.kh; ++ky) {
-          const int32_t iy = iy0 + ky;
-          for (int32_t kx = 0; kx < g.kw; ++kx) {
-            const int32_t ix = ix0 + kx;
-            if (iy < 0 || iy >= g.in_h || ix < 0 || ix >= g.in_w) {
-              std::memset(col, pad_value, static_cast<size_t>(g.in_ch));
-            } else {
-              std::memcpy(
-                  col, input.data() + (int64_t{iy} * g.in_w + ix) * g.in_ch,
-                  static_cast<size_t>(g.in_ch));
-            }
-            col += g.in_ch;
-          }
-        }
-        std::memset(col, 0, static_cast<size_t>(row_stride - ksize));
-      }
-      // GEMM tile: stream each packed weight row once across the block.
-      int8_t* out_base =
-          output.data() + (int64_t{oy} * g.out_w + ox0) * g.out_ch;
-      for (int32_t oc = 0; oc < g.out_ch; ++oc) {
-        const int8_t* wr = packed.rows.data() + int64_t{oc} * row_stride;
-        const int32_t init =
-            (bias.empty() ? 0 : bias[static_cast<size_t>(oc)]) -
-            rq.input_zp * packed.sum_w[static_cast<size_t>(oc)];
-        for (int32_t p = 0; p < np; ++p) {
-          const int32_t acc =
-              init + dot_s8(block + int64_t{p} * row_stride, wr, row_stride);
-          out_base[int64_t{p} * g.out_ch + oc] = requant_store(acc, rq, oc);
-        }
-      }
-    }
-  }
+  conv_fast("conv2d_s8_fast", input, packed, bias, output, scratch, g, rq);
+}
+
+ConvGeometry fully_connected_geometry(int32_t in_features,
+                                      int32_t out_features) {
+  ConvGeometry g;
+  g.in_h = g.in_w = g.out_h = g.out_w = g.kh = g.kw = 1;
+  g.in_ch = in_features;
+  g.out_ch = out_features;
+  return g;
 }
 
 void fully_connected_s8_fast(std::span<const int8_t> input,
                              const PackedOpWeights& packed,
                              std::span<const int32_t> bias,
-                             std::span<int8_t> output, int32_t in_features,
+                             std::span<int8_t> output,
+                             std::span<int8_t> scratch, int32_t in_features,
                              int32_t out_features, const RequantParams& rq) {
-  check_panel("fully_connected_s8_fast", packed, out_features, in_features);
-  check_fc_buffers("fully_connected_s8_fast", input, packed.rows, bias, output,
-                   in_features, out_features);
-  obs::counter_add(obs::Counter::kKernelMacs,
-                   int64_t{in_features} * out_features);
-  obs::counter_add(obs::Counter::kKernelBytesRead,
-                   in_features + int64_t{in_features} * out_features);
-  obs::counter_add(obs::Counter::kKernelBytesWritten, out_features);
-  // The input is the caller's span (no padded copy), so the dot runs over
-  // in_features and takes the scalar tail; packed rows store the real
-  // weights in their first row_len bytes.
-  for (int32_t o = 0; o < out_features; ++o) {
-    const int8_t* wr = packed.rows.data() + int64_t{o} * packed.row_stride;
-    const int32_t init = (bias.empty() ? 0 : bias[static_cast<size_t>(o)]) -
-                         rq.input_zp * packed.sum_w[static_cast<size_t>(o)];
-    const int32_t acc = init + dot_s8(input.data(), wr, in_features);
-    output[static_cast<size_t>(o)] = requant_store(acc, rq, o);
-  }
+  conv_fast("fully_connected_s8_fast", input, packed, bias, output, scratch,
+            fully_connected_geometry(in_features, out_features), rq);
 }
 
 void depthwise_conv2d_s8_fast(std::span<const int8_t> input,

@@ -17,6 +17,15 @@ constexpr int64_t kGradChunks = 8;
 
 int64_t grad_chunks(int64_t batch) { return std::min(batch, kGradChunks); }
 
+// Forward rows per parallel_for chunk: enough for about 2^16 MACs, so a
+// small layer (a fleet model's calibration batch) runs inline instead of
+// opening a pool region of a few hundred MACs per chunk. Forward rows are
+// independent, so the output is the same at every grain and thread count.
+int64_t forward_grain(int64_t macs_per_row) {
+  return std::max<int64_t>(1, (int64_t{1} << 16) /
+                                  std::max<int64_t>(1, macs_per_row));
+}
+
 void add_into(TensorF& dst, const TensorF& src) {
   float* d = dst.data();
   const float* s = src.data();
@@ -131,7 +140,7 @@ TensorF Conv2D::forward(const std::vector<const TensorF*>& in, bool) {
       }
     }
   }
-  });
+  }, forward_grain(OW * opt_.out_channels * ksize));
   return y;
 }
 
@@ -267,7 +276,7 @@ TensorF DepthwiseConv2D::forward(const std::vector<const TensorF*>& in, bool) {
       }
     }
   }
-  });
+  }, forward_grain(OW * C * opt_.kh * opt_.kw));
   return y;
 }
 
@@ -380,7 +389,7 @@ TensorF Dense::forward(const std::vector<const TensorF*>& in, bool) {
         y.at2(n, o) = acc;
       }
     }
-  });
+  }, forward_grain(out_features_ * F));
   return y;
 }
 

@@ -29,7 +29,7 @@ bool fast_claims(const ModelDef& m, const OpDef& op) {
 }
 
 // Claimed ops that run on a packed panel: int8 depthwise reads its raw
-// weights, int4 depthwise an unpacked copy held as a one-row panel.
+// weights, int4 depthwise an unpacked copy of them.
 bool fast_packs(const ModelDef& m, const OpDef& op) {
   return fast_claims(m, op) &&
          (op.type != OpType::kDepthwiseConv2D ||
@@ -59,14 +59,18 @@ std::shared_ptr<const PackedModel> pack_model_weights(
                          unpacked);
       values = unpacked;
     }
-    // Conv weights: [out_ch][kh][kw][in_ch]; FC weights: [out][in]. Both are
-    // row-major with one row per output channel/feature. Depthwise weights
-    // [1][kh][kw][ch] stay one row.
-    const int64_t rows =
-        op.type == OpType::kDepthwiseConv2D ? 1 : w.shape.dim(0);
-    const int64_t row_len = w.elements() / rows;
+    // Conv weights [out_ch][kh][kw][in_ch] and FC weights [out][in] are
+    // row-major with one row per output channel/feature; both become a
+    // micro-kernel panel. Depthwise keeps its [1][kh][kw][ch] weights as
+    // they are.
+    if (op.type == OpType::kDepthwiseConv2D) {
+      pm->per_op[i] = std::make_shared<const kernels::PackedOpWeights>(
+          kernels::PackedOpWeights{{values.begin(), values.end()}});
+      continue;
+    }
+    const auto out_ch = static_cast<int32_t>(w.shape.dim(0));
     pm->per_op[i] = std::make_shared<const kernels::PackedOpWeights>(
-        kernels::pack_rows_s8(values, rows, row_len));
+        kernels::pack_conv_panel(values, out_ch, w.elements() / out_ch));
   }
   return pm;
 }
@@ -122,18 +126,23 @@ Interpreter::Interpreter(ModelDef model, MemoryPlan plan,
             "Interpreter: shared PackedModel lacks a claimed op's panel");
       op_backend_[i] = backend_.kind;
     }
-  // Shared conv scratch (CMSIS-NN analog): a pixel block of padded im2col
-  // columns for each fast conv; reference ops need none. Int4 staging: an
-  // int4 op's unpacked input and int8 result, plus its unpacked weights when
-  // no panel holds them. All sized here, so an invoke never allocates.
+  // Shared conv scratch (CMSIS-NN analog): a tile of im2col columns and the
+  // channel groups' constants for each fast conv and FC; reference ops need
+  // none. Int4 staging: an int4 op's unpacked input and int8 result, plus
+  // its unpacked weights when no panel holds them. All sized here, so an
+  // invoke never allocates.
   op_scratch_bytes_.assign(model_.ops.size(), 0);
   int64_t scratch = 0, stage_in = 0, stage_out = 0, stage_w = 0;
   for (size_t i = 0; i < model_.ops.size(); ++i) {
     const OpDef& op = model_.ops[i];
     const bool fast = op_backend_[i] == kernels::BackendKind::kFast;
-    if (op.type == OpType::kConv2D && fast) {
-      op_scratch_bytes_[i] =
-          kernels::conv2d_fast_scratch_bytes(prepared_[i].conv);
+    if (fast && (op.type == OpType::kConv2D ||
+                 op.type == OpType::kFullyConnected)) {
+      const PreparedOp& p = prepared_[i];
+      op_scratch_bytes_[i] = kernels::conv2d_fast_scratch_bytes(
+          op.type == OpType::kConv2D
+              ? p.conv
+              : kernels::fully_connected_geometry(p.fc_in, p.fc_out));
       scratch = std::max(scratch, op_scratch_bytes_[i]);
     }
     // Int4 ops run as a storage format: their activation inputs are
@@ -329,8 +338,8 @@ std::span<const int32_t> as_s32(std::span<const uint8_t> b) {
 
 std::span<const int8_t> Interpreter::op_weights(size_t i) {
   const OpDef& op = model_.ops[i];
-  if (const auto& panel = packed_->per_op[i])  // int4 depthwise, unpacked
-    return {panel->rows.data(), static_cast<size_t>(panel->row_len)};
+  if (const auto& raw = packed_->per_op[i])  // int4 depthwise, unpacked
+    return raw->values;
   const TensorDef& w = model_.tensors[static_cast<size_t>(op.inputs[1])];
   const auto w_b = bytes(operands_[i].weights);
   if (w.bits == 8) return as_s8(w_b);
@@ -398,7 +407,7 @@ void Interpreter::run_op(size_t i) {
     case OpType::kFullyConnected:
       if (fast)
         kernels::fully_connected_s8_fast(x, *packed_->per_op[i], bias, y,
-                                         p.fc_in, p.fc_out, p.rq);
+                                         scratch_, p.fc_in, p.fc_out, p.rq);
       else
         kernels::fully_connected_s8(x, op_weights(i), bias, y, p.fc_in,
                                     p.fc_out, p.rq);

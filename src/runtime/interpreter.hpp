@@ -44,8 +44,8 @@ struct MemoryReport {
 // (including quarantine/reimage rebuilds) aliases the same panels, the same
 // way they share the MemoryPlan. Index-aligned with ModelDef::ops; ops with
 // no panel hold nullptr (unclaimed ops, and int8 depthwise, which reads its
-// weights in place). Int4 weights are unpacked into their panels (int4
-// depthwise: one row holding the unpacked [kh, kw, ch] weights).
+// weights in place). Int4 weights are unpacked before packing (int4
+// depthwise: kept as the unpacked [kh, kw, ch] weights, no panel layout).
 struct PackedModel {
   kernels::BackendKind kind = kernels::BackendKind::kReference;
   std::vector<std::shared_ptr<const kernels::PackedOpWeights>> per_op;

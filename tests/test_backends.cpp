@@ -1,11 +1,11 @@
 // Kernel-backend suite (ctest label "backends"): the cross-backend
-// differential contract. The fast backend (packed panels + cache-blocked
-// SIMD GEMM) must produce BYTE-IDENTICAL outputs to the reference kernels
-// over randomized conv/depthwise/FC geometries — odd sizes, stride 2,
-// symmetric and asymmetric padding, per-channel requant, channel counts that
-// are not multiples of the pack/tile width — and at MN_THREADS 1/2/8; for
-// depthwise also the int16 product bound and the requantization's edge
-// multipliers and accumulators. Plus:
+// differential contract. The fast backend (packed panels + register-tiled
+// SIMD micro-kernel) must produce BYTE-IDENTICAL outputs to the reference
+// kernels over randomized conv/depthwise/FC geometries — odd sizes, stride
+// 2, symmetric and asymmetric padding, per-channel requant, channel counts
+// that are not multiples of the pack/tile width — and at MN_THREADS 1/2/8;
+// for conv, FC and depthwise also the requantization's edge multipliers and
+// accumulators, and for depthwise the int16 product bound. Plus:
 // backend names and the fast default, panel-packing invariants, a seeded
 // >=500-case geometry fuzzer cross-checking ConvGeometry::macs() against a
 // per-output-pixel counting oracle, an asymmetric-padding golden vector
@@ -81,8 +81,41 @@ std::vector<int32_t> random_bias(Rng& rng, int64_t n) {
   return v;
 }
 
-// Runs conv2d_s8 (ground truth) and conv2d_s8_fast on the same inputs and
-// asserts they agree on every byte.
+// Runs conv2d_s8 (the oracle) and conv2d_s8_fast on the same operands and
+// asserts every byte agrees.
+void check_conv_fast(const kernels::ConvGeometry& g,
+                     const kernels::RequantParams& rq,
+                     const std::vector<int8_t>& x, const std::vector<int8_t>& w,
+                     const std::vector<int32_t>& bias) {
+  std::vector<int8_t> y_ref(static_cast<size_t>(g.output_elements()));
+  std::vector<int8_t> y_fast(y_ref.size(), int8_t{1});
+  kernels::conv2d_s8(x, w, bias, y_ref, g, rq);
+  const auto packed = kernels::pack_conv_panel(
+      w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch);
+  std::vector<int8_t> scratch(
+      static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
+  kernels::conv2d_s8_fast(x, packed, bias, y_fast, scratch, g, rq);
+  ASSERT_EQ(y_fast, y_ref) << "fast conv diverged from the oracle";
+}
+
+// The same for fully_connected_s8 and fully_connected_s8_fast.
+void check_fc_fast(int32_t in_f, int32_t out_f,
+                   const kernels::RequantParams& rq,
+                   const std::vector<int8_t>& x, const std::vector<int8_t>& w,
+                   const std::vector<int32_t>& bias) {
+  std::vector<int8_t> y_ref(static_cast<size_t>(out_f));
+  std::vector<int8_t> y_fast(y_ref.size(), int8_t{1});
+  kernels::fully_connected_s8(x, w, bias, y_ref, in_f, out_f, rq);
+  const auto packed = kernels::pack_conv_panel(w, out_f, in_f);
+  std::vector<int8_t> scratch(static_cast<size_t>(
+      kernels::conv2d_fast_scratch_bytes(
+          kernels::fully_connected_geometry(in_f, out_f))));
+  kernels::fully_connected_s8_fast(x, packed, bias, y_fast, scratch, in_f,
+                                   out_f, rq);
+  ASSERT_EQ(y_fast, y_ref) << "fast FC diverged from the oracle";
+}
+
+// check_conv_fast on random operands.
 void check_conv_all_backends(const kernels::ConvGeometry& g,
                              const kernels::RequantParams& rq, Rng& rng,
                              bool with_bias) {
@@ -90,15 +123,7 @@ void check_conv_all_backends(const kernels::ConvGeometry& g,
   const auto w = random_s8(rng, int64_t{g.out_ch} * g.kh * g.kw * g.in_ch);
   std::vector<int32_t> bias;
   if (with_bias) bias = random_bias(rng, g.out_ch);
-  std::vector<int8_t> y_ref(static_cast<size_t>(g.output_elements()));
-  std::vector<int8_t> y_fast(y_ref.size());
-  kernels::conv2d_s8(x, w, bias, y_ref, g, rq);
-  const kernels::PackedOpWeights packed = kernels::pack_rows_s8(
-      w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch);
-  std::vector<int8_t> fast_scratch(
-      static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
-  kernels::conv2d_s8_fast(x, packed, bias, y_fast, fast_scratch, g, rq);
-  ASSERT_EQ(y_fast, y_ref) << "fast backend diverged from reference";
+  check_conv_fast(g, rq, x, w, bias);
 }
 
 }  // namespace
@@ -120,45 +145,50 @@ TEST(BackendRegistry, DefaultConfigIsFast) {
 
 // --- panel packing -----------------------------------------------------------
 
-TEST(BackendPacking, RowsPadToAlignWithZeroTailsAndSums) {
+TEST(BackendPacking, PanelInterleavesEightChannelsPerTapPair) {
+  // 11 channels (a full group and a 3-channel one) of 19 taps (odd): every
+  // weight lands at [group][tap pair][channel][tap parity], every other
+  // byte is a zero weight.
   Rng rng(7);
-  const int64_t rows = 5, row_len = 19;  // deliberately not a multiple of 16
-  const auto w = random_s8(rng, rows * row_len);
-  const kernels::PackedOpWeights p = kernels::pack_rows_s8(w, rows, row_len);
-  EXPECT_EQ(p.num_rows, rows);
-  EXPECT_EQ(p.row_len, row_len);
-  EXPECT_EQ(p.row_stride, 32);  // 19 rounded up to kPackAlign
-  EXPECT_EQ(p.row_stride % kernels::kPackAlign, 0);
-  ASSERT_EQ(static_cast<int64_t>(p.rows.size()), rows * p.row_stride);
-  for (int64_t r = 0; r < rows; ++r) {
-    int32_t sum = 0;
-    for (int64_t k = 0; k < row_len; ++k) {
-      EXPECT_EQ(p.rows[static_cast<size_t>(r * p.row_stride + k)],
-                w[static_cast<size_t>(r * row_len + k)]);
-      sum += w[static_cast<size_t>(r * row_len + k)];
+  const int32_t out_ch = 11;
+  const int64_t k = 19;
+  const auto w = random_s8(rng, out_ch * k);
+  const kernels::PackedOpWeights p = kernels::pack_conv_panel(w, out_ch, k);
+  EXPECT_EQ(p.out_ch, out_ch);
+  EXPECT_EQ(p.k, k);
+  ASSERT_EQ(p.bytes(), 2 * 10 * 16);
+  ASSERT_EQ(kernels::conv_panel_bytes(out_ch, k), p.bytes());
+  std::vector<bool> placed(p.values.size(), false);
+  for (int32_t oc = 0; oc < out_ch; ++oc)
+    for (int64_t t = 0; t < k; ++t) {
+      const size_t at =
+          static_cast<size_t>((oc / 8) * 10 * 16 + (t / 2) * 16 +
+                              (oc % 8) * 2 + t % 2);
+      EXPECT_EQ(p.values[at], w[static_cast<size_t>(oc * k + t)]);
+      placed[at] = true;
     }
-    EXPECT_EQ(p.sum_w[static_cast<size_t>(r)], sum);
-    for (int64_t k = row_len; k < p.row_stride; ++k)
-      EXPECT_EQ(p.rows[static_cast<size_t>(r * p.row_stride + k)], 0)
-          << "tail byte not zeroed";
+  for (size_t b = 0; b < placed.size(); ++b) {
+    if (!placed[b]) {
+      EXPECT_EQ(p.values[b], 0) << "padding byte " << b;
+    }
   }
-  EXPECT_EQ(p.bytes(),
-            static_cast<int64_t>(p.rows.size()) + 4 * rows);
 }
 
-TEST(BackendPacking, AlignedRowLenGetsNoPadding) {
+TEST(BackendPacking, WholeGroupsOfEvenLengthGetNoPadding) {
+  // VWW-S's 1x1 expand 4 -> 24 packs to exactly its 96 weights.
   Rng rng(8);
-  const auto w = random_s8(rng, 3 * 32);
-  const kernels::PackedOpWeights p = kernels::pack_rows_s8(w, 3, 32);
-  EXPECT_EQ(p.row_stride, 32);
+  const auto w = random_s8(rng, 24 * 4);
+  const kernels::PackedOpWeights p = kernels::pack_conv_panel(w, 24, 4);
+  EXPECT_EQ(p.bytes(), 24 * 4);
 }
 
 // --- differential sweeps -----------------------------------------------------
 
 TEST(BackendDifferential, ConvGeometrySweep) {
   // Odd sizes, stride 2, no/symmetric/asymmetric padding, 1x1 pointwise,
-  // non-square kernels, channel counts straddling the 16-byte pack width and
-  // the 8-pixel block width (out_w 5, 7, 8, 9, 13).
+  // non-square kernels, output channel counts straddling the 8-channel
+  // group, odd kernel sizes, in_ch not a multiple of 4 (taps straddling tap
+  // pairs), and pixel counts that leave a partial 4-pixel tile.
   const struct {
     int32_t in_h, in_w, in_ch, out_ch, kh, kw, stride, pad_h, pad_w;
   } cases[] = {
@@ -208,7 +238,9 @@ TEST(BackendDifferential, RandomizedConvFuzz) {
 }
 
 TEST(BackendDifferential, FullyConnectedSweep) {
-  // in_features straddling the 16-wide SIMD chunk (scalar tail coverage).
+  // FC runs the conv micro-kernel as a 1x1 conv on one pixel: in_features
+  // odd and even, below, at and beyond one 8-channel load, out_features
+  // filling and straddling 8-channel groups.
   const struct {
     int32_t in_f, out_f;
   } cases[] = {{1, 1}, {15, 3}, {16, 8}, {17, 5}, {130, 9}, {256, 64}};
@@ -221,14 +253,7 @@ TEST(BackendDifferential, FullyConnectedSweep) {
       const auto rq = random_rq(rng, c.out_f, per_channel);
       const auto x = random_s8(rng, c.in_f);
       const auto w = random_s8(rng, int64_t{c.in_f} * c.out_f);
-      const auto bias = random_bias(rng, c.out_f);
-      std::vector<int8_t> y_ref(static_cast<size_t>(c.out_f));
-      std::vector<int8_t> y_fast(y_ref.size());
-      kernels::fully_connected_s8(x, w, bias, y_ref, c.in_f, c.out_f, rq);
-      const auto packed = kernels::pack_rows_s8(w, c.out_f, c.in_f);
-      kernels::fully_connected_s8_fast(x, packed, bias, y_fast, c.in_f,
-                                       c.out_f, rq);
-      ASSERT_EQ(y_fast, y_ref);
+      check_fc_fast(c.in_f, c.out_f, rq, x, w, random_bias(rng, c.out_f));
     }
   }
 }
@@ -367,6 +392,113 @@ TEST(BackendDifferential, DepthwiseFastRequantEdgeCases) {
   }
 }
 
+TEST(BackendDifferential, ConvFastRequantEdgeCases) {
+  // Requantization: a 1x1 conv (and an FC) whose input equals the zero
+  // point contributes nothing, so each accumulator is its bias and the
+  // requantization sees the whole int32 range. Multipliers cover every
+  // shift from 0 to -31 (the SIMD requant domain) and the cases outside it
+  // that must send their group to the scalar path: a left shift, a right
+  // shift beyond 31, a zero and a negative multiplier. Per channel, every
+  // multiplier visits every lane position of the 8-channel groups; the
+  // clamps are the full int8 range, relu, relu6 and one wider than int8.
+  const int32_t ch = 24;
+  const auto g = make_geom(2, 3, 5, ch, 1, 1, 1, 0, 0);
+  const std::vector<int32_t> accs = {
+      0,           1,          -1,         2,          -2,
+      1 << 30,     -(1 << 30), 2147483647, -2147483647 - 1,
+      123456789,   -987654321, 65535,      -65536,     (1 << 30) + 1,
+      -(1 << 30) - 1, 1 << 20, -(1 << 20), 7,          -7,
+      1000000000,  -1000000000, 3,         -3,         2147483646};
+  ASSERT_EQ(static_cast<int32_t>(accs.size()), ch);
+  std::vector<quant::FixedMultiplier> mults = {
+      quant::quantize_multiplier(0.999), quant::quantize_multiplier(1e-9),
+      quant::FixedMultiplier{2147483647, 0},
+      quant::quantize_multiplier(1.5),   quant::quantize_multiplier(3.0),
+      quant::FixedMultiplier{1 << 30, -40},
+      quant::FixedMultiplier{0, -3},
+      quant::FixedMultiplier{-(1 << 30), -2}};
+  for (int shift = 0; shift <= 31; ++shift)
+    mults.push_back({(1 << 30) + 7919 * shift, -shift});
+  const struct {
+    int32_t lo, hi;
+  } clamps[] = {{-128, 127}, {0, 127}, {0, 90}, {-300, 300}};
+  for (const int32_t zp : {-128, 127}) {
+    const std::vector<int8_t> x(static_cast<size_t>(g.input_elements()),
+                                static_cast<int8_t>(zp));
+    const std::vector<int8_t> fx(static_cast<size_t>(g.in_ch),
+                                 static_cast<int8_t>(zp));
+    Rng rng(static_cast<uint64_t>(7100 + zp));
+    const auto w = random_s8(rng, int64_t{ch} * g.in_ch);
+    for (size_t mi = 0; mi < mults.size(); ++mi) {
+      // output_zp stays 0: a saturated requant result plus any other zero
+      // point overflows int32 (the other sweeps cover nonzero ones).
+      kernels::RequantParams rq;
+      rq.input_zp = zp;
+      rq.mult = mults[mi];
+      const auto& clamp = clamps[mi % 4];
+      rq.act_min = clamp.lo;
+      rq.act_max = clamp.hi;
+      SCOPED_TRACE(testing::Message() << "zp " << zp << " multiplier #" << mi
+                                      << " clamp " << clamp.lo << ".."
+                                      << clamp.hi);
+      check_conv_fast(g, rq, x, w, accs);
+      check_fc_fast(g.in_ch, ch, rq, fx, w, accs);
+      for (int32_t c = 0; c < ch; ++c)
+        rq.per_channel.push_back(mults[(mi + static_cast<size_t>(c)) %
+                                       mults.size()]);
+      check_conv_fast(g, rq, x, w, accs);
+      check_fc_fast(g.in_ch, ch, rq, fx, w, accs);
+    }
+  }
+}
+
+TEST(BackendDifferential, ConvFastTileAndGatherEdges) {
+  // Geometry: every out_ch from 1 to 17 (each tail of the 8-channel
+  // group), odd K, in_ch 1 (the stems), in_ch 12 (an 8-channel and a
+  // 4-channel gather step), stride 2 with padding, and pixel counts that
+  // end mid-tile. Operands: random ones, ones at the int16 corner (all -128
+  // inputs and weights at input_zp 127, the largest |x - zp| * |w|, and at
+  // -128), and zero points outside int8 range, which take the scalar path.
+  // Fused relu and relu6 clamps ride along. FC runs the same out_ch sweep.
+  const struct {
+    int32_t in_h, in_w, in_ch, kh, kw, stride, pad;
+  } shapes[] = {{7, 6, 3, 3, 3, 2, 1},  {9, 5, 1, 3, 3, 2, 1},
+                {5, 5, 12, 3, 3, 1, 1}, {4, 7, 4, 1, 1, 1, 0},
+                {6, 6, 8, 2, 2, 2, 1}};
+  uint64_t seed = 7300;
+  for (int32_t out_ch = 1; out_ch <= 17; ++out_ch) {
+    for (const auto& s : shapes) {
+      const auto g = make_geom(s.in_h, s.in_w, s.in_ch, out_ch, s.kh, s.kw,
+                               s.stride, s.pad, s.pad);
+      const int64_t k = int64_t{g.kh} * g.kw * g.in_ch;
+      for (const int32_t zp : {5, 127, -128, 300, -1000}) {
+        SCOPED_TRACE(testing::Message()
+                     << "out_ch " << out_ch << " in " << s.in_h << "x"
+                     << s.in_w << "x" << s.in_ch << " k " << s.kh << "x"
+                     << s.kw << " stride " << s.stride << " zp " << zp);
+        Rng rng(seed++);
+        kernels::RequantParams rq = random_rq(rng, out_ch, zp < 0);
+        rq.input_zp = zp;
+        rq.output_zp = 0;
+        rq.act_min = zp % 2 == 0 ? 0 : -128;  // relu, or none
+        rq.act_max = zp == 127 ? 96 : 127;    // relu6 at zp 127
+        std::vector<int8_t> x, w;
+        if (zp == 127 || zp == -128) {
+          x.assign(static_cast<size_t>(g.input_elements()), int8_t{-128});
+          w.assign(static_cast<size_t>(out_ch * k), int8_t{-128});
+        } else {
+          x = random_s8(rng, g.input_elements());
+          w = random_s8(rng, out_ch * k);
+        }
+        const auto bias = random_bias(rng, out_ch);
+        check_conv_fast(g, rq, x, w, bias);
+        check_fc_fast(static_cast<int32_t>(g.input_elements()), out_ch, rq,
+                      x, random_s8(rng, out_ch * g.input_elements()), bias);
+      }
+    }
+  }
+}
+
 // --- asymmetric-padding golden vector ---------------------------------------
 
 // Independent per-output-pixel oracle: the naive direct convolution written
@@ -408,7 +540,7 @@ TEST(BackendGolden, AsymmetricPaddingOracle) {
   std::vector<int8_t> y(oracle.size());
   kernels::conv2d_s8(x, w, bias, y, g, rq);
   EXPECT_EQ(y, oracle) << "reference conv disagrees with the naive oracle";
-  const auto packed = kernels::pack_rows_s8(
+  const auto packed = kernels::pack_conv_panel(
       w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch);
   std::vector<int8_t> fast_scratch(
       static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
@@ -473,7 +605,7 @@ TEST(BackendThreads, FastConvBitIdenticalAcrossThreadCounts) {
   const auto x = random_s8(rng, g.input_elements());
   const auto w = random_s8(rng, int64_t{g.out_ch} * g.kh * g.kw * g.in_ch);
   const auto bias = random_bias(rng, g.out_ch);
-  const auto packed = kernels::pack_rows_s8(
+  const auto packed = kernels::pack_conv_panel(
       w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch);
   std::vector<int8_t> scratch(
       static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
@@ -637,7 +769,13 @@ TEST(BackendInterpreter, FastClaimsConvDepthwiseFcAtInt8AndInt4) {
         EXPECT_GT(panel->bytes(), 0);
         const rt::TensorDef& w =
             m.tensors[static_cast<size_t>(m.ops[i].inputs[1])];
-        EXPECT_EQ(int64_t{panel->num_rows} * panel->row_len, w.elements());
+        if (t == rt::OpType::kDepthwiseConv2D) {
+          EXPECT_EQ(panel->bytes(), w.elements());
+        } else {
+          EXPECT_EQ(int64_t{panel->out_ch} * panel->k, w.elements());
+          EXPECT_EQ(panel->bytes(),
+                    kernels::conv_panel_bytes(panel->out_ch, panel->k));
+        }
       }
     }
     EXPECT_EQ(fast_types.count(rt::OpType::kConv2D), 1u);
@@ -849,7 +987,7 @@ TEST(BackendValidation, KernelsRejectUndersizedBuffers) {
   // Conv: plus a short weights span (oracle), a short scratch, and a panel
   // packed for another geometry or cut short (fast).
   const int64_t ksize = int64_t{g.kh} * g.kw * g.in_ch;
-  const auto packed = kernels::pack_rows_s8(w, g.out_ch, ksize);
+  const auto packed = kernels::pack_conv_panel(w, g.out_ch, ksize);
   std::vector<int8_t> scratch(
       static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
   const auto conv_fast = [&](const kernels::PackedOpWeights& panel,
@@ -871,10 +1009,10 @@ TEST(BackendValidation, KernelsRejectUndersizedBuffers) {
   EXPECT_THROW(conv_fast(packed, std::span(scratch).first(scratch.size() - 1))(
                    x, bias, y),
                std::invalid_argument);
-  const auto wrong = kernels::pack_rows_s8(w, g.out_ch * 2, ksize / 2);
+  const auto wrong = kernels::pack_conv_panel(w, g.out_ch * 2, ksize / 2);
   EXPECT_THROW(conv_fast(wrong, scratch)(x, bias, y), std::invalid_argument);
   auto truncated = packed;
-  truncated.rows.pop_back();
+  truncated.values.pop_back();
   EXPECT_THROW(conv_fast(truncated, scratch)(x, bias, y),
                std::invalid_argument);
 
@@ -883,7 +1021,10 @@ TEST(BackendValidation, KernelsRejectUndersizedBuffers) {
   const auto fx = random_s8(rng, in_f);
   const auto fw = random_s8(rng, int64_t{in_f} * out_f);
   const auto fb = random_bias(rng, out_f);
-  const auto fpacked = kernels::pack_rows_s8(fw, out_f, in_f);
+  const auto fpacked = kernels::pack_conv_panel(fw, out_f, in_f);
+  std::vector<int8_t> fscratch(static_cast<size_t>(
+      kernels::conv2d_fast_scratch_bytes(
+          kernels::fully_connected_geometry(in_f, out_f))));
   std::vector<int8_t> fy(static_cast<size_t>(out_f));
   expect_span_checks(
       [&](std::span<const int8_t> in, std::span<const int32_t> b,
@@ -894,14 +1035,20 @@ TEST(BackendValidation, KernelsRejectUndersizedBuffers) {
   expect_span_checks(
       [&](std::span<const int8_t> in, std::span<const int32_t> b,
           std::span<int8_t> out) {
-        kernels::fully_connected_s8_fast(in, fpacked, b, out, in_f, out_f, rq);
+        kernels::fully_connected_s8_fast(in, fpacked, b, out, fscratch, in_f,
+                                         out_f, rq);
       },
       fx, fb, fy);
   EXPECT_THROW(kernels::fully_connected_s8(fx, std::span(fw).first(fw.size() - 1),
                                            fb, fy, in_f, out_f, rq),
                std::invalid_argument);
-  EXPECT_THROW(kernels::fully_connected_s8_fast(fx, fpacked, fb, fy, in_f + 1,
-                                                out_f, rq),
+  EXPECT_THROW(kernels::fully_connected_s8_fast(fx, fpacked, fb, fy, fscratch,
+                                                in_f + 1, out_f, rq),
+               std::invalid_argument);
+  EXPECT_THROW(kernels::fully_connected_s8_fast(
+                   fx, fpacked, fb, fy,
+                   std::span(fscratch).first(fscratch.size() - 1), in_f,
+                   out_f, rq),
                std::invalid_argument);
 
   // Depthwise: also a short [kh, kw, ch] weights span and a channel

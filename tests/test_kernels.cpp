@@ -317,7 +317,7 @@ TEST(KernelsS4, Conv2DMatchesIntReference) {
   rq.act_max = 7;
   const auto xp = quant::pack_int4(xq);
   const auto w = unpacked(quant::pack_int4(wq), wq.size());
-  const PackedOpWeights panel = pack_rows_s8(w, 3, 3 * 3 * 4);
+  const PackedOpWeights panel = pack_conv_panel(w, 3, 3 * 3 * 4);
   std::vector<int8_t> scratch(static_cast<size_t>(conv2d_fast_scratch_bytes(g)));
   const auto oracle = run_int4(xp, xq.size(), 5 * 5 * 3, [&](auto x, auto y) {
     conv2d_s8(x, w, {}, y, g, rq);
@@ -415,12 +415,14 @@ TEST(KernelsS4, FullyConnectedMatchesUnpackedMath) {
   rq.act_max = 7;
   const auto xp = quant::pack_int4(xq);
   const auto w = unpacked(quant::pack_int4(wq), wq.size());
-  const PackedOpWeights panel = pack_rows_s8(w, out_f, in_f);
+  const PackedOpWeights panel = pack_conv_panel(w, out_f, in_f);
+  std::vector<int8_t> scratch(static_cast<size_t>(
+      conv2d_fast_scratch_bytes(fully_connected_geometry(in_f, out_f))));
   const auto oracle = run_int4(xp, in_f, out_f, [&](auto x, auto y) {
     fully_connected_s8(x, w, {}, y, in_f, out_f, rq);
   });
   const auto fast = run_int4(xp, in_f, out_f, [&](auto x, auto y) {
-    fully_connected_s8_fast(x, panel, {}, y, in_f, out_f, rq);
+    fully_connected_s8_fast(x, panel, {}, y, scratch, in_f, out_f, rq);
   });
   for (int32_t o = 0; o < out_f; ++o) {
     int32_t acc = 0;
