@@ -1,12 +1,13 @@
 // bench_kernels_micro: backend A/B microbenchmark of the integer kernels.
 //
 // For each fig2-class conv shape (DS-CNN / MobileNetV2-style layers), two
-// zoo depthwise layers and the classifier FC shape, the bench times the
-// reference path (what a reference interpreter actually dispatches: the
-// conv2d_s8 / depthwise_conv2d_s8 / fully_connected_s8 oracles) against the
-// fast backend (kernels_fast.cpp: packed panels + the register-tiled conv
-// micro-kernel, which FC shares; channel-vectorized depthwise), verifies the two outputs byte-for-byte, and
-// reports
+// zoo depthwise layers, the classifier FC shape and two VWW residual adds,
+// the bench times the reference path (what a reference interpreter actually
+// dispatches: the conv2d_s8 / depthwise_conv2d_s8 / fully_connected_s8 /
+// add_s8 oracles) against the fast backend (kernels_fast.cpp: packed panels
+// + the register-tiled conv micro-kernel, which FC shares; channel-
+// vectorized depthwise; 16-lane add), verifies the two outputs
+// byte-for-byte, and reports
 //
 //   <shape>_reference_us_p50 / <shape>_fast_us_p50   median per-call latency
 //   <shape>_backend_speedup                           reference / fast ratio
@@ -139,12 +140,13 @@ int main(int argc, char** argv) {
         w.span(), g.out_ch, int64_t{g.kh} * g.kw * g.in_ch);
     std::vector<int8_t> fast_scratch(
         static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
+    const kernels::RequantTable consts = kernels::prepare_requant(rq, g.out_ch);
 
     // A/B correctness first: the ratio below is only meaningful if the two
     // paths agree on every byte.
     kernels::conv2d_s8(x.span(), w.span(), bias, y_ref.span(), g, rq);
     kernels::conv2d_s8_fast(x.span(), packed, bias, y_fast.span(), fast_scratch,
-                            g, rq);
+                            g, consts);
     for (int64_t i = 0; i < y_ref.size(); ++i)
       if (y_ref[i] != y_fast[i]) ++mismatches;
 
@@ -153,7 +155,7 @@ int main(int argc, char** argv) {
     });
     const double fast_us = median_us_per_call(reps, iters, [&] {
       kernels::conv2d_s8_fast(x.span(), packed, bias, y_fast.span(),
-                              fast_scratch, g, rq);
+                              fast_scratch, g, consts);
     });
     const double speedup = ref_us / fast_us;
     min_conv_speedup = std::min(min_conv_speedup, speedup);
@@ -187,10 +189,11 @@ int main(int argc, char** argv) {
     std::vector<int32_t> bias(static_cast<size_t>(g.out_ch));
     for (auto& b : bias) b = static_cast<int32_t>(rng.uniform_int(-4096, 4096));
     const kernels::RequantParams rq = default_rq();
+    const kernels::RequantTable consts = kernels::prepare_requant(rq, g.out_ch);
 
     kernels::depthwise_conv2d_s8(x.span(), w.span(), bias, y_ref.span(), g, rq);
     kernels::depthwise_conv2d_s8_fast(x.span(), w.span(), bias, y_fast.span(),
-                                      g, rq);
+                                      g, consts);
     for (int64_t i = 0; i < y_ref.size(); ++i)
       if (y_ref[i] != y_fast[i]) ++mismatches;
 
@@ -200,7 +203,7 @@ int main(int argc, char** argv) {
     });
     const double fast_us = median_us_per_call(reps, iters, [&] {
       kernels::depthwise_conv2d_s8_fast(x.span(), w.span(), bias,
-                                        y_fast.span(), g, rq);
+                                        y_fast.span(), g, consts);
     });
     const double speedup = ref_us / fast_us;
     std::printf("  %-22s ref %8.2f us  fast %8.2f us  speedup %5.2fx\n",
@@ -224,11 +227,12 @@ int main(int argc, char** argv) {
     std::vector<int8_t> fast_scratch(
         static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(
             kernels::fully_connected_geometry(in_f, out_f))));
+    const kernels::RequantTable consts = kernels::prepare_requant(rq, out_f);
 
     kernels::fully_connected_s8(x.span(), w.span(), {}, y_ref.span(), in_f,
                                 out_f, rq);
     kernels::fully_connected_s8_fast(x.span(), packed, {}, y_fast.span(),
-                                     fast_scratch, in_f, out_f, rq);
+                                     fast_scratch, in_f, out_f, consts);
     for (int64_t i = 0; i < y_ref.size(); ++i)
       if (y_ref[i] != y_fast[i]) ++mismatches;
 
@@ -238,7 +242,7 @@ int main(int argc, char** argv) {
     });
     const double fast_us = median_us_per_call(reps, iters * 4, [&] {
       kernels::fully_connected_s8_fast(x.span(), packed, {}, y_fast.span(),
-                                       fast_scratch, in_f, out_f, rq);
+                                       fast_scratch, in_f, out_f, consts);
     });
     const double speedup = ref_us / fast_us;
     std::printf("  %-22s ref %8.2f us  fast %8.2f us  speedup %5.2fx\n",
@@ -246,6 +250,53 @@ int main(int argc, char** argv) {
     report.metric("fc_1024x128_reference_us_p50", ref_us);
     report.metric("fc_1024x128_fast_us_p50", fast_us);
     report.metric("fc_1024x128_backend_speedup", speedup);
+  }
+
+  // Residual adds: VWW-S's 25x25x8 and VWW-M's 20x20x56, with the
+  // parameters the interpreter derives from three tensor scales (left
+  // shift 20). The reference side is add_s8.
+  const struct {
+    const char* name;
+    int64_t elements;
+  } add_cases[] = {{"vww_s_25x25x8_add", 25 * 25 * 8},
+                   {"vww_m_20x20x56_add", 20 * 20 * 56}};
+
+  report.phase("add_ab");
+  for (const auto& c : add_cases) {
+    Rng rng(opt.seed + 3);
+    TensorI8 a(Shape{c.elements}), b(Shape{c.elements});
+    TensorI8 y_ref(Shape{c.elements}), y_fast(Shape{c.elements});
+    fill_s8(a, rng);
+    fill_s8(b, rng);
+    kernels::AddParams p;
+    const double a_scale = 0.031, b_scale = 0.047, out_scale = 0.062;
+    const double twice_max = 2.0 * std::max(a_scale, b_scale);
+    p.a_zp = -5;
+    p.b_zp = 3;
+    p.out_zp = -2;
+    p.a_mult = quant::quantize_multiplier(a_scale / twice_max);
+    p.b_mult = quant::quantize_multiplier(b_scale / twice_max);
+    p.out_mult = quant::quantize_multiplier(
+        twice_max / ((1 << p.left_shift) * out_scale));
+    const kernels::AddRequantTable consts = kernels::prepare_add_requant(p);
+
+    kernels::add_s8(a.span(), b.span(), y_ref.span(), p);
+    kernels::add_s8_fast(a.span(), b.span(), y_fast.span(), consts);
+    for (int64_t i = 0; i < y_ref.size(); ++i)
+      if (y_ref[i] != y_fast[i]) ++mismatches;
+
+    const double ref_us = median_us_per_call(reps, iters, [&] {
+      kernels::add_s8(a.span(), b.span(), y_ref.span(), p);
+    });
+    const double fast_us = median_us_per_call(reps, iters, [&] {
+      kernels::add_s8_fast(a.span(), b.span(), y_fast.span(), consts);
+    });
+    const double speedup = ref_us / fast_us;
+    std::printf("  %-22s ref %8.2f us  fast %8.2f us  speedup %5.2fx\n",
+                c.name, ref_us, fast_us, speedup);
+    report.metric(std::string(c.name) + "_reference_us_p50", ref_us);
+    report.metric(std::string(c.name) + "_fast_us_p50", fast_us);
+    report.metric(std::string(c.name) + "_backend_speedup", speedup);
   }
 
   report.metric("ab_mismatch_count", static_cast<double>(mismatches));

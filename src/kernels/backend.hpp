@@ -18,9 +18,13 @@
 //     range, take a scalar loop over the same panel. Depthwise runs
 //     channel-vectorized on the raw weights: 16 channels per SSE2 pass,
 //     (x - zp) * w formed exactly in int16 (|255 * 128| < 2^15), the same
-//     SIMD requantization, and no panel. Claims conv2d, depthwise and
-//     fully-connected when input, weights and output are all int8 or all
-//     int4; pool, add and softmax fall back. Int4 ops run these same
+//     SIMD requantization, and no panel. Add rescales, sums and
+//     requantizes 16 elements per SSE2 pass. Every SIMD requantization is
+//     the one-multiply form, read from a table prepared once per model next
+//     to the panels; no kernel builds constants during a call.
+//     Claims conv2d, depthwise and fully-connected when input, weights and
+//     output are all int8 or all int4, and add when both inputs and the
+//     output are; pool and softmax fall back. Int4 ops run these same
 //     kernels: the interpreter unpacks their input into scratch and packs
 //     the result, and their panels are packed from the unpacked weights
 //     (int4 depthwise: the unpacked weights as they are).
@@ -96,14 +100,69 @@ int64_t conv_panel_bytes(int32_t out_ch, int64_t k);
 PackedOpWeights pack_conv_panel(std::span<const int8_t> weights,
                                 int32_t out_ch, int64_t k);
 
+// --- prepared requantization (fast backend, built once per model) ----------
+
+// One 8-channel group's requantization constants (TFLM's per-channel
+// OpData, prepared once): the one-multiply form of kernels_fast.cpp turns
+// multiply_by_quantized_multiplier(x, {M, -r}) into
+//   sign(x) * floor((|x| * M + 2^30 - [x < 0] + 2^(30+r)) / 2^(31+r))
+// (without the 2^(30+r) term at r = 0), so a lane needs its multiplier, its
+// 64-bit rounding constant and its shift count 31 + r. They are stored in
+// the order the SIMD code loads them: `mult` holds lanes 0-7 and zero pads
+// (4 lanes loaded from lane 4h + 1 put half h's odd multipliers in the even
+// slots), and per 4-channel half `round` holds lanes 0, 2 then 1, 3 and
+// `count` lanes 0, 2, 1, 3. Lanes past the op's channels hold zero
+// multipliers; their results are never stored.
+struct alignas(16) RequantGroup {
+  int32_t mult[kPanelLanes + 4] = {};
+  uint64_t round[kPanelLanes] = {};
+  uint32_t count[kPanelLanes] = {};
+  // Every lane is in the SIMD domain (a multiplier > 0 and a shift in
+  // [-31, 0]) and so is the op (a clamp inside int8; for add also see
+  // prepare_add_requant): the group may requantize in SIMD.
+  bool simd = false;
+  // Every lane shares one shift count (always so for a per-tensor
+  // multiplier), so one 64-bit shift serves both lanes of a product.
+  bool uniform = false;
+};
+
+// The prepared requantization of one conv, depthwise or fully-connected
+// op: the RequantParams it was built from — the fast kernels' only source
+// of zero points, clamp and (on their scalar paths) multipliers — and one
+// group per 8 output channels.
+struct RequantTable {
+  RequantParams rq;
+  int32_t channels = 0;
+  std::vector<RequantGroup> groups;
+};
+
+// Builds the table for `channels` output channels of `rq`; throws
+// std::invalid_argument when rq has fewer per-channel multipliers than
+// that.
+RequantTable prepare_requant(RequantParams rq, int32_t channels);
+
+// The prepared requantization of one add: its AddParams and three uniform
+// groups, for input a, input b and their sum.
+struct AddRequantTable {
+  AddParams p;
+  std::vector<RequantGroup> groups;
+};
+
+// Builds add's table. Its groups are in the SIMD domain only when all three
+// multipliers are, the zero points and the clamp lie in int8 range, and
+// left_shift is in [0, 22], which keeps (x - zp) << left_shift and the sum
+// of the two rescaled inputs inside int32.
+AddRequantTable prepare_add_requant(const AddParams& p);
+
 // --- fast-backend kernels ---------------------------------------------------
 
-// Scratch for conv2d_s8_fast on `g`: the per-call requantization and bias
-// table of every channel group, and one tile of int16 im2col columns.
+// Scratch for conv2d_s8_fast on `g`: 16 bytes of alignment slack and one
+// tile of int16 im2col columns.
 int64_t conv2d_fast_scratch_bytes(const ConvGeometry& g);
 
-// Conv2d, bit-identical to conv2d_s8. `packed` must come from
-// pack_conv_panel(weights, out_ch, kh*kw*in_ch) and `scratch` hold at least
+// Conv2d, bit-identical to conv2d_s8 with rq.rq. `packed` must come from
+// pack_conv_panel(weights, out_ch, kh*kw*in_ch), `rq` from
+// prepare_requant(params, out_ch) and `scratch` hold at least
 // conv2d_fast_scratch_bytes(g). The micro-kernel computes a tile of 8
 // output channels x 4 output pixels in int32 registers over int16 columns
 // of (x - input_zp), then requantizes the 8 channels of each pixel at once
@@ -111,30 +170,38 @@ int64_t conv2d_fast_scratch_bytes(const ConvGeometry& g);
 void conv2d_s8_fast(std::span<const int8_t> input, const PackedOpWeights& packed,
                     std::span<const int32_t> bias, std::span<int8_t> output,
                     std::span<int8_t> scratch, const ConvGeometry& g,
-                    const RequantParams& rq);
+                    const RequantTable& rq);
 
 // Depthwise conv2d (multiplier 1) on the raw [kh, kw, ch] weights,
-// bit-identical to depthwise_conv2d_s8; needs no packed panel and no
-// scratch. One output pixel at a time, 16 channels per SSE2 pass.
+// bit-identical to depthwise_conv2d_s8 with rq.rq; needs no packed panel
+// and no scratch, and `rq` from prepare_requant(params, ch). One output
+// pixel at a time, 16 channels per SSE2 pass.
 void depthwise_conv2d_s8_fast(std::span<const int8_t> input,
                               std::span<const int8_t> weights,
                               std::span<const int32_t> bias,
                               std::span<int8_t> output, const ConvGeometry& g,
-                              const RequantParams& rq);
+                              const RequantTable& rq);
 
 // The 1x1 conv on one pixel that a fully-connected layer is.
 ConvGeometry fully_connected_geometry(int32_t in_features,
                                       int32_t out_features);
 
-// Fully connected, bit-identical to fully_connected_s8: conv2d_s8_fast on
-// fully_connected_geometry. `packed` must come from
-// pack_conv_panel(weights, out_features, in_features) and `scratch` hold
+// Fully connected, bit-identical to fully_connected_s8 with rq.rq:
+// conv2d_s8_fast on fully_connected_geometry. `packed` must come from
+// pack_conv_panel(weights, out_features, in_features), `rq` from
+// prepare_requant(params, out_features) and `scratch` hold
 // conv2d_fast_scratch_bytes(fully_connected_geometry(...)).
 void fully_connected_s8_fast(std::span<const int8_t> input,
                              const PackedOpWeights& packed,
                              std::span<const int32_t> bias,
                              std::span<int8_t> output,
                              std::span<int8_t> scratch, int32_t in_features,
-                             int32_t out_features, const RequantParams& rq);
+                             int32_t out_features, const RequantTable& rq);
+
+// Elementwise add, bit-identical to add_s8 with rq.p; `rq` must come from
+// prepare_add_requant. 16 elements per SSE2 pass; the tail, a call outside
+// the SIMD domain and non-x86 hosts run add_s8 itself.
+void add_s8_fast(std::span<const int8_t> a, std::span<const int8_t> b,
+                 std::span<int8_t> output, const AddRequantTable& rq);
 
 }  // namespace mn::kernels

@@ -15,25 +15,85 @@ constexpr uint8_t kCanaryByte = 0xA5;
 
 // Claim predicate for the fast backend: conv2d / depthwise / fully-connected
 // whose input, constant weights and output are all int8 or all int4 (panels
-// are packed once at load time, so mutable weights cannot be claimed).
-// Everything else falls back.
+// are packed once at load time, so mutable weights cannot be claimed), and
+// add whose two inputs and output are all int8 or all int4. Everything else
+// falls back.
 bool fast_claims(const ModelDef& m, const OpDef& op) {
   if (op.type != OpType::kConv2D && op.type != OpType::kDepthwiseConv2D &&
-      op.type != OpType::kFullyConnected)
+      op.type != OpType::kFullyConnected && op.type != OpType::kAdd)
     return false;
+  const TensorDef& in = m.tensors[static_cast<size_t>(op.inputs[0])];
+  const TensorDef& in2 = m.tensors[static_cast<size_t>(op.inputs[1])];
+  const TensorDef& out = m.tensors[static_cast<size_t>(op.output)];
+  return (in.bits == 8 || in.bits == 4) && in2.bits == in.bits &&
+         out.bits == in.bits && (op.type == OpType::kAdd || in2.is_const);
+}
+
+// The requantization of a conv, depthwise or fully-connected op, from its
+// tensors' quantization: per-tensor, or one multiplier per output channel.
+kernels::RequantParams requant_params(const ModelDef& m, const OpDef& op) {
   const TensorDef& in = m.tensors[static_cast<size_t>(op.inputs[0])];
   const TensorDef& w = m.tensors[static_cast<size_t>(op.inputs[1])];
   const TensorDef& out = m.tensors[static_cast<size_t>(op.output)];
-  return (in.bits == 8 || in.bits == 4) && w.bits == in.bits &&
-         out.bits == in.bits && w.is_const;
+  kernels::RequantParams rq;
+  activation_range(op.act, out.qp, out.bits, &rq.act_min, &rq.act_max);
+  rq.input_zp = in.qp.zero_point;
+  rq.output_zp = out.qp.zero_point;
+  if (w.channel_scales.empty()) {
+    rq.mult = quant::quantize_multiplier(static_cast<double>(in.qp.scale) *
+                                         w.qp.scale / out.qp.scale);
+  } else {
+    for (float ws : w.channel_scales)
+      rq.per_channel.push_back(quant::quantize_multiplier(
+          static_cast<double>(in.qp.scale) * ws / out.qp.scale));
+  }
+  return rq;
 }
 
-// Claimed ops that run on a packed panel: int8 depthwise reads its raw
-// weights, int4 depthwise an unpacked copy of them.
-bool fast_packs(const ModelDef& m, const OpDef& op) {
-  return fast_claims(m, op) &&
-         (op.type != OpType::kDepthwiseConv2D ||
-          m.tensors[static_cast<size_t>(op.inputs[1])].bits == 4);
+// An add's rescaling: both inputs onto twice the larger input scale, left
+// shifted by 20 bits of headroom, and the sum onto the output scale.
+kernels::AddParams add_params(const ModelDef& m, const OpDef& op) {
+  const TensorDef& a = m.tensors[static_cast<size_t>(op.inputs[0])];
+  const TensorDef& b = m.tensors[static_cast<size_t>(op.inputs[1])];
+  const TensorDef& out = m.tensors[static_cast<size_t>(op.output)];
+  kernels::AddParams p;
+  activation_range(op.act, out.qp, out.bits, &p.act_min, &p.act_max);
+  const double twice_max = 2.0 * std::max(a.qp.scale, b.qp.scale);
+  p.a_zp = a.qp.zero_point;
+  p.b_zp = b.qp.zero_point;
+  p.out_zp = out.qp.zero_point;
+  p.left_shift = 20;
+  p.a_mult = quant::quantize_multiplier(a.qp.scale / twice_max);
+  p.b_mult = quant::quantize_multiplier(b.qp.scale / twice_max);
+  p.out_mult = quant::quantize_multiplier(
+      twice_max / ((1 << p.left_shift) * static_cast<double>(out.qp.scale)));
+  return p;
+}
+
+// A claimed conv, depthwise or FC op's weights as its fast kernel reads
+// them; empty for int8 depthwise, which reads them in place.
+kernels::PackedOpWeights fast_weights(const ModelDef& m, const OpDef& op) {
+  const TensorDef& w = m.tensors[static_cast<size_t>(op.inputs[1])];
+  if (op.type == OpType::kDepthwiseConv2D && w.bits == 8) return {};
+  const uint8_t* w_bytes = m.weights_blob.data() + w.blob_offset;
+  // Kernels read int8 values; int4 weights are unpacked once, here.
+  std::vector<int8_t> unpacked;
+  std::span<const int8_t> values{reinterpret_cast<const int8_t*>(w_bytes),
+                                 static_cast<size_t>(w.elements())};
+  if (w.bits == 4) {
+    unpacked.resize(static_cast<size_t>(w.elements()));
+    quant::unpack_int4({w_bytes, static_cast<size_t>(w.storage_bytes())},
+                       unpacked);
+    values = unpacked;
+  }
+  // Conv weights [out_ch][kh][kw][in_ch] and FC weights [out][in] are
+  // row-major with one row per output channel/feature; both become a
+  // micro-kernel panel. Depthwise keeps its [1][kh][kw][ch] weights as they
+  // are.
+  if (op.type == OpType::kDepthwiseConv2D)
+    return {{values.begin(), values.end()}};
+  const auto out_ch = static_cast<int32_t>(w.shape.dim(0));
+  return kernels::pack_conv_panel(values, out_ch, w.elements() / out_ch);
 }
 
 }  // namespace
@@ -42,35 +102,23 @@ std::shared_ptr<const PackedModel> pack_model_weights(
     const ModelDef& model, kernels::BackendConfig config) {
   auto pm = std::make_shared<PackedModel>();
   pm->kind = config.kind;
-  pm->per_op.assign(model.ops.size(), nullptr);
+  pm->per_op.resize(model.ops.size());
   if (config.kind == kernels::BackendKind::kReference) return pm;
   for (size_t i = 0; i < model.ops.size(); ++i) {
     const OpDef& op = model.ops[i];
-    if (!fast_packs(model, op)) continue;
-    const TensorDef& w = model.tensors[static_cast<size_t>(op.inputs[1])];
-    const uint8_t* w_bytes = model.weights_blob.data() + w.blob_offset;
-    // Panels hold int8 values; int4 weights are unpacked once, here.
-    std::vector<int8_t> unpacked;
-    std::span<const int8_t> values{reinterpret_cast<const int8_t*>(w_bytes),
-                                   static_cast<size_t>(w.elements())};
-    if (w.bits == 4) {
-      unpacked.resize(static_cast<size_t>(w.elements()));
-      quant::unpack_int4({w_bytes, static_cast<size_t>(w.storage_bytes())},
-                         unpacked);
-      values = unpacked;
+    if (!fast_claims(model, op)) continue;
+    auto d = std::make_shared<FastOpData>();
+    if (op.type == OpType::kAdd) {
+      d->add = kernels::prepare_add_requant(add_params(model, op));
+    } else {
+      // One multiplier per output channel: the output's innermost dimension.
+      const Shape& out = model.tensors[static_cast<size_t>(op.output)].shape;
+      d->requant = kernels::prepare_requant(
+          requant_params(model, op),
+          static_cast<int32_t>(out.dim(out.rank() - 1)));
+      d->weights = fast_weights(model, op);
     }
-    // Conv weights [out_ch][kh][kw][in_ch] and FC weights [out][in] are
-    // row-major with one row per output channel/feature; both become a
-    // micro-kernel panel. Depthwise keeps its [1][kh][kw][ch] weights as
-    // they are.
-    if (op.type == OpType::kDepthwiseConv2D) {
-      pm->per_op[i] = std::make_shared<const kernels::PackedOpWeights>(
-          kernels::PackedOpWeights{{values.begin(), values.end()}});
-      continue;
-    }
-    const auto out_ch = static_cast<int32_t>(w.shape.dim(0));
-    pm->per_op[i] = std::make_shared<const kernels::PackedOpWeights>(
-        kernels::pack_conv_panel(values, out_ch, w.elements() / out_ch));
+    pm->per_op[i] = std::move(d);
   }
   return pm;
 }
@@ -105,7 +153,7 @@ Interpreter::Interpreter(ModelDef model, MemoryPlan plan,
   fill_guards();
   prepare();
   locate_operands();
-  // Backend resolution: pack weight panels (or adopt the shared set), then
+  // Backend resolution: pack the fast-op data (or adopt the shared set), then
   // record per-op which backend actually serves each op — claimed ops run on
   // the requested backend, the rest fall back to reference.
   if (packed == nullptr) {
@@ -121,16 +169,15 @@ Interpreter::Interpreter(ModelDef model, MemoryPlan plan,
   if (backend_.kind == kernels::BackendKind::kFast)
     for (size_t i = 0; i < model_.ops.size(); ++i) {
       if (!fast_claims(model_, model_.ops[i])) continue;
-      if (fast_packs(model_, model_.ops[i]) && packed_->per_op[i] == nullptr)
+      if (packed_->per_op[i] == nullptr)
         throw std::runtime_error(
-            "Interpreter: shared PackedModel lacks a claimed op's panel");
+            "Interpreter: shared PackedModel lacks a claimed op's data");
       op_backend_[i] = backend_.kind;
     }
-  // Shared conv scratch (CMSIS-NN analog): a tile of im2col columns and the
-  // channel groups' constants for each fast conv and FC; reference ops need
-  // none. Int4 staging: an int4 op's unpacked input and int8 result, plus
-  // its unpacked weights when no panel holds them. All sized here, so an
-  // invoke never allocates.
+  // Shared conv scratch (CMSIS-NN analog): a tile of im2col columns for each
+  // fast conv and FC; reference ops need none. Int4 staging: an int4 op's
+  // unpacked input and int8 result, plus its unpacked weights when no panel
+  // holds them. All sized here, so an invoke never allocates.
   op_scratch_bytes_.assign(model_.ops.size(), 0);
   int64_t scratch = 0, stage_in = 0, stage_out = 0, stage_w = 0;
   for (size_t i = 0; i < model_.ops.size(); ++i) {
@@ -217,21 +264,15 @@ void Interpreter::prepare() {
     const TensorDef& in = model_.tensors[static_cast<size_t>(op.inputs[0])];
     const TensorDef& out = model_.tensors[static_cast<size_t>(op.output)];
     activation_range(op.act, out.qp, out.bits, &p.rq.act_min, &p.rq.act_max);
+    // A fast-served op reads its requantization from its FastOpData.
+    const bool fast =
+        backend_.kind == kernels::BackendKind::kFast && fast_claims(model_, op);
     switch (op.type) {
       case OpType::kConv2D:
       case OpType::kDepthwiseConv2D:
       case OpType::kFullyConnected: {
         const TensorDef& w = model_.tensors[static_cast<size_t>(op.inputs[1])];
-        p.rq.input_zp = in.qp.zero_point;
-        p.rq.output_zp = out.qp.zero_point;
-        if (w.channel_scales.empty()) {
-          p.rq.mult = quant::quantize_multiplier(
-              static_cast<double>(in.qp.scale) * w.qp.scale / out.qp.scale);
-        } else {
-          for (float ws : w.channel_scales)
-            p.rq.per_channel.push_back(quant::quantize_multiplier(
-                static_cast<double>(in.qp.scale) * ws / out.qp.scale));
-        }
+        if (!fast) p.rq = requant_params(model_, op);
         if (op.type == OpType::kFullyConnected) {
           p.fc_in = static_cast<int32_t>(w.shape.dim(1));
           p.fc_out = static_cast<int32_t>(w.shape.dim(0));
@@ -263,21 +304,9 @@ void Interpreter::prepare() {
         p.pool.pad_h = op.pad_h;
         p.pool.pad_w = op.pad_w;
         break;
-      case OpType::kAdd: {
-        const TensorDef& b = model_.tensors[static_cast<size_t>(op.inputs[1])];
-        const double twice_max = 2.0 * std::max(in.qp.scale, b.qp.scale);
-        p.add.a_zp = in.qp.zero_point;
-        p.add.b_zp = b.qp.zero_point;
-        p.add.out_zp = out.qp.zero_point;
-        p.add.left_shift = 20;
-        p.add.a_mult = quant::quantize_multiplier(in.qp.scale / twice_max);
-        p.add.b_mult = quant::quantize_multiplier(b.qp.scale / twice_max);
-        p.add.out_mult = quant::quantize_multiplier(
-            twice_max / ((1 << p.add.left_shift) * static_cast<double>(out.qp.scale)));
-        p.add.act_min = p.rq.act_min;
-        p.add.act_max = p.rq.act_max;
+      case OpType::kAdd:
+        if (!fast) p.add = add_params(model_, op);
         break;
-      }
       case OpType::kSoftmax:
         p.softmax_scale = in.qp.scale;
         break;
@@ -338,8 +367,11 @@ std::span<const int32_t> as_s32(std::span<const uint8_t> b) {
 
 std::span<const int8_t> Interpreter::op_weights(size_t i) {
   const OpDef& op = model_.ops[i];
-  if (const auto& raw = packed_->per_op[i])  // int4 depthwise, unpacked
-    return raw->values;
+  // Fast int4 depthwise: unpacked at load.
+  if (const FastOpData* f = packed_->per_op[i].get();
+      f != nullptr && op.type == OpType::kDepthwiseConv2D &&
+      !f->weights.values.empty())
+    return f->weights.values;
   const TensorDef& w = model_.tensors[static_cast<size_t>(op.inputs[1])];
   const auto w_b = bytes(operands_[i].weights);
   if (w.bits == 8) return as_s8(w_b);
@@ -357,6 +389,7 @@ void Interpreter::run_op(size_t i) {
   const TensorDef& in_t = model_.tensors[static_cast<size_t>(op.inputs[0])];
   const bool s4 = in_t.bits == 4;
   const bool fast = op_backend_[i] == kernels::BackendKind::kFast;
+  const FastOpData* f = packed_->per_op[i].get();  // set when fast
   obs::counter_add(fast ? obs::Counter::kBackendFastOps
                         : obs::Counter::kBackendReferenceOps,
                    1);
@@ -392,22 +425,22 @@ void Interpreter::run_op(size_t i) {
   switch (op.type) {
     case OpType::kConv2D:
       if (fast)
-        kernels::conv2d_s8_fast(x, *packed_->per_op[i], bias, y, scratch_,
-                                p.conv, p.rq);
+        kernels::conv2d_s8_fast(x, f->weights, bias, y, scratch_, p.conv,
+                                f->requant);
       else
         kernels::conv2d_s8(x, op_weights(i), bias, y, p.conv, p.rq);
       break;
     case OpType::kDepthwiseConv2D:
       if (fast)
         kernels::depthwise_conv2d_s8_fast(x, op_weights(i), bias, y, p.conv,
-                                          p.rq);
+                                          f->requant);
       else
         kernels::depthwise_conv2d_s8(x, op_weights(i), bias, y, p.conv, p.rq);
       break;
     case OpType::kFullyConnected:
       if (fast)
-        kernels::fully_connected_s8_fast(x, *packed_->per_op[i], bias, y,
-                                         scratch_, p.fc_in, p.fc_out, p.rq);
+        kernels::fully_connected_s8_fast(x, f->weights, bias, y, scratch_,
+                                         p.fc_in, p.fc_out, f->requant);
       else
         kernels::fully_connected_s8(x, op_weights(i), bias, y, p.fc_in,
                                     p.fc_out, p.rq);
@@ -419,7 +452,10 @@ void Interpreter::run_op(size_t i) {
       kernels::max_pool_s8(x, y, p.pool, p.rq.act_min, p.rq.act_max);
       break;
     case OpType::kAdd:
-      kernels::add_s8(x, b, y, p.add);
+      if (fast)
+        kernels::add_s8_fast(x, b, y, f->add);
+      else
+        kernels::add_s8(x, b, y, p.add);
       break;
     case OpType::kSoftmax:
       kernels::softmax_s8(x, y, 1, static_cast<int32_t>(in_t.elements()),

@@ -38,18 +38,34 @@ struct MemoryReport {
   int64_t model_flash() const { return weights_bytes + graph_def_bytes; }
 };
 
-// Weight panels for every conv/FC op a fast backend claims, packed once per
-// model (DESIGN.md §14). Immutable after construction and shared — an
-// InterpreterPool packs a variant's weights a single time and every replica
-// (including quarantine/reimage rebuilds) aliases the same panels, the same
-// way they share the MemoryPlan. Index-aligned with ModelDef::ops; ops with
-// no panel hold nullptr (unclaimed ops, and int8 depthwise, which reads its
-// weights in place). Int4 weights are unpacked before packing (int4
-// depthwise: kept as the unpacked [kh, kw, ch] weights, no panel layout).
+// The fast kernels' load-time data for one claimed op (TFLM's OpData):
+// its weights as the kernel reads them — the conv/FC micro-kernel panel,
+// int4 depthwise's unpacked [kh, kw, ch] weights, none for int8 depthwise
+// (read in place) and add — and its prepared requantization (`requant` for
+// conv/depthwise/FC, `add` for add).
+struct FastOpData {
+  kernels::PackedOpWeights weights;
+  kernels::RequantTable requant;
+  kernels::AddRequantTable add;
+
+  int64_t bytes() const {
+    return weights.bytes() +
+           static_cast<int64_t>((requant.groups.size() + add.groups.size()) *
+                                sizeof(kernels::RequantGroup));
+  }
+};
+
+// The FastOpData of every op a fast backend claims, built once per model
+// (DESIGN.md §14). Immutable after construction and shared — an
+// InterpreterPool packs a variant a single time and every replica
+// (including quarantine/reimage rebuilds) aliases the same data, the same
+// way they share the MemoryPlan. Index-aligned with ModelDef::ops;
+// unclaimed ops hold nullptr. Int4 weights are unpacked before packing.
 struct PackedModel {
   kernels::BackendKind kind = kernels::BackendKind::kReference;
-  std::vector<std::shared_ptr<const kernels::PackedOpWeights>> per_op;
+  std::vector<std::shared_ptr<const FastOpData>> per_op;
 
+  // Host bytes of the panels, unpacked weights and requant tables.
   int64_t bytes() const {
     int64_t b = 0;
     for (const auto& p : per_op)
@@ -58,10 +74,9 @@ struct PackedModel {
   }
 };
 
-// Packs the weights of every op `config.kind` claims that runs on a panel
-// (fast: int8/int4 conv2d and fully-connected, and int4 depthwise; int8
-// depthwise is claimed but needs none). Returns an empty-per_op PackedModel
-// for kReference.
+// Builds the FastOpData of every op `config.kind` claims (fast: int8/int4
+// conv2d, depthwise, fully-connected and add). Returns an empty-per_op
+// PackedModel for kReference.
 std::shared_ptr<const PackedModel> pack_model_weights(
     const ModelDef& model, kernels::BackendConfig config);
 
@@ -131,7 +146,7 @@ class Interpreter {
 
   // --- backend introspection ----------------------------------------------
   // The requested backend, the backend that actually serves each op after
-  // per-op claim-or-fall-back, and the shared packed panels (nullptr-free;
+  // per-op claim-or-fall-back, and the shared fast-op data (nullptr-free;
   // reference configs get an empty PackedModel).
   kernels::BackendKind backend() const { return backend_.kind; }
   kernels::BackendKind op_backend(size_t op_index) const {
@@ -171,7 +186,9 @@ class Interpreter {
 
  private:
   struct PreparedOp {
-    kernels::RequantParams rq;      // conv/dw/fc
+    // Reference-served conv/dw/fc and add only: a fast-served op reads its
+    // requantization from its FastOpData. rq's clamp is set for every op.
+    kernels::RequantParams rq;      // conv/dw/fc (clamp: every op)
     kernels::AddParams add;         // add
     kernels::ConvGeometry conv;     // conv/dw
     kernels::PoolGeometry pool;     // pools
@@ -200,7 +217,8 @@ class Interpreter {
   std::span<uint8_t> arena_bytes(const Operand& o);
   void run_op(size_t op_index);
   // An unpanelled op's int8 weights: in place at int8, unpacked into
-  // stage_w_ at int4 (int4 depthwise on the fast backend: its panel).
+  // stage_w_ at int4 (int4 depthwise on the fast backend: unpacked at
+  // load).
   std::span<const int8_t> op_weights(size_t op_index);
   void fill_guards();
 

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
 #include <vector>
 
@@ -94,7 +95,8 @@ void check_conv_fast(const kernels::ConvGeometry& g,
       w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch);
   std::vector<int8_t> scratch(
       static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
-  kernels::conv2d_s8_fast(x, packed, bias, y_fast, scratch, g, rq);
+  kernels::conv2d_s8_fast(x, packed, bias, y_fast, scratch, g,
+                          kernels::prepare_requant(rq, g.out_ch));
   ASSERT_EQ(y_fast, y_ref) << "fast conv diverged from the oracle";
 }
 
@@ -111,7 +113,7 @@ void check_fc_fast(int32_t in_f, int32_t out_f,
       kernels::conv2d_fast_scratch_bytes(
           kernels::fully_connected_geometry(in_f, out_f))));
   kernels::fully_connected_s8_fast(x, packed, bias, y_fast, scratch, in_f,
-                                   out_f, rq);
+                                   out_f, kernels::prepare_requant(rq, out_f));
   ASSERT_EQ(y_fast, y_ref) << "fast FC diverged from the oracle";
 }
 
@@ -269,12 +271,13 @@ void check_depthwise_fast(const kernels::ConvGeometry& g,
                           const std::vector<int32_t>& bias) {
   std::vector<int8_t> y_ref(static_cast<size_t>(g.output_elements()));
   std::vector<int8_t> y_fast(y_ref.size());
+  const kernels::RequantTable consts = kernels::prepare_requant(rq, g.out_ch);
   for (const int threads : {1, 2, 8}) {
     parallel::set_threads(threads);
     std::fill(y_ref.begin(), y_ref.end(), int8_t{0});
     std::fill(y_fast.begin(), y_fast.end(), int8_t{1});
     kernels::depthwise_conv2d_s8(x, w, bias, y_ref, g, rq);
-    kernels::depthwise_conv2d_s8_fast(x, w, bias, y_fast, g, rq);
+    kernels::depthwise_conv2d_s8_fast(x, w, bias, y_fast, g, consts);
     ASSERT_EQ(y_fast, y_ref) << "fast depthwise diverged at " << threads
                              << " threads";
   }
@@ -499,6 +502,135 @@ TEST(BackendDifferential, ConvFastTileAndGatherEdges) {
   }
 }
 
+// --- add ------------------------------------------------------------------
+
+namespace {
+
+// Runs add_s8 (the oracle) and add_s8_fast on the same operands and asserts
+// every byte agrees.
+void check_add_fast(const std::vector<int8_t>& a, const std::vector<int8_t>& b,
+                    const kernels::AddParams& p) {
+  std::vector<int8_t> y_ref(a.size()), y_fast(a.size(), int8_t{1});
+  kernels::add_s8(a, b, y_ref, p);
+  kernels::add_s8_fast(a, b, y_fast, kernels::prepare_add_requant(p));
+  ASSERT_EQ(y_fast, y_ref) << "fast add diverged from the oracle";
+}
+
+// add_s8's parameters the way the interpreter derives them from three
+// tensor scales.
+kernels::AddParams add_params(double a_scale, double b_scale,
+                              double out_scale, int32_t left_shift) {
+  kernels::AddParams p;
+  const double twice_max = 2.0 * std::max(a_scale, b_scale);
+  p.left_shift = left_shift;
+  p.a_mult = quant::quantize_multiplier(a_scale / twice_max);
+  p.b_mult = quant::quantize_multiplier(b_scale / twice_max);
+  p.out_mult = quant::quantize_multiplier(
+      twice_max / (static_cast<double>(int64_t{1} << left_shift) * out_scale));
+  return p;
+}
+
+}  // namespace
+
+TEST(BackendDifferential, AddFastMatchesOracleSweep) {
+  // Lengths 0-40 cross the 16-element pass and its tail; zero points -128,
+  // 0 and 127 on each side; left_shift 20 (the interpreter's) and 0; clamps
+  // full, relu, relu6 and one wider than int8 (which must take the oracle).
+  const int32_t zps[] = {-128, 0, 127};
+  Rng rng(8100);
+  int cases = 0;
+  for (int32_t n = 0; n <= 40; ++n) {
+    for (const int32_t left_shift : {20, 0}) {
+      const int variant = cases++;
+      // With no left shift the sum's multiplier must stay below 1 to keep
+      // the SIMD domain, so the output scale grows to match.
+      const double a_scale = 0.01 + 0.05 * rng.uniform();
+      const double b_scale = 0.01 + 0.05 * rng.uniform();
+      const double out_scale =
+          (left_shift == 0 ? 4.0 : 0.5) * (a_scale + b_scale) *
+          (0.5 + rng.uniform());
+      kernels::AddParams p = add_params(a_scale, b_scale, out_scale,
+                                        left_shift);
+      p.a_zp = zps[variant % 3];
+      p.b_zp = zps[(variant / 3) % 3];
+      p.out_zp = zps[(variant + 1) % 3];
+      // Full range, relu, relu6 (6.0 at a 0.1 scale) and wider than int8.
+      const int clamp = n % 4;
+      p.act_min = clamp == 0 ? -128 : clamp == 3 ? -300 : p.out_zp;
+      p.act_max = clamp == 2 ? std::min(127, p.out_zp + 60)
+                  : clamp == 3 ? 300
+                               : 127;
+      SCOPED_TRACE(testing::Message()
+                   << "n " << n << " left_shift " << left_shift << " zp "
+                   << p.a_zp << "/" << p.b_zp << "/" << p.out_zp << " clamp "
+                   << p.act_min << ".." << p.act_max);
+      EXPECT_EQ(kernels::prepare_add_requant(p).groups[0].simd, clamp != 3)
+          << "only the wide clamp leaves SIMD";
+      std::vector<int8_t> a(static_cast<size_t>(n)), b(a.size());
+      for (size_t i = 0; i < a.size(); ++i) {
+        a[i] = static_cast<int8_t>(rng.uniform_int(-128, 127));
+        b[i] = static_cast<int8_t>(rng.uniform_int(-128, 127));
+      }
+      check_add_fast(a, b, p);
+    }
+  }
+  EXPECT_EQ(cases, 82);
+}
+
+TEST(BackendDifferential, AddFastRequantEdgeCases) {
+  // Each of add's three multipliers in turn takes an edge value while the
+  // others stay ordinary: shift 0 (INT32_MAX and 2^30 + 12345), shift -31,
+  // and the values outside the SIMD domain, which must send the whole call
+  // to the oracle loop: a left shift, a shift of -40, a zero and a negative
+  // multiplier. Operands sit at the int8 extremes against zero points at
+  // the other end, so |x - zp| reaches 255 and the rescaled inputs reach
+  // 255 << 22, the largest the domain admits.
+  const struct {
+    quant::FixedMultiplier m;
+    bool in_domain;
+  } edges[] = {
+      {{2147483647, 0}, true},          {{(1 << 30) + 12345, 0}, true},
+      {{1 << 30, -31}, true},           {{2147483647, -31}, true},
+      {quant::quantize_multiplier(1.5), false},
+      {{1 << 30, -40}, false},          {{0, -3}, false},
+      {{-(1 << 30), -2}, false}};
+  const size_t n = 37;  // two 16-element passes and a 5-element tail
+  Rng rng(8200);
+  for (const int32_t zp : {-128, 127}) {
+    std::vector<int8_t> a(n), b(n);
+    for (size_t i = 0; i < n; ++i) {
+      a[i] = i % 3 == 0 ? static_cast<int8_t>(-1 - zp)
+                        : static_cast<int8_t>(rng.uniform_int(-128, 127));
+      b[i] = i % 4 == 1 ? static_cast<int8_t>(-1 - zp)
+                        : static_cast<int8_t>(rng.uniform_int(-128, 127));
+    }
+    for (int which = 0; which < 3; ++which) {
+      for (size_t e = 0; e < std::size(edges); ++e) {
+        for (const int32_t left_shift : {22, 20, 0}) {
+          // A left-shifted rescale of 255 << 22 would overflow the sum of
+          // the two inputs in the oracle itself.
+          if (!edges[e].in_domain && left_shift == 22) continue;
+          kernels::AddParams p = add_params(0.02, 0.03, 0.04, 20);
+          p.left_shift = left_shift;
+          p.a_zp = p.b_zp = zp;
+          p.out_zp = -zp / 2;
+          (which == 0   ? p.a_mult
+           : which == 1 ? p.b_mult
+                        : p.out_mult) = edges[e].m;
+          // The sum's own multiplier is below 1 unless it is the edge.
+          if (which != 2) p.out_mult = {1 << 30, -2};
+          SCOPED_TRACE(testing::Message()
+                       << "zp " << zp << " multiplier " << which << " edge #"
+                       << e << " left_shift " << left_shift);
+          const kernels::AddRequantTable t = kernels::prepare_add_requant(p);
+          EXPECT_EQ(t.groups[0].simd, edges[e].in_domain);
+          check_add_fast(a, b, p);
+        }
+      }
+    }
+  }
+}
+
 // --- asymmetric-padding golden vector ---------------------------------------
 
 // Independent per-output-pixel oracle: the naive direct convolution written
@@ -545,7 +677,8 @@ TEST(BackendGolden, AsymmetricPaddingOracle) {
   std::vector<int8_t> fast_scratch(
       static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
   std::fill(y.begin(), y.end(), int8_t{0});
-  kernels::conv2d_s8_fast(x, packed, bias, y, fast_scratch, g, rq);
+  kernels::conv2d_s8_fast(x, packed, bias, y, fast_scratch, g,
+                          kernels::prepare_requant(rq, g.out_ch));
   EXPECT_EQ(y, oracle) << "fast conv disagrees with the naive oracle";
 }
 
@@ -609,11 +742,12 @@ TEST(BackendThreads, FastConvBitIdenticalAcrossThreadCounts) {
       w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch);
   std::vector<int8_t> scratch(
       static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
+  const kernels::RequantTable consts = kernels::prepare_requant(rq, g.out_ch);
   std::vector<int8_t> baseline;
   for (const int threads : {1, 2, 8}) {
     parallel::set_threads(threads);
     std::vector<int8_t> y(static_cast<size_t>(g.output_elements()));
-    kernels::conv2d_s8_fast(x, packed, bias, y, scratch, g, rq);
+    kernels::conv2d_s8_fast(x, packed, bias, y, scratch, g, consts);
     if (baseline.empty())
       baseline = y;
     else
@@ -743,7 +877,7 @@ TEST(BackendInterpreter, FastInvokeIsByteIdenticalToReference) {
 }
 
 TEST(BackendInterpreter, FastClaimsConvDepthwiseFcAtInt8AndInt4) {
-  // Every int8 and int4 conv / depthwise / FC op is fast-served; pool, add
+  // Every int8 and int4 conv / depthwise / FC / add op is fast-served; pool
   // and softmax fall back. The residual MobileNetV2 carries the add ops.
   for (const int bits : {8, 4}) {
     SCOPED_TRACE("bits " + std::to_string(bits));
@@ -754,18 +888,27 @@ TEST(BackendInterpreter, FastClaimsConvDepthwiseFcAtInt8AndInt4) {
       const rt::OpType t = m.ops[i].type;
       const bool claimed = t == rt::OpType::kConv2D ||
                            t == rt::OpType::kDepthwiseConv2D ||
-                           t == rt::OpType::kFullyConnected;
+                           t == rt::OpType::kFullyConnected ||
+                           t == rt::OpType::kAdd;
       EXPECT_EQ(fast.op_backend(i), claimed ? kernels::BackendKind::kFast
                                             : kernels::BackendKind::kReference)
           << "op " << i;
       (claimed ? fast_types : ref_types).insert(t);
-      // Int8 depthwise reads its weights in place: claimed, but no panel.
-      // Every int4 claimed op holds its weights unpacked in a panel.
-      const auto& panel = fast.packed_model()->per_op[i];
-      if (t == rt::OpType::kDepthwiseConv2D && bits == 8) {
-        EXPECT_EQ(panel, nullptr);
-      } else if (claimed) {
-        ASSERT_NE(panel, nullptr) << "op " << i;
+      // Every claimed op has its fast data and no other op does. Add has
+      // no weights and int8 depthwise reads its weights in place; every
+      // other claimed op holds its weights (unpacked at int4) in a panel.
+      const auto& data = fast.packed_model()->per_op[i];
+      ASSERT_EQ(data != nullptr, claimed) << "op " << i;
+      if (!claimed) continue;
+      const kernels::PackedOpWeights* panel = &data->weights;
+      if (t == rt::OpType::kAdd) {
+        EXPECT_EQ(data->add.groups.size(), 3u);
+        EXPECT_EQ(panel->bytes(), 0);
+      } else if (t == rt::OpType::kDepthwiseConv2D && bits == 8) {
+        EXPECT_FALSE(data->requant.groups.empty());
+        EXPECT_EQ(panel->bytes(), 0);
+      } else {
+        EXPECT_FALSE(data->requant.groups.empty());
         EXPECT_GT(panel->bytes(), 0);
         const rt::TensorDef& w =
             m.tensors[static_cast<size_t>(m.ops[i].inputs[1])];
@@ -781,15 +924,16 @@ TEST(BackendInterpreter, FastClaimsConvDepthwiseFcAtInt8AndInt4) {
     EXPECT_EQ(fast_types.count(rt::OpType::kConv2D), 1u);
     EXPECT_EQ(fast_types.count(rt::OpType::kDepthwiseConv2D), 1u);
     EXPECT_EQ(fast_types.count(rt::OpType::kFullyConnected), 1u);
-    EXPECT_EQ(ref_types.count(rt::OpType::kAdd), 1u);
+    EXPECT_EQ(fast_types.count(rt::OpType::kAdd), 1u);
+    EXPECT_EQ(ref_types.count(rt::OpType::kAvgPool2D), 1u);
     EXPECT_EQ(ref_types.count(rt::OpType::kSoftmax), bits == 8 ? 1u : 0u);
   }
 }
 
 // Int4 runs the int8 kernels on unpacked operands, so the fast backend must
 // match the reference backend byte for byte on int4 models too: a plain
-// DS-CNN, a residual MobileNetV2 (add falls back to reference; avg pool
-// runs on the int8 oracle) and a KWS-int4-shaped model with a stride-2 10x4
+// DS-CNN, a residual MobileNetV2 (add runs add_s8_fast; avg pool falls back
+// to the int8 oracle) and a KWS-int4-shaped model with a stride-2 10x4
 // stem, per-channel multipliers and odd element counts. Inputs cover every
 // nibble value.
 TEST(BackendInterpreter, FastInt4InvokeIsByteIdenticalToReference) {
@@ -948,8 +1092,8 @@ TEST(BackendInterpreter, SharedPackedModelIsReusedAndValidated) {
   EXPECT_THROW(
       rt::Interpreter(m, plan, kernels::BackendConfig::fast(), ref_packed),
       std::runtime_error);
-  // So is a fast-kind set missing a claimed conv/FC panel (now that the
-  // op's backend comes from the claim, not from the panel's presence).
+  // So is a fast-kind set missing a claimed op's data (the op's backend
+  // comes from the claim, not from the data's presence).
   auto holed = std::make_shared<rt::PackedModel>(*packed);
   for (auto& p : holed->per_op)
     if (p) {
@@ -990,12 +1134,13 @@ TEST(BackendValidation, KernelsRejectUndersizedBuffers) {
   const auto packed = kernels::pack_conv_panel(w, g.out_ch, ksize);
   std::vector<int8_t> scratch(
       static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
+  const auto consts = kernels::prepare_requant(rq, g.out_ch);
   const auto conv_fast = [&](const kernels::PackedOpWeights& panel,
                              std::span<int8_t> scr) {
-    return [&g, &rq, p = &panel, scr](std::span<const int8_t> in,
-                                      std::span<const int32_t> b,
-                                      std::span<int8_t> out) {
-      kernels::conv2d_s8_fast(in, *p, b, out, scr, g, rq);
+    return [&g, &consts, p = &panel, scr](std::span<const int8_t> in,
+                                          std::span<const int32_t> b,
+                                          std::span<int8_t> out) {
+      kernels::conv2d_s8_fast(in, *p, b, out, scr, g, consts);
     };
   };
   expect_span_checks(
@@ -1026,6 +1171,7 @@ TEST(BackendValidation, KernelsRejectUndersizedBuffers) {
       kernels::conv2d_fast_scratch_bytes(
           kernels::fully_connected_geometry(in_f, out_f))));
   std::vector<int8_t> fy(static_cast<size_t>(out_f));
+  const auto fconsts = kernels::prepare_requant(rq, out_f);
   expect_span_checks(
       [&](std::span<const int8_t> in, std::span<const int32_t> b,
           std::span<int8_t> out) {
@@ -1036,19 +1182,19 @@ TEST(BackendValidation, KernelsRejectUndersizedBuffers) {
       [&](std::span<const int8_t> in, std::span<const int32_t> b,
           std::span<int8_t> out) {
         kernels::fully_connected_s8_fast(in, fpacked, b, out, fscratch, in_f,
-                                         out_f, rq);
+                                         out_f, fconsts);
       },
       fx, fb, fy);
   EXPECT_THROW(kernels::fully_connected_s8(fx, std::span(fw).first(fw.size() - 1),
                                            fb, fy, in_f, out_f, rq),
                std::invalid_argument);
   EXPECT_THROW(kernels::fully_connected_s8_fast(fx, fpacked, fb, fy, fscratch,
-                                                in_f + 1, out_f, rq),
+                                                in_f + 1, out_f, fconsts),
                std::invalid_argument);
   EXPECT_THROW(kernels::fully_connected_s8_fast(
                    fx, fpacked, fb, fy,
                    std::span(fscratch).first(fscratch.size() - 1), in_f,
-                   out_f, rq),
+                   out_f, fconsts),
                std::invalid_argument);
 
   // Depthwise: also a short [kh, kw, ch] weights span and a channel
@@ -1057,19 +1203,24 @@ TEST(BackendValidation, KernelsRejectUndersizedBuffers) {
   const std::span<const int8_t> short_w(dw_w.data(), dw_w.size() - 1);
   auto grown = g;
   grown.out_ch = g.in_ch + 1;
-  using DwKernel = void (*)(std::span<const int8_t>, std::span<const int8_t>,
-                            std::span<const int32_t>, std::span<int8_t>,
-                            const kernels::ConvGeometry&,
-                            const kernels::RequantParams&);
-  for (const DwKernel dw : {static_cast<DwKernel>(kernels::depthwise_conv2d_s8),
-                            static_cast<DwKernel>(
-                                kernels::depthwise_conv2d_s8_fast)}) {
+  using DwKernel = std::function<void(
+      std::span<const int8_t>, std::span<const int8_t>,
+      std::span<const int32_t>, std::span<int8_t>,
+      const kernels::ConvGeometry&)>;
+  const DwKernel dw_kernels[] = {
+      [&rq](auto in, auto w, auto b, auto out, const auto& geom) {
+        kernels::depthwise_conv2d_s8(in, w, b, out, geom, rq);
+      },
+      [&consts](auto in, auto w, auto b, auto out, const auto& geom) {
+        kernels::depthwise_conv2d_s8_fast(in, w, b, out, geom, consts);
+      }};
+  for (const DwKernel& dw : dw_kernels) {
     expect_span_checks(
         [&](std::span<const int8_t> in, std::span<const int32_t> b,
-            std::span<int8_t> out) { dw(in, dw_w, b, out, g, rq); },
+            std::span<int8_t> out) { dw(in, dw_w, b, out, g); },
         x, bias, y);
-    EXPECT_THROW(dw(x, short_w, bias, y, g, rq), std::invalid_argument);
-    EXPECT_THROW(dw(x, dw_w, bias, y, grown, rq), std::invalid_argument);
+    EXPECT_THROW(dw(x, short_w, bias, y, g), std::invalid_argument);
+    EXPECT_THROW(dw(x, dw_w, bias, y, grown), std::invalid_argument);
   }
 
   // Pools: a short input, and an output slot sized for fewer channels than
@@ -1099,5 +1250,59 @@ TEST(BackendValidation, KernelsRejectUndersizedBuffers) {
                                    5, 0.1f),
                std::invalid_argument);
   EXPECT_THROW(kernels::softmax_s8(sx, std::span(sy).first(5), 2, 5, 0.1f),
+               std::invalid_argument);
+}
+
+TEST(BackendValidation, KernelsRejectMismatchedRequantTables) {
+  // A requant table prepared for another channel count, or cut short, is
+  // refused with invalid_argument before any output byte is written.
+  const auto g = make_geom(5, 5, 12, 12, 3, 3, 1, 1, 1);
+  Rng rng(17);
+  const auto rq = random_rq(rng, g.out_ch, true);
+  const auto x = random_s8(rng, g.input_elements());
+  const auto w = random_s8(rng, int64_t{g.out_ch} * g.kh * g.kw * g.in_ch);
+  const auto dw_w = random_s8(rng, int64_t{g.kh} * g.kw * g.in_ch);
+  const auto bias = random_bias(rng, g.out_ch);
+  const auto packed = kernels::pack_conv_panel(
+      w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch);
+  std::vector<int8_t> scratch(
+      static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
+  const auto fpacked = kernels::pack_conv_panel(w, g.out_ch, g.in_ch);
+  std::vector<int8_t> y(static_cast<size_t>(g.output_elements()), int8_t{7});
+  const auto untouched = y;
+
+  auto truncated = kernels::prepare_requant(rq, g.out_ch);
+  truncated.groups.pop_back();
+  std::vector<kernels::RequantTable> wrong;
+  wrong.push_back(kernels::prepare_requant(rq, g.out_ch - 1));
+  wrong.push_back(kernels::prepare_requant(rq, g.out_ch - 4));
+  wrong.push_back(kernels::RequantTable{});
+  wrong.push_back(truncated);
+  for (size_t i = 0; i < wrong.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "table #" << i);
+    const kernels::RequantTable& t = wrong[i];
+    EXPECT_THROW(
+        kernels::conv2d_s8_fast(x, packed, bias, y, scratch, g, t),
+        std::invalid_argument);
+    EXPECT_THROW(kernels::depthwise_conv2d_s8_fast(x, dw_w, bias, y, g, t),
+                 std::invalid_argument);
+    EXPECT_THROW(kernels::fully_connected_s8_fast(x, fpacked, bias, y, scratch,
+                                                  g.in_ch, g.out_ch, t),
+                 std::invalid_argument);
+    EXPECT_EQ(y, untouched);
+  }
+  // An add table that was not prepared is refused too.
+  EXPECT_THROW(kernels::add_s8_fast(x, x, std::span(y).first(x.size()),
+                                    kernels::AddRequantTable{}),
+               std::invalid_argument);
+  EXPECT_EQ(y, untouched);
+  // The matching tables run.
+  EXPECT_NO_THROW(kernels::conv2d_s8_fast(
+      x, packed, bias, y, scratch, g, kernels::prepare_requant(rq, g.out_ch)));
+  EXPECT_NO_THROW(kernels::add_s8_fast(
+      x, x, std::span(y).first(x.size()),
+      kernels::prepare_add_requant(kernels::AddParams{})));
+  // A table cannot be prepared for more channels than multipliers.
+  EXPECT_THROW(kernels::prepare_requant(rq, g.out_ch + 1),
                std::invalid_argument);
 }

@@ -323,7 +323,7 @@ TEST(KernelsS4, Conv2DMatchesIntReference) {
     conv2d_s8(x, w, {}, y, g, rq);
   });
   const auto fast = run_int4(xp, xq.size(), 5 * 5 * 3, [&](auto x, auto y) {
-    conv2d_s8_fast(x, panel, {}, y, scratch, g, rq);
+    conv2d_s8_fast(x, panel, {}, y, scratch, g, prepare_requant(rq, 3));
   });
   // Reference: integer accumulate then same requant.
   for (int32_t oy = 0; oy < 5; ++oy)
@@ -379,7 +379,7 @@ TEST(KernelsS4, DepthwiseMatchesIntReference) {
     depthwise_conv2d_s8(x, w, bias, y, g, rq);
   });
   const auto fast = run_int4(xp, xq.size(), 5 * 3 * 5, [&](auto x, auto y) {
-    depthwise_conv2d_s8_fast(x, w, bias, y, g, rq);
+    depthwise_conv2d_s8_fast(x, w, bias, y, g, prepare_requant(rq, 5));
   });
   for (int32_t oy = 0; oy < 5; ++oy)
     for (int32_t ox = 0; ox < 3; ++ox)
@@ -422,7 +422,8 @@ TEST(KernelsS4, FullyConnectedMatchesUnpackedMath) {
     fully_connected_s8(x, w, {}, y, in_f, out_f, rq);
   });
   const auto fast = run_int4(xp, in_f, out_f, [&](auto x, auto y) {
-    fully_connected_s8_fast(x, panel, {}, y, scratch, in_f, out_f, rq);
+    fully_connected_s8_fast(x, panel, {}, y, scratch, in_f, out_f,
+                            prepare_requant(rq, out_f));
   });
   for (int32_t o = 0; o < out_f; ++o) {
     int32_t acc = 0;
