@@ -13,7 +13,7 @@ namespace mn::obs {
 // The kind name table compiles in every configuration so exporters render
 // (empty) documents even when the subsystem is disabled.
 const char* event_kind_name(EventKind k) {
-  static_assert(static_cast<int>(EventKind::kEventKindCount) == 14,
+  static_assert(static_cast<int>(EventKind::kEventKindCount) == 12,
                 "EventKind changed: update event_kind_name() and this assert");
   switch (k) {
     case EventKind::kAdmit: return "admit";
@@ -28,8 +28,6 @@ const char* event_kind_name(EventKind k) {
     case EventKind::kWatchdogStall: return "watchdog_stall";
     case EventKind::kDegradeEnter: return "degrade_enter";
     case EventKind::kDegradeExit: return "degrade_exit";
-    case EventKind::kRolloutStage: return "rollout_stage";
-    case EventKind::kRolloutAbort: return "rollout_abort";
     case EventKind::kEventKindCount: break;  // sentinel
   }
   return "unknown_event";
@@ -45,7 +43,7 @@ namespace {
 
 constexpr size_t kDefaultEventCapacity = 16384;
 constexpr size_t kMinEventCapacity = 16;
-// Distinct from the engine/rollout fingerprint seeds so an event stream can
+// Distinct from the engine fingerprint seed so an event stream can
 // never collide with a schedule fingerprint by construction.
 constexpr uint64_t kEventFingerprintSeed = 0x3C79AC492BA7B653ULL;
 

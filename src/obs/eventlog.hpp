@@ -3,24 +3,24 @@
 // EventLog is a process-wide, fixed-capacity structured event ring recording
 // the full lifecycle of every serving request — admit, dispatch, retry,
 // terminal completion — plus the fleet-level transitions that explain them
-// (breaker trips, watchdog stalls, quarantine/reimage, degradation,
-// rollout-stage changes). Same MCU-style constraints as the span ring
-// (obs.hpp): no allocation on the hot path (the ring is preallocated; push
-// never allocates), drop-oldest eviction, and -DMN_OBS=OFF collapses every
-// entry point below to an inline no-op.
+// (breaker trips, watchdog stalls, quarantine/reimage, degradation). Same
+// MCU-style constraints as the span ring (obs.hpp): no allocation on the hot
+// path (the ring is preallocated; push never allocates), drop-oldest
+// eviction, and -DMN_OBS=OFF collapses every entry point below to an inline
+// no-op.
 //
 // Determinism contract: events carry ONLY virtual-time data (tick, tenant,
 // seq, kind-specific integers) — no wall-clock, no thread ids — and every
 // emission site sits in a serial scheduler phase, never inside a parallel
 // invoke batch. The running fingerprint folds every event in emission order
 // (including ones later evicted by ring wrap), so it is bit-identical at any
-// MN_THREADS and independent of ring capacity; it joins the engine and
-// rollout fingerprints in the thread-invariance contract.
+// MN_THREADS and independent of ring capacity; it joins the engine
+// fingerprint in the thread-invariance contract.
 //
-// Postmortem captures are the flight-recorder readout: on watchdog stall,
-// breaker open, or rollout abort the emitting layer calls event_postmortem()
-// and the last kPostmortemDepth events are snapshotted with a reason tag,
-// ready to be exported as JSON (export.hpp: postmortem_json()).
+// Postmortem captures are the flight-recorder readout: on watchdog stall or
+// breaker open the emitting layer calls event_postmortem() and the last
+// kPostmortemDepth events are snapshotted with a reason tag, ready to be
+// exported as JSON (export.hpp: postmortem_json()).
 #pragma once
 
 #include <cstddef>
@@ -31,7 +31,7 @@
 namespace mn::obs {
 
 // Lifecycle event kinds. Request-scoped kinds carry (tenant, seq); fleet-
-// scoped kinds (canary, reimage, rollout) use tenant/seq = -1 where no
+// scoped kinds (canary, reimage) use tenant/seq = -1 where no
 // request is involved.
 enum class EventKind : uint8_t {
   kAdmit = 0,      // request entered a tenant queue          a=queue depth, b=deadline
@@ -47,8 +47,6 @@ enum class EventKind : uint8_t {
   kWatchdogStall,  // liveness watchdog latched a stall       a=queue depth
   kDegradeEnter,   // tenant routed to fallback variant       a=queue depth
   kDegradeExit,    // tenant recovered to primary             a=queue depth
-  kRolloutStage,   // rollout lifecycle stage entered         a=Stage
-  kRolloutAbort,   // rollout rolled back                     a=AbortReason, b=tenants repinned
   kEventKindCount,  // sentinel, keep last
 };
 const char* event_kind_name(EventKind k);  // compiled in every configuration

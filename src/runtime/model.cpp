@@ -377,11 +377,6 @@ std::vector<uint8_t> ModelDef::serialize_legacy_v1() const {
 
 uint32_t ModelDef::weights_crc() const { return crc32(weights_blob); }
 
-uint32_t ModelDef::image_crc() const {
-  const std::vector<uint8_t> bytes = serialize();
-  return crc32(bytes);
-}
-
 Expected<ModelDef> ModelDef::try_deserialize(std::span<const uint8_t> bytes) {
   try {
     Reader r(bytes);

@@ -131,12 +131,6 @@ struct ModelDef {
   // re-checked by the Interpreter's optional per-invoke integrity scan.
   uint32_t weights_crc() const;
 
-  // CRC32 over the *entire* serialized image (graph metadata + weights) —
-  // the OTA manifest checksum. The rollout VersionRegistry records this at
-  // version staging and re-verifies it at every promotion boundary, so a
-  // poisoned staged image is caught before any replica is flashed from it.
-  uint32_t image_crc() const;
-
   // Structural validation (indices in range, shapes consistent with op
   // kinds). check() reports the first problem; validate() throws it.
   std::optional<RtError> check() const;

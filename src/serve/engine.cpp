@@ -39,7 +39,7 @@ const char* outcome_name(Outcome o) {
   // whenever an Outcome enumerator is added — a new disposition silently
   // returning "unknown" would corrupt bench metrics and logs. The switch has
   // no default, so -Wswitch also flags a missing case at compile time.
-  static_assert(static_cast<int>(Outcome::kOutcomeCount) == 10,
+  static_assert(static_cast<int>(Outcome::kOutcomeCount) == 8,
                 "Outcome changed: update outcome_name() and this assert");
   switch (o) {
     case Outcome::kServed: return "served";
@@ -50,8 +50,6 @@ const char* outcome_name(Outcome o) {
     case Outcome::kDroppedOldest: return "dropped_oldest";
     case Outcome::kExpiredInQueue: return "expired_in_queue";
     case Outcome::kFailed: return "failed";
-    case Outcome::kServedShadowed: return "served_shadowed";
-    case Outcome::kServedRollback: return "served_rollback";
     case Outcome::kOutcomeCount: break;  // sentinel, never a disposition
   }
   return "unknown";
@@ -85,69 +83,20 @@ ServingEngine::ServingEngine(EngineConfig cfg)
 int ServingEngine::register_tenant(TenantConfig cfg, VariantSpec primary,
                                    std::optional<VariantSpec> fallback,
                                    std::vector<TensorF> inputs) {
-  const int p = stage_variant(std::move(primary));
-  const int f = fallback ? stage_variant(std::move(*fallback)) : -1;
-  return register_tenant_on(std::move(cfg), p, f, std::move(inputs));
-}
-
-int ServingEngine::register_tenant_on(TenantConfig cfg, int primary_variant,
-                                      int fallback_variant,
-                                      std::vector<TensorF> inputs) {
   if (inputs.empty())
     throw std::invalid_argument("ServingEngine: tenant needs >= 1 input");
-  if (primary_variant < 0 || primary_variant >= pool_.num_variants())
-    throw std::invalid_argument("ServingEngine: unknown primary variant");
-  if (fallback_variant >= pool_.num_variants())
-    throw std::invalid_argument("ServingEngine: unknown fallback variant");
   Tenant t(std::move(cfg));
-  t.primary = primary_variant;
-  t.fallback = fallback_variant < 0 ? -1 : fallback_variant;
+  t.primary = pool_.add_variant(std::move(primary));
+  if (fallback) t.fallback = pool_.add_variant(std::move(*fallback));
+  variant_dispatches_.resize(static_cast<size_t>(pool_.num_variants()), 0);
   t.inputs = std::move(inputs);
   const int id = static_cast<int>(tenants_.size());
   tenants_.push_back(std::move(t));
   return id;
 }
 
-int ServingEngine::stage_variant(VariantSpec spec) {
-  const int id = pool_.add_variant(std::move(spec));
-  variant_dispatches_.resize(static_cast<size_t>(pool_.num_variants()), 0);
-  return id;
-}
-
-void ServingEngine::pin_primary(int tenant, int variant) {
-  if (variant < 0 || variant >= pool_.num_variants())
-    throw std::invalid_argument("ServingEngine: unknown variant to pin");
-  tenants_.at(static_cast<size_t>(tenant)).primary = variant;
-}
-
-int ServingEngine::primary_variant(int tenant) const {
-  return tenants_.at(static_cast<size_t>(tenant)).primary;
-}
-
-void ServingEngine::enable_shadow(int tenant, int variant) {
-  if (variant < 0 || variant >= pool_.num_variants())
-    throw std::invalid_argument("ServingEngine: unknown shadow variant");
-  Tenant& t = tenants_.at(static_cast<size_t>(tenant));
-  t.shadow_variant = variant;
-  t.shadow_mirror = pool_.make_replica(variant);
-}
-
-void ServingEngine::disable_shadow(int tenant) {
-  Tenant& t = tenants_.at(static_cast<size_t>(tenant));
-  t.shadow_variant = -1;
-  t.shadow_mirror.reset();
-}
-
-bool ServingEngine::shadow_enabled(int tenant) const {
-  return tenants_.at(static_cast<size_t>(tenant)).shadow_variant >= 0;
-}
-
 int64_t ServingEngine::variant_dispatches(int variant) const {
   return variant_dispatches_.at(static_cast<size_t>(variant));
-}
-
-Tick ServingEngine::tenant_p99(int tenant) const {
-  return tenant_window_p99(tenants_.at(static_cast<size_t>(tenant)));
 }
 
 const obs::TickHistogram& ServingEngine::tenant_histogram(int tenant) const {
@@ -364,20 +313,15 @@ void ServingEngine::record_breaker_trips(Tenant& t, int64_t before) {
 void ServingEngine::complete(Inflight rec) {
   Tenant& t = tenants_[static_cast<size_t>(rec.req.tenant)];
   --t.inflight;
-  InterpreterPool::Instance& inst = pool_.instance(rec.instance);
   switch (rec.result) {
     case rt::ErrorCode::kOk: {
-      ++inst.served;
       t.breaker.on_success();
       t.watchdog.record_progress();
       t.stall_latched = false;
-      // Deadline first; then classify by the variant the request *ran* on.
-      // A variant that is neither the tenant's current primary nor fallback
-      // was deposed by a rollback while this request was in flight.
-      Outcome o = rec.completes > rec.req.deadline ? Outcome::kServedLate
-                  : rec.variant == t.primary       ? run_shadow(t, rec)
-                  : rec.variant == t.fallback      ? Outcome::kServedDegraded
-                                                   : Outcome::kServedRollback;
+      // Deadline first; then classify by the variant the request ran on.
+      const Outcome o = rec.completes > rec.req.deadline ? Outcome::kServedLate
+                        : rec.variant == t.fallback ? Outcome::kServedDegraded
+                                                    : Outcome::kServed;
       const Tick lat = rec.completes - rec.req.arrival;
       virtual_lat_.push_back(lat);
       wall_ns_.push_back(rec.wall_ns);
@@ -457,14 +401,6 @@ void ServingEngine::finish(const Request& req, Outcome o, Tick completion) {
       ++stats_.expired_in_queue;
       break;
     case Outcome::kFailed: ++t.stats.failed; ++stats_.failed; break;
-    case Outcome::kServedShadowed:
-      ++t.stats.served_shadowed;
-      ++stats_.served_shadowed;
-      break;
-    case Outcome::kServedRollback:
-      ++t.stats.served_rollback;
-      ++stats_.served_rollback;
-      break;
     case Outcome::kRejectedQueueFull:
     case Outcome::kRejectedBreaker:
     case Outcome::kOutcomeCount:
@@ -731,43 +667,6 @@ void ServingEngine::execute_one(Inflight& rec) {
                     std::chrono::steady_clock::now() - t0)
                     .count();
   rec.result = out.ok() ? rt::ErrorCode::kOk : out.error().code;
-  if (out.ok()) rec.output = std::move(out).value();
-}
-
-// --- shadow mirroring -------------------------------------------------------
-
-Outcome ServingEngine::run_shadow(Tenant& t, const Inflight& rec) {
-  if (t.shadow_variant < 0 || !t.shadow_mirror) return Outcome::kServed;
-  ++t.stats.shadow_invokes;
-  ++stats_.shadow_invokes;
-  const TensorF& base =
-      t.inputs[static_cast<size_t>(rec.req.input_index) % t.inputs.size()];
-  rt::Expected<TensorF> out = t.shadow_mirror->try_invoke(base);
-  if (!out.ok()) {
-    ++t.stats.shadow_faults;
-    ++stats_.shadow_faults;
-    // A faulted mirror may hold poisoned memory; rebuild it from the
-    // candidate's pristine image so subsequent mirrors stay meaningful.
-    t.shadow_mirror = pool_.make_replica(t.shadow_variant);
-    return Outcome::kServedShadowed;
-  }
-  // Bit-exact comparison: the int8/int4 inference paths are deterministic at
-  // every thread count, so any difference is a real model divergence, not
-  // numerical noise.
-  const TensorF& mirror = out.value();
-  bool diverged = mirror.size() != rec.output.size();
-  if (!diverged) {
-    for (int64_t i = 0; i < mirror.size(); ++i)
-      if (mirror[i] != rec.output[i]) {
-        diverged = true;
-        break;
-      }
-  }
-  if (diverged) {
-    ++t.stats.shadow_divergences;
-    ++stats_.shadow_divergences;
-  }
-  return Outcome::kServedShadowed;
 }
 
 }  // namespace mn::serve

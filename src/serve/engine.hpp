@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -55,47 +54,16 @@ class ServingEngine {
 
   // Registers a tenant with its primary model variant, an optional fallback
   // (smaller/int4) variant for graceful degradation, and the pool of input
-  // tensors its simulated streams cycle through. Returns the tenant id.
+  // tensors its simulated streams cycle through. Each variant is added to the
+  // pool with its own replicas. Returns the tenant id.
   int register_tenant(TenantConfig cfg, VariantSpec primary,
                       std::optional<VariantSpec> fallback,
                       std::vector<TensorF> inputs);
 
-  // Variant-sharing registration: a whole fleet of tenants can serve on one
-  // staged variant (the rollout layer registers fleets this way; variant ids
-  // come from stage_variant). fallback = -1 disables degradation.
-  int register_tenant_on(TenantConfig cfg, int primary_variant,
-                         int fallback_variant, std::vector<TensorF> inputs);
-
-  // Stages a model variant into the pool without binding it to any tenant —
-  // how a rollout's candidate image enters the fleet. Returns the variant id.
-  int stage_variant(VariantSpec spec);
-
-  // --- version-pinned dispatch (staged rollouts, DESIGN.md §13) -------------
-  // Re-pins a tenant's primary variant. Queued and future requests dispatch
-  // to the new pin; requests already in flight complete on the variant they
-  // started on (classified kServedRollback when that variant is no longer
-  // the tenant's primary or fallback).
-  void pin_primary(int tenant, int variant);
-  int primary_variant(int tenant) const;
-
-  // Mirrored shadow execution: while enabled, every on-time primary
-  // completion for the tenant re-runs the same input on a dedicated shadow
-  // replica of `variant` and compares outputs bit-exactly (int8/int4 paths
-  // are deterministic, so any difference is a real divergence). Divergence /
-  // fault counts land in ServeStats; the request itself completes on the
-  // incumbent as kServedShadowed.
-  void enable_shadow(int tenant, int variant);
-  void disable_shadow(int tenant);
-  bool shadow_enabled(int tenant) const;
-
-  // Dispatches per pool variant (indexed by variant id) — the witness that a
-  // rolled-back version received zero traffic after its abort tick.
+  // Dispatches per pool variant (indexed by variant id).
   int64_t variant_dispatches(int variant) const;
 
   int num_tenants() const { return static_cast<int>(tenants_.size()); }
-  // Windowed virtual-latency p99 for one tenant (the rollout guard input;
-  // same ring the degradation trigger reads).
-  Tick tenant_p99(int tenant) const;
 
   // Cumulative per-tenant SLO histogram over served virtual latencies
   // (deterministic log buckets, obs/histogram.hpp) and the merged fleet
@@ -157,10 +125,6 @@ class ServingEngine {
     bool degraded = false;
     Tick degrade_ok_run = 0;   // consecutive ticks below the triggers
     bool stall_latched = false;
-    // Shadow mirror: candidate variant id and its dedicated replica (never
-    // in the pool's rotation, so mirroring steals no serving capacity).
-    int shadow_variant = -1;
-    std::unique_ptr<rt::Interpreter> shadow_mirror;
     std::vector<Tick> lat_window;  // ring of recent virtual latencies
     int64_t lat_seen = 0;
     obs::TickHistogram hist;       // cumulative served-latency histogram
@@ -180,16 +144,10 @@ class ServingEngine {
     // Written by the parallel executor:
     rt::ErrorCode result = rt::ErrorCode::kOk;
     int64_t wall_ns = 0;
-    // Dequantized output of a successful invoke, kept so the shadow mirror
-    // (run serially at completion) can compare against it bit-exactly.
-    TensorF output;
   };
 
   void process_completions();
   void complete(Inflight rec);
-  // Serial mirrored invoke for a completed on-time primary request; returns
-  // the refined outcome (kServedShadowed) and updates shadow counters.
-  Outcome run_shadow(Tenant& t, const Inflight& rec);
   void finish(const Request& req, Outcome o, Tick completion);
   void record_breaker_trips(Tenant& t, int64_t before);
   void run_watchdogs();

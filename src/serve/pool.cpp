@@ -24,12 +24,9 @@ int InterpreterPool::add_variant(VariantSpec spec) {
   v.weights_crc = v.pristine.weights_crc();
   const int id = static_cast<int>(variants_.size());
   variants_.push_back(std::move(v));
-  const Variant& stored = variants_.back();
   for (int i = 0; i < spec.instances; ++i) {
     Instance inst;
-    inst.interp = std::make_unique<rt::Interpreter>(
-        stored.pristine, stored.plan, stored.backend, stored.packed);
-    inst.interp->set_verify_weights_each_invoke(true);
+    inst.interp = make_replica(id);
     inst.variant = id;
     instances_.push_back(std::move(inst));
   }
@@ -41,27 +38,6 @@ int InterpreterPool::acquire(int variant, Tick now) const {
     if (instances_[i].variant == variant && instances_[i].busy_until <= now)
       return static_cast<int>(i);
   return -1;
-}
-
-int InterpreterPool::free_instances(int variant, Tick now) const {
-  int n = 0;
-  for (const Instance& inst : instances_)
-    if (inst.variant == variant && inst.busy_until <= now) ++n;
-  return n;
-}
-
-int InterpreterPool::instances_of(int variant) const {
-  int n = 0;
-  for (const Instance& inst : instances_)
-    if (inst.variant == variant) ++n;
-  return n;
-}
-
-int64_t InterpreterPool::variant_served(int variant) const {
-  int64_t n = 0;
-  for (const Instance& inst : instances_)
-    if (inst.variant == variant) n += inst.served;
-  return n;
 }
 
 std::unique_ptr<rt::Interpreter> InterpreterPool::make_replica(
@@ -85,25 +61,17 @@ std::optional<rt::RtError> InterpreterPool::health_check(int idx) const {
 }
 
 void InterpreterPool::quarantine(int idx, Tick until) {
-  reimage(idx, instances_[static_cast<size_t>(idx)].variant, until);
-}
-
-void InterpreterPool::reimage(int idx, int variant, Tick until) {
   Instance& inst = instances_[static_cast<size_t>(idx)];
-  const Variant& v = variants_[static_cast<size_t>(variant)];
-  // Re-plan: a fresh interpreter from the pristine model reuses the shared
-  // plan and packed panels, so recovery costs one arena allocation — neither
-  // a planner run nor a re-pack.
-  inst.interp = std::make_unique<rt::Interpreter>(v.pristine, v.plan,
-                                                  v.backend, v.packed);
-  inst.interp->set_verify_weights_each_invoke(true);
-  inst.variant = variant;
+  // Re-plan: a fresh replica reuses the variant's shared plan and packed
+  // panels, so recovery costs one arena allocation — neither a planner run
+  // nor a re-pack.
+  inst.interp = make_replica(inst.variant);
   inst.busy_until = until;
   ++inst.rebuilds;
   // Fleet-scoped flight-recorder record; `tick` is the tick the rebuilt
   // replica rejoins rotation (the only virtual time the pool is handed).
   obs::event_emit({obs::EventKind::kReimage, /*tenant=*/-1, /*seq=*/-1, until,
-                   idx, variant});
+                   idx, inst.variant});
 }
 
 bool InterpreterPool::all_healthy() const {

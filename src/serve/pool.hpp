@@ -25,7 +25,6 @@ class InterpreterPool {
     std::unique_ptr<rt::Interpreter> interp;
     int variant = -1;
     Tick busy_until = 0;   // virtual tick at which the replica frees up
-    int64_t served = 0;    // completed invokes
     int64_t rebuilds = 0;  // quarantine + re-plan events
   };
 
@@ -40,28 +39,14 @@ class InterpreterPool {
   Tick service_ticks(int variant) const {
     return variants_[static_cast<size_t>(variant)].service_ticks;
   }
-  // Replica / invoke accounting for one variant (0 instances after all its
-  // replicas were re-imaged onto another variant during a rollback).
-  int instances_of(int variant) const;
-  int64_t variant_served(int variant) const;
-
-  // The golden flash image and the shared plan a variant's replicas are
-  // built from (the rollout controller mirrors shadow traffic and golden
-  // vectors against these).
-  const rt::ModelDef& pristine(int variant) const {
-    return variants_[static_cast<size_t>(variant)].pristine;
-  }
-  // A fresh standalone replica of `variant` (pristine image + shared plan,
-  // per-invoke CRC verification armed) that is NOT entered into the pool —
-  // used for shadow mirrors and bit-equivalence checks.
+  // A fresh standalone replica of `variant` (pristine image + shared plan
+  // and panels, per-invoke CRC verification armed) that is NOT entered into
+  // the pool. Every pool replica, quarantine rebuilds included, is built here.
   std::unique_ptr<rt::Interpreter> make_replica(int variant) const;
 
   // Lowest-index healthy replica of `variant` free at `now`, or -1. Does not
   // mark it busy — the engine stamps busy_until with the completion tick.
   int acquire(int variant, Tick now) const;
-
-  // Free replicas of `variant` at `now`.
-  int free_instances(int variant, Tick now) const;
 
   Instance& instance(int idx) { return instances_[static_cast<size_t>(idx)]; }
   const Instance& instance(int idx) const {
@@ -75,32 +60,21 @@ class InterpreterPool {
   // and live weights CRC equal to the golden image's.
   std::optional<rt::RtError> health_check(int idx) const;
 
-  // Quarantine + re-plan: rebuild the replica from the pristine model and
-  // the shared plan, and hold it out of rotation until `until`.
+  // Quarantine + re-plan: rebuild the replica onto its own variant from the
+  // pristine model and the shared plan, and hold it out of rotation until
+  // `until`.
   void quarantine(int idx, Tick until);
-
-  // Re-image: rebuild the replica from *another* variant's pristine model
-  // and shared plan — the OTA flash-rollback analog. The replica leaves its
-  // old variant's rotation entirely (instances_of drops) and serves the
-  // target variant after the cooldown. quarantine() is re-image onto the
-  // replica's own variant.
-  void reimage(int idx, int variant, Tick until);
 
   // True when every replica's live state matches its golden image (used by
   // tests/benches to prove quarantined instances recovered).
   bool all_healthy() const;
 
-  // Kernel backend a variant's replicas execute on.
-  kernels::BackendKind variant_backend(int variant) const {
-    return variants_[static_cast<size_t>(variant)].backend.kind;
-  }
-
  private:
   struct Variant {
     rt::ModelDef pristine;
     rt::MemoryPlan plan;
-    // Packed once alongside the plan; every replica (incl. quarantine and
-    // reimage rebuilds) aliases the same immutable panels.
+    // Packed once alongside the plan; every replica (incl. quarantine
+    // rebuilds) aliases the same immutable panels.
     kernels::BackendConfig backend{};
     std::shared_ptr<const rt::PackedModel> packed;
     Tick service_ticks = 1;

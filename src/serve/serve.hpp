@@ -50,8 +50,6 @@ enum class Outcome : uint8_t {
   kDroppedOldest,      // admitted, later evicted under kDropOldest
   kExpiredInQueue,     // deadline passed before it could be (re)executed
   kFailed,             // typed request-level failure (e.g. non-finite input)
-  kServedShadowed,     // completed on the primary while mirrored to a shadow
-  kServedRollback,     // completed on a variant deposed mid-flight (rollout)
   // Sentinel, not a disposition. Keep last; outcome_name() static_asserts
   // against it so adding an enumerator without a name fails to compile.
   kOutcomeCount,
@@ -68,7 +66,7 @@ struct VariantSpec {
   int instances = 1;
   // Kernel backend the variant's replicas execute on (default: fast).
   // Weight panels are packed once per variant and shared by every replica,
-  // including quarantine/reimage rebuilds — outputs are bit-identical either
+  // including quarantine rebuilds — outputs are bit-identical either
   // way, so fingerprints and golden vectors do not depend on this choice.
   kernels::BackendConfig backend{};
   // Ignored. It exists only so the zoo benchmark's pins (zoobench/pins.cpp)
@@ -107,8 +105,6 @@ struct ServeStats {
   int64_t served = 0;              // on-time, primary variant
   int64_t served_degraded = 0;     // on-time, fallback variant
   int64_t served_late = 0;         // deadline violations
-  int64_t served_shadowed = 0;     // on-time, primary, mirrored to a shadow
-  int64_t served_rollback = 0;     // on-time, on a variant rolled back mid-flight
   int64_t failed = 0;              // request-level typed failures
   int64_t retries = 0;             // re-executions scheduled
   int64_t instance_faults = 0;     // invokes failed on a poisoned instance
@@ -118,17 +114,14 @@ struct ServeStats {
   int64_t degrade_exits = 0;
   int64_t breaker_trips = 0;
   int64_t watchdog_stalls = 0;
-  // Shadow mirroring (staged rollouts, DESIGN.md §13): candidate invokes run
-  // on mirrored traffic and compared bit-exactly against the incumbent's
-  // output. Divergences and mirror faults are guard inputs, not failures —
-  // the mirrored request itself still completes on the incumbent.
-  int64_t shadow_invokes = 0;
-  int64_t shadow_divergences = 0;  // mirror output != incumbent output
-  int64_t shadow_faults = 0;       // mirror invoke returned a typed error
+  // Always zero: no outcome increments them. They remain only because the
+  // zoo benchmark (zoobench/main.cpp) still reads them, and go when that
+  // benchmark is next revised.
+  int64_t served_shadowed = 0;
+  int64_t served_rollback = 0;
 
   int64_t total_served() const {
-    return served + served_degraded + served_late + served_shadowed +
-           served_rollback;
+    return served + served_degraded + served_late;
   }
   // Admitted-or-refused requests that were never served.
   int64_t total_shed() const {

@@ -311,12 +311,12 @@ TEST_F(ObsTest, MnObsRingEnvOverridesRingDefault) {
 TEST_F(ObsTest, EventLogJsonRendersStreamAndPostmortem) {
   obs::event_reserve(64);
   obs::event_emit(lifecycle_event(obs::EventKind::kAdmit, 1, 10));
-  obs::event_emit(lifecycle_event(obs::EventKind::kRolloutAbort, -1, 11));
+  obs::event_emit(lifecycle_event(obs::EventKind::kReimage, -1, 11));
   std::string j = obs::event_log_json();
   EXPECT_NE(j.find("\"fingerprint\": \"0x"), std::string::npos);
   EXPECT_NE(j.find("\"dropped\": 0"), std::string::npos);
   EXPECT_NE(j.find("\"kind\": \"admit\""), std::string::npos);
-  EXPECT_NE(j.find("\"kind\": \"rollout_abort\""), std::string::npos);
+  EXPECT_NE(j.find("\"kind\": \"reimage\""), std::string::npos);
   // Without a capture the postmortem document is explicit about it.
   EXPECT_NE(obs::postmortem_json().find("\"reason\": null"),
             std::string::npos);

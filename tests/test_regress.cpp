@@ -5,6 +5,7 @@
 // metric, byte metrics fail on any drift, r^2 metrics are lower-bounded.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -105,16 +106,6 @@ TEST(RegressRules, ClassifiesByMetricName) {
             Rule::kThroughputLowerBound);
   EXPECT_EQ(tools::classify_metric("requests_per_sec"),
             Rule::kThroughputLowerBound);
-  // Rollout-gate rules (PR 7). Rollback latency and divergence/dispatch
-  // counts are virtual-time deterministic (exact); the promotion tick is a
-  // one-sided upper bound so faster promotions never fail the gate.
-  EXPECT_EQ(tools::classify_metric("rollback_latency_ticks"), Rule::kExact);
-  EXPECT_EQ(tools::classify_metric("clean_shadow_divergence_count"),
-            Rule::kExact);
-  EXPECT_EQ(tools::classify_metric("poisoned_post_abort_dispatch_count"),
-            Rule::kExact);
-  EXPECT_EQ(tools::classify_metric("clean_promotion_tick"),
-            Rule::kPromotionUpperBound);
   // Backend-gate rules (PR 8). Only the "backend_speedup" marker selects the
   // absolute floor; fig3's simulated "anomaly_speedup" (asserted kRelative
   // above) must never be captured by it. Mismatch/shape counts stay exact.
@@ -293,24 +284,31 @@ TEST(RegressGate, ThroughputIsLowerBoundedOnly) {
           .ok());
 }
 
-TEST(RegressGate, PromotionTickIsUpperBoundedWithZeroDefaultSlack) {
-  // Promoting earlier than baseline is an improvement and always passes;
-  // even one extra tick fails with the default zero slack.
-  EXPECT_TRUE(diff(R"("clean_promotion_tick": 80)",
-                   R"("clean_promotion_tick": 72)")
-                  .ok());
-  EXPECT_TRUE(diff(R"("clean_promotion_tick": 80)",
-                   R"("clean_promotion_tick": 80)")
-                  .ok());
-  const RegressResult r =
-      diff(R"("clean_promotion_tick": 80)", R"("clean_promotion_tick": 81)");
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.checks[0].rule, Rule::kPromotionUpperBound);
-  RegressConfig loose;
-  loose.promotion_slack = 8.0;
-  EXPECT_TRUE(diff(R"("clean_promotion_tick": 80)",
-                   R"("clean_promotion_tick": 86)", loose)
-                  .ok());
+TEST(RegressFlags, ToleranceValuesParseStrictly) {
+  // mn_regress exits 2 with its usage text whenever this returns nullopt.
+  using tools::parse_tolerance;
+  EXPECT_EQ(parse_tolerance("0.1"), 0.1);
+  EXPECT_EQ(parse_tolerance("0"), 0.0);
+  EXPECT_EQ(parse_tolerance("3"), 3.0);
+  EXPECT_EQ(parse_tolerance("2.5e-1"), 0.25);
+  // Garbage and empty text.
+  EXPECT_EQ(parse_tolerance("abc"), std::nullopt);
+  EXPECT_EQ(parse_tolerance(""), std::nullopt);
+  EXPECT_EQ(parse_tolerance("."), std::nullopt);
+  // A number with anything around it.
+  EXPECT_EQ(parse_tolerance("0.1x"), std::nullopt);
+  EXPECT_EQ(parse_tolerance("0.1 "), std::nullopt);
+  EXPECT_EQ(parse_tolerance(" 0.1"), std::nullopt);
+  EXPECT_EQ(parse_tolerance("1,5"), std::nullopt);
+  // Non-finite and out of range.
+  EXPECT_EQ(parse_tolerance("nan"), std::nullopt);
+  EXPECT_EQ(parse_tolerance("NAN"), std::nullopt);
+  EXPECT_EQ(parse_tolerance("inf"), std::nullopt);
+  EXPECT_EQ(parse_tolerance("infinity"), std::nullopt);
+  EXPECT_EQ(parse_tolerance("1e999"), std::nullopt);
+  // Negative.
+  EXPECT_EQ(parse_tolerance("-0.1"), std::nullopt);
+  EXPECT_EQ(parse_tolerance("-inf"), std::nullopt);
 }
 
 TEST(RegressGate, BackendSpeedupIsAnAbsoluteFloorNotBaselineRelative) {

@@ -363,6 +363,60 @@ TEST(ServePool, MismatchedPlanIsRejected) {
   EXPECT_THROW(rt::Interpreter(m, wrong), std::runtime_error);
 }
 
+TEST(ServePool, QuarantineRebuildsOntoItsOwnVariantBitIdentically) {
+  // Every replica, the quarantine rebuild included, comes from
+  // make_replica: it aliases the variant's packed panels, stays on its own
+  // variant, and serves outputs bit-identical to the pre-poison replica and
+  // to a reference-backend interpreter of the same model.
+  serve::InterpreterPool pool;
+  pool.add_variant(make_variant(2, 1, 9));
+  const int v = pool.add_variant(make_variant(2, 2, 1));
+  ASSERT_EQ(pool.num_instances(), 3);
+  const int idx = 1;  // first replica of `v`
+  ASSERT_EQ(pool.instance(idx).variant, v);
+  const TensorF in = clean_inputs(1)[0];
+  const auto* panels = pool.interp(idx).packed_model().get();
+  ASSERT_NE(panels, nullptr);
+  EXPECT_EQ(pool.interp(idx + 1).packed_model().get(), panels);
+  const auto golden = pool.interp(idx).try_invoke(in);
+  ASSERT_TRUE(golden.ok());
+  const rt::ModelDef m = tiny_model(1);
+  rt::Interpreter reference(m, rt::plan_memory(m),
+                            kernels::BackendConfig::reference());
+  const TensorF ref_out = reference.invoke(in);
+  ASSERT_EQ(ref_out.size(), golden.value().size());
+
+  // Poison the live weights: the per-invoke CRC and the health check see it.
+  pool.interp(idx).mutable_weights()[0] ^= 0xFF;
+  ASSERT_TRUE(pool.health_check(idx).has_value());
+  const auto poisoned = pool.interp(idx).try_invoke(in);
+  ASSERT_FALSE(poisoned.ok());
+  EXPECT_EQ(poisoned.error().code, rt::ErrorCode::kCrcMismatch);
+
+  pool.quarantine(idx, /*until=*/5);
+  EXPECT_EQ(pool.instance(idx).variant, v);
+  EXPECT_EQ(pool.instance(idx).rebuilds, 1);
+  EXPECT_EQ(pool.instance(idx).busy_until, 5);
+  EXPECT_FALSE(pool.health_check(idx).has_value());
+  EXPECT_EQ(pool.interp(idx).packed_model().get(), panels);
+  // acquire() respects the cooldown, then hands the rebuilt replica out.
+  EXPECT_EQ(pool.acquire(v, /*now=*/0), idx + 1);
+  EXPECT_EQ(pool.acquire(v, /*now=*/5), idx);
+
+  const auto rebuilt = pool.interp(idx).try_invoke(in);
+  ASSERT_TRUE(rebuilt.ok());
+  auto fresh = pool.make_replica(v);
+  EXPECT_EQ(fresh->packed_model().get(), panels);
+  const auto fresh_out = fresh->try_invoke(in);
+  ASSERT_TRUE(fresh_out.ok());
+  for (int64_t i = 0; i < golden.value().size(); ++i) {
+    EXPECT_EQ(rebuilt.value()[i], golden.value()[i]) << i;
+    EXPECT_EQ(fresh_out.value()[i], golden.value()[i]) << i;
+    EXPECT_EQ(ref_out[i], golden.value()[i]) << i;
+  }
+  EXPECT_TRUE(pool.all_healthy());
+}
+
 // --- thread invariance -------------------------------------------------------
 
 namespace {

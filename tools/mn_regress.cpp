@@ -2,9 +2,12 @@
 //
 // Usage:
 //   mn_regress [--rel-tol F] [--r2-drop F] [--tail-headroom F]
-//              [--shed-slack F] [--throughput-drop F] [--promotion-slack F]
-//              [--speedup-floor F] [--p999-headroom F]
+//              [--shed-slack F] [--throughput-drop F] [--speedup-floor F]
+//              [--p999-headroom F]
 //              BASELINE CURRENT [BASELINE CURRENT]...
+//
+// Every F must be a whole, finite, non-negative number; anything else (a
+// missing value, "abc", "0.1x", nan, -1) prints the usage and exits 2.
 //
 // Each (BASELINE, CURRENT) pair is a committed bench/baselines/BENCH_*.json
 // and the BENCH_*.json a fresh bench run just wrote. For every pair the gate
@@ -17,6 +20,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -39,8 +43,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: mn_regress [--rel-tol F] [--r2-drop F] "
                "[--tail-headroom F] [--shed-slack F] [--throughput-drop F] "
-               "[--promotion-slack F] [--speedup-floor F] "
-               "[--p999-headroom F] "
+               "[--speedup-floor F] [--p999-headroom F] "
                "BASELINE CURRENT [BASELINE CURRENT]...\n");
   return 2;
 }
@@ -49,29 +52,31 @@ int usage() {
 
 int main(int argc, char** argv) {
   mn::tools::RegressConfig cfg;
+  const struct {
+    const char* flag;
+    double* value;
+  } kFlags[] = {
+      {"--rel-tol", &cfg.rel_tol},
+      {"--r2-drop", &cfg.r2_drop},
+      {"--tail-headroom", &cfg.tail_headroom},
+      {"--shed-slack", &cfg.shed_slack},
+      {"--throughput-drop", &cfg.throughput_drop},
+      {"--speedup-floor", &cfg.speedup_floor},
+      {"--p999-headroom", &cfg.p999_headroom},
+  };
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--rel-tol") == 0 && i + 1 < argc) {
-      cfg.rel_tol = std::stod(argv[++i]);
-    } else if (std::strcmp(argv[i], "--r2-drop") == 0 && i + 1 < argc) {
-      cfg.r2_drop = std::stod(argv[++i]);
-    } else if (std::strcmp(argv[i], "--tail-headroom") == 0 && i + 1 < argc) {
-      cfg.tail_headroom = std::stod(argv[++i]);
-    } else if (std::strcmp(argv[i], "--shed-slack") == 0 && i + 1 < argc) {
-      cfg.shed_slack = std::stod(argv[++i]);
-    } else if (std::strcmp(argv[i], "--throughput-drop") == 0 && i + 1 < argc) {
-      cfg.throughput_drop = std::stod(argv[++i]);
-    } else if (std::strcmp(argv[i], "--promotion-slack") == 0 && i + 1 < argc) {
-      cfg.promotion_slack = std::stod(argv[++i]);
-    } else if (std::strcmp(argv[i], "--speedup-floor") == 0 && i + 1 < argc) {
-      cfg.speedup_floor = std::stod(argv[++i]);
-    } else if (std::strcmp(argv[i], "--p999-headroom") == 0 && i + 1 < argc) {
-      cfg.p999_headroom = std::stod(argv[++i]);
-    } else if (argv[i][0] == '-') {
-      return usage();
-    } else {
+    if (argv[i][0] != '-') {
       paths.push_back(argv[i]);
+      continue;
     }
+    double* value = nullptr;
+    for (const auto& f : kFlags)
+      if (std::strcmp(argv[i], f.flag) == 0) value = f.value;
+    if (value == nullptr || i + 1 >= argc) return usage();
+    const std::optional<double> v = mn::tools::parse_tolerance(argv[++i]);
+    if (!v) return usage();
+    *value = *v;
   }
   if (paths.empty() || paths.size() % 2 != 0) return usage();
 

@@ -25,8 +25,12 @@
 // Phases (wall-clock) and "series" arrays are informational and never gated.
 #pragma once
 
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,11 +48,6 @@ struct RegressConfig {
   double tail_headroom = 1.0;
   double shed_slack = 0.02;
   double throughput_drop = 0.60;
-  // Rollout-gate rule: a "promotion_tick" metric (the virtual tick a staged
-  // rollout completed at) may not grow past baseline + promotion_slack. The
-  // quantity is deterministic, so the default slack is zero — a rollout that
-  // takes even one extra tick to promote is a scheduling change worth seeing.
-  double promotion_slack = 0.0;
   // Backend-gate rule: a "backend_speedup" metric (fast-over-reference ratio
   // measured by bench_kernels_micro) must stay at or above this absolute
   // floor, independent of what the committed baseline recorded — the fast
@@ -62,6 +61,22 @@ struct RegressConfig {
   double p999_headroom = 3.0;
 };
 
+// Parses one tolerance flag value. The whole text must be a single finite,
+// non-negative number: empty text, leading blanks, trailing characters
+// ("0.1x"), nan, inf, out-of-range and negative values all yield nullopt,
+// so a typo can never silently become some other tolerance.
+inline std::optional<double> parse_tolerance(const std::string& text) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])))
+    return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size() || errno == ERANGE ||
+      !std::isfinite(v) || v < 0.0)
+    return std::nullopt;
+  return v;
+}
+
 enum class Rule {
   kExact,
   kRelative,
@@ -69,7 +84,6 @@ enum class Rule {
   kTailUpperBound,
   kShedUpperBound,
   kThroughputLowerBound,
-  kPromotionUpperBound,
   kSpeedupLowerBound,
   kP999UpperBound,
   kZeroExact,
@@ -84,7 +98,6 @@ inline const char* rule_name(Rule r) {
     case Rule::kTailUpperBound: return "tail-upper-bound";
     case Rule::kShedUpperBound: return "shed-upper-bound";
     case Rule::kThroughputLowerBound: return "throughput-lower";
-    case Rule::kPromotionUpperBound: return "promotion-upper";
     case Rule::kSpeedupLowerBound: return "speedup-floor";
     case Rule::kP999UpperBound: return "p999-upper-bound";
     case Rule::kZeroExact: return "zero-exact";
@@ -108,10 +121,6 @@ inline Rule classify_metric(const std::string& name) {
   // "..._count" suffix) can soften the rule.
   if (contains(name, "accounting")) return Rule::kZeroExact;
   if (contains(name, "r2")) return Rule::kR2LowerBound;
-  // Checked before the exact markers so a singular "..._promotion_tick" can
-  // never be swallowed by a plural marker: a rollout may promote *earlier*
-  // than baseline (an improvement), but never later.
-  if (contains(name, "promotion_tick")) return Rule::kPromotionUpperBound;
   // Deliberately "backend_speedup", not "speedup": fig3's "anomaly_speedup"
   // is an unrelated simulated ratio that must keep its relative rule.
   if (contains(name, "backend_speedup")) return Rule::kSpeedupLowerBound;
@@ -220,12 +229,6 @@ inline MetricCheck check_metric(const std::string& name, const JsonValue& base,
       if (!c.pass)
         c.detail = "throughput fell below baseline x " +
                    num_str(1.0 - cfg.throughput_drop);
-      break;
-    case Rule::kPromotionUpperBound:
-      c.pass = v <= b + cfg.promotion_slack;
-      if (!c.pass)
-        c.detail =
-            "promotion tick grew past baseline + " + num_str(cfg.promotion_slack);
       break;
     case Rule::kSpeedupLowerBound:
       // Absolute floor, not baseline-relative: the fast backend must deliver
