@@ -1,19 +1,25 @@
 // bench_kernels_micro: backend A/B microbenchmark of the integer kernels.
 //
-// For each fig2-class conv shape (DS-CNN / MobileNetV2-style layers), two
-// zoo depthwise layers, the classifier FC shape and two VWW residual adds,
-// the bench times the reference path (what a reference interpreter actually
-// dispatches: the conv2d_s8 / depthwise_conv2d_s8 / fully_connected_s8 /
-// add_s8 oracles) against the fast backend (kernels_fast.cpp: packed panels
-// + the register-tiled conv micro-kernel, which FC shares; channel-
-// vectorized depthwise; 16-lane add), verifies the two outputs
+// For each fig2-class conv shape (DS-CNN / MobileNetV2-style layers), VWW-S's
+// 50x50 small-K layers, three zoo depthwise layers, the classifier FC shape
+// and two VWW residual adds, the bench times the reference path (what a
+// reference interpreter actually dispatches: the conv2d_s8 /
+// depthwise_conv2d_s8 / fully_connected_s8 / add_s8 oracles) against the
+// fast backend (packed panels + the register-tiled conv micro-kernel, which
+// FC shares; tap-paired depthwise; 16-lane add), verifies the two outputs
 // byte-for-byte, and reports
 //
 //   <shape>_reference_us_p50 / <shape>_fast_us_p50   median per-call latency
 //   <shape>_backend_speedup                           reference / fast ratio
+//   <shape>_fast_<isa>_us_p50   the same fast kernel called directly on each
+//                               instruction-set variant this host runs
+//                               (scalar, sse2, avx2; conv, depthwise and FC),
+//                               each output byte-checked too
 //   conv_backend_speedup_min                          worst conv-shape ratio
 //   ab_mismatch_count                                 bytes that differed (0)
 //
+// <shape>_fast_us_p50 is the variant the interpreter runs
+// (kernels::active_kernel_isa(), named by the JSON's "kernel_isa").
 // The regression gate (tools/mn_regress) holds every *_backend_speedup
 // metric to an ABSOLUTE floor (default 2.0, --speedup-floor): the fast
 // backend must earn >=2x on the machine the gate runs on, not merely match a
@@ -91,6 +97,35 @@ double median_us_per_call(int reps, int iters, Fn&& fn) {
   return us[us.size() / 2];
 }
 
+// Every instruction-set variant of the fast kernels this host runs.
+std::vector<kernels::KernelIsa> available_isas() {
+  std::vector<kernels::KernelIsa> isas;
+  for (const auto isa : {kernels::KernelIsa::kScalar, kernels::KernelIsa::kSse2,
+                         kernels::KernelIsa::kAvx2})
+    if (kernels::kernel_isa_available(isa)) isas.push_back(isa);
+  return isas;
+}
+
+// Runs run(isa) once per available variant, counting the bytes that differ
+// from `expected` in `out` into *mismatches, then times it and reports
+// <shape>_fast_<isa>_us_p50.
+template <typename Run>
+void time_every_isa(bench::Reporter& report, const std::string& shape,
+                    const TensorI8& expected, TensorI8& out, int reps,
+                    int iters, int64_t* mismatches, Run&& run) {
+  for (const kernels::KernelIsa isa : available_isas()) {
+    run(isa);
+    for (int64_t i = 0; i < expected.size(); ++i)
+      if (expected[i] != out[i]) ++*mismatches;
+    const double us = median_us_per_call(reps, iters, [&] { run(isa); });
+    std::printf("  %-22s   %-6s %8.2f us\n", shape.c_str(),
+                kernels::kernel_isa_name(isa), us);
+    report.metric(shape + "_fast_" + kernels::kernel_isa_name(isa) +
+                      "_us_p50",
+                  us);
+  }
+}
+
 }  // namespace
 }  // namespace mn
 
@@ -99,6 +134,8 @@ int main(int argc, char** argv) {
   bench::BenchOptions opt = bench::parse_args(argc, argv);
   bench::print_header("kernel backend A/B microbench (reference vs fast)");
   bench::Reporter report("kernels_micro", opt);
+  std::printf("fast kernels run on %s\n",
+              kernels::kernel_isa_name(kernels::active_kernel_isa()));
 
   const int reps = opt.full ? 9 : 5;
   const int iters = opt.full ? 40 : 12;
@@ -106,8 +143,9 @@ int main(int argc, char** argv) {
   // Fig. 2-class shapes: DS-CNN KWS stem (non-square 10x4 kernel, stride 2,
   // asymmetric padding), its 3x3 body conv, a MobileNetV2-style pointwise,
   // a channel-expanding 3x3 (K = 288), and a larger-image 3x3. Then VWW-S's
-  // own small-K layers: its 50x50 3x3 stem and the 1x1 expansions of its
-  // first two blocks (K = 4 and 8).
+  // own small-K layers: its 50x50 3x3 stem, the 1x1 expansions of its first
+  // two blocks (K = 4 and 8) and its 50x50 1x1 projection 8 -> 4, whose tile
+  // is one half-filled group.
   const std::vector<ConvCase> conv_cases = {
       {"kws_stem_49x10x1", geom(49, 10, 1, 64, 10, 4, 2, 4, 1)},
       {"kws_body_25x5x64", geom(25, 5, 64, 64, 3, 3, 1, 1, 1)},
@@ -117,6 +155,7 @@ int main(int argc, char** argv) {
       {"vww_stem_50x50x1", geom(50, 50, 1, 8, 3, 3, 1, 1, 1)},
       {"vww_expand_50x50x4", geom(50, 50, 4, 24, 1, 1, 1, 0, 0)},
       {"vww_expand_25x25x8", geom(25, 25, 8, 48, 1, 1, 1, 0, 0)},
+      {"vww_project_50x50x8", geom(50, 50, 8, 4, 1, 1, 1, 0, 0)},
   };
 
   int64_t mismatches = 0;
@@ -164,16 +203,24 @@ int main(int argc, char** argv) {
     report.metric(std::string(c.name) + "_reference_us_p50", ref_us);
     report.metric(std::string(c.name) + "_fast_us_p50", fast_us);
     report.metric(std::string(c.name) + "_backend_speedup", speedup);
+    time_every_isa(report, c.name, y_ref, y_fast, reps, iters, &mismatches,
+                   [&](kernels::KernelIsa isa) {
+                     kernels::conv2d_s8_fast(x.span(), packed, bias,
+                                             y_fast.span(), fast_scratch, g,
+                                             consts, isa);
+                   });
   }
   report.metric("conv_backend_speedup_min", min_conv_speedup);
 
-  // Depthwise shapes: the KWS-M body (25x5, 3x3, stride 1) and a VWW-S
+  // Depthwise shapes: the KWS-M body (25x5, 3x3, stride 1), a VWW-S
   // stride-2 3x3 expansion layer (24 channels: one 16-lane pass plus an
-  // 8-lane pass). The reference side is depthwise_conv2d_s8, what a
-  // reference interpreter dispatches.
+  // 8-lane pass) and VWW-S's first 50x50 layer (8 channels: one 8-lane pass
+  // per pixel). The reference side is depthwise_conv2d_s8, what a reference
+  // interpreter dispatches.
   const std::vector<ConvCase> dw_cases = {
       {"kws_m_dw_25x5x144", geom(25, 5, 144, 144, 3, 3, 1, 1, 1)},
       {"vww_dw_s2_50x50x24", geom(50, 50, 24, 24, 3, 3, 2, 0, 0)},
+      {"vww_dw_50x50x8", geom(50, 50, 8, 8, 3, 3, 1, 1, 1)},
   };
 
   report.phase("depthwise_ab");
@@ -211,6 +258,12 @@ int main(int argc, char** argv) {
     report.metric(std::string(c.name) + "_reference_us_p50", ref_us);
     report.metric(std::string(c.name) + "_fast_us_p50", fast_us);
     report.metric(std::string(c.name) + "_backend_speedup", speedup);
+    time_every_isa(report, c.name, y_ref, y_fast, reps, iters, &mismatches,
+                   [&](kernels::KernelIsa isa) {
+                     kernels::depthwise_conv2d_s8_fast(x.span(), w.span(),
+                                                       bias, y_fast.span(), g,
+                                                       consts, isa);
+                   });
   }
 
   report.phase("fc_ab");
@@ -250,6 +303,13 @@ int main(int argc, char** argv) {
     report.metric("fc_1024x128_reference_us_p50", ref_us);
     report.metric("fc_1024x128_fast_us_p50", fast_us);
     report.metric("fc_1024x128_backend_speedup", speedup);
+    time_every_isa(report, "fc_1024x128", y_ref, y_fast, reps, iters * 4,
+                   &mismatches, [&](kernels::KernelIsa isa) {
+                     kernels::fully_connected_s8_fast(x.span(), packed, {},
+                                                      y_fast.span(),
+                                                      fast_scratch, in_f,
+                                                      out_f, consts, isa);
+                   });
   }
 
   // Residual adds: VWW-S's 25x25x8 and VWW-M's 20x20x56, with the

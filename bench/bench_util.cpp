@@ -7,6 +7,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "kernels/backend.hpp"
 #include "nn/loss.hpp"
 #include "nn/snapshot.hpp"
 #include "obs/eventlog.hpp"
@@ -338,6 +339,10 @@ std::string Reporter::json() const {
   std::string j = "{\"bench\": \"" + json_escape(name_) + "\"";
   j += ", \"mode\": \"" + std::string(full_ ? "full" : "fast") + "\"";
   j += ", \"threads\": " + std::to_string(parallel::max_threads());
+  // Which kernel variant produced every timing below.
+  j += ", \"kernel_isa\": \"" +
+       std::string(kernels::kernel_isa_name(kernels::active_kernel_isa())) +
+       "\"";
   j += ", \"phases\": [";
   for (size_t i = 0; i < phases_.size(); ++i) {
     if (i > 0) j += ", ";

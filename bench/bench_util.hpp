@@ -130,6 +130,10 @@ void shard(int64_t n, const std::function<void(int64_t)>& fn);
 // (or the destructor) closes the last phase, prints a JSON block to stdout,
 // and atomically writes BENCH_<name>.json — write-tmp-fsync-rename, like the
 // trainer's checkpoints, so a killed bench can never leave a truncated file.
+// Next to the bench name the document records its mode, the pool's thread
+// count and "kernel_isa", the instruction set the fast kernels ran on
+// (kernels::active_kernel_isa()), so every artifact names the kernel behind
+// its numbers.
 class Reporter {
  public:
   Reporter(std::string bench_name, const BenchOptions& opt);

@@ -6,22 +6,29 @@
 // kReference per-op, so a model never fails to run because a backend lacks a
 // kernel — it just runs that op on the reference path.
 //
-//   kFast (the default) — kernels_fast.cpp, the production int8 path.
-//     Conv2d and fully-connected share one register-tiled micro-kernel:
-//     weights packed once at model-load time into 8-channel panels, a tile
-//     of 4 output pixels gathered as int16 columns of (x - input_zp), SSE2
-//     pmaddwd into 8 channels x 4 pixels of int32 accumulators (exact
-//     integer arithmetic — never a source of divergence), and the
-//     requant→activation-clamp of 8 channels at a time in SIMD, exact like
-//     the reference kernels' scalar primitive. A fully-connected layer is a
-//     1x1 conv on one pixel. Non-x86 hosts, and zero points outside int8
-//     range, take a scalar loop over the same panel. Depthwise runs
-//     channel-vectorized on the raw weights: 16 channels per SSE2 pass,
-//     (x - zp) * w formed exactly in int16 (|255 * 128| < 2^15), the same
-//     SIMD requantization, and no panel. Add rescales, sums and
-//     requantizes 16 elements per SSE2 pass. Every SIMD requantization is
-//     the one-multiply form, read from a table prepared once per model next
-//     to the panels; no kernel builds constants during a call.
+//   kFast (the default) — the production int8 path. Conv2d and
+//     fully-connected share one register-tiled micro-kernel: weights packed
+//     once at model-load time into 8-channel panels, a tile of 4 output
+//     pixels gathered as int16 columns of (x - input_zp), pmaddwd into
+//     int32 accumulators of 8 channels each (exact integer arithmetic —
+//     never a source of divergence), and the requant→activation-clamp of 8
+//     channels at a time in SIMD, exact like the reference kernels' scalar
+//     primitive. A fully-connected layer is a 1x1 conv on one pixel.
+//     Depthwise pairs taps the same way on the raw weights: 16, 8 or 4
+//     channels per pass, two taps per pmaddwd, and no panel. The conv/FC
+//     tile and the depthwise pass are each written once (fast_tile.hpp)
+//     over an instruction-set trait and compiled twice: for SSE2
+//     (kernels_sse2.cpp, two xmm per accumulator, 4 pixels x 1 group per
+//     tile) and for AVX2 (kernels_avx2.cpp, one ymm per accumulator,
+//     4 pixels x 2 groups, per-lane vpsrlvq requantization). The widest
+//     variant the build carries and the CPU runs is picked once per process
+//     from CPUID (active_kernel_isa()); no setting selects it, since every
+//     variant writes the same bytes. Non-x86 builds, and zero points outside
+//     int8 range, take scalar loops over the same data. Add rescales, sums
+//     and requantizes 16 elements per SSE2 pass on every x86 host. Every
+//     SIMD requantization is the one-multiply form, read from a table
+//     prepared once per model next to the panels; no kernel builds
+//     constants during a call.
 //     Claims conv2d, depthwise and fully-connected when input, weights and
 //     output are all int8 or all int4, and add when both inputs and the
 //     output are; pool and softmax fall back. Int4 ops run these same
@@ -35,12 +42,13 @@
 //     benchmark's check), the way TFLM keeps its reference ops to verify the
 //     optimized ones.
 //
-// The contract that makes a second backend safe at all: for every geometry,
-// a claimed op's output is BYTE-IDENTICAL to the reference kernel's
-// (tests/test_backends.cpp). Integer accumulation is order-free (no
-// rounding), so tiling/SIMD reassociation cannot change results — which is
-// why golden vectors, resume equivalence and serving fingerprints carry over
-// unchanged whichever backend served the op.
+// The contract that makes a second backend safe at all: for every geometry
+// and every instruction-set variant, a claimed op's output is
+// BYTE-IDENTICAL to the reference kernel's (tests/test_backends.cpp).
+// Integer accumulation is order-free (no rounding), so tiling/SIMD
+// reassociation cannot change results — which is why golden vectors,
+// resume equivalence and serving fingerprints carry over unchanged whichever
+// backend and variant served the op.
 #pragma once
 
 #include <cstdint>
@@ -68,10 +76,31 @@ struct BackendConfig {
   static BackendConfig fast() { return {BackendKind::kFast}; }
 };
 
+// --- instruction-set variants of the fast kernels ---------------------------
+
+// The instruction set a fast conv, depthwise or FC call runs on.
+enum class KernelIsa : uint8_t {
+  kScalar = 0,  // portable loops over the same panels
+  kSse2,
+  kAvx2,
+};
+
+// Stable lowercase names ("scalar", "sse2", "avx2") used by the deployment
+// summary, the profile table and bench JSON.
+const char* kernel_isa_name(KernelIsa isa);
+
+// Whether this build compiled `isa`'s kernels and this CPU can run them.
+// kScalar always can.
+bool kernel_isa_available(KernelIsa isa);
+
+// The variant every fast kernel call runs by default: the widest available
+// one, picked once per process from CPUID.
+KernelIsa active_kernel_isa();
+
 // --- packed weight panels (fast backend, built once at model load) ----------
 
-// Output channels per panel group: one micro-kernel tile is this many
-// channels wide.
+// Output channels per panel group and per SIMD accumulator; a conv tile is
+// one (SSE2) or two (AVX2) groups wide.
 inline constexpr int32_t kPanelLanes = 8;
 
 // Weights a fast-served op reads from host memory instead of the model
@@ -103,26 +132,31 @@ PackedOpWeights pack_conv_panel(std::span<const int8_t> weights,
 // --- prepared requantization (fast backend, built once per model) ----------
 
 // One 8-channel group's requantization constants (TFLM's per-channel
-// OpData, prepared once): the one-multiply form of kernels_fast.cpp turns
+// OpData, prepared once): the one-multiply form (DESIGN.md §14) turns
 // multiply_by_quantized_multiplier(x, {M, -r}) into
 //   sign(x) * floor((|x| * M + 2^30 - [x < 0] + 2^(30+r)) / 2^(31+r))
 // (without the 2^(30+r) term at r = 0), so a lane needs its multiplier, its
-// 64-bit rounding constant and its shift count 31 + r. They are stored in
-// the order the SIMD code loads them: `mult` holds lanes 0-7 and zero pads
-// (4 lanes loaded from lane 4h + 1 put half h's odd multipliers in the even
-// slots), and per 4-channel half `round` holds lanes 0, 2 then 1, 3 and
-// `count` lanes 0, 2, 1, 3. Lanes past the op's channels hold zero
-// multipliers; their results are never stored.
+// 64-bit rounding constant and its 64-bit shift count 31 + r. They are
+// stored in the order the SIMD code loads them: `mult` holds lanes 0-7 and
+// zero pads (a load from lane 1 puts the odd lanes' multipliers in the even
+// 32-bit slots), and `round` and `count` each hold the even lanes 0, 2, 4, 6
+// and then the odd lanes 1, 3, 5, 7. So an 8-lane AVX2 requantization loads
+// each of them with one 32-byte load per parity, and the 4-lane SSE2 form
+// one 16-byte load per parity and half. Lanes past the op's channels hold
+// zero multipliers and a shift count of 64, so their results are 0, and
+// are never stored. (16-byte alignment, not 64: an over-aligned vector
+// element costs every table an aligned allocation, which measurably grows
+// the zoo's peak RSS.)
 struct alignas(16) RequantGroup {
-  int32_t mult[kPanelLanes + 4] = {};
   uint64_t round[kPanelLanes] = {};
-  uint32_t count[kPanelLanes] = {};
+  uint64_t count[kPanelLanes] = {};
+  int32_t mult[kPanelLanes + 4] = {};
   // Every lane is in the SIMD domain (a multiplier > 0 and a shift in
   // [-31, 0]) and so is the op (a clamp inside int8; for add also see
   // prepare_add_requant): the group may requantize in SIMD.
   bool simd = false;
   // Every lane shares one shift count (always so for a per-tensor
-  // multiplier), so one 64-bit shift serves both lanes of a product.
+  // multiplier), so one 64-bit shift serves both lanes of an SSE2 product.
   bool uniform = false;
 };
 
@@ -163,24 +197,33 @@ int64_t conv2d_fast_scratch_bytes(const ConvGeometry& g);
 // Conv2d, bit-identical to conv2d_s8 with rq.rq. `packed` must come from
 // pack_conv_panel(weights, out_ch, kh*kw*in_ch), `rq` from
 // prepare_requant(params, out_ch) and `scratch` hold at least
-// conv2d_fast_scratch_bytes(g). The micro-kernel computes a tile of 8
-// output channels x 4 output pixels in int32 registers over int16 columns
-// of (x - input_zp), then requantizes the 8 channels of each pixel at once
-// and stores them with one 8-byte write.
+// conv2d_fast_scratch_bytes(g). The micro-kernel computes a tile of 4
+// output pixels x 8 (SSE2) or 16 (AVX2) output channels in int32 registers
+// over int16 columns of (x - input_zp), then requantizes 8 channels of each
+// pixel at once and stores them with one 8-byte write.
+//
+// Every fast conv, depthwise and FC kernel runs on `isa`, which defaults to
+// active_kernel_isa(); tests and benches name another available variant to
+// hold it to the oracle or time it. An unavailable one throws
+// std::invalid_argument.
 void conv2d_s8_fast(std::span<const int8_t> input, const PackedOpWeights& packed,
                     std::span<const int32_t> bias, std::span<int8_t> output,
                     std::span<int8_t> scratch, const ConvGeometry& g,
-                    const RequantTable& rq);
+                    const RequantTable& rq,
+                    KernelIsa isa = active_kernel_isa());
 
 // Depthwise conv2d (multiplier 1) on the raw [kh, kw, ch] weights,
 // bit-identical to depthwise_conv2d_s8 with rq.rq; needs no packed panel
 // and no scratch, and `rq` from prepare_requant(params, ch). One output
-// pixel at a time, 16 channels per SSE2 pass.
+// pixel at a time, two taps per multiply-add, 16, 8 or 4 channels per pass;
+// the last ch % 4 channels, and windows of more than 128 taps, run a
+// scalar loop.
 void depthwise_conv2d_s8_fast(std::span<const int8_t> input,
                               std::span<const int8_t> weights,
                               std::span<const int32_t> bias,
                               std::span<int8_t> output, const ConvGeometry& g,
-                              const RequantTable& rq);
+                              const RequantTable& rq,
+                              KernelIsa isa = active_kernel_isa());
 
 // The 1x1 conv on one pixel that a fully-connected layer is.
 ConvGeometry fully_connected_geometry(int32_t in_features,
@@ -196,10 +239,12 @@ void fully_connected_s8_fast(std::span<const int8_t> input,
                              std::span<const int32_t> bias,
                              std::span<int8_t> output,
                              std::span<int8_t> scratch, int32_t in_features,
-                             int32_t out_features, const RequantTable& rq);
+                             int32_t out_features, const RequantTable& rq,
+                             KernelIsa isa = active_kernel_isa());
 
 // Elementwise add, bit-identical to add_s8 with rq.p; `rq` must come from
-// prepare_add_requant. 16 elements per SSE2 pass; the tail, a call outside
+// prepare_add_requant. 16 elements per SSE2 pass on every x86 host,
+// whichever variant active_kernel_isa() names; the tail, a call outside
 // the SIMD domain and non-x86 hosts run add_s8 itself.
 void add_s8_fast(std::span<const int8_t> a, std::span<const int8_t> b,
                  std::span<int8_t> output, const AddRequantTable& rq);

@@ -1,0 +1,74 @@
+// The internal seam between kernels_fast.cpp, which checks, counts and
+// dispatches every fast kernel call, and the instruction-set translation
+// units kernels_sse2.cpp and kernels_avx2.cpp, which each compile the
+// templates of fast_tile.hpp for their trait (DESIGN.md §14). Only plain
+// structs, constants and out-of-line functions cross it: nothing here is an
+// inline function, so no code one TU compiles for its instruction set can be
+// merged by the linker into another's.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+
+#include "kernels/backend.hpp"
+
+namespace mn::kernels::detail {
+
+// Output pixels per conv tile (one for a one-pixel output, i.e. FC).
+inline constexpr int kTilePixels = 4;
+
+// One checked conv (or FC, as a 1x1 conv on one pixel) call, as raw
+// pointers into buffers kernels_fast.cpp has validated.
+struct ConvCall {
+  const int8_t* input = nullptr;
+  const int8_t* panel = nullptr;
+  const int32_t* bias = nullptr;  // nullptr: no bias
+  int8_t* output = nullptr;
+  int16_t* cols = nullptr;  // 16-byte aligned, one tile of int16 columns
+  const RequantGroup* groups = nullptr;
+  const RequantParams* rq = nullptr;  // input_zp inside int8
+  ConvGeometry g;
+};
+
+// Windows of more than this many taps run the portable depthwise loop.
+inline constexpr int32_t kDwMaxTaps = 128;
+
+// One checked depthwise call: channels [0, channels) of the layer, a
+// multiple of 4, with at most kDwMaxTaps taps per window.
+struct DepthwiseCall {
+  const int8_t* input = nullptr;
+  const int8_t* weights = nullptr;  // [kh][kw][ch]
+  const int32_t* bias = nullptr;    // nullptr: no bias
+  int8_t* output = nullptr;
+  const RequantGroup* groups = nullptr;
+  const RequantParams* rq = nullptr;  // input_zp inside int8
+  ConvGeometry g;
+  int32_t channels = 0;
+};
+
+// One instruction set's instantiation of the conv tile and the depthwise
+// pass.
+struct IsaKernels {
+  void (*conv)(const ConvCall&);
+  void (*depthwise)(const DepthwiseCall&);
+};
+
+// The compiled variants; nullptr when the build does not carry one (a
+// non-x86 target, or -U__SSE2__, compiles neither).
+const IsaKernels* sse2_kernels();
+const IsaKernels* avx2_kernels();
+
+// add_s8_fast's SIMD body (SSE2 on every x86 host): the first n - n % 16
+// elements of a + b into out, with `groups` the three SIMD-domain groups of
+// an AddRequantTable of `p`. Returns the elements written. Absent (returns
+// 0) where sse2_kernels() is nullptr.
+size_t add_s8_sse2(const int8_t* a, const int8_t* b, int8_t* out, size_t n,
+                   const AddParams& p, const RequantGroup* groups);
+
+// Requantizes `lanes` int32 accumulators of channels [oc0, oc0 + lanes)
+// with the scalar primitive and clamps them into out: the path of a group
+// outside the SIMD domain. Defined in kernels_fast.cpp.
+void requant_scalar(const int32_t* acc, int lanes, const RequantParams& rq,
+                    int32_t oc0, int8_t* out);
+
+}  // namespace mn::kernels::detail

@@ -578,6 +578,7 @@ void Interpreter::reset_profile() {
 ProfileReport Interpreter::profile_report() const {
   ProfileReport r;
   r.model_name = model_.name;
+  r.kernel_isa = kernels::kernel_isa_name(kernel_isa());
   r.invocations = profiled_invocations_;
   r.ops.resize(model_.ops.size());
   for (size_t i = 0; i < model_.ops.size(); ++i) {

@@ -155,6 +155,14 @@ class Interpreter {
   const std::vector<kernels::BackendKind>& op_backends() const {
     return op_backend_;
   }
+  // The instruction set this interpreter's conv, depthwise and FC kernels
+  // run on: the process-wide kernels::active_kernel_isa() on the fast
+  // backend, kScalar (the naive loops) on the reference one.
+  kernels::KernelIsa kernel_isa() const {
+    return backend_.kind == kernels::BackendKind::kFast
+               ? kernels::active_kernel_isa()
+               : kernels::KernelIsa::kScalar;
+  }
   const std::shared_ptr<const PackedModel>& packed_model() const {
     return packed_;
   }

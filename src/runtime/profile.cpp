@@ -38,8 +38,8 @@ int64_t ProfileReport::predicted_cycles(size_t i) const {
 
 std::string ProfileReport::table() const {
   std::string out;
-  out += fmt("profile '%s': %lld invoke(s)", model_name.c_str(),
-             static_cast<long long>(invocations));
+  out += fmt("profile '%s': %lld invoke(s), %s kernels", model_name.c_str(),
+             static_cast<long long>(invocations), kernel_isa);
   if (has_predictions())
     out += fmt(", predictions for %s @ %.0f MHz", device_name.c_str(), clock_mhz);
   out += "\n";

@@ -41,6 +41,9 @@ std::string model_summary(const ModelDef& model) {
 
 std::string deployment_summary(const Interpreter& interp) {
   std::string out = model_summary(interp.model());
+  out += fmt("kernels: %s backend, %s ISA\n",
+             kernels::backend_name(interp.backend()),
+             kernels::kernel_isa_name(interp.kernel_isa()));
   const MemoryPlan& plan = interp.memory_plan();
   out += fmt("arena plan (%lld KB):\n",
              static_cast<long long>(plan.arena_bytes / 1024));

@@ -13,8 +13,9 @@ namespace mn::rt {
 // Multi-line per-op summary of a model.
 std::string model_summary(const ModelDef& model);
 
-// Summary including the memory plan (tensor offsets/lifetimes) and the
-// footprint report.
+// Summary including the kernel backend and instruction set that serve the
+// interpreter, the memory plan (tensor offsets/lifetimes) and the footprint
+// report.
 std::string deployment_summary(const Interpreter& interp);
 
 }  // namespace mn::rt

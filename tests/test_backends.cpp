@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <functional>
 #include <set>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "parallel/pool.hpp"
 #include "runtime/converter.hpp"
 #include "runtime/interpreter.hpp"
+#include "runtime/summary.hpp"
 #include "models/backbones.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/tensor.hpp"
@@ -631,6 +634,351 @@ TEST(BackendDifferential, AddFastRequantEdgeCases) {
   }
 }
 
+// --- instruction-set variants -------------------------------------------
+
+namespace {
+
+// Every variant of the fast kernels this build carries and this CPU runs,
+// the portable loops included.
+std::vector<kernels::KernelIsa> available_isas() {
+  std::vector<kernels::KernelIsa> isas;
+  for (const auto isa : {kernels::KernelIsa::kScalar, kernels::KernelIsa::kSse2,
+                         kernels::KernelIsa::kAvx2})
+    if (kernels::kernel_isa_available(isa)) isas.push_back(isa);
+  return isas;
+}
+
+// Runs conv2d_s8 once and conv2d_s8_fast on every available variant, and
+// fully_connected_s8 against fully_connected_s8_fast when `fc` (g is then
+// fully_connected_geometry), asserting every byte agrees.
+void check_conv_every_isa(const kernels::ConvGeometry& g,
+                          const kernels::RequantParams& rq,
+                          const std::vector<int8_t>& x,
+                          const std::vector<int8_t>& w,
+                          const std::vector<int32_t>& bias, bool fc = false) {
+  std::vector<int8_t> y_ref(static_cast<size_t>(g.output_elements()));
+  if (fc)
+    kernels::fully_connected_s8(x, w, bias, y_ref, g.in_ch, g.out_ch, rq);
+  else
+    kernels::conv2d_s8(x, w, bias, y_ref, g, rq);
+  const auto packed = kernels::pack_conv_panel(
+      w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch);
+  std::vector<int8_t> scratch(
+      static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
+  const kernels::RequantTable t = kernels::prepare_requant(rq, g.out_ch);
+  for (const kernels::KernelIsa isa : available_isas()) {
+    std::vector<int8_t> y(y_ref.size(), int8_t{1});
+    if (fc)
+      kernels::fully_connected_s8_fast(x, packed, bias, y, scratch, g.in_ch,
+                                       g.out_ch, t, isa);
+    else
+      kernels::conv2d_s8_fast(x, packed, bias, y, scratch, g, t, isa);
+    ASSERT_EQ(y, y_ref) << (fc ? "FC" : "conv") << " on "
+                        << kernels::kernel_isa_name(isa)
+                        << " diverged from the oracle";
+  }
+}
+
+void check_depthwise_every_isa(const kernels::ConvGeometry& g,
+                               const kernels::RequantParams& rq,
+                               const std::vector<int8_t>& x,
+                               const std::vector<int8_t>& w,
+                               const std::vector<int32_t>& bias) {
+  std::vector<int8_t> y_ref(static_cast<size_t>(g.output_elements()));
+  kernels::depthwise_conv2d_s8(x, w, bias, y_ref, g, rq);
+  const kernels::RequantTable t = kernels::prepare_requant(rq, g.out_ch);
+  for (const kernels::KernelIsa isa : available_isas()) {
+    std::vector<int8_t> y(y_ref.size(), int8_t{1});
+    kernels::depthwise_conv2d_s8_fast(x, w, bias, y, g, t, isa);
+    ASSERT_EQ(y, y_ref) << "depthwise on " << kernels::kernel_isa_name(isa)
+                        << " diverged from the oracle";
+  }
+}
+
+// The requantization variants the ISA sweep cycles through: per-tensor,
+// per-channel with shifts spread over several octaves (so a group's lanes
+// rarely share one), a clamp wider than int8 and one multiplier <= 0 (both
+// send groups to the scalar path).
+kernels::RequantParams sweep_rq(Rng& rng, int32_t out_ch, int variant,
+                                int32_t input_zp) {
+  kernels::RequantParams rq;
+  rq.input_zp = input_zp;
+  rq.output_zp = static_cast<int32_t>(rng.uniform_int(-10, 10));
+  const auto mixed = [&] {
+    return quant::quantize_multiplier(
+        0.0005 * static_cast<double>(1 << rng.uniform_int(0, 7)) *
+        (1.0 + rng.uniform()));
+  };
+  switch (variant % 4) {
+    case 0:
+      rq.mult = mixed();
+      break;
+    case 1:
+      for (int32_t oc = 0; oc < out_ch; ++oc) rq.per_channel.push_back(mixed());
+      break;
+    case 2:
+      rq.mult = mixed();
+      rq.output_zp = 0;  // a wide clamp keeps int32 headroom this way
+      rq.act_min = -300;
+      rq.act_max = 300;
+      break;
+    default:
+      for (int32_t oc = 0; oc < out_ch; ++oc) rq.per_channel.push_back(mixed());
+      rq.per_channel[static_cast<size_t>(rng.uniform_int(0, out_ch - 1))] =
+          variant % 8 == 3 ? quant::FixedMultiplier{0, -3}
+                           : quant::FixedMultiplier{-(1 << 30), -2};
+      break;
+  }
+  if (variant % 4 != 2 && rng.uniform() < 0.3) rq.act_min = rq.output_zp;
+  return rq;
+}
+
+}  // namespace
+
+TEST(BackendIsa, NamesAndAvailability) {
+  EXPECT_STREQ(kernels::kernel_isa_name(kernels::KernelIsa::kScalar), "scalar");
+  EXPECT_STREQ(kernels::kernel_isa_name(kernels::KernelIsa::kSse2), "sse2");
+  EXPECT_STREQ(kernels::kernel_isa_name(kernels::KernelIsa::kAvx2), "avx2");
+  EXPECT_TRUE(kernels::kernel_isa_available(kernels::KernelIsa::kScalar));
+  // The active variant is the widest available one, and stays put.
+  const std::vector<kernels::KernelIsa> isas = available_isas();
+  EXPECT_EQ(kernels::active_kernel_isa(), isas.back());
+  EXPECT_EQ(kernels::active_kernel_isa(), kernels::active_kernel_isa());
+  // A variant the build or the CPU lacks is refused, not silently replaced.
+  const auto g = make_geom(4, 4, 4, 8, 3, 3, 1, 1, 1);
+  const std::vector<int8_t> x(static_cast<size_t>(g.input_elements()));
+  const std::vector<int8_t> w(static_cast<size_t>(8 * 9 * 4));
+  const auto packed = kernels::pack_conv_panel(w, 8, 9 * 4);
+  std::vector<int8_t> scratch(
+      static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
+  std::vector<int8_t> y(static_cast<size_t>(g.output_elements()));
+  const auto t = kernels::prepare_requant(kernels::RequantParams{}, 8);
+  for (const auto isa : {kernels::KernelIsa::kSse2, kernels::KernelIsa::kAvx2}) {
+    if (kernels::kernel_isa_available(isa)) continue;
+    EXPECT_THROW(kernels::conv2d_s8_fast(x, packed, {}, y, scratch, g, t, isa),
+                 std::invalid_argument);
+  }
+}
+
+TEST(BackendIsa, Avx2CompiledInAndSelectedWhereCpuHasIt) {
+  // A build that drops the AVX2 unit's -mavx2 (or the unit itself) must
+  // fail here on an AVX2 host rather than quietly run the SSE2 variant. A
+  // -U__SSE2__ build (CI leg portable-kernels) compiles neither variant.
+#if defined(__x86_64__) || defined(__i386__)
+#if defined(__SSE2__)
+  EXPECT_TRUE(kernels::kernel_isa_available(kernels::KernelIsa::kSse2));
+  if (__builtin_cpu_supports("avx2")) {
+    EXPECT_TRUE(kernels::kernel_isa_available(kernels::KernelIsa::kAvx2))
+        << "this CPU has AVX2 but the AVX2 kernels were not compiled in";
+    EXPECT_EQ(kernels::active_kernel_isa(), kernels::KernelIsa::kAvx2);
+  } else {
+    EXPECT_FALSE(kernels::kernel_isa_available(kernels::KernelIsa::kAvx2));
+    EXPECT_EQ(kernels::active_kernel_isa(), kernels::KernelIsa::kSse2);
+  }
+#else
+  EXPECT_FALSE(kernels::kernel_isa_available(kernels::KernelIsa::kSse2));
+  EXPECT_FALSE(kernels::kernel_isa_available(kernels::KernelIsa::kAvx2));
+  EXPECT_EQ(kernels::active_kernel_isa(), kernels::KernelIsa::kScalar);
+#endif
+#else
+  EXPECT_EQ(kernels::active_kernel_isa(), kernels::KernelIsa::kScalar);
+#endif
+}
+
+TEST(BackendIsa, ConvAndFcSweepEveryVariant) {
+  // Geometry: every output width 1-9 and height 1-3 under each of the 1x1,
+  // 3x3 and 10x4 kernels at stride 1 and 2 and pad 0 and 1, with in_ch and
+  // out_ch cycling through 1-17 (every tail of the 4-channel gather step
+  // and of the 8- and 16-channel groups) plus KWS's 116 / 132 and 24 / 40.
+  // Operands: per-tensor and mixed-shift per-channel multipliers, groups
+  // outside the SIMD domain, input zero points -128 and 127 (at the int16
+  // corner: all -128 inputs and weights) and random ones, with and without
+  // bias.
+  std::vector<int32_t> in_chs, out_chs;
+  for (int32_t c = 1; c <= 17; ++c) {
+    in_chs.push_back(c);
+    out_chs.push_back(c);
+  }
+  in_chs.insert(in_chs.end(), {116, 132});
+  out_chs.insert(out_chs.end(), {24, 40});
+  const struct {
+    int32_t kh, kw;
+  } kernel_shapes[] = {{1, 1}, {3, 3}, {10, 4}};
+  Rng rng(9100);
+  int cases = 0, checked = 0;
+  for (const auto& k : kernel_shapes) {
+    for (const int32_t stride : {1, 2}) {
+      for (const int32_t pad : {0, 1}) {
+        for (int32_t out_h = 1; out_h <= 3; ++out_h) {
+          for (int32_t out_w = 1; out_w <= 9; ++out_w) {
+            const int variant = cases++;
+            const int32_t in_ch = in_chs[static_cast<size_t>(variant) % in_chs.size()];
+            const int32_t out_ch =
+                out_chs[static_cast<size_t>(variant * 7) % out_chs.size()];
+            const auto g = make_geom((out_h - 1) * stride + k.kh - 2 * pad,
+                                     (out_w - 1) * stride + k.kw - 2 * pad,
+                                     in_ch, out_ch, k.kh, k.kw, stride, pad,
+                                     pad);
+            if (g.in_h < 1 || g.in_w < 1) continue;
+            const int32_t zp = variant % 3 == 0   ? -128
+                               : variant % 3 == 1 ? 127
+                                                  : static_cast<int32_t>(
+                                                        rng.uniform_int(-20, 20));
+            const kernels::RequantParams rq = sweep_rq(rng, out_ch, variant, zp);
+            SCOPED_TRACE(testing::Message()
+                         << "case " << variant << ": in " << g.in_h << "x"
+                         << g.in_w << "x" << in_ch << " k " << k.kh << "x"
+                         << k.kw << " stride " << stride << " pad " << pad
+                         << " out " << out_h << "x" << out_w << "x" << out_ch
+                         << " zp " << zp << " rq variant " << variant % 4);
+            const int64_t ksize = int64_t{k.kh} * k.kw * in_ch;
+            std::vector<int8_t> x, w;
+            if (zp != -128 && zp != 127) {
+              x = random_s8(rng, g.input_elements());
+              w = random_s8(rng, out_ch * ksize);
+            } else {
+              x.assign(static_cast<size_t>(g.input_elements()), int8_t{-128});
+              w.assign(static_cast<size_t>(out_ch * ksize), int8_t{-128});
+            }
+            std::vector<int32_t> bias;
+            if (variant % 5 != 0) bias = random_bias(rng, out_ch);
+            check_conv_every_isa(g, rq, x, w, bias);
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  // 1x1 windows at pad 1 need 3 pixels at stride 1 and 2 at stride 2.
+  EXPECT_EQ(cases, 324);
+  EXPECT_EQ(checked, 293);
+  // Every (in_ch, out_ch) pair on one 3x3 layer and as an FC layer.
+  for (const int32_t in_ch : in_chs) {
+    for (const int32_t out_ch : out_chs) {
+      SCOPED_TRACE(testing::Message() << "in_ch " << in_ch << " out_ch "
+                                      << out_ch);
+      const int variant = in_ch + out_ch;
+      const kernels::RequantParams rq = sweep_rq(
+          rng, out_ch, variant, static_cast<int32_t>(rng.uniform_int(-128, 127)));
+      const auto g = make_geom(3, 5, in_ch, out_ch, 3, 3, 1, 1, 1);
+      const auto bias = random_bias(rng, out_ch);
+      check_conv_every_isa(g, rq, random_s8(rng, g.input_elements()),
+                           random_s8(rng, out_ch * 9 * in_ch), bias);
+      check_conv_every_isa(kernels::fully_connected_geometry(in_ch, out_ch),
+                           rq, random_s8(rng, in_ch),
+                           random_s8(rng, out_ch * in_ch),
+                           variant % 2 == 0 ? bias : std::vector<int32_t>{},
+                           /*fc=*/true);
+    }
+  }
+}
+
+TEST(BackendIsa, DepthwiseSweepEveryVariant) {
+  // The same geometry sweep for depthwise, with channels 1-17 (16-, 8- and
+  // 4-channel passes and the scalar tail after them) plus 116 and 132
+  // (the KWS 4-channel tail); then windows that shrink the weight chunk
+  // (11x11: 32 channels per chunk), a layer of more than 256 channels (two
+  // chunks) and a 12x11 window past the 128-tap bound (the portable loop).
+  std::vector<int32_t> chs;
+  for (int32_t c = 1; c <= 17; ++c) chs.push_back(c);
+  chs.insert(chs.end(), {116, 132});
+  const struct {
+    int32_t kh, kw;
+  } kernel_shapes[] = {{1, 1}, {3, 3}, {10, 4}};
+  Rng rng(9200);
+  int cases = 0, checked = 0;
+  for (const auto& k : kernel_shapes) {
+    for (const int32_t stride : {1, 2}) {
+      for (const int32_t pad : {0, 1}) {
+        for (int32_t out_h = 1; out_h <= 3; ++out_h) {
+          for (int32_t out_w = 1; out_w <= 9; ++out_w) {
+            const int variant = cases++;
+            const int32_t ch = chs[static_cast<size_t>(variant) % chs.size()];
+            const auto g = make_geom((out_h - 1) * stride + k.kh - 2 * pad,
+                                     (out_w - 1) * stride + k.kw - 2 * pad, ch,
+                                     ch, k.kh, k.kw, stride, pad, pad);
+            if (g.in_h < 1 || g.in_w < 1) continue;
+            const int32_t zp = variant % 3 == 0   ? -128
+                               : variant % 3 == 1 ? 127
+                                                  : static_cast<int32_t>(
+                                                        rng.uniform_int(-20, 20));
+            const kernels::RequantParams rq = sweep_rq(rng, ch, variant, zp);
+            SCOPED_TRACE(testing::Message()
+                         << "case " << variant << ": in " << g.in_h << "x"
+                         << g.in_w << "x" << ch << " k " << k.kh << "x" << k.kw
+                         << " stride " << stride << " pad " << pad << " out "
+                         << out_h << "x" << out_w << " zp " << zp
+                         << " rq variant " << variant % 4);
+            std::vector<int8_t> x, w;
+            if (zp != -128 && zp != 127) {
+              x = random_s8(rng, g.input_elements());
+              w = random_s8(rng, int64_t{k.kh} * k.kw * ch);
+            } else {
+              x.assign(static_cast<size_t>(g.input_elements()), int8_t{-128});
+              w.assign(static_cast<size_t>(k.kh * k.kw * ch), int8_t{-128});
+            }
+            std::vector<int32_t> bias;
+            if (variant % 5 != 0) bias = random_bias(rng, ch);
+            check_depthwise_every_isa(g, rq, x, w, bias);
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 324);
+  EXPECT_EQ(checked, 293);
+  const struct {
+    int32_t in_h, in_w, ch, kh, kw, stride, pad;
+  } big[] = {{13, 12, 132, 11, 11, 1, 1}, {14, 13, 116, 11, 11, 2, 5},
+             {7, 6, 276, 3, 3, 1, 1},     {6, 9, 300, 3, 3, 2, 1},
+             {13, 12, 20, 12, 11, 1, 1}};
+  for (const auto& b : big) {
+    for (const int variant : {0, 1, 3}) {
+      SCOPED_TRACE(testing::Message() << "ch " << b.ch << " k " << b.kh << "x"
+                                      << b.kw << " rq variant " << variant);
+      const auto g = make_geom(b.in_h, b.in_w, b.ch, b.ch, b.kh, b.kw,
+                               b.stride, b.pad, b.pad);
+      const kernels::RequantParams rq = sweep_rq(rng, b.ch, variant, 7);
+      check_depthwise_every_isa(g, rq, random_s8(rng, g.input_elements()),
+                                random_s8(rng, int64_t{b.kh} * b.kw * b.ch),
+                                random_bias(rng, b.ch));
+    }
+  }
+}
+
+TEST(BackendIsa, RequantIsExactOnEveryVariant) {
+  // A 1x1 conv with zero weights leaves each accumulator at its bias, so
+  // each variant's requantization sees the int32 extremes, 0, +-1 and
+  // random values directly. Every shift in [-31, 0] runs per tensor (one
+  // shared count) and per channel with the lanes' shifts rotating through
+  // all 32 (each lane shifted by its own count), against multipliers at
+  // the bottom, middle and top of [2^30, 2^31).
+  const int32_t ch = 24;
+  const auto g = make_geom(2, 2, 3, ch, 1, 1, 1, 0, 0);
+  Rng rng(9300);
+  std::vector<int32_t> bias = {INT32_MIN, INT32_MAX, 0, 1, -1,
+                               INT32_MIN + 1, INT32_MAX - 1};
+  while (static_cast<int32_t>(bias.size()) < ch)
+    bias.push_back(static_cast<int32_t>(rng.next_u64()));
+  const std::vector<int8_t> x = random_s8(rng, g.input_elements());
+  const std::vector<int8_t> w(static_cast<size_t>(ch * g.in_ch), int8_t{0});
+  const int32_t multipliers[] = {1 << 30, (1 << 30) + 123456789, INT32_MAX};
+  for (const int32_t m : multipliers) {
+    for (int shift = 0; shift <= 31; ++shift) {
+      SCOPED_TRACE(testing::Message() << "multiplier " << m << " shift -"
+                                      << shift);
+      kernels::RequantParams rq;
+      rq.input_zp = static_cast<int32_t>(rng.uniform_int(-128, 127));
+      rq.mult = {m, -shift};
+      check_conv_every_isa(g, rq, x, w, bias);
+      for (int32_t c = 0; c < ch; ++c)
+        rq.per_channel.push_back({m, -((shift + c) % 32)});
+      check_conv_every_isa(g, rq, x, w, bias);
+    }
+  }
+}
+
 // --- asymmetric-padding golden vector ---------------------------------------
 
 // Independent per-output-pixel oracle: the naive direct convolution written
@@ -712,9 +1060,13 @@ TEST(BackendGeometryFuzz, MacsMatchPerPixelCountingOracle) {
       // When padding is smaller than the kernel (the only case real layers
       // use), every window overlaps the input; with pad >= kernel the closed
       // form legitimately emits all-padding windows, so don't assert there.
-      if (g.pad_h < g.kh) ASSERT_LT(oy * g.stride - g.pad_h, g.in_h);
+      if (g.pad_h < g.kh) {
+        ASSERT_LT(oy * g.stride - g.pad_h, g.in_h);
+      }
       for (int32_t ox = 0; ox < g.out_w; ++ox) {
-        if (g.pad_w < g.kw) ASSERT_LT(ox * g.stride - g.pad_w, g.in_w);
+        if (g.pad_w < g.kw) {
+          ASSERT_LT(ox * g.stride - g.pad_w, g.in_w);
+        }
         ++pixels;
         oracle_conv += int64_t{g.out_ch} * g.kh * g.kw * g.in_ch;
         oracle_dw += int64_t{g.in_ch} * g.kh * g.kw;
@@ -1061,6 +1413,30 @@ TEST(BackendInterpreter, DispatchCountersAndProfileReportBackend) {
   EXPECT_TRUE(saw_fast);
   EXPECT_TRUE(saw_ref);
   EXPECT_NE(rep.table().find("backend"), std::string::npos);
+}
+
+TEST(BackendInterpreter, SummaryAndProfileNameTheKernelIsa) {
+  // Which kernel produced a number: the fast backend runs the process's
+  // active variant, the reference backend the naive (scalar) loops.
+  const rt::ModelDef m = tiny_model(5);
+  const std::string active =
+      kernels::kernel_isa_name(kernels::active_kernel_isa());
+  rt::Interpreter fast(m, rt::plan_memory(m), kernels::BackendConfig::fast());
+  rt::Interpreter ref(m, rt::plan_memory(m),
+                      kernels::BackendConfig::reference());
+  EXPECT_EQ(fast.kernel_isa(), kernels::active_kernel_isa());
+  EXPECT_EQ(ref.kernel_isa(), kernels::KernelIsa::kScalar);
+  EXPECT_NE(rt::deployment_summary(fast).find("kernels: fast backend, " +
+                                              active + " ISA"),
+            std::string::npos);
+  EXPECT_NE(rt::deployment_summary(ref).find(
+                "kernels: reference backend, scalar ISA"),
+            std::string::npos);
+  fast.set_profiling(true);
+  fast.invoke_quantized(random_input(m, 43));
+  const rt::ProfileReport rep = fast.profile_report();
+  EXPECT_EQ(rep.kernel_isa, active);
+  EXPECT_NE(rep.table().find(", " + active + " kernels"), std::string::npos);
 }
 
 TEST(BackendInterpreter, SharedPackedModelIsReusedAndValidated) {
