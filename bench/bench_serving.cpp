@@ -81,10 +81,14 @@ serve::TenantConfig tenant_kws(const std::string& name) {
   return tc;
 }
 
+// A latency histogram's percentile as a metric value.
+double pct(const obs::TickHistogram& h, double q) {
+  return static_cast<double>(h.percentile(q));
+}
+
 struct PhaseResult {
   serve::ServeStats stats;
-  serve::LatencyDigest virt;
-  serve::LatencyDigest wall_us;
+  obs::TickHistogram wall_us;                    // host us per served invoke
   obs::TickHistogram fleet_hist;                 // merged per-tenant SLO view
   std::vector<obs::TickHistogram> tenant_hists;  // one per tenant
   double wall_seconds = 0.0;
@@ -117,7 +121,6 @@ PhaseResult run_phase(serve::ServingEngine& engine, int64_t ticks,
                        std::chrono::steady_clock::now() - t0)
                        .count();
   r.stats = engine.stats();
-  r.virt = engine.virtual_latency();
   r.wall_us = engine.wall_latency_us();
   r.fleet_hist = engine.latency_histogram();
   for (int t = 0; t < engine.num_tenants(); ++t)
@@ -264,8 +267,9 @@ int main(int argc, char** argv) {
   std::printf(
       "  virtual p50/p99: %.0f/%.0f ticks   host p50/p99: %.0f/%.0f us\n"
       "  %.0f streams/min over %.2fs\n",
-      base.virt.p50, base.virt.p99, base.wall_us.p50, base.wall_us.p99,
-      base_streams_per_min, base.wall_seconds);
+      pct(base.fleet_hist, 0.50), pct(base.fleet_hist, 0.99),
+      pct(base.wall_us, 0.50), pct(base.wall_us, 0.99), base_streams_per_min,
+      base.wall_seconds);
 
   const int64_t base_violations =
       base.stats.served_late;  // late completions = deadline violations
@@ -294,23 +298,19 @@ int main(int argc, char** argv) {
                  ? static_cast<double>(base.stats.total_shed()) /
                        static_cast<double>(base.stats.submitted)
                  : 0.0);
-  rep.metric("baseline_p50_ticks", base.virt.p50);
-  rep.metric("baseline_p99_ticks", base.virt.p99);
-  rep.metric("baseline_p50_host_us", base.wall_us.p50);
-  rep.metric("baseline_p95_host_us", base.wall_us.p95);
-  rep.metric("baseline_p99_host_us", base.wall_us.p99);
-  rep.metric("baseline_p999_host_us", base.wall_us.p999);
+  rep.metric("baseline_p50_ticks", pct(base.fleet_hist, 0.50));
+  rep.metric("baseline_p99_ticks", pct(base.fleet_hist, 0.99));
+  rep.metric("baseline_p50_host_us", pct(base.wall_us, 0.50));
+  rep.metric("baseline_p95_host_us", pct(base.wall_us, 0.95));
+  rep.metric("baseline_p99_host_us", pct(base.wall_us, 0.99));
+  rep.metric("baseline_p999_host_us", pct(base.wall_us, 0.999));
   rep.metric("baseline_streams_per_min", base_streams_per_min);
-  // Whole-run SLO histogram (deterministic log buckets): unlike the virt
-  // digest these merge per-tenant views and never evict, so they gate EXACT.
-  rep.metric("baseline_fleet_p50_ticks",
-             static_cast<double>(base.fleet_hist.percentile(0.50)));
-  rep.metric("baseline_fleet_p95_ticks",
-             static_cast<double>(base.fleet_hist.percentile(0.95)));
-  rep.metric("baseline_fleet_p99_ticks",
-             static_cast<double>(base.fleet_hist.percentile(0.99)));
-  rep.metric("baseline_fleet_p999_ticks",
-             static_cast<double>(base.fleet_hist.percentile(0.999)));
+  // Whole-run SLO histogram (deterministic log buckets): the merge of the
+  // per-tenant views, never evicting, so every *_ticks metric gates EXACT.
+  rep.metric("baseline_fleet_p50_ticks", pct(base.fleet_hist, 0.50));
+  rep.metric("baseline_fleet_p95_ticks", pct(base.fleet_hist, 0.95));
+  rep.metric("baseline_fleet_p99_ticks", pct(base.fleet_hist, 0.99));
+  rep.metric("baseline_fleet_p999_ticks", pct(base.fleet_hist, 0.999));
 
   // --- phase 2: chaos (overload + injected faults) --------------------------
   rep.phase("chaos");
@@ -391,27 +391,19 @@ int main(int argc, char** argv) {
   rep.metric("chaos_final_sweep_count",
              static_cast<double>(chaos.final_sweep_detections));
   rep.metric("chaos_shed_rate", chaos_shed_rate);
-  rep.metric("chaos_p99_ticks", chaos.virt.p99);
-  rep.metric("chaos_p99_host_us", chaos.wall_us.p99);
-  rep.metric("chaos_p999_host_us", chaos.wall_us.p999);
-  rep.metric("chaos_fleet_p50_ticks",
-             static_cast<double>(chaos.fleet_hist.percentile(0.50)));
-  rep.metric("chaos_fleet_p95_ticks",
-             static_cast<double>(chaos.fleet_hist.percentile(0.95)));
-  rep.metric("chaos_fleet_p99_ticks",
-             static_cast<double>(chaos.fleet_hist.percentile(0.99)));
-  rep.metric("chaos_fleet_p999_ticks",
-             static_cast<double>(chaos.fleet_hist.percentile(0.999)));
+  rep.metric("chaos_p99_ticks", pct(chaos.fleet_hist, 0.99));
+  rep.metric("chaos_p99_host_us", pct(chaos.wall_us, 0.99));
+  rep.metric("chaos_p999_host_us", pct(chaos.wall_us, 0.999));
+  rep.metric("chaos_fleet_p50_ticks", pct(chaos.fleet_hist, 0.50));
+  rep.metric("chaos_fleet_p95_ticks", pct(chaos.fleet_hist, 0.95));
+  rep.metric("chaos_fleet_p99_ticks", pct(chaos.fleet_hist, 0.99));
+  rep.metric("chaos_fleet_p999_ticks", pct(chaos.fleet_hist, 0.999));
   // Per-tenant SLO tails: tenant 0 is the overloaded drop-oldest stream,
   // tenant 1 the under-capacity bystander riding the same fault schedule.
-  rep.metric("chaos_t0_p99_ticks",
-             static_cast<double>(chaos.tenant_hists[0].percentile(0.99)));
-  rep.metric("chaos_t0_p999_ticks",
-             static_cast<double>(chaos.tenant_hists[0].percentile(0.999)));
-  rep.metric("chaos_t1_p99_ticks",
-             static_cast<double>(chaos.tenant_hists[1].percentile(0.99)));
-  rep.metric("chaos_t1_p999_ticks",
-             static_cast<double>(chaos.tenant_hists[1].percentile(0.999)));
+  rep.metric("chaos_t0_p99_ticks", pct(chaos.tenant_hists[0], 0.99));
+  rep.metric("chaos_t0_p999_ticks", pct(chaos.tenant_hists[0], 0.999));
+  rep.metric("chaos_t1_p99_ticks", pct(chaos.tenant_hists[1], 0.99));
+  rep.metric("chaos_t1_p999_ticks", pct(chaos.tenant_hists[1], 0.999));
   char fp[32];
   std::snprintf(fp, sizeof(fp), "%016llx",
                 static_cast<unsigned long long>(chaos.fingerprint));

@@ -64,8 +64,8 @@ enum class BackendKind : uint8_t {
   kFast,
 };
 
-// Stable lowercase names ("reference", "fast") used by obs output, profile
-// tables and bench JSON.
+// Stable lowercase names ("reference", "fast") used by the profile table's
+// backend column and the deployment summary.
 const char* backend_name(BackendKind k);
 
 // Per-interpreter backend request; the default is the packed fast path.

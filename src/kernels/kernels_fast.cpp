@@ -1,4 +1,4 @@
-// Fast-backend kernels: argument checks, counters, instruction-set
+// Fast-backend kernels: argument checks, instruction-set
 // dispatch and the portable loops (see backend.hpp for the panel layout and
 // the bit-exactness contract).
 //
@@ -42,7 +42,6 @@
 
 #include "kernels/backend.hpp"
 #include "kernels/fast_isa.hpp"
-#include "obs/obs.hpp"
 
 namespace mn::kernels {
 
@@ -222,7 +221,7 @@ void conv_scalar(std::span<const int8_t> input, const PackedOpWeights& packed,
   }
 }
 
-// Checks, counts and runs one conv (or FC, as a 1x1 conv) on the fast
+// Checks and runs one conv (or FC, as a 1x1 conv) on the fast
 // backend; `who` names the public kernel in errors.
 void conv_fast(const char* who, std::span<const int8_t> input,
                const PackedOpWeights& packed, std::span<const int32_t> bias,
@@ -235,12 +234,6 @@ void conv_fast(const char* who, std::span<const int8_t> input,
   check_conv_buffers(who, input, packed.values, bias, output, g);
   if (static_cast<int64_t>(scratch.size()) < conv2d_fast_scratch_bytes(g))
     throw std::invalid_argument(std::string(who) + ": scratch too small");
-  obs::counter_add(obs::Counter::kKernelMacs, g.macs(/*depthwise=*/false));
-  obs::counter_add(obs::Counter::kKernelBytesRead,
-                   g.input_elements() + int64_t{g.out_ch} * ksize);
-  obs::counter_add(obs::Counter::kKernelBytesWritten, g.output_elements());
-  obs::counter_add(obs::Counter::kIm2colBytes,  // int16 columns
-                   2 * int64_t{g.out_h} * g.out_w * ksize);
   if (simd != nullptr && zp_in_s8(t.rq.input_zp)) {
     detail::ConvCall call;
     call.input = input.data();
@@ -366,10 +359,6 @@ void depthwise_conv2d_s8_fast(std::span<const int8_t> input,
                           output, g);
   check_requant("depthwise_conv2d_s8_fast", t, g.out_ch);
   const RequantParams& rq = t.rq;
-  obs::counter_add(obs::Counter::kKernelMacs, g.macs(/*depthwise=*/true));
-  obs::counter_add(obs::Counter::kKernelBytesRead,
-                   g.input_elements() + int64_t{g.kh} * g.kw * g.in_ch);
-  obs::counter_add(obs::Counter::kKernelBytesWritten, g.output_elements());
   const int32_t ch = g.in_ch;
   int32_t c = 0;
   // A zero point outside int8 range (never produced by the converter) would
@@ -421,16 +410,11 @@ void add_s8_fast(std::span<const int8_t> a, std::span<const int8_t> b,
   if (t.groups.size() != 3)
     throw std::invalid_argument("add_s8_fast: not a prepared add table");
   size_t i = 0;
-  if (t.groups[0].simd) {
+  if (t.groups[0].simd)
     i = detail::add_s8_sse2(a.data(), b.data(), output.data(), a.size(), t.p,
                             t.groups.data());
-    obs::counter_add(obs::Counter::kKernelBytesRead,
-                     2 * static_cast<int64_t>(i));
-    obs::counter_add(obs::Counter::kKernelBytesWritten,
-                     static_cast<int64_t>(i));
-  }
   // The tail, a call outside the SIMD domain and non-x86 hosts: the oracle
-  // itself, which also counts the bytes it streams.
+  // itself.
   if (i < a.size())
     add_s8(a.subspan(i), b.subspan(i), output.subspan(i), t.p);
 }

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "kernels/kernels.hpp"
-#include "obs/obs.hpp"
 
 namespace mn::kernels {
 
@@ -38,10 +37,6 @@ void conv2d_s8(std::span<const int8_t> input, std::span<const int8_t> weights,
                const ConvGeometry& g, const RequantParams& rq) {
   check_conv_buffers("conv2d_s8", input, weights, bias, output, g);
   const int64_t ksize = int64_t{g.kh} * g.kw * g.in_ch;
-  obs::counter_add(obs::Counter::kKernelMacs, g.macs(/*depthwise=*/false));
-  obs::counter_add(obs::Counter::kKernelBytesRead,
-                   g.input_elements() + int64_t{g.out_ch} * ksize);
-  obs::counter_add(obs::Counter::kKernelBytesWritten, g.output_elements());
   for (int32_t oy = 0; oy < g.out_h; ++oy) {
     for (int32_t ox = 0; ox < g.out_w; ++ox) {
       const int32_t iy0 = oy * g.stride - g.pad_h;
@@ -89,10 +84,6 @@ void depthwise_conv2d_s8(std::span<const int8_t> input,
                          const ConvGeometry& g, const RequantParams& rq) {
   check_depthwise_buffers("depthwise_conv2d_s8", input, weights, bias, output,
                           g);
-  obs::counter_add(obs::Counter::kKernelMacs, g.macs(/*depthwise=*/true));
-  obs::counter_add(obs::Counter::kKernelBytesRead,
-                   g.input_elements() + int64_t{g.kh} * g.kw * g.in_ch);
-  obs::counter_add(obs::Counter::kKernelBytesWritten, g.output_elements());
   for (int32_t oy = 0; oy < g.out_h; ++oy) {
     for (int32_t ox = 0; ox < g.out_w; ++ox) {
       const int32_t iy0 = oy * g.stride - g.pad_h;
@@ -136,11 +127,6 @@ void fully_connected_s8(std::span<const int8_t> input,
                         const RequantParams& rq) {
   check_fc_buffers("fully_connected_s8", input, weights, bias, output,
                    in_features, out_features);
-  obs::counter_add(obs::Counter::kKernelMacs,
-                   int64_t{in_features} * out_features);
-  obs::counter_add(obs::Counter::kKernelBytesRead,
-                   in_features + int64_t{in_features} * out_features);
-  obs::counter_add(obs::Counter::kKernelBytesWritten, out_features);
   for (int32_t o = 0; o < out_features; ++o) {
     const int8_t* wr = weights.data() + int64_t{o} * in_features;
     int32_t acc = bias.empty() ? 0 : bias[static_cast<size_t>(o)];
@@ -163,10 +149,6 @@ void avg_pool_s8(std::span<const int8_t> input, std::span<int8_t> output,
                  const PoolGeometry& g, int32_t act_min, int32_t act_max) {
   check_io_buffers("avg_pool_s8", input, int64_t{g.in_h} * g.in_w * g.ch,
                    output, int64_t{g.out_h} * g.out_w * g.ch);
-  obs::counter_add(obs::Counter::kKernelBytesRead,
-                   int64_t{g.in_h} * g.in_w * g.ch);
-  obs::counter_add(obs::Counter::kKernelBytesWritten,
-                   int64_t{g.out_h} * g.out_w * g.ch);
   for (int32_t oy = 0; oy < g.out_h; ++oy) {
     for (int32_t ox = 0; ox < g.out_w; ++ox) {
       int8_t* out_px = output.data() + (int64_t{oy} * g.out_w + ox) * g.ch;
@@ -196,10 +178,6 @@ void max_pool_s8(std::span<const int8_t> input, std::span<int8_t> output,
                  const PoolGeometry& g, int32_t act_min, int32_t act_max) {
   check_io_buffers("max_pool_s8", input, int64_t{g.in_h} * g.in_w * g.ch,
                    output, int64_t{g.out_h} * g.out_w * g.ch);
-  obs::counter_add(obs::Counter::kKernelBytesRead,
-                   int64_t{g.in_h} * g.in_w * g.ch);
-  obs::counter_add(obs::Counter::kKernelBytesWritten,
-                   int64_t{g.out_h} * g.out_w * g.ch);
   for (int32_t oy = 0; oy < g.out_h; ++oy) {
     for (int32_t ox = 0; ox < g.out_w; ++ox) {
       int8_t* out_px = output.data() + (int64_t{oy} * g.out_w + ox) * g.ch;
@@ -224,10 +202,6 @@ void add_s8(std::span<const int8_t> a, std::span<const int8_t> b,
             std::span<int8_t> output, const AddParams& p) {
   if (a.size() != b.size() || a.size() != output.size())
     throw std::invalid_argument("add_s8: size mismatch");
-  obs::counter_add(obs::Counter::kKernelBytesRead,
-                   static_cast<int64_t>(a.size() + b.size()));
-  obs::counter_add(obs::Counter::kKernelBytesWritten,
-                   static_cast<int64_t>(output.size()));
   for (size_t i = 0; i < a.size(); ++i) {
     const int32_t sa = (static_cast<int32_t>(a[i]) - p.a_zp) << p.left_shift;
     const int32_t sb = (static_cast<int32_t>(b[i]) - p.b_zp) << p.left_shift;
@@ -245,8 +219,6 @@ void softmax_s8(std::span<const int8_t> input, std::span<int8_t> output,
   // (scale 1/256, zero point -128).
   check_io_buffers("softmax_s8", input, int64_t{rows} * cols, output,
                    int64_t{rows} * cols);
-  obs::counter_add(obs::Counter::kKernelBytesRead, int64_t{rows} * cols);
-  obs::counter_add(obs::Counter::kKernelBytesWritten, int64_t{rows} * cols);
   for (int32_t r = 0; r < rows; ++r) {
     const int8_t* in = input.data() + int64_t{r} * cols;
     int8_t* out = output.data() + int64_t{r} * cols;

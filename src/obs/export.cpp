@@ -101,19 +101,6 @@ std::string metrics_json() {
   return j;
 }
 
-std::vector<std::pair<std::string, int64_t>> metrics_flat() {
-  std::vector<std::pair<std::string, int64_t>> out;
-  for (uint32_t i = 0; i < static_cast<uint32_t>(Counter::kCount); ++i) {
-    const Counter c = static_cast<Counter>(i);
-    out.emplace_back(counter_name(c), counter_value(c));
-  }
-  for (uint32_t i = 0; i < static_cast<uint32_t>(Gauge::kCount); ++i) {
-    const Gauge g = static_cast<Gauge>(i);
-    out.emplace_back(gauge_name(g), gauge_value(g));
-  }
-  return out;
-}
-
 namespace {
 
 std::string hex64(uint64_t v) {

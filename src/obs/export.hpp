@@ -1,13 +1,11 @@
 // Exporters for the observability subsystem: chrome://tracing JSON (loads in
-// Perfetto / chrome://tracing) and a flat metrics JSON whose keys match
-// bench::Reporter metric names. Both render whatever the registry and ring
-// buffer currently hold — in MN_OBS=OFF builds they produce valid, empty
-// documents. Allocation-heavy; never call these from a hot path.
+// Perfetto / chrome://tracing) and a metrics JSON of the counter/gauge
+// registry. Both render whatever the registry and ring buffer currently
+// hold — in MN_OBS=OFF builds they produce valid, empty documents.
+// Allocation-heavy; never call these from a hot path.
 #pragma once
 
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "obs/obs.hpp"
 
@@ -22,11 +20,6 @@ std::string chrome_trace_json();
 
 // {"counters": {...}, "gauges": {...}} with snake_case keys.
 std::string metrics_json();
-
-// The same counters/gauges as flat (name, value) pairs — the form benches
-// feed into bench::Reporter::metric one by one. Zero-valued entries are
-// included so a metric's absence never looks like a measurement.
-std::vector<std::pair<std::string, int64_t>> metrics_flat();
 
 // Flight-recorder export (eventlog.hpp): {"fingerprint": "<hex>",
 // "dropped": N, "events": [{"kind", "tenant", "seq", "tick", "a", "b"}...]}

@@ -1,10 +1,11 @@
 // Deterministic log-bucketed latency histogram (PR 10, DESIGN.md §16).
 //
-// TickHistogram aggregates virtual-tick latencies into HDR-style buckets:
+// TickHistogram aggregates latencies into HDR-style buckets (the serving
+// engine keeps virtual ticks per tenant and host microseconds per engine):
 // values below kLinear land in singleton buckets (percentiles are exact
 // there), larger values share an exponent bucket subdivided into kLinear
 // mantissa slots, bounding the relative quantization error by 2^-kSubBits.
-// Because bucketing is pure integer arithmetic over virtual ticks — no
+// Because bucketing is pure integer arithmetic on the recorded values — no
 // wall-clock, no RNG, no allocation after construction — two runs that
 // record the same multiset of latencies produce bit-identical histograms
 // regardless of insertion order or MN_THREADS, and merge() is associative
@@ -79,7 +80,7 @@ class TickHistogram {
   int64_t max() const { return max_; }
   const std::vector<int64_t>& buckets() const { return counts_; }
 
-  // Nearest-rank percentile (the convention serve::digest uses), reported as
+  // Nearest-rank percentile (rank ceil(q * count), at least 1), reported as
   // the lower bound of the bucket holding the rank'th sample. Exact for
   // values below 2 * kLinear; never above the true value elsewhere. Returns
   // 0 on an empty histogram.

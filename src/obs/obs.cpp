@@ -13,12 +13,6 @@ namespace mn::obs {
 // documents even when the subsystem is disabled.
 const char* counter_name(Counter c) {
   switch (c) {
-    case Counter::kKernelMacs: return "kernel_macs";
-    case Counter::kKernelBytesRead: return "kernel_bytes_read";
-    case Counter::kKernelBytesWritten: return "kernel_bytes_written";
-    case Counter::kIm2colBytes: return "im2col_bytes";
-    case Counter::kInterpreterInvokes: return "interpreter_invokes";
-    case Counter::kInterpreterOps: return "interpreter_ops";
     case Counter::kPoolRegions: return "pool_regions";
     case Counter::kPoolChunks: return "pool_chunks";
     case Counter::kPoolStolenChunks: return "pool_stolen_chunks";
@@ -31,8 +25,6 @@ const char* counter_name(Counter c) {
     case Counter::kServeRetries: return "serve_retries";
     case Counter::kServeQuarantines: return "serve_quarantines";
     case Counter::kServeDegraded: return "serve_degraded";
-    case Counter::kBackendFastOps: return "backend_fast_ops";
-    case Counter::kBackendReferenceOps: return "backend_reference_ops";
     case Counter::kEventsEmitted: return "events_emitted";
     case Counter::kEventsDropped: return "events_dropped";
     case Counter::kPostmortemDumps: return "postmortem_dumps";

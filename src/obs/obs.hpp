@@ -9,17 +9,23 @@
 //     exporters.
 //   * Zero-cost disable. Building with -DMN_OBS=OFF defines MN_OBS_DISABLED
 //     globally and every API below collapses to an inline no-op returning
-//     zeros; SpanScope becomes an empty object. Call sites never #ifdef.
+//     zeros (now_ns() alone still reads the clock: the interpreter's per-op
+//     profile is timed with it); SpanScope becomes an empty object. Call
+//     sites never #ifdef.
 //   * Observation only. Nothing here draws RNG, touches training state, or
 //     leaks wall-clock into any checksummed artifact (checkpoints, journals,
 //     model images stay bit-identical with tracing on or off — tests/test_obs
 //     asserts this).
+//   * Process-wide state is for what no single object owns: the pool, the
+//     trainer and DNAS loops, the serving engine and the rings. Per-op cost
+//     (MACs, wall time, backend) lives in each interpreter's own ledger
+//     (rt::Interpreter::profile_report), never here; the kernels link no obs.
 //
-// Runtime switches (enabled builds): counters always accumulate (one relaxed
-// atomic add per kernel call); span recording is opt-in via set_tracing(true)
-// and reads the clock only while on.
+// Runtime switches (enabled builds): counters always accumulate; span
+// recording is opt-in via set_tracing(true) and reads the clock only while on.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -28,13 +34,7 @@ namespace mn::obs {
 
 // Well-known counters. Monotonic sums; reset with reset_counters().
 enum class Counter : uint32_t {
-  kKernelMacs = 0,       // multiply-accumulates executed by the integer kernels
-  kKernelBytesRead,      // input + weight bytes streamed by kernel calls
-  kKernelBytesWritten,   // output bytes produced by kernel calls
-  kIm2colBytes,          // column-buffer bytes staged by the im2col conv path
-  kInterpreterInvokes,   // Interpreter inferences served
-  kInterpreterOps,       // ops dispatched by Interpreter::run_op
-  kPoolRegions,          // parallel regions executed (incl. serial fallback)
+  kPoolRegions = 0,      // parallel regions executed (incl. serial fallback)
   kPoolChunks,           // chunks executed across all regions and threads
   kPoolStolenChunks,     // chunks claimed by a pool worker (not the caller)
   kTrainerEpochs,        // nn::fit / fit_autoencoder epochs completed
@@ -46,8 +46,6 @@ enum class Counter : uint32_t {
   kServeRetries,         // transient-failure re-executions scheduled
   kServeQuarantines,     // interpreter instances quarantined + re-planned
   kServeDegraded,        // invokes routed to a tenant's fallback variant
-  kBackendFastOps,       // ops dispatched to a fast-backend kernel
-  kBackendReferenceOps,  // ops run on the reference path (incl. fallbacks)
   kEventsEmitted,        // flight-recorder events emitted (eventlog.hpp)
   kEventsDropped,        // flight-recorder events evicted by ring wrap
   kPostmortemDumps,      // postmortem captures taken (stall/breaker/abort)
@@ -184,7 +182,13 @@ inline int64_t trace_dropped() { return 0; }
 inline std::vector<TraceEvent> trace_snapshot() { return {}; }
 inline void trace_emit(const TraceEvent&) {}
 inline void trace_counter(const char*, double, Cat = Cat::kRuntime) {}
-inline int64_t now_ns() { return 0; }
+// Still a real monotonic clock (unspecified epoch): per-op profiling
+// measures in every configuration.
+inline int64_t now_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 inline uint32_t thread_ordinal() { return 0; }
 
 class SpanScope {

@@ -1,9 +1,9 @@
 #include "runtime/interpreter.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 
 #include "obs/obs.hpp"
@@ -390,15 +390,6 @@ void Interpreter::run_op(size_t i) {
   const bool s4 = in_t.bits == 4;
   const bool fast = op_backend_[i] == kernels::BackendKind::kFast;
   const FastOpData* f = packed_->per_op[i].get();  // set when fast
-  obs::counter_add(fast ? obs::Counter::kBackendFastOps
-                        : obs::Counter::kBackendReferenceOps,
-                   1);
-  // Fast-served ops get a nested span so traces show which backend executed
-  // them; the reference path keeps its historical trace shape.
-  std::optional<obs::SpanScope> backend_span;
-  if (fast)
-    backend_span.emplace("backend_fast", obs::Cat::kKernel, "op",
-                         static_cast<int64_t>(i));
   const auto in_b = bytes(o.in);
   const auto out_b = arena_bytes(o.out);
   // Int4 is a storage format: the int8 kernel runs on the op's unpacked
@@ -467,6 +458,30 @@ void Interpreter::run_op(size_t i) {
   if (s4) quant::pack_int4(y, out_b);
 }
 
+void Interpreter::emit_op_trace(size_t i, int64_t t0, int64_t t1,
+                                int64_t cumulative_macs) const {
+  obs::TraceEvent ev;
+  ev.name = op_type_name(model_.ops[i].type);
+  ev.cat = obs::Cat::kKernel;
+  ev.tid = obs::thread_ordinal();
+  ev.start_ns = t0;
+  ev.dur_ns = t1 - t0;
+  ev.arg_a_name = "op";
+  ev.arg_a = static_cast<int64_t>(i);
+  ev.arg_b_name = "macs";
+  ev.arg_b = op_macs_[i];
+  obs::trace_emit(ev);
+  // Counter-track samples: the arena fill/drain curve (Fig. 2 over the
+  // trace timeline), scratch in use, this interpreter's running MAC sum and,
+  // when a table was injected, the op's predicted energy.
+  obs::trace_counter("arena_bytes", static_cast<double>(op_live_bytes_[i]));
+  obs::trace_counter("scratch_bytes",
+                     static_cast<double>(op_scratch_bytes_[i]));
+  obs::trace_counter("cumulative_macs", static_cast<double>(cumulative_macs));
+  if (!op_energy_uj_.empty())
+    obs::trace_counter("op_energy_uj", op_energy_uj_[i]);
+}
+
 Expected<TensorI8> Interpreter::try_invoke_quantized(const TensorI8& input) {
   const TensorDef& in_t = model_.tensors[static_cast<size_t>(model_.input_tensor)];
   if (input.size() != in_t.elements())
@@ -492,43 +507,38 @@ Expected<TensorI8> Interpreter::try_invoke_quantized(const TensorI8& input) {
     std::memcpy(in_b.data(), input.data(), static_cast<size_t>(input.size()));
   else
     quant::pack_int4(input.span(), in_b);
-  {
-    obs::SpanScope invoke_span("invoke", obs::Cat::kRuntime, "ops",
-                               static_cast<int64_t>(model_.ops.size()));
-    obs::counter_add(obs::Counter::kInterpreterInvokes, 1);
-    obs::counter_add(obs::Counter::kInterpreterOps,
-                     static_cast<int64_t>(model_.ops.size()));
-    for (size_t i = 0; i < model_.ops.size(); ++i) {
-      obs::SpanScope op_span(op_type_name(model_.ops[i].type),
-                             obs::Cat::kKernel, "op",
-                             static_cast<int64_t>(i), "macs", op_macs_[i]);
-      if (profiling_) {
-        const auto t0 = std::chrono::steady_clock::now();
-        run_op(i);
-        op_wall_ns_[i] += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-      } else {
-        run_op(i);
-      }
-      // Per-op counter-track samples: the arena fill/drain curve (Fig. 2
-      // over the trace timeline), scratch in use, the global MAC counter,
-      // and — when a table was injected — the op's predicted energy.
-      if (obs::tracing_enabled()) {
-        obs::trace_counter("arena_bytes",
-                           static_cast<double>(op_live_bytes_[i]));
-        obs::trace_counter("scratch_bytes",
-                           static_cast<double>(op_scratch_bytes_[i]));
-        obs::trace_counter(
-            "cumulative_macs",
-            static_cast<double>(
-                obs::counter_value(obs::Counter::kKernelMacs)));
-        if (!op_energy_uj_.empty())
-          obs::trace_counter("op_energy_uj", op_energy_uj_[i]);
-      }
+  // The per-op ledger: one clock pair per op, read only while profiling or
+  // tracing. The same interval goes into the profile and into the op's span.
+  const bool traced = obs::tracing_enabled();
+  const bool timed = profiling_ || traced;
+  int64_t invoke_start = 0, t0 = 0, t1 = 0;
+  int64_t cumulative_macs =
+      traced ? invocations_ * std::accumulate(op_macs_.begin(), op_macs_.end(),
+                                              int64_t{0})
+             : 0;
+  for (size_t i = 0; i < model_.ops.size(); ++i) {
+    if (timed) t0 = obs::now_ns();
+    run_op(i);
+    if (!timed) continue;
+    t1 = obs::now_ns();
+    if (profiling_) op_wall_ns_[i] += t1 - t0;
+    if (traced) {
+      if (i == 0) invoke_start = t0;
+      cumulative_macs += op_macs_[i];
+      emit_op_trace(i, t0, t1, cumulative_macs);
     }
-    if (profiling_) ++profiled_invocations_;
   }
+  if (traced && !model_.ops.empty()) {
+    obs::TraceEvent ev;
+    ev.name = "invoke";
+    ev.tid = obs::thread_ordinal();
+    ev.start_ns = invoke_start;
+    ev.dur_ns = t1 - invoke_start;
+    ev.arg_a_name = "ops";
+    ev.arg_a = static_cast<int64_t>(model_.ops.size());
+    obs::trace_emit(ev);
+  }
+  if (profiling_) ++profiled_invocations_;
   ++invocations_;
   if (auto err = check_canaries()) return *err;
   const TensorDef& out_t = model_.tensors[static_cast<size_t>(model_.output_tensor)];

@@ -171,10 +171,14 @@ class Interpreter {
   int64_t invocation_count() const { return invocations_; }
 
   // --- per-op profiling ----------------------------------------------------
-  // When on, every invoke accumulates host wall-clock per op (std::chrono;
-  // independent of MN_OBS). profile_report() snapshots the accumulated
-  // timings; hand the snapshot to mcu::annotate_profile() to fill in the
-  // analytical predicted latencies side-by-side.
+  // The interpreter's per-op ledger. When on, every invoke adds each op's
+  // host wall-clock to it (obs::now_ns, which measures under MN_OBS=OFF
+  // too). The invoke loop reads one clock pair per op, and only while
+  // profiling or tracing; a traced op's kernel span is that same interval,
+  // so span durations summed per op equal the ledger. profile_report()
+  // snapshots the ledger (MACs, wall time and backend per op); hand the
+  // snapshot to mcu::annotate_profile() to fill in the analytical predicted
+  // latencies side-by-side.
   void set_profiling(bool on);
   bool profiling() const { return profiling_; }
   void reset_profile();
@@ -183,7 +187,8 @@ class Interpreter {
   // --- memory & energy counter tracks --------------------------------------
   // While obs tracing is on, every invoke emits per-op samples on the
   // "arena_bytes" (live activation bytes), "scratch_bytes" (im2col columns
-  // and int4 staging in use) and "cumulative_macs" counter tracks — the arena
+  // and int4 staging in use) and "cumulative_macs" (this interpreter's MACs
+  // over every invoke so far, through the op) counter tracks — the arena
   // fill/drain curve of the paper's Fig. 2 rendered over the trace timeline.
   // Installing a per-op energy table (from mcu::per_op_energy_uj; one entry
   // per op, microjoules) adds the "op_energy_uj" track. The runtime cannot
@@ -224,6 +229,9 @@ class Interpreter {
   std::span<const uint8_t> bytes(const Operand& o) const;
   std::span<uint8_t> arena_bytes(const Operand& o);
   void run_op(size_t op_index);
+  // The traced op's kernel span over [t0, t1) and its counter-track samples.
+  void emit_op_trace(size_t op_index, int64_t t0, int64_t t1,
+                     int64_t cumulative_macs) const;
   // An unpanelled op's int8 weights: in place at int8, unpacked into
   // stage_w_ at int4 (int4 depthwise on the fast backend: unpacked at
   // load).
@@ -249,8 +257,8 @@ class Interpreter {
   int64_t invocations_ = 0;
   uint32_t expected_weights_crc_ = 0;
   bool verify_weights_crc_ = false;
-  // Profiling state: per-op MACs (precomputed), accumulated wall-clock, and
-  // the number of invokes captured while profiling was on.
+  // The per-op ledger: MACs (precomputed), accumulated wall-clock, and the
+  // number of invokes captured while profiling was on.
   bool profiling_ = false;
   std::vector<int64_t> op_macs_;
   std::vector<int64_t> op_wall_ns_;

@@ -5,8 +5,11 @@
 // `predicted_s` slot per op that mcu::annotate_profile() fills from the
 // analytical perf model (runtime cannot depend on mcu — the dependency runs
 // the other way), giving the side-by-side predicted-vs-measured table the
-// paper's Fig. 3 methodology is built on. Profiling uses std::chrono directly,
-// so it works even in MN_OBS=OFF builds; only span/counter emission collapses.
+// paper's Fig. 3 methodology is built on. The report is a snapshot of the
+// interpreter's per-op ledger, the one place per-op cost is recorded: its
+// clock (obs::now_ns) runs in MN_OBS=OFF builds too, where only span/counter
+// emission collapses. With tracing on, each op's kernel span is cut from the
+// same clock pair, so a trace and this report never disagree.
 #pragma once
 
 #include <cstdint>

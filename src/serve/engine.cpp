@@ -23,15 +23,6 @@ bool is_shed(Outcome o) {
          o == Outcome::kDroppedOldest || o == Outcome::kExpiredInQueue;
 }
 
-double percentile(const std::vector<int64_t>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  // Nearest-rank on the sorted samples; exact and deterministic.
-  const auto n = static_cast<int64_t>(sorted.size());
-  int64_t rank = static_cast<int64_t>(std::ceil(q * static_cast<double>(n)));
-  rank = std::clamp<int64_t>(rank, 1, n);
-  return static_cast<double>(sorted[static_cast<size_t>(rank - 1)]);
-}
-
 }  // namespace
 
 const char* outcome_name(Outcome o) {
@@ -53,20 +44,6 @@ const char* outcome_name(Outcome o) {
     case Outcome::kOutcomeCount: break;  // sentinel, never a disposition
   }
   return "unknown";
-}
-
-LatencyDigest digest(const std::vector<int64_t>& samples) {
-  LatencyDigest d;
-  d.count = static_cast<int64_t>(samples.size());
-  if (samples.empty()) return d;
-  std::vector<int64_t> sorted = samples;
-  std::sort(sorted.begin(), sorted.end());
-  d.p50 = percentile(sorted, 0.50);
-  d.p95 = percentile(sorted, 0.95);
-  d.p99 = percentile(sorted, 0.99);
-  d.p999 = percentile(sorted, 0.999);
-  d.max = sorted.back();
-  return d;
 }
 
 ServingEngine::Tenant::Tenant(TenantConfig c)
@@ -248,13 +225,6 @@ reliability::StreamWatchdog& ServingEngine::tenant_watchdog(int tenant) {
   return tenants_.at(static_cast<size_t>(tenant)).watchdog;
 }
 
-LatencyDigest ServingEngine::wall_latency_us() const {
-  std::vector<int64_t> us;
-  us.reserve(wall_ns_.size());
-  for (int64_t ns : wall_ns_) us.push_back(ns / 1000);
-  return digest(us);
-}
-
 Tick ServingEngine::min_service_ticks(const Tenant& t) const {
   Tick m = pool_.service_ticks(t.primary);
   if (t.fallback >= 0) m = std::min(m, pool_.service_ticks(t.fallback));
@@ -263,9 +233,12 @@ Tick ServingEngine::min_service_ticks(const Tenant& t) const {
 
 Tick ServingEngine::tenant_window_p99(const Tenant& t) const {
   if (t.lat_window.empty()) return 0;
-  std::vector<int64_t> sorted(t.lat_window.begin(), t.lat_window.end());
+  std::vector<Tick> sorted = t.lat_window;
   std::sort(sorted.begin(), sorted.end());
-  return static_cast<Tick>(percentile(sorted, 0.99));
+  // Nearest rank, ceil(0.99 n); exact and deterministic.
+  const auto rank = static_cast<size_t>(
+      std::ceil(0.99 * static_cast<double>(sorted.size())));
+  return sorted[std::max<size_t>(rank, 1) - 1];
 }
 
 // --- completion path --------------------------------------------------------
@@ -323,9 +296,8 @@ void ServingEngine::complete(Inflight rec) {
                         : rec.variant == t.fallback ? Outcome::kServedDegraded
                                                     : Outcome::kServed;
       const Tick lat = rec.completes - rec.req.arrival;
-      virtual_lat_.push_back(lat);
-      wall_ns_.push_back(rec.wall_ns);
       t.hist.record(lat);
+      wall_us_.record(rec.wall_ns / 1000);
       if (static_cast<int64_t>(t.lat_window.size()) < kLatencyWindow) {
         t.lat_window.push_back(lat);
       } else {

@@ -101,10 +101,10 @@ class ServingEngine {
   // runtime, e.g. tightened under load).
   reliability::StreamWatchdog& tenant_watchdog(int tenant);
 
-  // Virtual-time latency of served requests (deterministic) and measured
-  // host wall-clock per invoke (microseconds; informational).
-  LatencyDigest virtual_latency() const { return digest(virtual_lat_); }
-  LatencyDigest wall_latency_us() const;
+  // Measured host wall-clock per served invoke, in microseconds, in the same
+  // log buckets (informational: not deterministic, unlike the tick views).
+  // Virtual-time latency is latency_histogram().
+  const obs::TickHistogram& wall_latency_us() const { return wall_us_; }
 
   // Order-exact hash over every terminal outcome (tenant, seq, outcome,
   // completion tick) — the thread-invariance witness: identical schedules
@@ -170,8 +170,7 @@ class ServingEngine {
   int rr_ = 0;  // round-robin dispatch cursor
   ServeStats stats_;
   std::vector<int64_t> variant_dispatches_;  // indexed by pool variant id
-  std::vector<int64_t> virtual_lat_;
-  std::vector<int64_t> wall_ns_;
+  obs::TickHistogram wall_us_;
   uint64_t fingerprint_ = 0x9E3779B97F4A7C15ULL;
 };
 

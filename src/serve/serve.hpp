@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "compile/compile.hpp"
 #include "kernels/backend.hpp"
@@ -133,13 +132,5 @@ struct ServeStats {
     return total_served() + failed + dropped_oldest + expired_in_queue;
   }
 };
-
-// Order statistics over recorded latency samples.
-struct LatencyDigest {
-  int64_t count = 0;
-  double p50 = 0.0, p95 = 0.0, p99 = 0.0, p999 = 0.0;
-  int64_t max = 0;
-};
-LatencyDigest digest(const std::vector<int64_t>& samples);
 
 }  // namespace mn::serve

@@ -1385,23 +1385,21 @@ TEST(BackendInterpreter, InvokeOpensNoPoolRegion) {
 }
 
 TEST(BackendInterpreter, DispatchCountersAndProfileReportBackend) {
-  obs::reset_all();
   const rt::ModelDef m = tiny_model(5);
   rt::Interpreter fast(m, rt::plan_memory(m), kernels::BackendConfig::fast());
   fast.set_profiling(true);
   fast.invoke_quantized(random_input(m, 42));
-  const int64_t fast_ops =
-      obs::counter_value(obs::Counter::kBackendFastOps);
-  const int64_t ref_ops =
-      obs::counter_value(obs::Counter::kBackendReferenceOps);
-#if !defined(MN_OBS_DISABLED)
+  // The interpreter's own per-op record says which backend ran each op, in
+  // every MN_OBS configuration.
+  const auto& backends = fast.op_backends();
+  ASSERT_EQ(backends.size(), m.ops.size());
+  const auto fast_ops = std::count(backends.begin(), backends.end(),
+                                   kernels::BackendKind::kFast);
+  const auto ref_ops = std::count(backends.begin(), backends.end(),
+                                  kernels::BackendKind::kReference);
   EXPECT_GT(fast_ops, 0);
   EXPECT_GT(ref_ops, 0);
-  EXPECT_EQ(fast_ops + ref_ops, static_cast<int64_t>(m.ops.size()));
-#else
-  EXPECT_EQ(fast_ops, 0);
-  EXPECT_EQ(ref_ops, 0);
-#endif
+  EXPECT_EQ(fast_ops + ref_ops, static_cast<std::ptrdiff_t>(m.ops.size()));
   const rt::ProfileReport rep = fast.profile_report();
   bool saw_fast = false, saw_ref = false;
   for (size_t i = 0; i < rep.ops.size(); ++i) {

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "datasets/dataset.hpp"
-#include "kernels/kernels.hpp"
 #include "mcu/perf_model.hpp"
 #include "models/backbones.hpp"
 #include "nn/checkpoint.hpp"
@@ -56,12 +55,12 @@ class ObsTest : public ::testing::Test {
 #if !defined(MN_OBS_DISABLED)
 
 TEST_F(ObsTest, CountersAccumulateAndReset) {
-  EXPECT_EQ(obs::counter_value(obs::Counter::kKernelMacs), 0);
-  obs::counter_add(obs::Counter::kKernelMacs, 100);
-  obs::counter_add(obs::Counter::kKernelMacs, 23);
-  EXPECT_EQ(obs::counter_value(obs::Counter::kKernelMacs), 123);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kTrainerEpochs), 0);
+  obs::counter_add(obs::Counter::kTrainerEpochs, 100);
+  obs::counter_add(obs::Counter::kTrainerEpochs, 23);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kTrainerEpochs), 123);
   obs::reset_counters();
-  EXPECT_EQ(obs::counter_value(obs::Counter::kKernelMacs), 0);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kTrainerEpochs), 0);
 }
 
 TEST_F(ObsTest, GaugesKeepHighWaterMark) {
@@ -70,18 +69,6 @@ TEST_F(ObsTest, GaugesKeepHighWaterMark) {
   EXPECT_EQ(obs::gauge_value(obs::Gauge::kArenaPeakBytes), 512);
   obs::gauge_set_max(obs::Gauge::kArenaPeakBytes, 1024);
   EXPECT_EQ(obs::gauge_value(obs::Gauge::kArenaPeakBytes), 1024);
-}
-
-TEST_F(ObsTest, KernelCallCountsMacsAndBytes) {
-  // 3-in, 2-out FC: 6 MACs, reads 3 input + 6 weight bytes, writes 2.
-  const std::vector<int8_t> in{1, 2, 3}, w{1, 0, 0, 0, 1, 0};
-  std::vector<int8_t> out(2);
-  kernels::RequantParams rq;
-  rq.mult = quant::quantize_multiplier(0.5);
-  kernels::fully_connected_s8(in, w, {}, out, 3, 2, rq);
-  EXPECT_EQ(obs::counter_value(obs::Counter::kKernelMacs), 6);
-  EXPECT_EQ(obs::counter_value(obs::Counter::kKernelBytesRead), 9);
-  EXPECT_EQ(obs::counter_value(obs::Counter::kKernelBytesWritten), 2);
 }
 
 TEST_F(ObsTest, SpanRecordsOnlyWhileTracing) {
@@ -126,14 +113,14 @@ TEST_F(ObsTest, RingEvictsOldestAndCountsDrops) {
 }
 
 TEST_F(ObsTest, ResetAllClearsCountersGaugesAndRing) {
-  obs::counter_add(obs::Counter::kKernelMacs, 5);
+  obs::counter_add(obs::Counter::kTrainerEpochs, 5);
   obs::gauge_set_max(obs::Gauge::kArenaPeakBytes, 99);
   obs::set_tracing(true);
   { obs::SpanScope s("reset_me", obs::Cat::kBench); }
   obs::set_tracing(false);
   ASSERT_EQ(obs::trace_size(), 1u);
   obs::reset_all();
-  EXPECT_EQ(obs::counter_value(obs::Counter::kKernelMacs), 0);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kTrainerEpochs), 0);
   EXPECT_EQ(obs::gauge_value(obs::Gauge::kArenaPeakBytes), 0);
   EXPECT_EQ(obs::trace_size(), 0u);
   // reset_counters alone keeps the ring (the doc'd contrast with reset_all).
@@ -381,9 +368,9 @@ TEST_F(ObsTest, DisabledBuildEventLogIsNoOp) {
 }
 
 TEST_F(ObsTest, DisabledBuildPinsEverythingToZero) {
-  obs::counter_add(obs::Counter::kKernelMacs, 123);
+  obs::counter_add(obs::Counter::kTrainerEpochs, 123);
   obs::gauge_set_max(obs::Gauge::kArenaPeakBytes, 456);
-  EXPECT_EQ(obs::counter_value(obs::Counter::kKernelMacs), 0);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kTrainerEpochs), 0);
   EXPECT_EQ(obs::gauge_value(obs::Gauge::kArenaPeakBytes), 0);
   obs::set_tracing(true);
   EXPECT_FALSE(obs::tracing_enabled());
@@ -400,7 +387,7 @@ TEST_F(ObsTest, DisabledBuildExportersStillRender) {
   // Exporters stay linked (names compile unconditionally) so tooling that
   // writes metrics files works in every configuration — values are zeros.
   const std::string m = obs::metrics_json();
-  EXPECT_NE(m.find("\"kernel_macs\": 0"), std::string::npos);
+  EXPECT_NE(m.find("\"pool_regions\": 0"), std::string::npos);
   const std::string t = obs::chrome_trace_json();
   EXPECT_NE(t.find("\"traceEvents\": ["), std::string::npos);
 }
@@ -409,7 +396,7 @@ TEST_F(ObsTest, DisabledBuildExportersStillRender) {
 
 // --- deterministic SLO histograms (plain value type: both configurations) ---
 
-// Nearest-rank oracle matching serve::digest / TickHistogram::percentile:
+// Nearest-rank oracle matching TickHistogram::percentile:
 // rank = ceil(q * n) clamped to [1, n], 1-indexed into the sorted samples.
 int64_t oracle_percentile(std::vector<int64_t> samples, double q) {
   if (samples.empty()) return 0;
@@ -509,9 +496,6 @@ TEST_F(ObsTest, MetricsJsonListsEveryCounterAndGauge) {
   for (uint32_t i = 0; i < static_cast<uint32_t>(obs::Gauge::kCount); ++i)
     EXPECT_NE(j.find(obs::gauge_name(static_cast<obs::Gauge>(i))),
               std::string::npos);
-  const auto flat = obs::metrics_flat();
-  EXPECT_EQ(flat.size(), static_cast<size_t>(obs::Counter::kCount) +
-                             static_cast<size_t>(obs::Gauge::kCount));
 }
 
 // --- interpreter profiling (works in both MN_OBS configurations) ------------
@@ -688,10 +672,107 @@ TEST_F(ObsTest, InterpreterEmitsCounterTracksPerOp) {
   for (size_t i = 0; i < arena_values.size(); ++i)
     EXPECT_DOUBLE_EQ(arena_values[i],
                      static_cast<double>(interp.op_live_bytes()[i]));
-  // And the final cumulative-MAC sample equals the global counter.
-  EXPECT_EQ(last_cum_macs, obs::counter_value(obs::Counter::kKernelMacs));
+  // And the final cumulative-MAC sample is the interpreter's own MAC sum.
+  EXPECT_EQ(last_cum_macs,
+            interp.invocation_count() * interp.model().total_macs());
   EXPECT_EQ(obs::gauge_value(obs::Gauge::kArenaLiveBytesPeak),
             interp.memory_plan().peak_live_bytes(static_cast<int>(num_ops)));
+}
+
+// --- the per-op ledger: one clock pair feeds the profile and the trace ------
+
+// One traced invoke's kernel spans, in emission order. The interpreter emits
+// its "invoke" span after the op spans of that invoke, so the ring splits
+// into invokes at each "invoke" span.
+std::vector<std::vector<obs::TraceEvent>> kernel_spans_per_invoke() {
+  std::vector<std::vector<obs::TraceEvent>> invokes(1);
+  for (const obs::TraceEvent& e : obs::trace_snapshot()) {
+    if (e.ph != obs::Ph::kComplete) continue;
+    if (std::string(e.name) == "invoke") {
+      invokes.emplace_back();
+    } else if (e.cat == obs::Cat::kKernel) {
+      invokes.back().push_back(e);
+    }
+  }
+  invokes.pop_back();  // nothing follows the last invoke span
+  return invokes;
+}
+
+TEST_F(ObsTest, KernelSpansAndProfileComeFromOneClockPair) {
+  rt::Interpreter interp(profiled_model(9));
+  const size_t num_ops = interp.model().ops.size();
+  obs::trace_reserve(4096);
+  obs::set_tracing(true);
+  interp.set_profiling(true);
+  constexpr int kInvokes = 4;
+  for (int k = 0; k < kInvokes; ++k)
+    interp.invoke(TensorF(Shape{12, 8, 1}, 0.1f * static_cast<float>(k)));
+  obs::set_tracing(false);
+  ASSERT_EQ(obs::trace_dropped(), 0);
+  const auto invokes = kernel_spans_per_invoke();
+  ASSERT_EQ(invokes.size(), static_cast<size_t>(kInvokes));
+  std::vector<int64_t> span_ns(num_ops, 0);
+  for (const auto& spans : invokes) {
+    // Exactly one kernel span per op per invoke, in op order: no nested
+    // backend span beside it.
+    ASSERT_EQ(spans.size(), num_ops);
+    for (size_t i = 0; i < num_ops; ++i) {
+      EXPECT_EQ(spans[i].arg_a, static_cast<int64_t>(i));
+      EXPECT_STREQ(spans[i].name, rt::op_type_name(interp.model().ops[i].type));
+      EXPECT_EQ(spans[i].arg_b, interp.model().ops[i].macs(interp.model().tensors));
+      span_ns[i] += spans[i].dur_ns;
+    }
+  }
+  const rt::ProfileReport prof = interp.profile_report();
+  EXPECT_EQ(prof.invocations, kInvokes);
+  for (size_t i = 0; i < num_ops; ++i)
+    EXPECT_EQ(span_ns[i], prof.ops[i].wall_ns) << "op " << i;
+}
+
+TEST_F(ObsTest, InterpretersInvokedAlternatelyKeepSeparateLedgers) {
+  rt::Interpreter a(profiled_model(10));
+  rt::Interpreter b(profiled_model(11));
+  const size_t num_ops = a.model().ops.size();
+  ASSERT_EQ(b.model().ops.size(), num_ops);
+  obs::trace_reserve(8192);
+  obs::set_tracing(true);
+  a.set_profiling(true);
+  b.set_profiling(true);
+  // a, b, a, b, a: the ledgers must not bleed into each other.
+  std::vector<rt::Interpreter*> order = {&a, &b, &a, &b, &a};
+  std::vector<int64_t> last_cum_macs;
+  for (rt::Interpreter* interp : order) {
+    const size_t before = obs::trace_size();
+    interp->invoke(TensorF(Shape{12, 8, 1}, 0.3f));
+    int64_t cum = -1;
+    const auto events = obs::trace_snapshot();
+    for (size_t e = before; e < events.size(); ++e)
+      if (events[e].ph == obs::Ph::kCounter &&
+          std::string(events[e].name) == "cumulative_macs")
+        cum = static_cast<int64_t>(events[e].value);
+    last_cum_macs.push_back(cum);
+  }
+  obs::set_tracing(false);
+  ASSERT_EQ(obs::trace_dropped(), 0);
+  const auto invokes = kernel_spans_per_invoke();
+  ASSERT_EQ(invokes.size(), order.size());
+  for (rt::Interpreter* interp : {&a, &b}) {
+    std::vector<int64_t> span_ns(num_ops, 0);
+    int64_t runs = 0;
+    for (size_t k = 0; k < order.size(); ++k) {
+      if (order[k] != interp) continue;
+      ++runs;
+      ASSERT_EQ(invokes[k].size(), num_ops);
+      for (size_t i = 0; i < num_ops; ++i) span_ns[i] += invokes[k][i].dur_ns;
+      // Each interpreter's running MAC sum counts its own invokes only.
+      EXPECT_EQ(last_cum_macs[k], runs * interp->model().total_macs());
+    }
+    const rt::ProfileReport prof = interp->profile_report();
+    EXPECT_EQ(prof.invocations, runs);
+    EXPECT_EQ(interp->invocation_count(), runs);
+    for (size_t i = 0; i < num_ops; ++i)
+      EXPECT_EQ(span_ns[i], prof.ops[i].wall_ns) << "op " << i;
+  }
 }
 
 #endif  // !MN_OBS_DISABLED

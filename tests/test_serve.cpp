@@ -424,8 +424,21 @@ namespace {
 struct ChaosRunResult {
   uint64_t fingerprint = 0;
   serve::ServeStats stats;
-  double p99_ticks = 0.0;
+  int64_t p99_ticks = 0;
+  int64_t tick_samples = 0;     // latency_histogram().count()
+  int64_t host_us_samples = 0;  // wall_latency_us().count()
 };
+
+ChaosRunResult chaos_result(const serve::ServingEngine& eng) {
+  ChaosRunResult r;
+  r.fingerprint = eng.fingerprint();
+  r.stats = eng.stats();
+  const obs::TickHistogram ticks = eng.latency_histogram();
+  r.p99_ticks = ticks.percentile(0.99);
+  r.tick_samples = ticks.count();
+  r.host_us_samples = eng.wall_latency_us().count();
+  return r;
+}
 
 ChaosRunResult chaos_run() {
   serve::EngineConfig cfg;
@@ -452,11 +465,7 @@ ChaosRunResult chaos_run() {
     eng.step();
   }
   eng.drain(2000);
-  ChaosRunResult r;
-  r.fingerprint = eng.fingerprint();
-  r.stats = eng.stats();
-  r.p99_ticks = eng.virtual_latency().p99;
-  return r;
+  return chaos_result(eng);
 }
 
 }  // namespace
@@ -478,6 +487,16 @@ TEST(ServeThreadInvariance, ShedServedCountsAndFingerprintAreBitIdentical) {
     EXPECT_EQ(r.stats.canary_detections, ref.stats.canary_detections);
     EXPECT_EQ(r.p99_ticks, ref.p99_ticks);
   }
+}
+
+TEST(ServeHistogram, ChaosRunRecordsEveryServedRequestOnce) {
+  // Both latency views are histograms fed once per served request in
+  // complete(): the per-tenant tick histograms (merged) and the engine's
+  // host-microsecond histogram.
+  const ChaosRunResult r = chaos_run();
+  ASSERT_GT(r.stats.total_served(), 0);
+  EXPECT_EQ(r.tick_samples, r.stats.total_served());
+  EXPECT_EQ(r.host_us_samples, r.stats.total_served());
 }
 
 // --- kernel backends ---------------------------------------------------------
@@ -518,11 +537,7 @@ ChaosRunResult chaos_run_on(kernels::BackendConfig backend) {
     eng.step();
   }
   eng.drain(2000);
-  ChaosRunResult r;
-  r.fingerprint = eng.fingerprint();
-  r.stats = eng.stats();
-  r.p99_ticks = eng.virtual_latency().p99;
-  return r;
+  return chaos_result(eng);
 }
 
 }  // namespace
@@ -539,24 +554,9 @@ TEST(ServeBackend, FastPoolFingerprintMatchesReference) {
   EXPECT_EQ(fast.p99_ticks, ref.p99_ticks);
 }
 
-// --- latency digest ----------------------------------------------------------
-
-TEST(ServeDigest, NearestRankPercentiles) {
-  std::vector<int64_t> s;
-  for (int64_t i = 1; i <= 100; ++i) s.push_back(i);
-  const serve::LatencyDigest d = serve::digest(s);
-  EXPECT_EQ(d.count, 100);
-  EXPECT_EQ(d.p50, 50.0);
-  EXPECT_EQ(d.p95, 95.0);
-  EXPECT_EQ(d.p99, 99.0);
-  EXPECT_EQ(d.p999, 100.0);  // ceil(0.999 * 100) = rank 100
-  EXPECT_EQ(d.max, 100);
-  EXPECT_EQ(serve::digest({}).count, 0);
-}
-
 // --- per-tenant SLO histograms -----------------------------------------------
 
-TEST(ServeHistogram, TenantHistogramsMergeToFleetAndMatchDigest) {
+TEST(ServeHistogram, TenantHistogramsMergeToFleet) {
   serve::ServingEngine eng{serve::EngineConfig{}};
   serve::TenantConfig t0;
   t0.deadline_ticks = 48;
@@ -580,18 +580,6 @@ TEST(ServeHistogram, TenantHistogramsMergeToFleetAndMatchDigest) {
   EXPECT_EQ(merged.count(), eng.stats().total_served());
   EXPECT_EQ(eng.tenant_histogram(0).count(),
             eng.tenant_stats(0).total_served());
-  // Under-capacity latencies sit in the histogram's singleton range, so the
-  // histogram percentiles equal the exact sorted-sample digest.
-  const serve::LatencyDigest d = eng.virtual_latency();
-  ASSERT_LT(eng.latency_histogram().max(), 128);
-  EXPECT_EQ(static_cast<double>(eng.latency_histogram().percentile(0.50)),
-            d.p50);
-  EXPECT_EQ(static_cast<double>(eng.latency_histogram().percentile(0.95)),
-            d.p95);
-  EXPECT_EQ(static_cast<double>(eng.latency_histogram().percentile(0.99)),
-            d.p99);
-  EXPECT_EQ(static_cast<double>(eng.latency_histogram().percentile(0.999)),
-            d.p999);
 }
 
 // --- request-lifecycle flight recorder ---------------------------------------
