@@ -13,8 +13,12 @@
 //   <shape>_backend_speedup                           reference / fast ratio
 //   <shape>_fast_<isa>_us_p50   the same fast kernel called directly on each
 //                               instruction-set variant this host runs
-//                               (scalar, sse2, avx2; conv, depthwise and FC),
-//                               each output byte-checked too
+//                               (scalar, sse2, avx2, avx512vnni; conv,
+//                               depthwise and FC), each output byte-checked
+//                               too; the committed baseline holds no
+//                               avx512vnni key, since a baseline key missing
+//                               from a run fails the gate and a runner need
+//                               not have AVX512-VNNI
 //   conv_backend_speedup_min                          worst conv-shape ratio
 //   ab_mismatch_count                                 bytes that differed (0)
 //
@@ -101,7 +105,8 @@ double median_us_per_call(int reps, int iters, Fn&& fn) {
 std::vector<kernels::KernelIsa> available_isas() {
   std::vector<kernels::KernelIsa> isas;
   for (const auto isa : {kernels::KernelIsa::kScalar, kernels::KernelIsa::kSse2,
-                         kernels::KernelIsa::kAvx2})
+                         kernels::KernelIsa::kAvx2,
+                         kernels::KernelIsa::kAvx512Vnni})
     if (kernels::kernel_isa_available(isa)) isas.push_back(isa);
   return isas;
 }

@@ -39,8 +39,10 @@ void check(bool ok, const char* what) {
 
 std::string arch_string(const models::DsCnnConfig& cfg) {
   std::string s = "stem=" + std::to_string(cfg.stem_channels) + " blocks=[";
-  for (size_t i = 0; i < cfg.blocks.size(); ++i)
-    s += (i ? "," : "") + std::to_string(cfg.blocks[i].channels);
+  for (size_t i = 0; i < cfg.blocks.size(); ++i) {
+    if (i > 0) s += ',';
+    s += std::to_string(cfg.blocks[i].channels);
+  }
   return s + "]";
 }
 

@@ -298,8 +298,6 @@ int main(int argc, char** argv) {
                  ? static_cast<double>(base.stats.total_shed()) /
                        static_cast<double>(base.stats.submitted)
                  : 0.0);
-  rep.metric("baseline_p50_ticks", pct(base.fleet_hist, 0.50));
-  rep.metric("baseline_p99_ticks", pct(base.fleet_hist, 0.99));
   rep.metric("baseline_p50_host_us", pct(base.wall_us, 0.50));
   rep.metric("baseline_p95_host_us", pct(base.wall_us, 0.95));
   rep.metric("baseline_p99_host_us", pct(base.wall_us, 0.99));
@@ -391,7 +389,6 @@ int main(int argc, char** argv) {
   rep.metric("chaos_final_sweep_count",
              static_cast<double>(chaos.final_sweep_detections));
   rep.metric("chaos_shed_rate", chaos_shed_rate);
-  rep.metric("chaos_p99_ticks", pct(chaos.fleet_hist, 0.99));
   rep.metric("chaos_p99_host_us", pct(chaos.wall_us, 0.99));
   rep.metric("chaos_p999_host_us", pct(chaos.wall_us, 0.999));
   rep.metric("chaos_fleet_p50_ticks", pct(chaos.fleet_hist, 0.50));

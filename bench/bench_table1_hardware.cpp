@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
                       "SRAM " + bench::fmt_kb(d.sram_bytes),
                       "eFlash " + bench::fmt_kb(d.flash_bytes),
                       bench::fmt(d.nominal_power_w, 1) + "W",
-                      "$" + bench::fmt(d.price_usd, 0)},
+                      std::string("$").append(bench::fmt(d.price_usd, 0))},
                      w);
   }
 

@@ -328,7 +328,10 @@ void Reporter::metric(const std::string& key, double value) {
 }
 
 void Reporter::metric(const std::string& key, const std::string& value) {
-  metrics_.emplace_back(key, "\"" + json_escape(value) + "\"");
+  std::string quoted = "\"";
+  quoted += json_escape(value);
+  quoted += '"';
+  metrics_.emplace_back(key, std::move(quoted));
 }
 
 void Reporter::series(const std::string& key, const std::vector<double>& values) {
@@ -346,18 +349,26 @@ std::string Reporter::json() const {
   j += ", \"phases\": [";
   for (size_t i = 0; i < phases_.size(); ++i) {
     if (i > 0) j += ", ";
-    j += "{\"name\": \"" + json_escape(phases_[i].first) +
-         "\", \"seconds\": " + json_number(phases_[i].second) + "}";
+    j += "{\"name\": \"";
+    j += json_escape(phases_[i].first);
+    j += "\", \"seconds\": ";
+    j += json_number(phases_[i].second);
+    j += '}';
   }
   j += "], \"metrics\": {";
   for (size_t i = 0; i < metrics_.size(); ++i) {
     if (i > 0) j += ", ";
-    j += "\"" + json_escape(metrics_[i].first) + "\": " + metrics_[i].second;
+    j += '"';
+    j += json_escape(metrics_[i].first);
+    j += "\": ";
+    j += metrics_[i].second;
   }
   j += "}, \"series\": {";
   for (size_t i = 0; i < series_.size(); ++i) {
     if (i > 0) j += ", ";
-    j += "\"" + json_escape(series_[i].first) + "\": [";
+    j += '"';
+    j += json_escape(series_[i].first);
+    j += "\": [";
     for (size_t k = 0; k < series_[i].second.size(); ++k) {
       if (k > 0) j += ", ";
       j += json_number(series_[i].second[k]);

@@ -17,10 +17,12 @@
 //     Depthwise pairs taps the same way on the raw weights: 16, 8 or 4
 //     channels per pass, two taps per pmaddwd, and no panel. The conv/FC
 //     tile and the depthwise pass are each written once (fast_tile.hpp)
-//     over an instruction-set trait and compiled twice: for SSE2
+//     over an instruction-set trait and compiled three times: for SSE2
 //     (kernels_sse2.cpp, two xmm per accumulator, 4 pixels x 1 group per
-//     tile) and for AVX2 (kernels_avx2.cpp, one ymm per accumulator,
-//     4 pixels x 2 groups, per-lane vpsrlvq requantization). The widest
+//     tile), for AVX2 (kernels_avx2.cpp, one ymm per accumulator,
+//     4 pixels x 2 groups, per-lane vpsrlvq requantization) and for
+//     AVX512-VNNI (kernels_avx512vnni.cpp, the AVX2 trait with a fused
+//     vpdpwssd multiply-accumulate and 4 pixels x 4 groups). The widest
 //     variant the build carries and the CPU runs is picked once per process
 //     from CPUID (active_kernel_isa()); no setting selects it, since every
 //     variant writes the same bytes. Non-x86 builds, and zero points outside
@@ -83,10 +85,11 @@ enum class KernelIsa : uint8_t {
   kScalar = 0,  // portable loops over the same panels
   kSse2,
   kAvx2,
+  kAvx512Vnni,  // AVX2 plus AVX512VL and AVX512-VNNI (vpdpwssd)
 };
 
-// Stable lowercase names ("scalar", "sse2", "avx2") used by the deployment
-// summary, the profile table and bench JSON.
+// Stable lowercase names ("scalar", "sse2", "avx2", "avx512vnni") used by
+// the deployment summary, the profile table and bench JSON.
 const char* kernel_isa_name(KernelIsa isa);
 
 // Whether this build compiled `isa`'s kernels and this CPU can run them.

@@ -1,0 +1,113 @@
+// The AVX2 trait of the fast kernels (fast_tile.hpp): one ymm register per
+// 8-channel accumulator, panels widened by vpmovsxbw, each pixel's tap pair
+// broadcast from the columns, and an 8-lane requantization that shifts each
+// 64-bit lane by its own count (vpsrlvq), so it needs no shared-count form.
+// Included only by the units built for AVX2 or wider (kernels_avx2.cpp,
+// kernels_avx512vnni.cpp); like fast_tile.hpp it has internal linkage, so
+// each unit compiles its own copy for its own instruction set.
+#pragma once
+
+#if !defined(__AVX2__)
+#error "fast_avx2.hpp needs a unit compiled for AVX2"
+#endif
+
+#include <immintrin.h>
+
+#include "kernels/fast_tile.hpp"
+
+namespace mn::kernels::detail {
+namespace {
+
+inline __m256i load256(const void* p) {
+  return _mm256_loadu_si256(static_cast<const __m256i*>(p));
+}
+
+struct Avx2 {
+  static constexpr int kGroups = 2;
+
+  using Acc = __m256i;
+  static Acc load_acc(const int32_t* p) { return load256(p); }
+  static void store_acc(int32_t* p, Acc a) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), a);
+  }
+
+  using Panel = __m256i;
+  static Panel load_panel(const int8_t* w) {
+    return _mm256_cvtepi8_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(w)));
+  }
+
+  // Pixel p's tap pair is broadcast straight from the columns
+  // (vpbroadcastd from memory), so a tile needs no column register.
+  using Cols = const int16_t*;
+  template <int kPx>
+  static Cols load_cols(const int16_t* x) {
+    return x;
+  }
+  template <int kP>
+  static Acc madd_pixel(Acc acc, Panel w, Cols x) {
+    int32_t pair;
+    std::memcpy(&pair, x + 2 * kP, 4);
+    return _mm256_add_epi32(acc, _mm256_madd_epi16(w, _mm256_set1_epi32(pair)));
+  }
+
+  static __m128i widen8(__m128i v) { return _mm_cvtepi8_epi16(v); }
+
+  using Zp = __m256i;
+  static Zp zp16(int32_t zp) {
+    return _mm256_set1_epi16(static_cast<int16_t>(zp));
+  }
+  static void widen_pairs(int16_t* dst, __m128i v) {
+    _mm256_store_si256(reinterpret_cast<__m256i*>(dst),
+                       _mm256_cvtepi8_epi16(v));
+  }
+  static Acc madd_taps(Acc acc, __m128i x, const int16_t* w, Zp zp) {
+    const __m256i xz = _mm256_sub_epi16(_mm256_cvtepi8_epi16(x), zp);
+    return _mm256_add_epi32(
+        acc, _mm256_madd_epi16(
+                 xz, _mm256_load_si256(reinterpret_cast<const __m256i*>(w))));
+  }
+
+  struct Rq {
+    __m256i out_zp;
+    __m128i act_min, act_max;
+  };
+  static Rq rq_consts(const RequantParams& rq) {
+    return {_mm256_set1_epi32(rq.output_zp),
+            _mm_set1_epi16(static_cast<int16_t>(rq.act_min)),
+            _mm_set1_epi16(static_cast<int16_t>(rq.act_max))};
+  }
+
+  // The one-multiply form of DESIGN.md §14 on all 8 lanes:
+  //   sign(x) * floor((|x| * M + 2^30 - [x < 0] + 2^(30+r)) / 2^(31+r)),
+  // the even lanes and the odd lanes each one vpmuludq plus their rounding
+  // constants and sign, shifted by their own counts (vpsrlvq). Each result
+  // is below 2^31, so the odd lanes shift back into place without masking.
+  // Then the output zero point, a saturating pack to int16 and the clamp,
+  // which lies inside int8 for a SIMD group. One form serves every group.
+  static constexpr bool kSharedCountForm = false;
+  template <bool kShared>
+  static __m128i requant8(Acc x, const RequantGroup& g, const Rq& c) {
+    const __m256i s = _mm256_srai_epi32(x, 31);                     // 0 / -1
+    const __m256i ax = _mm256_sub_epi32(_mm256_xor_si256(x, s), s);  // |x|
+    __m256i even = _mm256_add_epi64(
+        _mm256_mul_epu32(ax, load256(g.mult)),
+        _mm256_add_epi64(load256(g.round),
+                         _mm256_shuffle_epi32(s, _MM_SHUFFLE(2, 2, 0, 0))));
+    __m256i odd = _mm256_add_epi64(
+        _mm256_mul_epu32(_mm256_srli_epi64(ax, 32), load256(g.mult + 1)),
+        _mm256_add_epi64(load256(g.round + kPanelLanes / 2),
+                         _mm256_shuffle_epi32(s, _MM_SHUFFLE(3, 3, 1, 1))));
+    even = _mm256_srlv_epi64(even, load256(g.count));
+    odd = _mm256_srlv_epi64(odd, load256(g.count + kPanelLanes / 2));
+    __m256i r = _mm256_or_si256(even, _mm256_slli_epi64(odd, 32));
+    r = _mm256_add_epi32(_mm256_sub_epi32(_mm256_xor_si256(r, s), s),
+                         c.out_zp);
+    const __m128i v = _mm_packs_epi32(_mm256_castsi256_si128(r),
+                                      _mm256_extracti128_si256(r, 1));
+    return _mm_min_epi16(_mm_max_epi16(v, c.act_min), c.act_max);
+  }
+};
+
+}  // namespace
+}  // namespace mn::kernels::detail

@@ -1,10 +1,10 @@
 // The internal seam between kernels_fast.cpp, which checks, counts and
 // dispatches every fast kernel call, and the instruction-set translation
-// units kernels_sse2.cpp and kernels_avx2.cpp, which each compile the
-// templates of fast_tile.hpp for their trait (DESIGN.md §14). Only plain
-// structs, constants and out-of-line functions cross it: nothing here is an
-// inline function, so no code one TU compiles for its instruction set can be
-// merged by the linker into another's.
+// units kernels_sse2.cpp, kernels_avx2.cpp and kernels_avx512vnni.cpp,
+// which each compile the templates of fast_tile.hpp for their trait
+// (DESIGN.md §14). Only plain structs, constants and out-of-line functions
+// cross it: nothing here is an inline function, so no code one TU compiles
+// for its instruction set can be merged by the linker into another's.
 #pragma once
 
 #include <cstddef>
@@ -54,9 +54,10 @@ struct IsaKernels {
 };
 
 // The compiled variants; nullptr when the build does not carry one (a
-// non-x86 target, or -U__SSE2__, compiles neither).
+// non-x86 target, or -U__SSE2__, compiles none).
 const IsaKernels* sse2_kernels();
 const IsaKernels* avx2_kernels();
+const IsaKernels* avx512vnni_kernels();
 
 // add_s8_fast's SIMD body (SSE2 on every x86 host): the first n - n % 16
 // elements of a + b into out, with `groups` the three SIMD-domain groups of

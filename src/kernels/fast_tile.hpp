@@ -1,13 +1,15 @@
 // The fast conv/FC tile and depthwise pass, each written once over an
 // instruction-set trait (DESIGN.md §14). Included only by the ISA
-// translation units (kernels_sse2.cpp, kernels_avx2.cpp); each defines its
-// trait and instantiates conv_tiles<Isa> and depthwise_passes<Isa>.
+// translation units (kernels_sse2.cpp, kernels_avx2.cpp,
+// kernels_avx512vnni.cpp); each defines or includes its trait and
+// instantiates conv_tiles<Isa> and depthwise_passes<Isa>.
 //
 // Everything here has internal linkage and calls nothing inline from
 // outside this file and the intrinsic headers — no std:: templates, no
-// inline members of the kernel headers' types — so no function the AVX2
-// unit compiles can stand in, at link time, for the SSE2 unit's copy (or
-// run on a CPU without AVX2), and the AVX2 hot path never leaves AVX2 code.
+// inline members of the kernel headers' types — so no function a wider
+// unit compiles can stand in, at link time, for a narrower unit's copy (or
+// run on a CPU without its instructions), and each hot path stays in its
+// own unit's code.
 //
 // A trait provides one 8-channel int32 accumulator and its operations:
 //   kGroups               8-channel groups per conv tile
@@ -302,6 +304,20 @@ inline void conv_block(const ConvCall& c, const typename Isa::Rq& rqc,
   });
 }
 
+// The last `rest` (at most kG) groups of a pixel tile, from group gi, as
+// one tile of `rest` groups.
+template <class Isa, int kPx, int kG>
+inline void conv_rest(const ConvCall& c, const typename Isa::Rq& rqc,
+                      const GroupBias& bias, int64_t p0, int np, int32_t gi,
+                      int32_t rest, int64_t pairs) {
+  if constexpr (kG > 0) {
+    if (rest == kG)
+      conv_block<Isa, kPx, kG>(c, rqc, bias, p0, np, gi, pairs);
+    else
+      conv_rest<Isa, kPx, kG - 1>(c, rqc, bias, p0, np, gi, rest, pairs);
+  }
+}
+
 template <class Isa, int kPx>
 inline void conv_pixels(const ConvCall& c, const typename Isa::Rq& rqc,
                         const GroupBias& bias) {
@@ -315,14 +331,14 @@ inline void conv_pixels(const ConvCall& c, const typename Isa::Rq& rqc,
     int32_t gi = 0;
     for (; gi + Isa::kGroups <= groups; gi += Isa::kGroups)
       conv_block<Isa, kPx, Isa::kGroups>(c, rqc, bias, p0, np, gi, pairs);
-    for (; gi < groups; ++gi)
-      conv_block<Isa, kPx, 1>(c, rqc, bias, p0, np, gi, pairs);
+    conv_rest<Isa, kPx, Isa::kGroups - 1>(c, rqc, bias, p0, np, gi,
+                                          groups - gi, pairs);
   }
 }
 
 // Conv (or FC) over every output pixel: tiles of 4 pixels (of 1 for a
 // one-pixel output, i.e. FC) x Isa::kGroups groups of 8 channels, the last
-// groups one at a time.
+// groups (fewer than Isa::kGroups) in one narrower tile.
 template <class Isa>
 void conv_tiles(const ConvCall& c) {
   const ConvGeometry& g = c.g;

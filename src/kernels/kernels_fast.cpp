@@ -26,12 +26,12 @@
 // run with a one-pixel tile. Depthwise needs no panel: it pairs taps on the
 // raw weights, two per pmaddwd, with the same requantization and table.
 // Both are written once in fast_tile.hpp and compiled per instruction set
-// (kernels_sse2.cpp, kernels_avx2.cpp); active_kernel_isa() picks one per
-// process. The scalar variant, non-x86 builds and zero points outside int8
-// range run the portable loops here — slower, byte-identical. Add runs its
-// three per-tensor requantizations through the SSE2 form, 16 elements per
-// pass. Pool and softmax have no fast kernel and fall back to the reference
-// loops.
+// (kernels_sse2.cpp, kernels_avx2.cpp, kernels_avx512vnni.cpp);
+// active_kernel_isa() picks one per process. The scalar variant, non-x86
+// builds and zero points outside int8 range run the portable loops here —
+// slower, byte-identical. Add runs its three per-tensor requantizations
+// through the SSE2 form, 16 elements per pass. Pool and softmax have no fast
+// kernel and fall back to the reference loops.
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
@@ -66,6 +66,7 @@ const detail::IsaKernels* isa_kernels(KernelIsa isa) {
     case KernelIsa::kScalar: return nullptr;
     case KernelIsa::kSse2: return detail::sse2_kernels();
     case KernelIsa::kAvx2: return detail::avx2_kernels();
+    case KernelIsa::kAvx512Vnni: return detail::avx512vnni_kernels();
   }
   return nullptr;
 }
@@ -73,7 +74,7 @@ const detail::IsaKernels* isa_kernels(KernelIsa isa) {
 // Which variants this build carries and this CPU runs, and the widest of
 // them: probed once per process, so a kernel call pays one table read.
 struct IsaTable {
-  bool available[3] = {true, false, false};  // indexed by KernelIsa
+  bool available[4] = {true, false, false, false};  // indexed by KernelIsa
   KernelIsa active = KernelIsa::kScalar;
 };
 
@@ -87,8 +88,14 @@ IsaTable probe_isas() {
   t.available[static_cast<int>(KernelIsa::kAvx2)] =
       isa_kernels(KernelIsa::kAvx2) != nullptr &&
       __builtin_cpu_supports("avx2");
+  t.available[static_cast<int>(KernelIsa::kAvx512Vnni)] =
+      isa_kernels(KernelIsa::kAvx512Vnni) != nullptr &&
+      __builtin_cpu_supports("avx2") &&
+      __builtin_cpu_supports("avx512vl") &&
+      __builtin_cpu_supports("avx512vnni");
 #endif
-  for (const KernelIsa isa : {KernelIsa::kSse2, KernelIsa::kAvx2})
+  for (const KernelIsa isa :
+       {KernelIsa::kSse2, KernelIsa::kAvx2, KernelIsa::kAvx512Vnni})
     if (t.available[static_cast<int>(isa)]) t.active = isa;
   return t;
 }
@@ -259,6 +266,7 @@ const char* kernel_isa_name(KernelIsa isa) {
     case KernelIsa::kScalar: return "scalar";
     case KernelIsa::kSse2: return "sse2";
     case KernelIsa::kAvx2: return "avx2";
+    case KernelIsa::kAvx512Vnni: return "avx512vnni";
   }
   return "?";
 }

@@ -16,9 +16,7 @@ namespace mn::mcu {
 namespace {
 
 Device make_f446re() {
-  Device d;
-  d.name = "STM32F446RE";
-  d.size_class = "S";
+  Device d{.name = "STM32F446RE", .size_class = "S"};
   d.core = CoreType::kCortexM4;
   d.sram_bytes = 128 * 1024;
   d.flash_bytes = 512 * 1024;
@@ -35,9 +33,7 @@ Device make_f446re() {
 }
 
 Device make_f746zg() {
-  Device d;
-  d.name = "STM32F746ZG";
-  d.size_class = "M";
+  Device d{.name = "STM32F746ZG", .size_class = "M"};
   d.core = CoreType::kCortexM7;
   d.sram_bytes = 320 * 1024;
   d.flash_bytes = 1024 * 1024;
@@ -54,9 +50,7 @@ Device make_f746zg() {
 }
 
 Device make_f767zi() {
-  Device d;
-  d.name = "STM32F767ZI";
-  d.size_class = "L";
+  Device d{.name = "STM32F767ZI", .size_class = "L"};
   d.core = CoreType::kCortexM7;
   d.sram_bytes = 512 * 1024;
   d.flash_bytes = 2048 * 1024;

@@ -67,14 +67,16 @@ std::string chrome_trace_json() {
     j += ", \"ts\": " + us(e.start_ns);
     j += ", \"dur\": " + us(e.dur_ns);
     j += ", \"args\": {";
-    bool first = true;
-    if (e.arg_a_name != nullptr) {
-      j += "\"" + json_escape(e.arg_a_name) + "\": " + std::to_string(e.arg_a);
-      first = false;
-    }
+    const auto arg = [&j](const char* name, auto value) {
+      j += '"';
+      j += json_escape(name);
+      j += "\": ";
+      j += std::to_string(value);
+    };
+    if (e.arg_a_name != nullptr) arg(e.arg_a_name, e.arg_a);
     if (e.arg_b_name != nullptr) {
-      if (!first) j += ", ";
-      j += "\"" + json_escape(e.arg_b_name) + "\": " + std::to_string(e.arg_b);
+      if (e.arg_a_name != nullptr) j += ", ";
+      arg(e.arg_b_name, e.arg_b);
     }
     j += "}}";
   }
@@ -87,15 +89,19 @@ std::string metrics_json() {
   for (uint32_t i = 0; i < static_cast<uint32_t>(Counter::kCount); ++i) {
     const Counter c = static_cast<Counter>(i);
     if (i > 0) j += ", ";
-    j += "\"" + std::string(counter_name(c)) +
-         "\": " + std::to_string(counter_value(c));
+    j += '"';
+    j += counter_name(c);
+    j += "\": ";
+    j += std::to_string(counter_value(c));
   }
   j += "}, \"gauges\": {";
   for (uint32_t i = 0; i < static_cast<uint32_t>(Gauge::kCount); ++i) {
     const Gauge g = static_cast<Gauge>(i);
     if (i > 0) j += ", ";
-    j += "\"" + std::string(gauge_name(g)) +
-         "\": " + std::to_string(gauge_value(g));
+    j += '"';
+    j += gauge_name(g);
+    j += "\": ";
+    j += std::to_string(gauge_value(g));
   }
   j += "}}\n";
   return j;
@@ -139,8 +145,13 @@ std::string postmortem_json() {
   const PostmortemDump dump = postmortem_latest();
   std::string j = "{\"captures\": " + std::to_string(postmortem_count());
   j += ", \"reason\": ";
-  j += dump.reason == nullptr ? "null"
-                              : "\"" + json_escape(dump.reason) + "\"";
+  if (dump.reason == nullptr) {
+    j += "null";
+  } else {
+    j += '"';
+    j += json_escape(dump.reason);
+    j += '"';
+  }
   j += ", \"tick\": " + std::to_string(dump.tick);
   j += ", \"events\": " + events_array(dump.events) + "}\n";
   return j;

@@ -643,7 +643,8 @@ namespace {
 std::vector<kernels::KernelIsa> available_isas() {
   std::vector<kernels::KernelIsa> isas;
   for (const auto isa : {kernels::KernelIsa::kScalar, kernels::KernelIsa::kSse2,
-                         kernels::KernelIsa::kAvx2})
+                         kernels::KernelIsa::kAvx2,
+                         kernels::KernelIsa::kAvx512Vnni})
     if (kernels::kernel_isa_available(isa)) isas.push_back(isa);
   return isas;
 }
@@ -739,6 +740,8 @@ TEST(BackendIsa, NamesAndAvailability) {
   EXPECT_STREQ(kernels::kernel_isa_name(kernels::KernelIsa::kScalar), "scalar");
   EXPECT_STREQ(kernels::kernel_isa_name(kernels::KernelIsa::kSse2), "sse2");
   EXPECT_STREQ(kernels::kernel_isa_name(kernels::KernelIsa::kAvx2), "avx2");
+  EXPECT_STREQ(kernels::kernel_isa_name(kernels::KernelIsa::kAvx512Vnni),
+               "avx512vnni");
   EXPECT_TRUE(kernels::kernel_isa_available(kernels::KernelIsa::kScalar));
   // The active variant is the widest available one, and stays put.
   const std::vector<kernels::KernelIsa> isas = available_isas();
@@ -753,7 +756,8 @@ TEST(BackendIsa, NamesAndAvailability) {
       static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
   std::vector<int8_t> y(static_cast<size_t>(g.output_elements()));
   const auto t = kernels::prepare_requant(kernels::RequantParams{}, 8);
-  for (const auto isa : {kernels::KernelIsa::kSse2, kernels::KernelIsa::kAvx2}) {
+  for (const auto isa : {kernels::KernelIsa::kSse2, kernels::KernelIsa::kAvx2,
+                         kernels::KernelIsa::kAvx512Vnni}) {
     if (kernels::kernel_isa_available(isa)) continue;
     EXPECT_THROW(kernels::conv2d_s8_fast(x, packed, {}, y, scratch, g, t, isa),
                  std::invalid_argument);
@@ -770,7 +774,10 @@ TEST(BackendIsa, Avx2CompiledInAndSelectedWhereCpuHasIt) {
   if (__builtin_cpu_supports("avx2")) {
     EXPECT_TRUE(kernels::kernel_isa_available(kernels::KernelIsa::kAvx2))
         << "this CPU has AVX2 but the AVX2 kernels were not compiled in";
-    EXPECT_EQ(kernels::active_kernel_isa(), kernels::KernelIsa::kAvx2);
+    // Only the AVX512-VNNI variant (its own test) outranks AVX2.
+    if (!kernels::kernel_isa_available(kernels::KernelIsa::kAvx512Vnni)) {
+      EXPECT_EQ(kernels::active_kernel_isa(), kernels::KernelIsa::kAvx2);
+    }
   } else {
     EXPECT_FALSE(kernels::kernel_isa_available(kernels::KernelIsa::kAvx2));
     EXPECT_EQ(kernels::active_kernel_isa(), kernels::KernelIsa::kSse2);
@@ -785,11 +792,34 @@ TEST(BackendIsa, Avx2CompiledInAndSelectedWhereCpuHasIt) {
 #endif
 }
 
+TEST(BackendIsa, Avx512VnniCompiledInAndSelectedWhereCpuHasIt) {
+  // The same for the AVX512-VNNI unit (-mavx512vl -mavx512vnni): a host
+  // whose CPU has both features must run it; any other keeps AVX2 (or
+  // SSE2) as the active variant. -U__SSE2__ compiles it to a stub too.
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__SSE2__)
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("avx512vl") &&
+      __builtin_cpu_supports("avx512vnni")) {
+    EXPECT_TRUE(kernels::kernel_isa_available(kernels::KernelIsa::kAvx512Vnni))
+        << "this CPU has AVX512-VNNI and AVX512VL but the AVX512-VNNI kernels "
+           "were not compiled in";
+    EXPECT_EQ(kernels::active_kernel_isa(), kernels::KernelIsa::kAvx512Vnni);
+  } else {
+    EXPECT_FALSE(
+        kernels::kernel_isa_available(kernels::KernelIsa::kAvx512Vnni));
+    EXPECT_NE(kernels::active_kernel_isa(), kernels::KernelIsa::kAvx512Vnni);
+  }
+#else
+  EXPECT_FALSE(kernels::kernel_isa_available(kernels::KernelIsa::kAvx512Vnni));
+  EXPECT_EQ(kernels::active_kernel_isa(), kernels::KernelIsa::kScalar);
+#endif
+}
+
 TEST(BackendIsa, ConvAndFcSweepEveryVariant) {
   // Geometry: every output width 1-9 and height 1-3 under each of the 1x1,
   // 3x3 and 10x4 kernels at stride 1 and 2 and pad 0 and 1, with in_ch and
   // out_ch cycling through 1-17 (every tail of the 4-channel gather step
-  // and of the 8- and 16-channel groups) plus KWS's 116 / 132 and 24 / 40.
+  // and of the 8- and 16-channel groups) plus KWS's 116 / 132 and, for
+  // out_ch, 24-72 (the remainders after 2- and 4-group tiles).
   // Operands: per-tensor and mixed-shift per-channel multipliers, groups
   // outside the SIMD domain, input zero points -128 and 127 (at the int16
   // corner: all -128 inputs and weights) and random ones, with and without
@@ -800,7 +830,9 @@ TEST(BackendIsa, ConvAndFcSweepEveryVariant) {
     out_chs.push_back(c);
   }
   in_chs.insert(in_chs.end(), {116, 132});
-  out_chs.insert(out_chs.end(), {24, 40});
+  // Past 17: whole 4-group tiles (32, 64) and every remainder after them
+  // (33, 40 and 72: 1 group; 48: 2; 56: 3).
+  out_chs.insert(out_chs.end(), {24, 32, 33, 40, 48, 56, 64, 72});
   const struct {
     int32_t kh, kw;
   } kernel_shapes[] = {{1, 1}, {3, 3}, {10, 4}};
