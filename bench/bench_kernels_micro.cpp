@@ -1,7 +1,8 @@
 // bench_kernels_micro: backend A/B microbenchmark of the integer kernels.
 //
 // For each fig2-class conv shape (DS-CNN / MobileNetV2-style layers), VWW-S's
-// 50x50 small-K layers, three zoo depthwise layers, the classifier FC shape
+// 50x50 small-K layers, the VWW-M and AD 1-channel stems, three zoo
+// depthwise layers, the classifier FC shape
 // and two VWW residual adds, the bench times the reference path (what a
 // reference interpreter actually dispatches: the conv2d_s8 /
 // depthwise_conv2d_s8 / fully_connected_s8 / add_s8 oracles) against the
@@ -150,7 +151,9 @@ int main(int argc, char** argv) {
   // a channel-expanding 3x3 (K = 288), and a larger-image 3x3. Then VWW-S's
   // own small-K layers: its 50x50 3x3 stem, the 1x1 expansions of its first
   // two blocks (K = 4 and 8) and its 50x50 1x1 projection 8 -> 4, whose tile
-  // is one half-filled group.
+  // is one half-filled group. Last, the other zoo stems: VWW-M's 160x160
+  // 3x3 stride 2 -> 12 and AD's 32x32 3x3 -> 128, both 1-channel, whose
+  // 3-tap kernel rows each end in a padded tap.
   const std::vector<ConvCase> conv_cases = {
       {"kws_stem_49x10x1", geom(49, 10, 1, 64, 10, 4, 2, 4, 1)},
       {"kws_body_25x5x64", geom(25, 5, 64, 64, 3, 3, 1, 1, 1)},
@@ -161,6 +164,8 @@ int main(int argc, char** argv) {
       {"vww_expand_50x50x4", geom(50, 50, 4, 24, 1, 1, 1, 0, 0)},
       {"vww_expand_25x25x8", geom(25, 25, 8, 48, 1, 1, 1, 0, 0)},
       {"vww_project_50x50x8", geom(50, 50, 8, 4, 1, 1, 1, 0, 0)},
+      {"vww_m_stem_160x160x1", geom(160, 160, 1, 12, 3, 3, 2, 1, 1)},
+      {"ad_stem_32x32x1", geom(32, 32, 1, 128, 3, 3, 1, 1, 1)},
   };
 
   int64_t mismatches = 0;
@@ -181,7 +186,7 @@ int main(int argc, char** argv) {
     const kernels::RequantParams rq = default_rq();
 
     const kernels::PackedOpWeights packed = kernels::pack_conv_panel(
-        w.span(), g.out_ch, int64_t{g.kh} * g.kw * g.in_ch);
+        w.span(), g.out_ch, int64_t{g.kh} * g.kw * g.in_ch, g.kh);
     std::vector<int8_t> fast_scratch(
         static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
     const kernels::RequantTable consts = kernels::prepare_requant(rq, g.out_ch);

@@ -103,7 +103,7 @@ KernelIsa active_kernel_isa();
 // --- packed weight panels (fast backend, built once at model load) ----------
 
 // Output channels per panel group and per SIMD accumulator; a conv tile is
-// one (SSE2) or two (AVX2) groups wide.
+// one (SSE2), two (AVX2) or four (AVX512-VNNI) groups wide.
 inline constexpr int32_t kPanelLanes = 8;
 
 // Weights a fast-served op reads from host memory instead of the model
@@ -112,25 +112,34 @@ inline constexpr int32_t kPanelLanes = 8;
 // Conv and fully-connected weights (out_ch rows of k values: conv
 // [out_ch][kh][kw][in_ch], k = kh*kw*in_ch; FC [out][in], k = in) are laid
 // out for the micro-kernel as
-//   [ceil(out_ch / 8) groups][ceil(k / 2) pairs][8 channels][2 taps]
-// so one 16-byte load holds a tap pair for 8 output channels. Missing
-// channels and the odd last tap are zero weights, whose products vanish.
-// Int4 depthwise keeps its unpacked [kh, kw, ch] weights as they are in
-// `values`, with out_ch = k = 0.
+//   [ceil(out_ch / 8) groups][pairs][8 channels][2 taps]
+// so one 16-byte load holds a tap pair for 8 output channels. A conv
+// panel is packed in `rows` = kh kernel rows of kw*in_ch taps (an FC panel
+// in one row), and each row starts a pair: a row of odd length, like a
+// 1-channel stem's 3-tap row, ends in a pair with a zero weight, so that
+// the kernel gathers whole kernel rows. pairs = rows * ceil(k / rows / 2).
+// Missing channels and padded taps are zero weights, whose products
+// vanish. Int4 depthwise keeps its unpacked [kh, kw, ch] weights as they
+// are in `values`, with out_ch = k = 0.
 struct PackedOpWeights {
   std::vector<int8_t> values;
   int32_t out_ch = 0;
   int64_t k = 0;
+  int32_t rows = 1;
 
   int64_t bytes() const { return static_cast<int64_t>(values.size()); }
 };
 
-// Bytes of the panel for out_ch rows of k weights.
-int64_t conv_panel_bytes(int32_t out_ch, int64_t k);
+// Tap pairs per group, and bytes, of the panel for out_ch rows of k
+// weights packed in `rows` (>= 1, else std::invalid_argument) kernel rows.
+int64_t conv_panel_pairs(int64_t k, int32_t rows);
+int64_t conv_panel_bytes(int32_t out_ch, int64_t k, int32_t rows = 1);
 
-// Packs out_ch x k row-major int8 weights into the panel layout above.
+// Packs out_ch x k row-major int8 weights into the panel layout above; a
+// conv passes rows = kh. Throws std::invalid_argument when rows does not
+// divide k.
 PackedOpWeights pack_conv_panel(std::span<const int8_t> weights,
-                                int32_t out_ch, int64_t k);
+                                int32_t out_ch, int64_t k, int32_t rows = 1);
 
 // --- prepared requantization (fast backend, built once per model) ----------
 
@@ -193,15 +202,17 @@ AddRequantTable prepare_add_requant(const AddParams& p);
 
 // --- fast-backend kernels ---------------------------------------------------
 
-// Scratch for conv2d_s8_fast on `g`: 16 bytes of alignment slack and one
-// tile of int16 im2col columns.
+// Scratch for conv2d_s8_fast on `g`: 16 bytes of alignment slack, one tile
+// of int16 im2col columns and one window patch per tile pixel (a border
+// pixel's window with its padding filled in).
 int64_t conv2d_fast_scratch_bytes(const ConvGeometry& g);
 
 // Conv2d, bit-identical to conv2d_s8 with rq.rq. `packed` must come from
-// pack_conv_panel(weights, out_ch, kh*kw*in_ch), `rq` from
+// pack_conv_panel(weights, out_ch, kh*kw*in_ch, kh), `rq` from
 // prepare_requant(params, out_ch) and `scratch` hold at least
 // conv2d_fast_scratch_bytes(g). The micro-kernel computes a tile of 4
-// output pixels x 8 (SSE2) or 16 (AVX2) output channels in int32 registers
+// output pixels x 8 (SSE2), 16 (AVX2) or 32 (AVX512-VNNI) output channels
+// in int32 registers
 // over int16 columns of (x - input_zp), then requantizes 8 channels of each
 // pixel at once and stores them with one 8-byte write.
 //
@@ -217,10 +228,11 @@ void conv2d_s8_fast(std::span<const int8_t> input, const PackedOpWeights& packed
 
 // Depthwise conv2d (multiplier 1) on the raw [kh, kw, ch] weights,
 // bit-identical to depthwise_conv2d_s8 with rq.rq; needs no packed panel
-// and no scratch, and `rq` from prepare_requant(params, ch). One output
-// pixel at a time, two taps per multiply-add, 16, 8 or 4 channels per pass;
-// the last ch % 4 channels, and windows of more than 128 taps, run a
-// scalar loop.
+// and no scratch, and `rq` from prepare_requant(params, ch). Taps pair
+// vertically, two per multiply-add, 16, 8 or 4 channels per pass; interior
+// windows run in tiles of 2-4 output pixels along x that share each input
+// column. The last ch % 4 channels, and windows of more than 128 taps, run
+// a scalar loop.
 void depthwise_conv2d_s8_fast(std::span<const int8_t> input,
                               std::span<const int8_t> weights,
                               std::span<const int32_t> bias,

@@ -24,7 +24,8 @@ struct ConvCall {
   const int8_t* panel = nullptr;
   const int32_t* bias = nullptr;  // nullptr: no bias
   int8_t* output = nullptr;
-  int16_t* cols = nullptr;  // 16-byte aligned, one tile of int16 columns
+  int16_t* cols = nullptr;    // 16-byte aligned, one tile of int16 columns
+  int8_t* patches = nullptr;  // one window patch per tile pixel (border)
   const RequantGroup* groups = nullptr;
   const RequantParams* rq = nullptr;  // input_zp inside int8
   ConvGeometry g;

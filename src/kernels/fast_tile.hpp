@@ -13,23 +13,29 @@
 //
 // A trait provides one 8-channel int32 accumulator and its operations:
 //   kGroups               8-channel groups per conv tile
+//   kDwPixels             output pixels per depthwise x-tile
 //   Acc                   8 int32 lanes
 //   load_acc(p)           8 lanes from memory (the bias)
 //   store_acc(p, acc)     8 lanes to memory (the scalar requant path)
-//   Panel load_panel(w)   16 panel bytes (8 channels x 2 taps) as int16
+//   zero_acc(), add_acc(a, b)
+//                         8 zero lanes; a + b lane by lane
+//   Panel widen_panel(v)  16 int8 lanes (8 channels x 2 taps) as int16
+//   Panel load_panel(w)   the same, from 16 panel bytes
 //   Cols load_cols<kPx>(x)  one int16 tap pair of each of a tile's pixels
 //   madd_pixel<p>(acc, panel, cols)
 //                         acc + pmaddwd(panel, pixel p's pair broadcast)
+//   kFusedMadd            whether that multiply-add is one instruction
+//                         (vpdpwssd), whose latency then lies on the chain
 //   widen8(v)             the low 8 int8 lanes of v as int16
-//   Zp zp16(zp)           the input zero point in every int16 lane
 //   widen_pairs(dst, v)   16 int8 (8 channels x 2 taps) stored as int16
-//   madd_taps(acc, x, w, zp)
-//                         acc + pmaddwd(widen(x) - zp, 16 int16 at w)
+//   madd_taps(acc, x, w)  acc + pmaddwd(x, 16 int16 at w)
 //   Rq rq_consts(rq)      the output zero point and clamp as vectors
 //   requant8<kShared>(acc, g, rq)
 //                         the 8 lanes requantized with group g, offset and
 //                         clamped, as 8 int16 lanes of an xmm; kShared
 //                         promises one shift count for every lane
+//   requant16<kShared>(a, b, ga, gb, rq)
+//                         two groups' lanes likewise, packed to 16 int8
 //   kSharedCountForm      whether requant8<true> is faster (SSE2, which has
 //                         no per-lane 64-bit shift) or the same (AVX2)
 #pragma once
@@ -102,18 +108,18 @@ inline __m128i load_s8(const int8_t* p) {
 }
 
 // Calls f(SharedCount<true>{}) when the trait has a shared-count
-// requantization form and every lane of `rg` shares one shift count, else
-// f(SharedCount<false>{}): the check runs once per group, outside the
-// loops that store it.
+// requantization form and every lane of the groups stored shares one shift
+// count (`uniform`), else f(SharedCount<false>{}): the check runs once per
+// group, outside the loops that store it.
 template <bool B>
 struct SharedCount {
   static constexpr bool v = B;
 };
 
 template <class Isa, typename F>
-inline void with_requant_form(const RequantGroup& rg, F&& f) {
+inline void with_requant_form(bool uniform, F&& f) {
   if constexpr (Isa::kSharedCountForm) {
-    if (rg.uniform) {
+    if (uniform) {
       f(SharedCount<true>{});
       return;
     }
@@ -150,100 +156,208 @@ inline void store_scalar(typename Isa::Acc acc, const RequantParams& rq,
   requant_scalar(lane_acc, lanes, rq, oc0, out);
 }
 
-template <class Isa>
-inline void store_group(typename Isa::Acc acc, const RequantGroup& rg,
-                        const typename Isa::Rq& rqc, const RequantParams& rq,
-                        int32_t oc0, int lanes, int8_t* out) {
+// Requantizes and stores accumulator column k, channels [oc0, oc0 + lanes)
+// of group `rg`, for the first np of a tile's kP pixels, `step` bytes
+// apart from `out`.
+template <class Isa, int k, int kP, int kA>
+inline void store_column(const typename Isa::Acc (&acc)[kP][kA],
+                         const RequantGroup& rg, const RequantParams& rq,
+                         const typename Isa::Rq& rqc, int32_t oc0, int lanes,
+                         int np, int64_t step, int8_t* out) {
   if (!rg.simd) {
-    store_scalar<Isa>(acc, rq, oc0, lanes, out);
+    unroll<kP>([&](auto p) {
+      if (p.v < np)
+        store_scalar<Isa>(acc[p.v][k], rq, oc0, lanes, out + p.v * step);
+    });
     return;
   }
-  with_requant_form<Isa>(rg, [&](auto form) {
-    store_simd<Isa, decltype(form)::v>(acc, rg, rqc, lanes, out);
+  with_requant_form<Isa>(rg.uniform, [&](auto form) {
+    unroll<kP>([&](auto p) {
+      if (p.v < np)
+        store_simd<Isa, decltype(form)::v>(acc[p.v][k], rg, rqc, lanes,
+                                           out + p.v * step);
+    });
   });
+}
+
+// The same for columns k and k + 1, two adjacent groups: when both are
+// whole and in the SIMD domain, requantized together and stored as 16
+// bytes per pixel (Isa::requant16, which packs and clamps both at once).
+template <class Isa, int k, int kP, int kA>
+inline void store_columns(const typename Isa::Acc (&acc)[kP][kA],
+                          const RequantGroup* groups, const RequantParams& rq,
+                          const typename Isa::Rq& rqc, int32_t oc0, int lanes,
+                          int np, int64_t step, int8_t* out) {
+  const RequantGroup& ga = groups[oc0 / kPanelLanes];
+  const RequantGroup& gb = groups[oc0 / kPanelLanes + 1];
+  if (ga.simd && gb.simd && lanes == 2 * kPanelLanes) {
+    with_requant_form<Isa>(ga.uniform && gb.uniform, [&](auto form) {
+      unroll<kP>([&](auto p) {
+        if (p.v < np)
+          _mm_storeu_si128(
+              reinterpret_cast<__m128i*>(out + p.v * step),
+              Isa::template requant16<decltype(form)::v>(
+                  acc[p.v][k], acc[p.v][k + 1], ga, gb, rqc));
+      });
+    });
+    return;
+  }
+  const int lanes_a = lanes < kPanelLanes ? lanes : kPanelLanes;
+  store_column<Isa, k>(acc, ga, rq, rqc, oc0, lanes_a, np, step, out);
+  store_column<Isa, k + 1>(acc, gb, rq, rqc, oc0 + kPanelLanes,
+                           lanes - lanes_a, np, step, out + kPanelLanes);
 }
 
 // --- conv / fully connected ----------------------------------------------
 
-// Gathers the im2col columns of output pixels [p0, p0 + np) into `cols`
-// as int16 x - zp, laid out [tap pair][kPx][2]; padding taps, the odd last
-// tap and pixels past np hold 0. When in_ch is a multiple of 4 every tap
-// starts a pair, so 8 (or 4) channels of the kPx pixels are widened and
-// transposed into place at once.
-template <class Isa, int kPx>
-inline void gather_tile(const int8_t* input, const ConvGeometry& g, int32_t zp,
-                        int64_t p0, int np, int16_t* cols) {
-  const int32_t ch = g.in_ch;
-  const int64_t k = int64_t{g.kh} * g.kw * ch;
-  if (k % 2 != 0)
-    for (int px = 0; px < kPx; ++px) cols[(k / 2) * 2 * kPx + 2 * px + 1] = 0;
-  int32_t iy0[kPx], ix0[kPx];
-  for (int px = 0; px < kPx; ++px) {
-    const int64_t p = p0 + px;
-    // A pixel past np sits above the input, so every one of its taps pads.
-    iy0[px] = px < np ? static_cast<int32_t>(p / g.out_w) * g.stride - g.pad_h
-                      : -g.kh;
-    ix0[px] = static_cast<int32_t>(p % g.out_w) * g.stride - g.pad_w;
+// The output coordinates [*lo, *hi) of [0, n) whose window starts at input
+// coordinate o * stride - pad in [0, last]: an empty range when none does.
+inline void inside_range(int64_t last, int32_t pad, int32_t stride, int32_t n,
+                         int32_t* lo, int32_t* hi) {
+  const int64_t first = (int64_t{pad} + stride - 1) / stride;
+  const int64_t end = last + pad < 0 ? 0 : (last + pad) / stride + 1;
+  *hi = static_cast<int32_t>(end < n ? end : n);
+  *lo = static_cast<int32_t>(first < *hi ? first : *hi);
+}
+
+// How a conv layer's windows are read, worked out once per call. A kernel
+// row is kw * in_ch contiguous input bytes and fills row_pairs tap pairs of
+// the panel (a row of odd length ends in a pair with a zero weight; see
+// pack_conv_panel). A row is gathered with 8-byte loads and a last 4-byte
+// one, so it reads row_read bytes, up to 3 past its end: those land in the
+// zero-weight tap or in pairs the next row (or nothing) reads, so any
+// value will do, as long as it lies inside the input. An interior pixel
+// reads its rows in place: its window lies inside the input (output row in
+// [oy_lo, oy_hi), column in [ox_lo, ox_hi)), and so do the bytes its last
+// row's load reads past the window. Those are input bytes of the rows below
+// for an output row under oy_free; further down, the pixel's column must
+// also lie under ox_hi_row, where they stay inside the window's own input
+// row. Every other pixel reads its rows from a patch.
+struct ConvRows {
+  int64_t row_len, row_read, row_pairs;
+  int32_t oy_lo, oy_hi, ox_lo, ox_hi, oy_free, ox_hi_row;
+
+  bool interior(int32_t oy, int32_t ox) const {
+    return oy >= oy_lo && oy < oy_hi && ox >= ox_lo &&
+           ox < (oy < oy_free ? ox_hi : ox_hi_row);
   }
-  const __m128i zp16 = _mm_set1_epi16(static_cast<int16_t>(zp));
-  for (int32_t ky = 0; ky < g.kh; ++ky) {
-    for (int32_t kx = 0; kx < g.kw; ++kx) {
-      const int8_t* src[kPx];
+};
+
+inline ConvRows conv_rows(const ConvGeometry& g) {
+  ConvRows r{};
+  r.row_len = int64_t{g.kw} * g.in_ch;
+  r.row_read = (r.row_len + 3) / 4 * 4;
+  r.row_pairs = (r.row_len + 1) / 2;
+  const int64_t in_row = int64_t{g.in_w} * g.in_ch;
+  if (in_row == 0) return r;  // no input: every pixel reads a patch
+  int32_t unused = 0;
+  inside_range(int64_t{g.in_h} - g.kh, g.pad_h, g.stride, g.out_h, &r.oy_lo,
+               &r.oy_hi);
+  // Windows followed by at least 3 more input bytes below their last row.
+  inside_range(int64_t{g.in_h} - g.kh - (3 + in_row - 1) / in_row, g.pad_h,
+               g.stride, g.out_h, &unused, &r.oy_free);
+  inside_range(int64_t{g.in_w} - g.kw, g.pad_w, g.stride, g.out_w, &r.ox_lo,
+               &r.ox_hi);
+  inside_range(in_row < r.row_read ? -1 : (in_row - r.row_read) / g.in_ch,
+               g.pad_w, g.stride, g.out_w, &unused, &r.ox_hi_row);
+  if (r.ox_hi_row > r.ox_hi) r.ox_hi_row = r.ox_hi;  // no window start fits
+  return r;
+}
+
+// Copies a border pixel's window, whose top-left tap is input pixel
+// (iy0, ix0), into `patch`: kernel row ky at ky * row_read, input_zp at every
+// padding tap (x - zp = 0, what the reference's skipped tap adds) and in the
+// bytes past each row.
+inline void fill_patch(const ConvCall& c, const ConvRows& r, int32_t iy0,
+                       int32_t ix0, int8_t* patch) {
+  const ConvGeometry& g = c.g;
+  const int zp = c.rq->input_zp;
+  const int32_t kx_lo = ix0 < 0 ? -ix0 : 0;
+  const int32_t kx_hi = g.in_w - ix0 < g.kw ? g.in_w - ix0 : g.kw;
+  const int64_t lo = int64_t{kx_lo} * g.in_ch;
+  const int64_t hi = int64_t{kx_hi} * g.in_ch;
+  for (int32_t ky = 0; ky < g.kh; ++ky, patch += r.row_read) {
+    const int32_t iy = iy0 + ky;
+    if (iy < 0 || iy >= g.in_h || lo >= hi) {
+      std::memset(patch, zp, static_cast<size_t>(r.row_read));
+      continue;
+    }
+    std::memset(patch, zp, static_cast<size_t>(lo));
+    std::memcpy(patch + lo,
+                c.input + (int64_t{iy} * g.in_w + ix0 + kx_lo) * g.in_ch,
+                static_cast<size_t>(hi - lo));
+    std::memset(patch + hi, zp, static_cast<size_t>(r.row_read - hi));
+  }
+}
+
+// Gathers the im2col columns of a tile's kPx pixels into `cols` as int16
+// x - zp, laid out [tap pair][kPx][2], one kernel row at a time: pixel px's
+// row ky starts at src[px] + ky * step[px]. Each 8 bytes of a row (4 at its
+// end) are 4 (2) tap pairs, loaded for the kPx pixels, widened and
+// transposed into place at once. No load checks a bound: the caller has
+// pointed every border pixel at its patch.
+template <class Isa, int kPx>
+inline void gather_tile(const int8_t* const (&src)[kPx],
+                        const int64_t (&step)[kPx], const ConvRows& r,
+                        int32_t kh, __m128i zp16, int16_t* cols) {
+  for (int32_t ky = 0; ky < kh; ++ky) {
+    __m128i* dst =
+        reinterpret_cast<__m128i*>(cols + ky * r.row_pairs * 2 * kPx);
+    const int8_t* row[kPx];
+    for (int px = 0; px < kPx; ++px) row[px] = src[px] + ky * step[px];
+    for (int64_t b = 0; b < r.row_len; b += 8, dst += kPx) {
+      const bool half = r.row_len - b <= 4;
+      __m128i v[kPx];
       for (int px = 0; px < kPx; ++px) {
-        const int32_t iy = iy0[px] + ky, ix = ix0[px] + kx;
-        src[px] = iy < 0 || iy >= g.in_h || ix < 0 || ix >= g.in_w
-                      ? nullptr
-                      : input + (int64_t{iy} * g.in_w + ix) * ch;
+        const __m128i raw =
+            half ? load_s8<4>(row[px] + b) : load_s8<8>(row[px] + b);
+        v[px] = _mm_sub_epi16(Isa::widen8(raw), zp16);
       }
-      const int64_t t0 = (int64_t{ky} * g.kw + kx) * ch;
-      int32_t c = 0;
-      if (ch % 4 == 0) {
-        for (; c < ch; c += 8) {
-          const bool half = c + 8 > ch;  // the last 4 channels
-          __m128i v[4] = {};
-          for (int px = 0; px < kPx; ++px) {
-            if (src[px] == nullptr) continue;
-            const __m128i raw =
-                half ? load_s8<4>(src[px] + c) : load_s8<8>(src[px] + c);
-            v[px] = _mm_sub_epi16(Isa::widen8(raw), zp16);
-          }
-          __m128i* dst =
-              reinterpret_cast<__m128i*>(cols + (t0 + c) / 2 * 2 * kPx);
-          if constexpr (kPx == 1) {
-            if (half)
-              _mm_storel_epi64(dst, v[0]);
-            else
-              _mm_storeu_si128(dst, v[0]);
-          } else {
-            // 4x4 transpose of int32 tap pairs: row j of the result is tap
-            // pair j of pixels 0..3.
-            const __m128i ab_lo = _mm_unpacklo_epi32(v[0], v[1]);
-            const __m128i cd_lo = _mm_unpacklo_epi32(v[2], v[3]);
-            _mm_storeu_si128(dst, _mm_unpacklo_epi64(ab_lo, cd_lo));
-            _mm_storeu_si128(dst + 1, _mm_unpackhi_epi64(ab_lo, cd_lo));
-            if (!half) {
-              const __m128i ab_hi = _mm_unpackhi_epi32(v[0], v[1]);
-              const __m128i cd_hi = _mm_unpackhi_epi32(v[2], v[3]);
-              _mm_storeu_si128(dst + 2, _mm_unpacklo_epi64(ab_hi, cd_hi));
-              _mm_storeu_si128(dst + 3, _mm_unpackhi_epi64(ab_hi, cd_hi));
-            }
-          }
+      if constexpr (kPx == 1) {
+        if (half)
+          _mm_storel_epi64(dst, v[0]);
+        else
+          _mm_storeu_si128(dst, v[0]);
+      } else {
+        static_assert(kPx == 4);
+        // 4x4 transpose of int32 tap pairs: row j of the result is tap
+        // pair j of pixels 0..3.
+        const __m128i ab_lo = _mm_unpacklo_epi32(v[0], v[1]);
+        const __m128i cd_lo = _mm_unpacklo_epi32(v[2], v[3]);
+        _mm_storeu_si128(dst, _mm_unpacklo_epi64(ab_lo, cd_lo));
+        _mm_storeu_si128(dst + 1, _mm_unpackhi_epi64(ab_lo, cd_lo));
+        if (!half) {
+          const __m128i ab_hi = _mm_unpackhi_epi32(v[0], v[1]);
+          const __m128i cd_hi = _mm_unpackhi_epi32(v[2], v[3]);
+          _mm_storeu_si128(dst + 2, _mm_unpacklo_epi64(ab_hi, cd_hi));
+          _mm_storeu_si128(dst + 3, _mm_unpackhi_epi64(ab_hi, cd_hi));
         }
-      }
-      for (; c < ch; ++c) {
-        const int64_t t = t0 + c;
-        int16_t* dst = cols + (t / 2) * 2 * kPx + t % 2;
-        for (int px = 0; px < kPx; ++px)
-          dst[2 * px] = static_cast<int16_t>(
-              src[px] == nullptr ? 0 : src[px][c] - zp);
       }
     }
   }
 }
 
+// One tap pair of a tile: per group one panel load, per pixel one
+// broadcast, shared by the groups.
+template <class Isa, int kPx, int kG>
+inline void mac_pair(typename Isa::Acc (&acc)[kPx][kG], const int8_t* w,
+                     int64_t group_bytes, const int16_t* x) {
+  typename Isa::Panel wv[kG];
+  unroll<kG>([&](auto g) { wv[g.v] = Isa::load_panel(w + g.v * group_bytes); });
+  const typename Isa::Cols xc = Isa::template load_cols<kPx>(x);
+  unroll<kPx>([&](auto p) {
+    unroll<kG>([&](auto g) {
+      acc[p.v][g.v] = Isa::template madd_pixel<p.v>(acc[p.v][g.v], wv[g.v], xc);
+    });
+  });
+}
+
 // Accumulates kG groups of 8 channels (group g's panel `group_bytes` past
-// group 0's) over every tap pair of a tile's kPx pixels: per pair, one
-// panel load per group and one broadcast per pixel, shared by the groups.
+// group 0's) over every tap pair of a tile's kPx pixels. Where the
+// multiply-add is one fused instruction (Isa::kFusedMadd), its latency lies
+// on each accumulator's chain, so a tile of at most 4 accumulators (one
+// pixel, or one group) runs the even and the odd tap pairs into two sets,
+// summed at the end: int32 addition is order-free, so that is exact.
 template <class Isa, int kPx, int kG>
 inline void tile_mac(const int8_t* w, int64_t group_bytes, const int16_t* x,
                      int64_t pairs, typename Isa::Acc (&acc_out)[kPx][kG]) {
@@ -253,25 +367,33 @@ inline void tile_mac(const int8_t* w, int64_t group_bytes, const int16_t* x,
   unroll<kPx>([&](auto p) {
     unroll<kG>([&](auto g) { acc[p.v][g.v] = acc_out[p.v][g.v]; });
   });
-  for (int64_t j = 0; j < pairs; ++j, w += 2 * kPanelLanes, x += 2 * kPx) {
-    typename Isa::Panel wv[kG];
-    unroll<kG>([&](auto g) { wv[g.v] = Isa::load_panel(w + g.v * group_bytes); });
-    const typename Isa::Cols xc = Isa::template load_cols<kPx>(x);
+  constexpr int64_t kStepW = 2 * kPanelLanes, kStepX = 2 * kPx;
+  int64_t j = 0;
+  if constexpr (Isa::kFusedMadd && kPx * kG <= 4) {
+    typename Isa::Acc odd[kPx][kG];
+    unroll<kPx>([&](auto p) {
+      unroll<kG>([&](auto g) { odd[p.v][g.v] = Isa::zero_acc(); });
+    });
+    for (; j + 1 < pairs; j += 2, w += 2 * kStepW, x += 2 * kStepX) {
+      mac_pair<Isa, kPx, kG>(acc, w, group_bytes, x);
+      mac_pair<Isa, kPx, kG>(odd, w + kStepW, group_bytes, x + kStepX);
+    }
     unroll<kPx>([&](auto p) {
       unroll<kG>([&](auto g) {
-        acc[p.v][g.v] =
-            Isa::template madd_pixel<p.v>(acc[p.v][g.v], wv[g.v], xc);
+        acc[p.v][g.v] = Isa::add_acc(acc[p.v][g.v], odd[p.v][g.v]);
       });
     });
   }
+  for (; j < pairs; ++j, w += kStepW, x += kStepX)
+    mac_pair<Isa, kPx, kG>(acc, w, group_bytes, x);
   unroll<kPx>([&](auto p) {
     unroll<kG>([&](auto g) { acc_out[p.v][g.v] = acc[p.v][g.v]; });
   });
 }
 
 // The tile of kPx pixels x kG groups starting at group gi: accumulators
-// from the bias, the tap-pair loop, then a requantized store per pixel and
-// group.
+// from the bias, the tap-pair loop, then the requantized stores of each
+// pixel, two groups at a time.
 template <class Isa, int kPx, int kG>
 inline void conv_block(const ConvCall& c, const typename Isa::Rq& rqc,
                        const GroupBias& bias, int64_t p0, int np, int32_t gi,
@@ -286,22 +408,25 @@ inline void conv_block(const ConvCall& c, const typename Isa::Rq& rqc,
   });
   tile_mac<Isa, kPx, kG>(c.panel + gi * group_bytes, group_bytes, c.cols,
                          pairs, acc);
-  unroll<kG>([&](auto k) {
-    const int32_t oc0 = (gi + k.v) * kPanelLanes;
-    const int lanes =
-        g.out_ch - oc0 < kPanelLanes ? g.out_ch - oc0 : kPanelLanes;
-    const RequantGroup& rg = c.groups[gi + k.v];
-    int8_t* out = c.output + p0 * g.out_ch + oc0;
-    if (!rg.simd) {
-      for (int px = 0; px < np; ++px, out += g.out_ch)
-        store_scalar<Isa>(acc[px][k.v], *c.rq, oc0, lanes, out);
-      return;
-    }
-    with_requant_form<Isa>(rg, [&](auto form) {
-      for (int px = 0; px < np; ++px, out += g.out_ch)
-        store_simd<Isa, decltype(form)::v>(acc[px][k.v], rg, rqc, lanes, out);
-    });
+  // Groups in twos, then the odd last one.
+  const int32_t oc = gi * kPanelLanes;
+  const int left = g.out_ch - oc;
+  int8_t* out = c.output + p0 * g.out_ch + oc;
+  unroll<kG / 2>([&](auto h) {
+    constexpr int k = 2 * decltype(h)::v;
+    const int lanes = left - k * kPanelLanes;
+    store_columns<Isa, k>(acc, c.groups, *c.rq, rqc, oc + k * kPanelLanes,
+                          lanes < 2 * kPanelLanes ? lanes : 2 * kPanelLanes,
+                          np, g.out_ch, out + k * kPanelLanes);
   });
+  if constexpr (kG % 2 != 0) {
+    constexpr int k = kG - 1;
+    const int lanes = left - k * kPanelLanes;
+    store_column<Isa, k>(acc, c.groups[gi + k], *c.rq, rqc,
+                         oc + k * kPanelLanes,
+                         lanes < kPanelLanes ? lanes : kPanelLanes, np,
+                         g.out_ch, out + k * kPanelLanes);
+  }
 }
 
 // The last `rest` (at most kG) groups of a pixel tile, from group gi, as
@@ -318,16 +443,49 @@ inline void conv_rest(const ConvCall& c, const typename Isa::Rq& rqc,
   }
 }
 
+// Walks the output pixels in tiles of kPx, row by row: the cursor (oy, ox)
+// steps along without a division. Per tile, each interior pixel reads its
+// kernel rows in place and each border pixel has its window copied into a
+// patch first; then one gather serves them all.
 template <class Isa, int kPx>
 inline void conv_pixels(const ConvCall& c, const typename Isa::Rq& rqc,
                         const GroupBias& bias) {
   const ConvGeometry& g = c.g;
+  const ConvRows r = conv_rows(g);
   const int64_t pixels = int64_t{g.out_h} * g.out_w;
-  const int64_t pairs = (int64_t{g.kh} * g.kw * g.in_ch + 1) / 2;
+  const int64_t pairs = g.kh * r.row_pairs;
   const int32_t groups = (g.out_ch + kPanelLanes - 1) / kPanelLanes;
+  const int64_t in_row = int64_t{g.in_w} * g.in_ch;
+  const int64_t patch_bytes = g.kh * r.row_read;
+  const __m128i zp16 = _mm_set1_epi16(static_cast<int16_t>(c.rq->input_zp));
+  const int8_t* src[kPx];
+  int64_t step[kPx];
+  int32_t oy = 0, ox = 0;
   for (int64_t p0 = 0; p0 < pixels; p0 += kPx) {
     const int np = static_cast<int>(min64(kPx, pixels - p0));
-    gather_tile<Isa, kPx>(c.input, g, c.rq->input_zp, p0, np, c.cols);
+    for (int px = 0; px < np; ++px) {
+      const int32_t iy0 = oy * g.stride - g.pad_h;
+      const int32_t ix0 = ox * g.stride - g.pad_w;
+      if (r.interior(oy, ox)) {
+        src[px] = c.input + iy0 * in_row + int64_t{ix0} * g.in_ch;
+        step[px] = in_row;
+      } else {
+        int8_t* patch = c.patches + px * patch_bytes;
+        fill_patch(c, r, iy0, ix0, patch);
+        src[px] = patch;
+        step[px] = r.row_read;
+      }
+      if (++ox == g.out_w) {
+        ox = 0;
+        ++oy;
+      }
+    }
+    // A tail tile's missing pixels repeat its first; nothing stores them.
+    for (int px = np; px < kPx; ++px) {
+      src[px] = src[0];
+      step[px] = step[0];
+    }
+    gather_tile<Isa, kPx>(src, step, r, g.kh, zp16, c.cols);
     int32_t gi = 0;
     for (; gi + Isa::kGroups <= groups; gi += Isa::kGroups)
       conv_block<Isa, kPx, Isa::kGroups>(c, rqc, bias, p0, np, gi, pairs);
@@ -352,156 +510,248 @@ void conv_tiles(const ConvCall& c) {
 
 // --- depthwise -----------------------------------------------------------
 
-// Channels per chunk of a depthwise layer: the weight pairs of a chunk and
-// the zero-point row every padding tap reads are built on the stack.
+// Channels per chunk of a depthwise layer: the weight pairs, the folded
+// bias of a chunk and the zero-point row every padding tap reads are built
+// on the stack.
 constexpr int32_t kDwChunkChannels = 256;
 constexpr int64_t kDwWeightBytes = 8192;
 
-// A window whose every tap lies inside the input: tap t of the chunk's
-// first channel is base + offs[t].
+// Input tap (ky, cx) of a tile's windows, the chunk's first channel; cx
+// counts input columns from the first window's left edge, so it runs past
+// that window into the later pixels'. Inside the input, at fixed offsets.
 struct InteriorTaps {
   const int8_t* base;
-  const int64_t* offs;
-  const int8_t* at(int32_t t) const { return base + offs[t]; }
+  int64_t row, col;
+  const int8_t* at(int32_t ky, int32_t cx) const {
+    return base + ky * row + cx * col;
+  }
 };
 
-// A window that crosses the border: tap t is ptr[t], the zero-point row for
-// a padding tap.
-struct BorderTaps {
+// The same for a tile that crosses the border: a pointer per tap and
+// column, the zero-point row where the tap pads.
+struct TableTaps {
   const int8_t* const* ptr;
-  const int8_t* at(int32_t t) const { return ptr[t]; }
+  int32_t cols;
+  const int8_t* at(int32_t ky, int32_t cx) const { return ptr[ky * cols + cx]; }
 };
 
 // One pass of kLanes (16, 8 or 4) channels, `co` past the chunk's first,
-// over one output pixel: per tap pair, the two taps' channels interleaved
-// (unpacklo/hi_epi8) and multiply-added against the pair's interleaved
-// weights, two taps per pmaddwd. Padding taps read input_zp and the odd
-// last tap a zero weight, so both add 0. |x - zp| <= 255 and |w| <= 128
-// keep each pair sum below 2^31, and int32 addition is order-free: exact.
-template <class Isa, int kLanes, class Taps>
-inline void dw_pass(const DepthwiseCall& c, const typename Isa::Rq& rqc,
-                    typename Isa::Zp zp, const Taps& taps, int32_t pairs,
-                    const int16_t* w, const GroupBias& bias, int32_t oc0,
-                    int32_t co, int8_t* out) {
+// over kP output pixels of one row. Taps pair vertically: rows ky and
+// ky + 1 of one input column are interleaved (unpacklo/hi_epi8) and widened
+// once, then multiply-added against the pair's weights for every pixel of
+// the tile whose window covers that column, two taps per pmaddwd; an odd
+// last row pairs with itself against zero weights. With the kernel width
+// and stride known at compile time (kKw > 0) the columns and the pixels
+// each one serves unroll; otherwise kP is 1 and both come from g. The
+// accumulators start at the chunk's folded bias, bias - input_zp * sum(w),
+// so taps enter as raw x, and a padding tap reads input_zp and cancels its
+// share of the fold. |x|, |w| <= 128 keep each pair sum far inside int32,
+// and int32 addition is order-free (and wraps like the reference's):
+// exact. The bias and each group's weights and requantization serve the
+// whole tile.
+template <class Isa, int kLanes, int kP, int kKw, int kS, class Taps>
+inline void dw_tile(const DepthwiseCall& c, const typename Isa::Rq& rqc,
+                    const Taps& taps, const int16_t* w, int64_t w_group,
+                    const int32_t* bias, int32_t oc, int32_t co,
+                    int8_t* out) {
+  const ConvGeometry& g = c.g;
   constexpr int kAccs = kLanes == 16 ? 2 : 1;
-  typename Isa::Acc acc[kAccs];
+  const int32_t kw = kKw > 0 ? kKw : g.kw;
+  typename Isa::Acc acc[kP][kAccs];
   unroll<kAccs>([&](auto a) {
-    acc[a.v] = Isa::load_acc(bias.at(oc0 + a.v * kPanelLanes));
+    const typename Isa::Acc b = Isa::load_acc(bias + a.v * kPanelLanes);
+    unroll<kP>([&](auto p) { acc[p.v][a.v] = b; });
   });
-  const int64_t w_group = int64_t{pairs} * 2 * kPanelLanes;
-  for (int32_t j = 0; j < pairs; ++j) {
-    const __m128i x0 = load_s8<kLanes>(taps.at(2 * j) + co);
-    const __m128i x1 = load_s8<kLanes>(taps.at(2 * j + 1) + co);
-    const int16_t* wj = w + int64_t{j} * 2 * kPanelLanes;
-    acc[0] = Isa::madd_taps(acc[0], _mm_unpacklo_epi8(x0, x1), wj, zp);
-    if constexpr (kAccs == 2)
-      acc[1] = Isa::madd_taps(acc[1], _mm_unpackhi_epi8(x0, x1), wj + w_group,
-                              zp);
+  for (int32_t ky = 0; ky < g.kh; ky += 2) {
+    const int32_t ky1 = ky + 1 < g.kh ? ky + 1 : ky;
+    const int16_t* wr = w + int64_t{ky / 2} * kw * 2 * kPanelLanes;
+    // Column cx of rows ky and ky1, widened, multiply-added into pixel p's
+    // accumulators against the weights of tap column kx.
+    const auto column = [&](int32_t cx, auto&& for_pixels) {
+      const __m128i x0 = load_s8<kLanes>(taps.at(ky, cx) + co);
+      const __m128i x1 = load_s8<kLanes>(taps.at(ky1, cx) + co);
+      typename Isa::Panel xv[kAccs];
+      xv[0] = Isa::widen_panel(_mm_unpacklo_epi8(x0, x1));
+      if constexpr (kAccs == 2)
+        xv[1] = Isa::widen_panel(_mm_unpackhi_epi8(x0, x1));
+      for_pixels([&](auto p, int32_t kx) {
+        unroll<kAccs>([&](auto a) {
+          acc[p.v][a.v] = Isa::madd_taps(
+              acc[p.v][a.v], xv[a.v],
+              wr + kx * 2 * kPanelLanes + a.v * w_group);
+        });
+      });
+    };
+    if constexpr (kKw > 0) {
+      unroll<kS*(kP - 1) + kKw>([&](auto cx) {
+        column(cx.v, [&](auto&& madd) {
+          unroll<kP>([&](auto p) {
+            constexpr int kx = decltype(cx)::v - kS * decltype(p)::v;
+            if constexpr (kx >= 0 && kx < kKw) madd(p, kx);
+          });
+        });
+      });
+    } else {
+      static_assert(kP == 1);
+      for (int32_t kx = 0; kx < kw; ++kx)
+        column(kx, [&](auto&& madd) { madd(Idx<0>{}, kx); });
+    }
   }
-  const int32_t group = oc0 / kPanelLanes;
-  unroll<kAccs>([&](auto a) {
-    store_group<Isa>(acc[a.v], c.groups[group + a.v], rqc, *c.rq,
-                     oc0 + a.v * kPanelLanes, kLanes == 4 ? 4 : kPanelLanes,
-                     out + a.v * kPanelLanes);
-  });
+  if constexpr (kAccs == 2)
+    store_columns<Isa, 0>(acc, c.groups, *c.rq, rqc, oc, kLanes, kP, g.in_ch,
+                          out);
+  else
+    store_column<Isa, 0>(acc, c.groups[oc / kPanelLanes], *c.rq, rqc, oc,
+                         kLanes, kP, g.in_ch, out);
 }
 
-// Every pass of channels [c0, c1) over one output pixel: 16 channels at a
-// time, then one pass of 8 and one of 4 for what is left.
-template <class Isa, class Taps>
-inline void dw_pixel(const DepthwiseCall& c, const typename Isa::Rq& rqc,
-                     typename Isa::Zp zp, const Taps& taps, int32_t pairs,
-                     const int16_t* wbuf, const GroupBias& bias, int32_t c0,
-                     int32_t c1, int8_t* out_px) {
-  const int64_t w_group = int64_t{pairs} * 2 * kPanelLanes;
-  int32_t oc = c0;
-  for (; oc + 16 <= c1; oc += 16)
-    dw_pass<Isa, 16>(c, rqc, zp, taps, pairs,
-                     wbuf + (oc - c0) / kPanelLanes * w_group, bias, oc,
-                     oc - c0, out_px + oc);
-  if (oc + 8 <= c1) {
-    dw_pass<Isa, 8>(c, rqc, zp, taps, pairs,
-                    wbuf + (oc - c0) / kPanelLanes * w_group, bias, oc,
-                    oc - c0, out_px + oc);
-    oc += 8;
+// The chunk of a depthwise layer that one call of dw_row works on: its
+// channels [c0, c1), interleaved weights and folded bias, the zero-point
+// row, and where the layer's windows lie inside the input (output rows
+// [oy_lo, oy_hi), columns [ox_lo, ox_hi)).
+struct DwChunk {
+  int32_t c0, c1;
+  const int16_t* wbuf;
+  int64_t w_group;
+  const int32_t* fbias;
+  const int8_t* zp_row;
+  int32_t oy_lo, oy_hi, ox_lo, ox_hi;
+};
+
+// Every pass of the chunk's channels over the kP pixels of output row oy
+// from column ox: 16 channels at a time, then one pass of 8 and one of 4
+// for what is left. A tile whose windows all lie inside the input reads its
+// taps in place; any other first fills `table` with a pointer per tap and
+// column.
+template <class Isa, int kP, int kKw, int kS>
+inline void dw_pixels(const DepthwiseCall& c, const typename Isa::Rq& rqc,
+                      const DwChunk& k, int32_t oy, int32_t ox,
+                      const int8_t** table) {
+  const ConvGeometry& g = c.g;
+  const int64_t ch = g.in_ch;
+  const int32_t stride = kKw > 0 ? kS : g.stride;
+  const int32_t cols = stride * (kP - 1) + (kKw > 0 ? kKw : g.kw);
+  const int32_t iy0 = oy * stride - g.pad_h;
+  const int32_t ix0 = ox * stride - g.pad_w;
+  int8_t* out = c.output + (int64_t{oy} * g.out_w + ox) * ch;
+  const auto passes = [&](const auto& taps) {
+    int32_t oc = k.c0;
+    const auto pass = [&](auto lanes) {
+      constexpr int kLanes = decltype(lanes)::v;
+      const int32_t co = oc - k.c0;
+      dw_tile<Isa, kLanes, kP, kKw, kS>(
+          c, rqc, taps, k.wbuf + co / kPanelLanes * k.w_group, k.w_group,
+          k.fbias + co, oc, co, out + oc);
+      oc += kLanes;
+    };
+    while (oc + 16 <= k.c1) pass(Idx<16>{});
+    if (oc + 8 <= k.c1) pass(Idx<8>{});
+    if (oc < k.c1) pass(Idx<4>{});
+  };
+  if (oy >= k.oy_lo && oy < k.oy_hi && ox >= k.ox_lo && ox + kP <= k.ox_hi) {
+    passes(InteriorTaps{c.input + (int64_t{iy0} * g.in_w + ix0) * ch + k.c0,
+                        int64_t{g.in_w} * ch, ch});
+    return;
   }
-  if (oc < c1)
-    dw_pass<Isa, 4>(c, rqc, zp, taps, pairs,
-                    wbuf + (oc - c0) / kPanelLanes * w_group, bias, oc,
-                    oc - c0, out_px + oc);
+  for (int32_t ky = 0; ky < g.kh; ++ky) {
+    const int32_t iy = iy0 + ky;
+    for (int32_t cx = 0; cx < cols; ++cx) {
+      const int32_t ix = ix0 + cx;
+      table[ky * cols + cx] =
+          iy < 0 || iy >= g.in_h || ix < 0 || ix >= g.in_w
+              ? k.zp_row
+              : c.input + (int64_t{iy} * g.in_w + ix) * ch + k.c0;
+    }
+  }
+  passes(TableTaps{table, cols});
+}
+
+// Output row oy of a chunk from column ox, in tiles of kP pixels along x,
+// then (a 3-wide kernel at stride 1 or 2) the row's last pixels in tiles of
+// kP / 2, kP / 4, ... 1; any other kernel one pixel at a time.
+template <class Isa, int kKw, int kS, int kP = (kKw > 0 ? Isa::kDwPixels : 1)>
+inline void dw_row(const DepthwiseCall& c, const typename Isa::Rq& rqc,
+                   const DwChunk& k, int32_t oy, int32_t ox,
+                   const int8_t** table) {
+  for (; ox + kP <= c.g.out_w; ox += kP)
+    dw_pixels<Isa, kP, kKw, kS>(c, rqc, k, oy, ox, table);
+  if constexpr (kP > 1) dw_row<Isa, kKw, kS, kP / 2>(c, rqc, k, oy, ox, table);
 }
 
 // Depthwise over channels [0, c.channels), in chunks of whole 8-channel
 // groups. Per chunk, each group's weights are interleaved once into int16
-// tap pairs, [group][pair][8 channels][2 taps] (the odd last tap pairs
-// with zero weights; lanes past a 4-channel group are zero). Then every
-// output pixel runs every pass of the chunk: an interior window reads its
-// taps at fixed offsets from the pixel, a border window through a pointer
-// per tap, where a padding tap points at a row of input_zp.
+// vertical tap pairs, [group][row pair][kx][8 channels][2 taps] (an odd
+// last row pairs with zero weights; lanes past a 4-channel group are zero),
+// and the bias is folded with the input zero point; then every output row
+// runs (dw_row).
 template <class Isa>
 void depthwise_passes(const DepthwiseCall& c) {
   const ConvGeometry& g = c.g;
   const int32_t ch = g.in_ch;
   const int32_t taps = g.kh * g.kw;  // <= kDwMaxTaps
-  const int32_t pairs = (taps + 1) / 2;
+  const int32_t pairs = (g.kh + 1) / 2 * g.kw;
   const int64_t w_group = int64_t{pairs} * 2 * kPanelLanes;
   const int64_t fit = kDwWeightBytes / (w_group * 2) * kPanelLanes;
   const int32_t chunk = static_cast<int32_t>(
       fit < kDwChunkChannels ? fit : kDwChunkChannels);
+  const int32_t zp = c.rq->input_zp;
   alignas(32) int16_t wbuf[kDwWeightBytes / 2];
+  // Lanes past a chunk's last 4-channel group are read, never stored.
+  alignas(32) int32_t fbias[kDwChunkChannels + kPanelLanes] = {};
   alignas(16) int8_t zp_row[kDwChunkChannels];
-  std::memset(zp_row, static_cast<int8_t>(c.rq->input_zp), sizeof(zp_row));
-  int64_t offs[kDwMaxTaps + 1];
-  for (int32_t ky = 0; ky < g.kh; ++ky)
-    for (int32_t kx = 0; kx < g.kw; ++kx)
-      offs[ky * g.kw + kx] = (int64_t{ky} * g.in_w + kx) * ch;
-  offs[taps] = 0;  // the odd last tap's partner: any valid tap
-  const int8_t* ptr[kDwMaxTaps + 1];
-  const GroupBias bias(c.bias, ch);
+  std::memset(zp_row, static_cast<int8_t>(zp), sizeof(zp_row));
+  // A tile's tap table: kh rows of at most 2 * (kDwPixels - 1) + 3 columns
+  // for a 3-wide kernel (so kh <= kDwMaxTaps / 3), kw for any other.
+  constexpr int kTableCols = 2 * (Isa::kDwPixels - 1) + 3;
+  const int8_t* table[kDwMaxTaps / 3 * kTableCols > kDwMaxTaps
+                          ? kDwMaxTaps / 3 * kTableCols
+                          : kDwMaxTaps];
   const typename Isa::Rq rqc = Isa::rq_consts(*c.rq);
-  const typename Isa::Zp zp = Isa::zp16(c.rq->input_zp);
+  DwChunk k{};
+  k.wbuf = wbuf;
+  k.w_group = w_group;
+  k.fbias = fbias;
+  k.zp_row = zp_row;
+  inside_range(int64_t{g.in_h} - g.kh, g.pad_h, g.stride, g.out_h, &k.oy_lo,
+               &k.oy_hi);
+  inside_range(int64_t{g.in_w} - g.kw, g.pad_w, g.stride, g.out_w, &k.ox_lo,
+               &k.ox_hi);
 
-  for (int32_t c0 = 0; c0 < c.channels; c0 += chunk) {
+  for (k.c0 = 0; k.c0 < c.channels; k.c0 += chunk) {
+    const int32_t c0 = k.c0;
     const int32_t c1 = c0 + chunk < c.channels ? c0 + chunk : c.channels;
+    k.c1 = c1;
     for (int32_t cb = c0; cb < c1; cb += kPanelLanes) {
       int16_t* dst = wbuf + (cb - c0) / kPanelLanes * w_group;
       const bool half = c1 - cb < kPanelLanes;
-      for (int32_t j = 0; j < pairs; ++j) {
-        const int8_t* w0 = c.weights + int64_t{2 * j} * ch + cb;
-        const __m128i v0 = half ? load_s8<4>(w0) : load_s8<8>(w0);
-        const __m128i v1 = 2 * j + 1 == taps ? _mm_setzero_si128()
-                           : half            ? load_s8<4>(w0 + ch)
-                                             : load_s8<8>(w0 + ch);
-        Isa::widen_pairs(dst + int64_t{j} * 2 * kPanelLanes,
-                         _mm_unpacklo_epi8(v0, v1));
+      for (int32_t ky = 0; ky < g.kh; ky += 2) {
+        for (int32_t kx = 0; kx < g.kw; ++kx, dst += 2 * kPanelLanes) {
+          const int8_t* w0 = c.weights + (int64_t{ky} * g.kw + kx) * ch + cb;
+          const int8_t* w1 = w0 + int64_t{g.kw} * ch;
+          const __m128i v0 = half ? load_s8<4>(w0) : load_s8<8>(w0);
+          const __m128i v1 = ky + 1 == g.kh ? _mm_setzero_si128()
+                             : half         ? load_s8<4>(w1)
+                                            : load_s8<8>(w1);
+          Isa::widen_pairs(dst, _mm_unpacklo_epi8(v0, v1));
+        }
       }
     }
+    // bias - zp * sum(w), in uint32 so that it wraps like the int32 sums.
+    for (int32_t oc = c0; oc < c1; ++oc) {
+      int32_t sum = 0;
+      for (int32_t t = 0; t < taps; ++t) sum += c.weights[int64_t{t} * ch + oc];
+      const uint32_t b =
+          c.bias == nullptr ? 0u : static_cast<uint32_t>(c.bias[oc]);
+      fbias[oc - c0] =
+          static_cast<int32_t>(b - static_cast<uint32_t>(zp * sum));
+    }
     for (int32_t oy = 0; oy < g.out_h; ++oy) {
-      const int32_t iy0 = oy * g.stride - g.pad_h;
-      const bool rows_inside = iy0 >= 0 && iy0 + g.kh <= g.in_h;
-      for (int32_t ox = 0; ox < g.out_w; ++ox) {
-        const int32_t ix0 = ox * g.stride - g.pad_w;
-        int8_t* out_px = c.output + (int64_t{oy} * g.out_w + ox) * ch;
-        if (rows_inside && ix0 >= 0 && ix0 + g.kw <= g.in_w) {
-          const InteriorTaps t{
-              c.input + (int64_t{iy0} * g.in_w + ix0) * ch + c0, offs};
-          dw_pixel<Isa>(c, rqc, zp, t, pairs, wbuf, bias, c0, c1, out_px);
-          continue;
-        }
-        for (int32_t ky = 0; ky < g.kh; ++ky) {
-          const int32_t iy = iy0 + ky;
-          for (int32_t kx = 0; kx < g.kw; ++kx) {
-            const int32_t ix = ix0 + kx;
-            ptr[ky * g.kw + kx] =
-                iy < 0 || iy >= g.in_h || ix < 0 || ix >= g.in_w
-                    ? zp_row
-                    : c.input + (int64_t{iy} * g.in_w + ix) * ch + c0;
-          }
-        }
-        ptr[taps] = zp_row;
-        dw_pixel<Isa>(c, rqc, zp, BorderTaps{ptr}, pairs, wbuf, bias, c0, c1,
-                      out_px);
-      }
+      if (g.kw == 3 && g.stride == 1)
+        dw_row<Isa, 3, 1>(c, rqc, k, oy, 0, table);
+      else if (g.kw == 3 && g.stride == 2)
+        dw_row<Isa, 3, 2>(c, rqc, k, oy, 0, table);
+      else
+        dw_row<Isa, 0, 0>(c, rqc, k, oy, 0, table);
     }
   }
 }

@@ -2,7 +2,8 @@
 // of fast_avx2.hpp). This unit is compiled with -mavx2
 // (src/kernels/CMakeLists.txt) and runs only where kernels_fast.cpp has seen
 // AVX2 in CPUID. A conv tile is 4 pixels x 2 groups, so its 8 accumulators
-// leave 8 of the 16 ymm registers for operands.
+// leave 8 of the 16 ymm registers for operands; so does a depthwise x-tile
+// of 4 pixels in a 16-channel pass.
 #include "kernels/fast_isa.hpp"
 
 #if defined(__SSE2__) && defined(__AVX2__)

@@ -2,13 +2,16 @@
 // unit is compiled with -mavx2 -mavx512vl -mavx512vnni
 // (src/kernels/CMakeLists.txt) and runs only where kernels_fast.cpp has seen
 // AVX512-VNNI and AVX512VL in CPUID. Its trait is the AVX2 one (fast_avx2.hpp)
-// with two changes, both on 256-bit registers:
+// with three changes, all on 256-bit registers:
 //   - vpdpwssd multiplies the int16 pairs and adds them into the accumulator
 //     in one instruction (pmaddwd + paddd fused, wrapping in int32 like the
-//     pair), so a pixel x group step is one instruction;
+//     pair), so a pixel x group step is one instruction; its latency lies on
+//     the accumulator's chain, so tiles of at most 4 accumulators split
+//     their tap pairs over two accumulator sets (kFusedMadd);
 //   - a conv tile is 4 pixels x 4 groups: EVEX encoding reaches 32 ymm
 //     registers, so its 16 accumulators leave 16 for the 4 widened panels
-//     and the pixel's broadcast tap pair, which all 4 groups share.
+//     and the pixel's broadcast tap pair, which all 4 groups share;
+//   - a depthwise x-tile is 8 pixels, 16 accumulators in a 16-channel pass.
 // Requantization, the gather and the panels are the AVX2 trait's.
 #include "kernels/fast_isa.hpp"
 
@@ -21,7 +24,9 @@ namespace {
 
 struct Vnni : Avx2 {
   static constexpr int kGroups = 4;
+  static constexpr int kDwPixels = 8;
 
+  static constexpr bool kFusedMadd = true;
   template <int kP>
   static Acc madd_pixel(Acc acc, Panel w, Cols x) {
     int32_t pair;
@@ -29,10 +34,9 @@ struct Vnni : Avx2 {
     return _mm256_dpwssd_epi32(acc, w, _mm256_set1_epi32(pair));
   }
 
-  static Acc madd_taps(Acc acc, __m128i x, const int16_t* w, Zp zp) {
-    const __m256i xz = _mm256_sub_epi16(_mm256_cvtepi8_epi16(x), zp);
+  static Acc madd_taps(Acc acc, Panel x, const int16_t* w) {
     return _mm256_dpwssd_epi32(
-        acc, xz, _mm256_load_si256(reinterpret_cast<const __m256i*>(w)));
+        acc, x, _mm256_load_si256(reinterpret_cast<const __m256i*>(w)));
   }
 };
 

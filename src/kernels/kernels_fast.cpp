@@ -4,10 +4,13 @@
 //
 // Conv2d and fully-connected run one register-tiled micro-kernel, each step
 // exact in integer arithmetic:
-//   1. Gather. A tile of 4 output pixels is gathered into int16 im2col
-//      columns holding x - input_zp (padding taps hold 0, which is what the
-//      reference kernel's skipped taps contribute), laid out
-//      [tap pair][pixel][2] to match the panel's [tap pair][channel][2].
+//   1. Gather. A tile of 4 output pixels, walked row by row, is gathered
+//      into int16 im2col columns holding x - input_zp, laid out
+//      [tap pair][pixel][2] to match the panel's [tap pair][channel][2],
+//      one kernel row at a time with vector loads: an interior pixel's rows
+//      straight from the input, a border pixel's from a patch of its window
+//      in which padding taps hold input_zp (x - zp = 0, which is what the
+//      reference kernel's skipped taps contribute).
 //   2. Multiply-accumulate. For each tap pair, 16 panel bytes (8 output
 //      channels x 2 taps) are loaded once per group and widened to int16;
 //      each pixel's 2 column values are broadcast and pmaddwd sums the two
@@ -24,7 +27,8 @@
 //      int8, requantizes through the scalar primitive instead.
 // A fully-connected layer is the same kernel on a 1x1 conv of one pixel,
 // run with a one-pixel tile. Depthwise needs no panel: it pairs taps on the
-// raw weights, two per pmaddwd, with the same requantization and table.
+// raw weights, two per pmaddwd, in tiles of output pixels along x, with the
+// same requantization and table.
 // Both are written once in fast_tile.hpp and compiled per instruction set
 // (kernels_sse2.cpp, kernels_avx2.cpp, kernels_avx512vnni.cpp);
 // active_kernel_isa() picks one per process. The scalar variant, non-x86
@@ -115,12 +119,17 @@ const detail::IsaKernels* checked_isa(const char* who, KernelIsa isa) {
   return isa_kernels(isa);
 }
 
-// A panel must be packed for this op's shape and hold every group the
-// kernel streams; anything else throws before a byte is read.
-void check_panel(const char* who, const PackedOpWeights& p, int32_t out_ch,
-                 int64_t k) {
-  if (p.out_ch != out_ch || p.k != k ||
-      static_cast<int64_t>(p.values.size()) < conv_panel_bytes(out_ch, k))
+// A panel must be packed for this op's shape, in its kernel rows, and hold
+// every group the kernel streams; anything else throws before a byte is
+// read. Equal pair counts mean equal layouts: rows only pad when their
+// length is odd, and two paddings of one k give equal counts only at equal
+// row counts.
+void check_panel(const char* who, const PackedOpWeights& p,
+                 const ConvGeometry& g) {
+  const int64_t k = int64_t{g.kh} * g.kw * g.in_ch;
+  if (g.kh < 1 || p.rows < 1 || p.out_ch != g.out_ch || p.k != k ||
+      conv_panel_pairs(p.k, p.rows) != conv_panel_pairs(k, g.kh) ||
+      p.bytes() < conv_panel_bytes(g.out_ch, k, g.kh))
     throw std::invalid_argument(std::string(who) +
                                 ": packed panel/geometry mismatch");
 }
@@ -192,7 +201,10 @@ inline void for_each_dw_window(const ConvGeometry& g, const int8_t* input,
 void conv_scalar(std::span<const int8_t> input, const PackedOpWeights& packed,
                  std::span<const int32_t> bias, std::span<int8_t> output,
                  const ConvGeometry& g, const RequantParams& rq) {
-  const int64_t group_bytes = (packed.k + 1) / 2 * 2 * kPanelLanes;
+  const int64_t group_bytes =
+      conv_panel_pairs(packed.k, g.kh) * 2 * kPanelLanes;
+  // Panel taps per kernel row: each row starts a pair.
+  const int64_t row_taps = (int64_t{g.kw} * g.in_ch + 1) / 2 * 2;
   int8_t* out = output.data();
   for (int32_t oy = 0; oy < g.out_h; ++oy) {
     for (int32_t ox = 0; ox < g.out_w; ++ox, out += g.out_ch) {
@@ -212,7 +224,7 @@ void conv_scalar(std::span<const int8_t> input, const PackedOpWeights& packed,
             if (ix < 0 || ix >= g.in_w) continue;
             const int8_t* x =
                 input.data() + (int64_t{iy} * g.in_w + ix) * g.in_ch;
-            const int64_t t0 = (int64_t{ky} * g.kw + kx) * g.in_ch;
+            const int64_t t0 = ky * row_taps + int64_t{kx} * g.in_ch;
             for (int32_t c = 0; c < g.in_ch; ++c) {
               const int64_t t = t0 + c;
               const int8_t* wt = w + t / 2 * 2 * kPanelLanes + t % 2;
@@ -228,6 +240,21 @@ void conv_scalar(std::span<const int8_t> input, const PackedOpWeights& packed,
   }
 }
 
+// The fast conv's scratch after its 16 bytes of alignment slack: one tile
+// of int16 columns, one spare tap pair per pixel (a kernel row's last load
+// may write one pair past the row), rounded to 16 bytes, then one patch of
+// kh rows of ceil4(kw * in_ch) bytes per tile pixel.
+struct ConvScratch {
+  int64_t cols_bytes, patch_bytes;
+};
+
+ConvScratch conv_scratch(const ConvGeometry& g) {
+  const int64_t row_len = int64_t{g.kw} * g.in_ch;
+  const int64_t pairs = g.kh * ((row_len + 1) / 2) + 1;
+  return {(pairs * 2 * detail::kTilePixels * 2 + 15) / 16 * 16,
+          g.kh * ((row_len + 3) / 4 * 4) * detail::kTilePixels};
+}
+
 // Checks and runs one conv (or FC, as a 1x1 conv) on the fast
 // backend; `who` names the public kernel in errors.
 void conv_fast(const char* who, std::span<const int8_t> input,
@@ -235,8 +262,7 @@ void conv_fast(const char* who, std::span<const int8_t> input,
                std::span<int8_t> output, std::span<int8_t> scratch,
                const ConvGeometry& g, const RequantTable& t, KernelIsa isa) {
   const detail::IsaKernels* simd = checked_isa(who, isa);
-  const int64_t ksize = int64_t{g.kh} * g.kw * g.in_ch;
-  check_panel(who, packed, g.out_ch, ksize);
+  check_panel(who, packed, g);
   check_requant(who, t, g.out_ch);
   check_conv_buffers(who, input, packed.values, bias, output, g);
   if (static_cast<int64_t>(scratch.size()) < conv2d_fast_scratch_bytes(g))
@@ -247,9 +273,11 @@ void conv_fast(const char* who, std::span<const int8_t> input,
     call.panel = packed.values.data();
     call.bias = bias.empty() ? nullptr : bias.data();
     call.output = output.data();
-    // Scratch: 16-byte alignment slack, then the columns.
+    // Scratch: 16-byte alignment slack, the columns, then the patches.
     call.cols = reinterpret_cast<int16_t*>(
         (reinterpret_cast<uintptr_t>(scratch.data()) + 15) & ~uintptr_t{15});
+    call.patches =
+        reinterpret_cast<int8_t*>(call.cols) + conv_scratch(g).cols_bytes;
     call.groups = t.groups.data();
     call.rq = &t.rq;
     call.g = g;
@@ -323,9 +351,8 @@ AddRequantTable prepare_add_requant(const AddParams& p) {
 }
 
 int64_t conv2d_fast_scratch_bytes(const ConvGeometry& g) {
-  const int64_t pairs = (int64_t{g.kh} * g.kw * g.in_ch + 1) / 2;
-  return 16 + pairs * 2 * detail::kTilePixels *
-                  static_cast<int64_t>(sizeof(int16_t));
+  const ConvScratch s = conv_scratch(g);
+  return 16 + s.cols_bytes + s.patch_bytes;
 }
 
 void conv2d_s8_fast(std::span<const int8_t> input, const PackedOpWeights& packed,
@@ -371,10 +398,11 @@ void depthwise_conv2d_s8_fast(std::span<const int8_t> input,
   int32_t c = 0;
   // A zero point outside int8 range (never produced by the converter) would
   // break the pmaddwd pair bound, and a window of more than kDwMaxTaps taps
-  // would outgrow the kernel's stack buffers; such layers take the scalar
-  // loop.
-  if (simd != nullptr && zp_in_s8(rq.input_zp) &&
-      int64_t{g.kh} * g.kw <= detail::kDwMaxTaps && ch >= 4) {
+  // would outgrow the kernel's stack buffers (one of none sizes its weight
+  // chunk by dividing by zero); such layers take the scalar loop.
+  const int64_t taps = int64_t{g.kh} * g.kw;
+  if (simd != nullptr && zp_in_s8(rq.input_zp) && taps >= 1 &&
+      taps <= detail::kDwMaxTaps && ch >= 4) {
     detail::DepthwiseCall call;
     call.input = input.data();
     call.weights = weights.data();

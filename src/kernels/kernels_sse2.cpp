@@ -1,7 +1,8 @@
 // The SSE2 instantiation of the fast kernels (fast_tile.hpp) and the SIMD
 // body of add_s8_fast. An 8-channel accumulator is two xmm registers
 // (channels 0-3 and 4-7); a conv tile is 4 pixels x 1 group, so its 8
-// accumulators leave 8 of the 16 xmm registers for operands.
+// accumulators leave 8 of the 16 xmm registers for operands, and a
+// depthwise x-tile is 2 pixels (8 accumulators in a 16-channel pass).
 #include "kernels/fast_isa.hpp"
 
 #if defined(__SSE2__)
@@ -93,6 +94,7 @@ inline __m128i requant8_lanes(__m128i lo, __m128i hi, const RequantGroup& g,
 
 struct Sse2 {
   static constexpr int kGroups = 1;
+  static constexpr int kDwPixels = 2;
 
   struct Acc {
     __m128i lo, hi;
@@ -102,14 +104,18 @@ struct Sse2 {
     _mm_storeu_si128(reinterpret_cast<__m128i*>(p), a.lo);
     _mm_storeu_si128(reinterpret_cast<__m128i*>(p + 4), a.hi);
   }
+  static Acc zero_acc() { return {_mm_setzero_si128(), _mm_setzero_si128()}; }
+  static Acc add_acc(Acc a, Acc b) {
+    return {_mm_add_epi32(a.lo, b.lo), _mm_add_epi32(a.hi, b.hi)};
+  }
 
   struct Panel {
     __m128i lo, hi;
   };
-  static Panel load_panel(const int8_t* w) {
-    const __m128i v = load128(w);
+  static Panel widen_panel(__m128i v) {
     return {widen_lo_s8(v), widen_hi_s8(v)};
   }
+  static Panel load_panel(const int8_t* w) { return widen_panel(load128(w)); }
 
   // The tile's pixels' tap pairs are one aligned vector of 4 int32 lanes
   // (one lane for a one-pixel tile); pshufd broadcasts pixel p's.
@@ -125,6 +131,7 @@ struct Sse2 {
       return _mm_load_si128(reinterpret_cast<const __m128i*>(x));
     }
   }
+  static constexpr bool kFusedMadd = false;
   template <int kP>
   static Acc madd_pixel(Acc acc, const Panel& w, Cols x) {
     const __m128i xb = _mm_shuffle_epi32(x, kP * 0x55);
@@ -134,22 +141,16 @@ struct Sse2 {
 
   static __m128i widen8(__m128i v) { return widen_lo_s8(v); }
 
-  using Zp = __m128i;
-  static Zp zp16(int32_t zp) {
-    return _mm_set1_epi16(static_cast<int16_t>(zp));
-  }
   static void widen_pairs(int16_t* dst, __m128i v) {
     _mm_store_si128(reinterpret_cast<__m128i*>(dst), widen_lo_s8(v));
     _mm_store_si128(reinterpret_cast<__m128i*>(dst + 8), widen_hi_s8(v));
   }
-  static Acc madd_taps(Acc acc, __m128i x, const int16_t* w, Zp zp) {
+  static Acc madd_taps(Acc acc, const Panel& x, const int16_t* w) {
     const __m128i w_lo = _mm_load_si128(reinterpret_cast<const __m128i*>(w));
     const __m128i w_hi =
         _mm_load_si128(reinterpret_cast<const __m128i*>(w + 8));
-    return {_mm_add_epi32(
-                acc.lo, _mm_madd_epi16(_mm_sub_epi16(widen_lo_s8(x), zp), w_lo)),
-            _mm_add_epi32(acc.hi, _mm_madd_epi16(
-                                      _mm_sub_epi16(widen_hi_s8(x), zp), w_hi))};
+    return {_mm_add_epi32(acc.lo, _mm_madd_epi16(x.lo, w_lo)),
+            _mm_add_epi32(acc.hi, _mm_madd_epi16(x.hi, w_hi))};
   }
 
   struct Rq {
@@ -165,6 +166,12 @@ struct Sse2 {
   static __m128i requant8(Acc acc, const RequantGroup& g, const Rq& c) {
     return requant8_lanes<kShared>(acc.lo, acc.hi, g, c.out_zp, c.act_min,
                                    c.act_max);
+  }
+  template <bool kShared>
+  static __m128i requant16(Acc a, Acc b, const RequantGroup& ga,
+                           const RequantGroup& gb, const Rq& c) {
+    return _mm_packs_epi16(requant8<kShared>(a, ga, c),
+                           requant8<kShared>(b, gb, c));
   }
 };
 

@@ -88,12 +88,15 @@ kernels::PackedOpWeights fast_weights(const ModelDef& m, const OpDef& op) {
   }
   // Conv weights [out_ch][kh][kw][in_ch] and FC weights [out][in] are
   // row-major with one row per output channel/feature; both become a
-  // micro-kernel panel. Depthwise keeps its [1][kh][kw][ch] weights as they
-  // are.
+  // micro-kernel panel, a conv's in its kh kernel rows. Depthwise keeps its
+  // [1][kh][kw][ch] weights as they are.
   if (op.type == OpType::kDepthwiseConv2D)
     return {{values.begin(), values.end()}};
   const auto out_ch = static_cast<int32_t>(w.shape.dim(0));
-  return kernels::pack_conv_panel(values, out_ch, w.elements() / out_ch);
+  const auto rows = op.type == OpType::kConv2D
+                        ? static_cast<int32_t>(w.shape.dim(1))
+                        : 1;
+  return kernels::pack_conv_panel(values, out_ch, w.elements() / out_ch, rows);
 }
 
 }  // namespace

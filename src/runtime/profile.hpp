@@ -44,7 +44,8 @@ struct OpProfile {
 struct ProfileReport {
   std::string model_name;
   // Instruction set of the fast conv/depthwise/FC kernels that served it
-  // ("sse2", "avx2" or "scalar"; see Interpreter::kernel_isa()).
+  // ("scalar", "sse2", "avx2" or "avx512vnni"; see
+  // Interpreter::kernel_isa()).
   const char* kernel_isa = "scalar";
   std::vector<OpProfile> ops;
   int64_t invocations = 0;   // profiled invokes captured in this report

@@ -18,7 +18,10 @@ class Shape {
   static constexpr int kMaxRank = 4;
 
   Shape() = default;
-  Shape(std::initializer_list<int64_t> dims) {
+  // constexpr, so that a constant shape (a config's default member
+  // initializer) is built at compile time rather than copied at run time
+  // from its initializer list's backing array.
+  constexpr Shape(std::initializer_list<int64_t> dims) {
     if (dims.size() > kMaxRank) throw std::invalid_argument("Shape: rank > 4");
     rank_ = static_cast<int>(dims.size());
     int i = 0;

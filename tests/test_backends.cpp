@@ -95,7 +95,7 @@ void check_conv_fast(const kernels::ConvGeometry& g,
   std::vector<int8_t> y_fast(y_ref.size(), int8_t{1});
   kernels::conv2d_s8(x, w, bias, y_ref, g, rq);
   const auto packed = kernels::pack_conv_panel(
-      w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch);
+      w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch, g.kh);
   std::vector<int8_t> scratch(
       static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
   kernels::conv2d_s8_fast(x, packed, bias, y_fast, scratch, g,
@@ -185,6 +185,50 @@ TEST(BackendPacking, WholeGroupsOfEvenLengthGetNoPadding) {
   const auto w = random_s8(rng, 24 * 4);
   const kernels::PackedOpWeights p = kernels::pack_conv_panel(w, 24, 4);
   EXPECT_EQ(p.bytes(), 24 * 4);
+}
+
+TEST(BackendPacking, OddKernelRowsEachStartAPair) {
+  // A 3x3 1-channel stem, 9 output channels, packed in its 3 kernel rows:
+  // each 3-tap row fills 2 pairs, the last with a zero weight, so weight
+  // (oc, ky, kx) lands in pair 2 * ky + kx / 2. The conv kernel refuses the
+  // same weights packed as one 9-tap row, and rows must divide k (and be at
+  // least 1).
+  Rng rng(9);
+  const int32_t out_ch = 9;
+  const auto w = random_s8(rng, out_ch * 9);
+  const kernels::PackedOpWeights p = kernels::pack_conv_panel(w, out_ch, 9, 3);
+  EXPECT_EQ(p.rows, 3);
+  EXPECT_EQ(kernels::conv_panel_pairs(9, 3), 6);
+  EXPECT_EQ(kernels::conv_panel_pairs(9, 1), 5);
+  ASSERT_EQ(p.bytes(), 2 * 6 * 16);
+  ASSERT_EQ(kernels::conv_panel_bytes(out_ch, 9, 3), p.bytes());
+  std::vector<bool> placed(p.values.size(), false);
+  for (int32_t oc = 0; oc < out_ch; ++oc)
+    for (int32_t ky = 0; ky < 3; ++ky)
+      for (int32_t kx = 0; kx < 3; ++kx) {
+        const size_t at = static_cast<size_t>(
+            (oc / 8) * 6 * 16 + (2 * ky + kx / 2) * 16 + (oc % 8) * 2 + kx % 2);
+        EXPECT_EQ(p.values[at], w[static_cast<size_t>(oc * 9 + ky * 3 + kx)]);
+        placed[at] = true;
+      }
+  for (size_t b = 0; b < placed.size(); ++b) {
+    if (!placed[b]) {
+      EXPECT_EQ(p.values[b], 0) << "padding byte " << b;
+    }
+  }
+  EXPECT_THROW(kernels::pack_conv_panel(w, out_ch, 9, 2),
+               std::invalid_argument);
+  EXPECT_THROW(kernels::conv_panel_bytes(out_ch, 9, 0), std::invalid_argument);
+  const auto g = make_geom(5, 5, 1, out_ch, 3, 3, 1, 1, 1);
+  const std::vector<int8_t> x(static_cast<size_t>(g.input_elements()));
+  std::vector<int8_t> y(static_cast<size_t>(g.output_elements()));
+  std::vector<int8_t> scratch(
+      static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
+  const auto t = kernels::prepare_requant(kernels::RequantParams{}, out_ch);
+  EXPECT_NO_THROW(kernels::conv2d_s8_fast(x, p, {}, y, scratch, g, t));
+  EXPECT_THROW(kernels::conv2d_s8_fast(x, kernels::pack_conv_panel(w, out_ch, 9),
+                                       {}, y, scratch, g, t),
+               std::invalid_argument);
 }
 
 // --- differential sweeps -----------------------------------------------------
@@ -663,7 +707,7 @@ void check_conv_every_isa(const kernels::ConvGeometry& g,
   else
     kernels::conv2d_s8(x, w, bias, y_ref, g, rq);
   const auto packed = kernels::pack_conv_panel(
-      w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch);
+      w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch, g.kh);
   std::vector<int8_t> scratch(
       static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
   const kernels::RequantTable t = kernels::prepare_requant(rq, g.out_ch);
@@ -903,6 +947,83 @@ TEST(BackendIsa, ConvAndFcSweepEveryVariant) {
                            /*fc=*/true);
     }
   }
+  // Rows longer than two 4-pixel tiles: output widths 8-13 (every tile
+  // remainder) under 1x1, 3x3, 1x3 and 10x4 kernels at stride 1 and 2 and
+  // pads 0-2, so that the interior run of a row starts and ends mid-tile and
+  // tiles span rows. in_ch 1-8 gives kernel rows of every length mod 8 (the
+  // row gather's 8- and 4-byte loads and a row's padded odd tap).
+  const auto operands = [&rng](int32_t zp, int64_t n) {
+    return zp == -128 || zp == 127 ? std::vector<int8_t>(static_cast<size_t>(n),
+                                                         int8_t{-128})
+                                   : random_s8(rng, n);
+  };
+  const struct {
+    int32_t kh, kw;
+  } row_kernels[] = {{1, 1}, {3, 3}, {1, 3}, {10, 4}};
+  const int32_t row_out_chs[] = {1, 4, 8, 12, 24, 33};
+  int rows_checked = 0;
+  for (const auto& k : row_kernels) {
+    for (const int32_t stride : {1, 2}) {
+      for (const int32_t pad : {0, 1, 2}) {
+        for (int32_t out_h = 1; out_h <= 2; ++out_h) {
+          for (int32_t out_w = 8; out_w <= 13; ++out_w) {
+            const int variant = cases++;
+            const int32_t in_ch = 1 + variant % 8;
+            const int32_t out_ch = row_out_chs[variant % 6];
+            const auto g = make_geom((out_h - 1) * stride + k.kh - 2 * pad,
+                                     (out_w - 1) * stride + k.kw - 2 * pad,
+                                     in_ch, out_ch, k.kh, k.kw, stride, pad,
+                                     pad);
+            if (g.in_h < 1 || g.in_w < 1) continue;
+            const int32_t zp = variant % 3 == 0   ? -128
+                               : variant % 3 == 1 ? 127
+                                                  : static_cast<int32_t>(
+                                                        rng.uniform_int(-20, 20));
+            SCOPED_TRACE(testing::Message()
+                         << "row case " << variant << ": in " << g.in_h << "x"
+                         << g.in_w << "x" << in_ch << " k " << k.kh << "x"
+                         << k.kw << " stride " << stride << " pad " << pad
+                         << " out " << out_h << "x" << out_w << "x" << out_ch
+                         << " zp " << zp);
+            check_conv_every_isa(
+                g, sweep_rq(rng, out_ch, variant, zp),
+                operands(zp, g.input_elements()),
+                operands(zp, int64_t{out_ch} * k.kh * k.kw * in_ch),
+                variant % 5 != 0 ? random_bias(rng, out_ch)
+                                 : std::vector<int32_t>{});
+            ++rows_checked;
+          }
+        }
+      }
+    }
+  }
+  // Pad 2 leaves no input under some narrow windows.
+  EXPECT_EQ(rows_checked, 186);
+  // The zoo's stems (KWS 10x4 stride 2, VWW-S 50x50 -> 8, VWW-M 160x160
+  // stride 2 -> 12, AD 32x32 -> 128), VWW-S's 1x1 4 -> 24 and 8 -> 4, and a
+  // 2-channel 3x3, each at the int16 corner (zero point -128 or 127, all
+  // -128 operands) and with random operands.
+  const struct {
+    int32_t in_h, in_w, in_ch, out_ch, kh, kw, stride, pad_h, pad_w;
+  } zoo[] = {{49, 10, 1, 64, 10, 4, 2, 4, 1}, {50, 50, 1, 8, 3, 3, 1, 1, 1},
+             {160, 160, 1, 12, 3, 3, 2, 1, 1}, {32, 32, 1, 128, 3, 3, 1, 1, 1},
+             {50, 50, 4, 24, 1, 1, 1, 0, 0},  {50, 50, 8, 4, 1, 1, 1, 0, 0},
+             {9, 11, 2, 16, 3, 3, 1, 1, 1}};
+  for (const auto& z : zoo) {
+    for (const int32_t zp : {-128, 127, -5}) {
+      SCOPED_TRACE(testing::Message()
+                   << "zoo shape " << z.in_h << "x" << z.in_w << "x" << z.in_ch
+                   << " -> " << z.out_ch << " k " << z.kh << "x" << z.kw
+                   << " stride " << z.stride << " zp " << zp);
+      const auto g = make_geom(z.in_h, z.in_w, z.in_ch, z.out_ch, z.kh, z.kw,
+                               z.stride, z.pad_h, z.pad_w);
+      check_conv_every_isa(
+          g, sweep_rq(rng, z.out_ch, zp == -5 ? 1 : 0, zp),
+          operands(zp, g.input_elements()),
+          operands(zp, int64_t{z.out_ch} * z.kh * z.kw * z.in_ch),
+          random_bias(rng, z.out_ch));
+    }
+  }
 }
 
 TEST(BackendIsa, DepthwiseSweepEveryVariant) {
@@ -910,7 +1031,8 @@ TEST(BackendIsa, DepthwiseSweepEveryVariant) {
   // 4-channel passes and the scalar tail after them) plus 116 and 132
   // (the KWS 4-channel tail); then windows that shrink the weight chunk
   // (11x11: 32 channels per chunk), a layer of more than 256 channels (two
-  // chunks) and a 12x11 window past the 128-tap bound (the portable loop).
+  // chunks), a 12x11 window past the 128-tap bound and a window of no taps
+  // (both on the portable loop).
   std::vector<int32_t> chs;
   for (int32_t c = 1; c <= 17; ++c) chs.push_back(c);
   chs.insert(chs.end(), {116, 132});
@@ -964,7 +1086,7 @@ TEST(BackendIsa, DepthwiseSweepEveryVariant) {
     int32_t in_h, in_w, ch, kh, kw, stride, pad;
   } big[] = {{13, 12, 132, 11, 11, 1, 1}, {14, 13, 116, 11, 11, 2, 5},
              {7, 6, 276, 3, 3, 1, 1},     {6, 9, 300, 3, 3, 2, 1},
-             {13, 12, 20, 12, 11, 1, 1}};
+             {13, 12, 20, 12, 11, 1, 1},  {3, 4, 8, 0, 3, 1, 0}};
   for (const auto& b : big) {
     for (const int variant : {0, 1, 3}) {
       SCOPED_TRACE(testing::Message() << "ch " << b.ch << " k " << b.kh << "x"
@@ -975,6 +1097,71 @@ TEST(BackendIsa, DepthwiseSweepEveryVariant) {
       check_depthwise_every_isa(g, rq, random_s8(rng, g.input_elements()),
                                 random_s8(rng, int64_t{b.kh} * b.kw * b.ch),
                                 random_bias(rng, b.ch));
+    }
+  }
+  // Rows longer than two x-tiles: output widths 8-13 under the 3-wide
+  // kernels the x-tile unrolls (3x3, and 2x3, 4x3 and 5x3 for even and odd
+  // row-pair counts) at stride 1 and 2 and pads 0-2, so that interior runs
+  // start and end mid-tile; plus 1x1 and 5x5 (one pixel at a time).
+  // Channels cycle through every pass mix and the scalar tail.
+  const auto operands = [&rng](int32_t zp, int64_t n) {
+    return zp == -128 || zp == 127 ? std::vector<int8_t>(static_cast<size_t>(n),
+                                                         int8_t{-128})
+                                   : random_s8(rng, n);
+  };
+  const struct {
+    int32_t kh, kw;
+  } row_kernels[] = {{3, 3}, {2, 3}, {4, 3}, {5, 3}, {1, 1}, {5, 5}};
+  const int32_t row_chs[] = {4, 8, 12, 16, 20, 24, 28, 6, 19};
+  int rows_checked = 0;
+  for (const auto& k : row_kernels) {
+    for (const int32_t stride : {1, 2}) {
+      for (const int32_t pad : {0, 1, 2}) {
+        for (int32_t out_w = 8; out_w <= 13; ++out_w) {
+          const int variant = cases++;
+          const int32_t ch = row_chs[variant % 9];
+          const int32_t out_h = 1 + variant % 3;
+          const auto g = make_geom((out_h - 1) * stride + k.kh - 2 * pad,
+                                   (out_w - 1) * stride + k.kw - 2 * pad, ch,
+                                   ch, k.kh, k.kw, stride, pad, pad);
+          if (g.in_h < 1 || g.in_w < 1) continue;
+          const int32_t zp = variant % 3 == 0   ? -128
+                             : variant % 3 == 1 ? 127
+                                                : static_cast<int32_t>(
+                                                      rng.uniform_int(-20, 20));
+          SCOPED_TRACE(testing::Message()
+                       << "row case " << variant << ": in " << g.in_h << "x"
+                       << g.in_w << "x" << ch << " k " << k.kh << "x" << k.kw
+                       << " stride " << stride << " pad " << pad << " out "
+                       << g.out_h << "x" << out_w << " zp " << zp);
+          check_depthwise_every_isa(
+              g, sweep_rq(rng, ch, variant, zp),
+              operands(zp, g.input_elements()),
+              operands(zp, int64_t{k.kh} * k.kw * ch),
+              variant % 5 != 0 ? random_bias(rng, ch) : std::vector<int32_t>{});
+          ++rows_checked;
+        }
+      }
+    }
+  }
+  // Pad 2 leaves no input under some narrow windows.
+  EXPECT_EQ(rows_checked, 176);
+  // The zoo's depthwise shapes: VWW-S's 50x50x8, KWS-M's 25x5x144 and a
+  // stride-2 50x50x24, at the int16 corner and with random operands.
+  const struct {
+    int32_t in_h, in_w, ch, stride, pad;
+  } zoo[] = {{50, 50, 8, 1, 1}, {25, 5, 144, 1, 1}, {50, 50, 24, 2, 0},
+             {25, 25, 48, 2, 1}};
+  for (const auto& z : zoo) {
+    for (const int32_t zp : {-128, 127, -5}) {
+      SCOPED_TRACE(testing::Message() << "zoo shape " << z.in_h << "x"
+                                      << z.in_w << "x" << z.ch << " stride "
+                                      << z.stride << " zp " << zp);
+      const auto g = make_geom(z.in_h, z.in_w, z.ch, z.ch, 3, 3, z.stride,
+                               z.pad, z.pad);
+      check_depthwise_every_isa(g, sweep_rq(rng, z.ch, zp == -5 ? 1 : 0, zp),
+                                operands(zp, g.input_elements()),
+                                operands(zp, 9 * z.ch), random_bias(rng, z.ch));
     }
   }
 }
@@ -1053,7 +1240,7 @@ TEST(BackendGolden, AsymmetricPaddingOracle) {
   kernels::conv2d_s8(x, w, bias, y, g, rq);
   EXPECT_EQ(y, oracle) << "reference conv disagrees with the naive oracle";
   const auto packed = kernels::pack_conv_panel(
-      w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch);
+      w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch, g.kh);
   std::vector<int8_t> fast_scratch(
       static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
   std::fill(y.begin(), y.end(), int8_t{0});
@@ -1123,7 +1310,7 @@ TEST(BackendThreads, FastConvBitIdenticalAcrossThreadCounts) {
   const auto w = random_s8(rng, int64_t{g.out_ch} * g.kh * g.kw * g.in_ch);
   const auto bias = random_bias(rng, g.out_ch);
   const auto packed = kernels::pack_conv_panel(
-      w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch);
+      w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch, g.kh);
   std::vector<int8_t> scratch(
       static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
   const kernels::RequantTable consts = kernels::prepare_requant(rq, g.out_ch);
@@ -1300,8 +1487,11 @@ TEST(BackendInterpreter, FastClaimsConvDepthwiseFcAtInt8AndInt4) {
           EXPECT_EQ(panel->bytes(), w.elements());
         } else {
           EXPECT_EQ(int64_t{panel->out_ch} * panel->k, w.elements());
+          EXPECT_EQ(panel->rows,
+                    t == rt::OpType::kConv2D ? w.shape.dim(1) : 1);
           EXPECT_EQ(panel->bytes(),
-                    kernels::conv_panel_bytes(panel->out_ch, panel->k));
+                    kernels::conv_panel_bytes(panel->out_ch, panel->k,
+                                              panel->rows));
         }
       }
     }
@@ -1537,7 +1727,7 @@ TEST(BackendValidation, KernelsRejectUndersizedBuffers) {
   // Conv: plus a short weights span (oracle), a short scratch, and a panel
   // packed for another geometry or cut short (fast).
   const int64_t ksize = int64_t{g.kh} * g.kw * g.in_ch;
-  const auto packed = kernels::pack_conv_panel(w, g.out_ch, ksize);
+  const auto packed = kernels::pack_conv_panel(w, g.out_ch, ksize, g.kh);
   std::vector<int8_t> scratch(
       static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
   const auto consts = kernels::prepare_requant(rq, g.out_ch);
@@ -1670,7 +1860,7 @@ TEST(BackendValidation, KernelsRejectMismatchedRequantTables) {
   const auto dw_w = random_s8(rng, int64_t{g.kh} * g.kw * g.in_ch);
   const auto bias = random_bias(rng, g.out_ch);
   const auto packed = kernels::pack_conv_panel(
-      w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch);
+      w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch, g.kh);
   std::vector<int8_t> scratch(
       static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
   const auto fpacked = kernels::pack_conv_panel(w, g.out_ch, g.in_ch);

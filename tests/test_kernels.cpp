@@ -317,7 +317,7 @@ TEST(KernelsS4, Conv2DMatchesIntReference) {
   rq.act_max = 7;
   const auto xp = quant::pack_int4(xq);
   const auto w = unpacked(quant::pack_int4(wq), wq.size());
-  const PackedOpWeights panel = pack_conv_panel(w, 3, 3 * 3 * 4);
+  const PackedOpWeights panel = pack_conv_panel(w, 3, 3 * 3 * 4, 3);
   std::vector<int8_t> scratch(static_cast<size_t>(conv2d_fast_scratch_bytes(g)));
   const auto oracle = run_int4(xp, xq.size(), 5 * 5 * 3, [&](auto x, auto y) {
     conv2d_s8(x, w, {}, y, g, rq);
