@@ -14,9 +14,11 @@
 //   <shape>_backend_speedup                           reference / fast ratio
 //   <shape>_fast_<isa>_us_p50   the same fast kernel called directly on each
 //                               instruction-set variant this host runs
-//                               (scalar, sse2, avx2, avx512vnni; conv,
-//                               depthwise and FC), each output byte-checked
-//                               too; the committed baseline holds no
+//                               (scalar, sse2, avx2, avx512vnni; conv, FC
+//                               on a panel packed for that variant,
+//                               depthwise and add), each output
+//                               byte-checked too; the committed baseline
+//                               holds no
 //                               avx512vnni key, since a baseline key missing
 //                               from a run fails the gate and a runner need
 //                               not have AVX512-VNNI
@@ -34,6 +36,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -112,6 +115,22 @@ std::vector<kernels::KernelIsa> available_isas() {
   return isas;
 }
 
+// One panel per available variant, each in that variant's form, indexed by
+// KernelIsa.
+struct PanelPerIsa {
+  kernels::PackedOpWeights by_isa[4];
+
+  PanelPerIsa(std::span<const int8_t> w, int32_t out_ch, int64_t k,
+              int32_t rows) {
+    for (const kernels::KernelIsa isa : available_isas())
+      by_isa[static_cast<int>(isa)] =
+          kernels::pack_conv_panel(w, out_ch, k, rows, isa);
+  }
+  const kernels::PackedOpWeights& operator[](kernels::KernelIsa isa) const {
+    return by_isa[static_cast<int>(isa)];
+  }
+};
+
 // Runs run(isa) once per available variant, counting the bytes that differ
 // from `expected` in `out` into *mismatches, then times it and reports
 // <shape>_fast_<isa>_us_p50.
@@ -187,6 +206,8 @@ int main(int argc, char** argv) {
 
     const kernels::PackedOpWeights packed = kernels::pack_conv_panel(
         w.span(), g.out_ch, int64_t{g.kh} * g.kw * g.in_ch, g.kh);
+    const PanelPerIsa panels(w.span(), g.out_ch,
+                             int64_t{g.kh} * g.kw * g.in_ch, g.kh);
     std::vector<int8_t> fast_scratch(
         static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
     const kernels::RequantTable consts = kernels::prepare_requant(rq, g.out_ch);
@@ -215,7 +236,7 @@ int main(int argc, char** argv) {
     report.metric(std::string(c.name) + "_backend_speedup", speedup);
     time_every_isa(report, c.name, y_ref, y_fast, reps, iters, &mismatches,
                    [&](kernels::KernelIsa isa) {
-                     kernels::conv2d_s8_fast(x.span(), packed, bias,
+                     kernels::conv2d_s8_fast(x.span(), panels[isa], bias,
                                              y_fast.span(), fast_scratch, g,
                                              consts, isa);
                    });
@@ -287,6 +308,7 @@ int main(int argc, char** argv) {
     const kernels::RequantParams rq = default_rq();
     const kernels::PackedOpWeights packed =
         kernels::pack_conv_panel(w.span(), out_f, in_f);
+    const PanelPerIsa panels(w.span(), out_f, in_f, 1);
     std::vector<int8_t> fast_scratch(
         static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(
             kernels::fully_connected_geometry(in_f, out_f))));
@@ -315,8 +337,8 @@ int main(int argc, char** argv) {
     report.metric("fc_1024x128_backend_speedup", speedup);
     time_every_isa(report, "fc_1024x128", y_ref, y_fast, reps, iters * 4,
                    &mismatches, [&](kernels::KernelIsa isa) {
-                     kernels::fully_connected_s8_fast(x.span(), packed, {},
-                                                      y_fast.span(),
+                     kernels::fully_connected_s8_fast(x.span(), panels[isa],
+                                                      {}, y_fast.span(),
                                                       fast_scratch, in_f,
                                                       out_f, consts, isa);
                    });
@@ -367,6 +389,11 @@ int main(int argc, char** argv) {
     report.metric(std::string(c.name) + "_reference_us_p50", ref_us);
     report.metric(std::string(c.name) + "_fast_us_p50", fast_us);
     report.metric(std::string(c.name) + "_backend_speedup", speedup);
+    time_every_isa(report, c.name, y_ref, y_fast, reps, iters, &mismatches,
+                   [&](kernels::KernelIsa isa) {
+                     kernels::add_s8_fast(a.span(), b.span(), y_fast.span(),
+                                          consts, isa);
+                   });
   }
 
   report.metric("ab_mismatch_count", static_cast<double>(mismatches));

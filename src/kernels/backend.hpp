@@ -9,25 +9,30 @@
 //   kFast (the default) — the production int8 path. Conv2d and
 //     fully-connected share one register-tiled micro-kernel: weights packed
 //     once at model-load time into 8-channel panels, a tile of 4 output
-//     pixels gathered as int16 columns of (x - input_zp), pmaddwd into
-//     int32 accumulators of 8 channels each (exact integer arithmetic —
-//     never a source of divergence), and the requant→activation-clamp of 8
+//     pixels gathered as im2col columns, multiply-accumulated into int32
+//     accumulators of 8 channels each (exact integer arithmetic — never a
+//     source of divergence), and the requant→activation-clamp of 8
 //     channels at a time in SIMD, exact like the reference kernels' scalar
-//     primitive. A fully-connected layer is a 1x1 conv on one pixel.
-//     Depthwise pairs taps the same way on the raw weights: 16, 8 or 4
-//     channels per pass, two taps per pmaddwd, and no panel. The conv/FC
-//     tile and the depthwise pass are each written once (fast_tile.hpp)
-//     over an instruction-set trait and compiled three times: for SSE2
+//     primitive. A fully-connected layer is a 1x1 conv on one pixel. The
+//     columns and panels come in one form per instruction set: int16 pairs
+//     of x - input_zp against widened weights, two taps per pmaddwd (SSE2,
+//     AVX2), or u8 quads of x + 128 against the int8 weights, four taps per
+//     vpdpbusd, with (128 + input_zp) * sum(w) taken off the bias
+//     (AVX512-VNNI). Depthwise pairs taps vertically on the raw weights:
+//     16, 8 or 4 channels per pass, two taps per pmaddwd (vpdpwssd on
+//     AVX512-VNNI), and no panel. The conv/FC tile, the depthwise pass and
+//     the add pass are each written once (fast_tile.hpp) over an
+//     instruction-set trait and compiled three times: for SSE2
 //     (kernels_sse2.cpp, two xmm per accumulator, 4 pixels x 1 group per
 //     tile), for AVX2 (kernels_avx2.cpp, one ymm per accumulator,
 //     4 pixels x 2 groups, per-lane vpsrlvq requantization) and for
-//     AVX512-VNNI (kernels_avx512vnni.cpp, the AVX2 trait with a fused
-//     vpdpwssd multiply-accumulate and 4 pixels x 4 groups). The widest
+//     AVX512-VNNI (kernels_avx512vnni.cpp, the AVX2 trait with the quad
+//     form, fused multiply-accumulates and 4 pixels x 4 groups). The widest
 //     variant the build carries and the CPU runs is picked once per process
 //     from CPUID (active_kernel_isa()); no setting selects it, since every
 //     variant writes the same bytes. Non-x86 builds, and zero points outside
 //     int8 range, take scalar loops over the same data. Add rescales, sums
-//     and requantizes 16 elements per SSE2 pass on every x86 host. Every
+//     and requantizes 16 elements per pass on the same variant. Every
 //     SIMD requantization is the one-multiply form, read from a table
 //     prepared once per model next to the panels; no kernel builds
 //     constants during a call.
@@ -85,7 +90,7 @@ enum class KernelIsa : uint8_t {
   kScalar = 0,  // portable loops over the same panels
   kSse2,
   kAvx2,
-  kAvx512Vnni,  // AVX2 plus AVX512VL and AVX512-VNNI (vpdpwssd)
+  kAvx512Vnni,  // AVX2 plus AVX512VL and AVX512-VNNI (vpdpbusd, vpdpwssd)
 };
 
 // Stable lowercase names ("scalar", "sse2", "avx2", "avx512vnni") used by
@@ -106,40 +111,59 @@ KernelIsa active_kernel_isa();
 // one (SSE2), two (AVX2) or four (AVX512-VNNI) groups wide.
 inline constexpr int32_t kPanelLanes = 8;
 
+// The taps one panel step holds for a variant's conv/FC tile: 4 on
+// AVX512-VNNI (u8 x s8 quads for vpdpbusd), 2 on every other variant
+// (int16 pairs for pmaddwd; SSE2 and AVX2 have no non-saturating u8 x s8
+// multiply-add, pmaddubsw saturates).
+int32_t panel_taps(KernelIsa isa);
+
 // Weights a fast-served op reads from host memory instead of the model
 // blob, prepared once at load.
 //
 // Conv and fully-connected weights (out_ch rows of k values: conv
 // [out_ch][kh][kw][in_ch], k = kh*kw*in_ch; FC [out][in], k = in) are laid
 // out for the micro-kernel as
-//   [ceil(out_ch / 8) groups][pairs][8 channels][2 taps]
-// so one 16-byte load holds a tap pair for 8 output channels. A conv
-// panel is packed in `rows` = kh kernel rows of kw*in_ch taps (an FC panel
-// in one row), and each row starts a pair: a row of odd length, like a
-// 1-channel stem's 3-tap row, ends in a pair with a zero weight, so that
-// the kernel gathers whole kernel rows. pairs = rows * ceil(k / rows / 2).
-// Missing channels and padded taps are zero weights, whose products
-// vanish. Int4 depthwise keeps its unpacked [kh, kw, ch] weights as they
-// are in `values`, with out_ch = k = 0.
+//   [ceil(out_ch / 8) groups][steps][8 channels][taps]
+// with taps = panel_taps(isa) of the variant packed for: one 16-byte load
+// holds a tap pair for 8 output channels (taps = 2), one 32-byte load a tap
+// quad (taps = 4). A conv panel is packed in `rows` = kh kernel rows of
+// kw*in_ch taps (an FC panel in one row), and each row starts a step: a row
+// whose length is not a multiple of `taps`, like a 1-channel stem's 3-tap
+// row, ends in a step with zero weights, so that the kernel gathers whole
+// kernel rows. steps = rows * ceil(k / rows / taps). Missing channels and
+// padded taps are zero weights, whose products vanish. The quad form also
+// holds each channel's weight sum in `sums` (ceil(out_ch / 8) * 8 lanes,
+// zero past out_ch): its kernel multiplies x + 128 as u8 and takes
+// (128 + input_zp) * sum(w) back off the bias. Int4 depthwise keeps its
+// unpacked [kh, kw, ch] weights as they are in `values`, with
+// out_ch = k = 0.
 struct PackedOpWeights {
   std::vector<int8_t> values;
+  std::vector<int32_t> sums;
   int32_t out_ch = 0;
   int64_t k = 0;
   int32_t rows = 1;
+  int32_t taps = 2;
 
-  int64_t bytes() const { return static_cast<int64_t>(values.size()); }
+  // Every byte the op holds: the panel (or unpacked weights) and the sums.
+  int64_t bytes() const {
+    return static_cast<int64_t>(values.size() + sums.size() * sizeof(int32_t));
+  }
 };
 
-// Tap pairs per group, and bytes, of the panel for out_ch rows of k
-// weights packed in `rows` (>= 1, else std::invalid_argument) kernel rows.
-int64_t conv_panel_pairs(int64_t k, int32_t rows);
-int64_t conv_panel_bytes(int32_t out_ch, int64_t k, int32_t rows = 1);
+// Steps per group of the panel for k weights packed in `rows` (>= 1, else
+// std::invalid_argument) kernel rows of `taps` (2 or 4) taps per step, and
+// PackedOpWeights::bytes() of that panel for out_ch channels.
+int64_t conv_panel_steps(int64_t k, int32_t rows, int32_t taps);
+int64_t conv_panel_bytes(int32_t out_ch, int64_t k, int32_t rows,
+                         int32_t taps);
 
-// Packs out_ch x k row-major int8 weights into the panel layout above; a
-// conv passes rows = kh. Throws std::invalid_argument when rows does not
-// divide k.
+// Packs out_ch x k row-major int8 weights into the panel layout above, in
+// the form `isa`'s kernels read (panel_taps(isa)); a conv passes rows = kh.
+// Throws std::invalid_argument when rows does not divide k.
 PackedOpWeights pack_conv_panel(std::span<const int8_t> weights,
-                                int32_t out_ch, int64_t k, int32_t rows = 1);
+                                int32_t out_ch, int64_t k, int32_t rows = 1,
+                                KernelIsa isa = active_kernel_isa());
 
 // --- prepared requantization (fast backend, built once per model) ----------
 
@@ -202,24 +226,26 @@ AddRequantTable prepare_add_requant(const AddParams& p);
 
 // --- fast-backend kernels ---------------------------------------------------
 
-// Scratch for conv2d_s8_fast on `g`: 16 bytes of alignment slack, one tile
-// of int16 im2col columns and one window patch per tile pixel (a border
-// pixel's window with its padding filled in).
+// Scratch for conv2d_s8_fast on `g`, in either panel form: 16 bytes of
+// alignment slack, one tile of im2col columns and one window patch per tile
+// pixel (a border pixel's window with its padding filled in).
 int64_t conv2d_fast_scratch_bytes(const ConvGeometry& g);
 
 // Conv2d, bit-identical to conv2d_s8 with rq.rq. `packed` must come from
-// pack_conv_panel(weights, out_ch, kh*kw*in_ch, kh), `rq` from
+// pack_conv_panel(weights, out_ch, kh*kw*in_ch, kh, isa), `rq` from
 // prepare_requant(params, out_ch) and `scratch` hold at least
-// conv2d_fast_scratch_bytes(g). The micro-kernel computes a tile of 4
-// output pixels x 8 (SSE2), 16 (AVX2) or 32 (AVX512-VNNI) output channels
-// in int32 registers
-// over int16 columns of (x - input_zp), then requantizes 8 channels of each
-// pixel at once and stores them with one 8-byte write.
+// conv2d_fast_scratch_bytes(g); a panel of another form or row layout
+// throws std::invalid_argument before a byte is read. The micro-kernel
+// computes a tile of 4 output pixels x 8 (SSE2), 16 (AVX2) or 32
+// (AVX512-VNNI) output channels in int32 registers over int16 columns of
+// (x - input_zp), or on AVX512-VNNI u8 columns of (x + 128), then
+// requantizes 8 channels of each pixel at once and stores them with one
+// 8-byte write.
 //
-// Every fast conv, depthwise and FC kernel runs on `isa`, which defaults to
-// active_kernel_isa(); tests and benches name another available variant to
-// hold it to the oracle or time it. An unavailable one throws
-// std::invalid_argument.
+// Every fast conv, depthwise, FC and add kernel runs on `isa`, which
+// defaults to active_kernel_isa(); tests and benches name another
+// available variant to hold it to the oracle or time it. An unavailable
+// one throws std::invalid_argument.
 void conv2d_s8_fast(std::span<const int8_t> input, const PackedOpWeights& packed,
                     std::span<const int32_t> bias, std::span<int8_t> output,
                     std::span<int8_t> scratch, const ConvGeometry& g,
@@ -246,7 +272,7 @@ ConvGeometry fully_connected_geometry(int32_t in_features,
 
 // Fully connected, bit-identical to fully_connected_s8 with rq.rq:
 // conv2d_s8_fast on fully_connected_geometry. `packed` must come from
-// pack_conv_panel(weights, out_features, in_features), `rq` from
+// pack_conv_panel(weights, out_features, in_features, 1, isa), `rq` from
 // prepare_requant(params, out_features) and `scratch` hold
 // conv2d_fast_scratch_bytes(fully_connected_geometry(...)).
 void fully_connected_s8_fast(std::span<const int8_t> input,
@@ -258,10 +284,12 @@ void fully_connected_s8_fast(std::span<const int8_t> input,
                              KernelIsa isa = active_kernel_isa());
 
 // Elementwise add, bit-identical to add_s8 with rq.p; `rq` must come from
-// prepare_add_requant. 16 elements per SSE2 pass on every x86 host,
-// whichever variant active_kernel_isa() names; the tail, a call outside
-// the SIMD domain and non-x86 hosts run add_s8 itself.
+// prepare_add_requant. 16 elements per pass on `isa`, which defaults to
+// active_kernel_isa() like the conv kernels' (an unavailable one throws);
+// the tail, a call outside the SIMD domain and the scalar variant run
+// add_s8 itself.
 void add_s8_fast(std::span<const int8_t> a, std::span<const int8_t> b,
-                 std::span<int8_t> output, const AddRequantTable& rq);
+                 std::span<int8_t> output, const AddRequantTable& rq,
+                 KernelIsa isa = active_kernel_isa());
 
 }  // namespace mn::kernels

@@ -25,6 +25,7 @@ inline __m256i load256(const void* p) {
 struct Avx2 {
   static constexpr int kGroups = 2;
   static constexpr int kDwPixels = 4;
+  static constexpr int kTaps = 2;
 
   using Acc = __m256i;
   static Acc load_acc(const int32_t* p) { return load256(p); }
@@ -33,6 +34,15 @@ struct Avx2 {
   }
   static Acc zero_acc() { return _mm256_setzero_si256(); }
   static Acc add_acc(Acc a, Acc b) { return _mm256_add_epi32(a, b); }
+  static Acc sub_acc(Acc a, Acc b) { return _mm256_sub_epi32(a, b); }
+  static Acc splat(int32_t v) { return _mm256_set1_epi32(v); }
+  static Acc widen_acc(const int8_t* p) {
+    return _mm256_cvtepi8_epi32(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
+  }
+  static Acc shl_acc(Acc a, int n) {
+    return _mm256_sll_epi32(a, _mm_cvtsi32_si128(n));
+  }
 
   using Panel = __m256i;
   static Panel widen_panel(__m128i v) { return _mm256_cvtepi8_epi16(v); }
@@ -42,16 +52,16 @@ struct Avx2 {
 
   // Pixel p's tap pair is broadcast straight from the columns
   // (vpbroadcastd from memory), so a tile needs no column register.
-  using Cols = const int16_t*;
+  using Cols = const int8_t*;
   template <int kPx>
-  static Cols load_cols(const int16_t* x) {
+  static Cols load_cols(const int8_t* x) {
     return x;
   }
   static constexpr bool kFusedMadd = false;
   template <int kP>
   static Acc madd_pixel(Acc acc, Panel w, Cols x) {
     int32_t pair;
-    std::memcpy(&pair, x + 2 * kP, 4);
+    std::memcpy(&pair, x + 4 * kP, 4);
     return _mm256_add_epi32(acc, _mm256_madd_epi16(w, _mm256_set1_epi32(pair)));
   }
 
@@ -70,10 +80,10 @@ struct Avx2 {
   struct Rq {
     __m256i out_zp, act_min, act_max;  // the clamp in every int16 lane
   };
-  static Rq rq_consts(const RequantParams& rq) {
-    return {_mm256_set1_epi32(rq.output_zp),
-            _mm256_set1_epi16(static_cast<int16_t>(rq.act_min)),
-            _mm256_set1_epi16(static_cast<int16_t>(rq.act_max))};
+  static Rq rq_consts(int32_t out_zp, int32_t act_min, int32_t act_max) {
+    return {_mm256_set1_epi32(out_zp),
+            _mm256_set1_epi16(static_cast<int16_t>(act_min)),
+            _mm256_set1_epi16(static_cast<int16_t>(act_max))};
   }
 
   // The one-multiply form of DESIGN.md §14 on all 8 lanes:
@@ -81,9 +91,10 @@ struct Avx2 {
   // the even lanes and the odd lanes each one vpmuludq plus their rounding
   // constants and sign, shifted by their own counts (vpsrlvq). Each result
   // is below 2^31, so the odd lanes shift back into place without masking.
-  // Then the output zero point. One form serves every group.
+  // One form serves every group.
   static constexpr bool kSharedCountForm = false;
-  static __m256i requant_i32(Acc x, const RequantGroup& g, const Rq& c) {
+  template <bool kShared>
+  static Acc rescale(Acc x, const RequantGroup& g) {
     const __m256i s = _mm256_srai_epi32(x, 31);  // 0 / -1
     const __m256i ax = _mm256_abs_epi32(x);      // |x|, as unsigned
     __m256i even = _mm256_add_epi64(
@@ -97,8 +108,11 @@ struct Avx2 {
     even = _mm256_srlv_epi64(even, load256(g.count));
     odd = _mm256_srlv_epi64(odd, load256(g.count + kPanelLanes / 2));
     const __m256i r = _mm256_or_si256(even, _mm256_slli_epi64(odd, 32));
-    return _mm256_add_epi32(_mm256_sub_epi32(_mm256_xor_si256(r, s), s),
-                            c.out_zp);
+    return _mm256_sub_epi32(_mm256_xor_si256(r, s), s);
+  }
+  // Then the output zero point.
+  static __m256i requant_i32(Acc x, const RequantGroup& g, const Rq& c) {
+    return _mm256_add_epi32(rescale<false>(x, g), c.out_zp);
   }
 
   // requant_i32, a saturating pack to int16 and the clamp, which lies

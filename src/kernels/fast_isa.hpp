@@ -21,10 +21,11 @@ inline constexpr int kTilePixels = 4;
 // pointers into buffers kernels_fast.cpp has validated.
 struct ConvCall {
   const int8_t* input = nullptr;
-  const int8_t* panel = nullptr;
+  const int8_t* panel = nullptr;   // in the variant's form (panel_taps)
+  const int32_t* sums = nullptr;   // the quad form's sum(w) per channel
   const int32_t* bias = nullptr;  // nullptr: no bias
   int8_t* output = nullptr;
-  int16_t* cols = nullptr;    // 16-byte aligned, one tile of int16 columns
+  int8_t* cols = nullptr;     // 16-byte aligned, one tile of im2col columns
   int8_t* patches = nullptr;  // one window patch per tile pixel (border)
   const RequantGroup* groups = nullptr;
   const RequantParams* rq = nullptr;  // input_zp inside int8
@@ -47,11 +48,24 @@ struct DepthwiseCall {
   int32_t channels = 0;
 };
 
-// One instruction set's instantiation of the conv tile and the depthwise
-// pass.
+// One checked add of n elements whose AddRequantTable is in the SIMD
+// domain: `groups` holds its three groups (input a, input b, the sum).
+struct AddCall {
+  const int8_t* a = nullptr;
+  const int8_t* b = nullptr;
+  int8_t* output = nullptr;
+  size_t n = 0;
+  const AddParams* p = nullptr;
+  const RequantGroup* groups = nullptr;
+};
+
+// One instruction set's instantiation of the conv tile, the depthwise pass
+// and the add pass; `add` returns how many leading elements it wrote (a
+// whole number of its passes), the caller runs the rest.
 struct IsaKernels {
   void (*conv)(const ConvCall&);
   void (*depthwise)(const DepthwiseCall&);
+  size_t (*add)(const AddCall&);
 };
 
 // The compiled variants; nullptr when the build does not carry one (a
@@ -59,13 +73,6 @@ struct IsaKernels {
 const IsaKernels* sse2_kernels();
 const IsaKernels* avx2_kernels();
 const IsaKernels* avx512vnni_kernels();
-
-// add_s8_fast's SIMD body (SSE2 on every x86 host): the first n - n % 16
-// elements of a + b into out, with `groups` the three SIMD-domain groups of
-// an AddRequantTable of `p`. Returns the elements written. Absent (returns
-// 0) where sse2_kernels() is nullptr.
-size_t add_s8_sse2(const int8_t* a, const int8_t* b, int8_t* out, size_t n,
-                   const AddParams& p, const RequantGroup* groups);
 
 // Requantizes `lanes` int32 accumulators of channels [oc0, oc0 + lanes)
 // with the scalar primitive and clamps them into out: the path of a group

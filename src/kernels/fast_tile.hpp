@@ -1,8 +1,8 @@
-// The fast conv/FC tile and depthwise pass, each written once over an
-// instruction-set trait (DESIGN.md §14). Included only by the ISA
+// The fast conv/FC tile, depthwise pass and add pass, each written once over
+// an instruction-set trait (DESIGN.md §14). Included only by the ISA
 // translation units (kernels_sse2.cpp, kernels_avx2.cpp,
 // kernels_avx512vnni.cpp); each defines or includes its trait and
-// instantiates conv_tiles<Isa> and depthwise_passes<Isa>.
+// instantiates conv_tiles<Isa>, depthwise_passes<Isa> and add_pass<Isa>.
 //
 // Everything here has internal linkage and calls nothing inline from
 // outside this file and the intrinsic headers — no std:: templates, no
@@ -14,22 +14,39 @@
 // A trait provides one 8-channel int32 accumulator and its operations:
 //   kGroups               8-channel groups per conv tile
 //   kDwPixels             output pixels per depthwise x-tile
+//   kTaps                 taps per conv panel step, panel_taps() of the
+//                         variant: 2 (int16 pairs of x - input_zp against
+//                         widened weights, pmaddwd) or 4 (u8 quads of
+//                         x + 128 against int8 weights, vpdpbusd, with
+//                         (128 + input_zp) * sum(w) folded into the bias)
 //   Acc                   8 int32 lanes
 //   load_acc(p)           8 lanes from memory (the bias)
 //   store_acc(p, acc)     8 lanes to memory (the scalar requant path)
-//   zero_acc(), add_acc(a, b)
-//                         8 zero lanes; a + b lane by lane
+//   zero_acc(), add_acc(a, b), sub_acc(a, b), splat(v)
+//                         8 zero lanes; a + b and a - b lane by lane; v in
+//                         every lane
+//   widen_acc(p)          8 int8 at p as 8 int32 lanes
+//   shl_acc(a, n)         every lane shifted left by n
+//   fold_bias(b, sums, k) b - k * sums lane by lane (kTaps 4 only)
+//   Panel load_panel(w)   one panel step of 8 channels from the panel: 16
+//                         bytes widened to int16 (kTaps 2) or 32 bytes as
+//                         they are (kTaps 4)
 //   Panel widen_panel(v)  16 int8 lanes (8 channels x 2 taps) as int16
-//   Panel load_panel(w)   the same, from 16 panel bytes
-//   Cols load_cols<kPx>(x)  one int16 tap pair of each of a tile's pixels
+//   Cols load_cols<kPx>(x)  one 4-byte column step of each of a tile's
+//                         pixels
 //   madd_pixel<p>(acc, panel, cols)
-//                         acc + pmaddwd(panel, pixel p's pair broadcast)
+//                         acc + the step's products of pixel p's taps
+//                         (broadcast) and the panel, summed per channel
 //   kFusedMadd            whether that multiply-add is one instruction
-//                         (vpdpwssd), whose latency then lies on the chain
+//                         (vpdpwssd, vpdpbusd), whose latency then lies on
+//                         the chain
 //   widen8(v)             the low 8 int8 lanes of v as int16
 //   widen_pairs(dst, v)   16 int8 (8 channels x 2 taps) stored as int16
 //   madd_taps(acc, x, w)  acc + pmaddwd(x, 16 int16 at w)
-//   Rq rq_consts(rq)      the output zero point and clamp as vectors
+//   Rq rq_consts(zp, lo, hi)  the output zero point and clamp as vectors
+//   rescale<kShared>(acc, g)
+//                         multiply_by_quantized_multiplier of each lane
+//                         with group g's multipliers, as an Acc
 //   requant8<kShared>(acc, g, rq)
 //                         the 8 lanes requantized with group g, offset and
 //                         clamped, as 8 int16 lanes of an xmm; kShared
@@ -221,20 +238,20 @@ inline void inside_range(int64_t last, int32_t pad, int32_t stride, int32_t n,
 }
 
 // How a conv layer's windows are read, worked out once per call. A kernel
-// row is kw * in_ch contiguous input bytes and fills row_pairs tap pairs of
-// the panel (a row of odd length ends in a pair with a zero weight; see
-// pack_conv_panel). A row is gathered with 8-byte loads and a last 4-byte
-// one, so it reads row_read bytes, up to 3 past its end: those land in the
-// zero-weight tap or in pairs the next row (or nothing) reads, so any
-// value will do, as long as it lies inside the input. An interior pixel
-// reads its rows in place: its window lies inside the input (output row in
-// [oy_lo, oy_hi), column in [ox_lo, ox_hi)), and so do the bytes its last
-// row's load reads past the window. Those are input bytes of the rows below
-// for an output row under oy_free; further down, the pixel's column must
-// also lie under ox_hi_row, where they stay inside the window's own input
-// row. Every other pixel reads its rows from a patch.
+// row is kw * in_ch contiguous input bytes and fills row_steps steps of
+// kTaps taps of the panel (a row that does not fill its last step ends in
+// zero weights; see pack_conv_panel). A row is gathered with 8-byte loads
+// and a last 4-byte one, so it reads row_read bytes, up to 3 past its end:
+// those land in zero-weight taps or in steps the next row (or nothing)
+// reads, so any value will do, as long as it lies inside the input. An
+// interior pixel reads its rows in place: its window lies inside the input
+// (output row in [oy_lo, oy_hi), column in [ox_lo, ox_hi)), and so do the
+// bytes its last row's load reads past the window. Those are input bytes of
+// the rows below for an output row under oy_free; further down, the pixel's
+// column must also lie under ox_hi_row, where they stay inside the window's
+// own input row. Every other pixel reads its rows from a patch.
 struct ConvRows {
-  int64_t row_len, row_read, row_pairs;
+  int64_t row_len, row_read, row_steps;
   int32_t oy_lo, oy_hi, ox_lo, ox_hi, oy_free, ox_hi_row;
 
   bool interior(int32_t oy, int32_t ox) const {
@@ -243,11 +260,11 @@ struct ConvRows {
   }
 };
 
-inline ConvRows conv_rows(const ConvGeometry& g) {
+inline ConvRows conv_rows(const ConvGeometry& g, int taps) {
   ConvRows r{};
   r.row_len = int64_t{g.kw} * g.in_ch;
   r.row_read = (r.row_len + 3) / 4 * 4;
-  r.row_pairs = (r.row_len + 1) / 2;
+  r.row_steps = (r.row_len + taps - 1) / taps;
   const int64_t in_row = int64_t{g.in_w} * g.in_ch;
   if (in_row == 0) return r;  // no input: every pixel reads a patch
   int32_t unused = 0;
@@ -266,8 +283,8 @@ inline ConvRows conv_rows(const ConvGeometry& g) {
 
 // Copies a border pixel's window, whose top-left tap is input pixel
 // (iy0, ix0), into `patch`: kernel row ky at ky * row_read, input_zp at every
-// padding tap (x - zp = 0, what the reference's skipped tap adds) and in the
-// bytes past each row.
+// padding tap (what cancels to 0, like the reference's skipped tap, in
+// either column form) and in the bytes past each row.
 inline void fill_patch(const ConvCall& c, const ConvRows& r, int32_t iy0,
                        int32_t ix0, int8_t* patch) {
   const ConvGeometry& g = c.g;
@@ -290,58 +307,76 @@ inline void fill_patch(const ConvCall& c, const ConvRows& r, int32_t iy0,
   }
 }
 
-// Gathers the im2col columns of a tile's kPx pixels into `cols` as int16
-// x - zp, laid out [tap pair][kPx][2], one kernel row at a time: pixel px's
-// row ky starts at src[px] + ky * step[px]. Each 8 bytes of a row (4 at its
-// end) are 4 (2) tap pairs, loaded for the kPx pixels, widened and
-// transposed into place at once. No load checks a bound: the caller has
-// pointed every border pixel at its patch.
+// Gathers the im2col columns of a tile's kPx pixels into `cols`, laid out
+// [step][kPx][4 bytes] to match the panel's [step][channel][taps], one
+// kernel row at a time: pixel px's row ky starts at src[px] + ky * step[px].
+// A step holds kTaps taps in 4 bytes: an int16 pair of x - zp (kTaps 2;
+// `adj` holds zp in every int16 lane) or a u8 quad of x ^ 0x80 = x + 128
+// (kTaps 4; `adj` holds 0x80 in every byte). A padding tap's input_zp turns
+// into 0 or into zp + 128, which the folded bias cancels. Each 8 bytes of a
+// row (4 at its end) are 4 (2) pairs or 2 (1) quads, loaded for the kPx
+// pixels, converted and transposed into place at once. No load checks a
+// bound: the caller has pointed every border pixel at its patch.
 template <class Isa, int kPx>
 inline void gather_tile(const int8_t* const (&src)[kPx],
                         const int64_t (&step)[kPx], const ConvRows& r,
-                        int32_t kh, __m128i zp16, int16_t* cols) {
+                        int32_t kh, __m128i adj, int8_t* cols) {
+  constexpr bool kQuads = Isa::kTaps == 4;
+  // Column bytes per pixel that 8 input bytes fill.
+  constexpr int kOut = kQuads ? 8 : 16;
   for (int32_t ky = 0; ky < kh; ++ky) {
-    __m128i* dst =
-        reinterpret_cast<__m128i*>(cols + ky * r.row_pairs * 2 * kPx);
+    int8_t* dst = cols + ky * r.row_steps * 4 * kPx;
     const int8_t* row[kPx];
     for (int px = 0; px < kPx; ++px) row[px] = src[px] + ky * step[px];
-    for (int64_t b = 0; b < r.row_len; b += 8, dst += kPx) {
+    for (int64_t b = 0; b < r.row_len; b += 8, dst += kOut * kPx) {
       const bool half = r.row_len - b <= 4;
       __m128i v[kPx];
       for (int px = 0; px < kPx; ++px) {
         const __m128i raw =
             half ? load_s8<4>(row[px] + b) : load_s8<8>(row[px] + b);
-        v[px] = _mm_sub_epi16(Isa::widen8(raw), zp16);
-      }
-      if constexpr (kPx == 1) {
-        if (half)
-          _mm_storel_epi64(dst, v[0]);
+        if constexpr (kQuads)
+          v[px] = _mm_xor_si128(raw, adj);
         else
-          _mm_storeu_si128(dst, v[0]);
+          v[px] = _mm_sub_epi16(Isa::widen8(raw), adj);
+      }
+      __m128i* d = reinterpret_cast<__m128i*>(dst);
+      if constexpr (kPx == 1) {
+        if constexpr (kQuads) {
+          if (half)
+            std::memcpy(dst, &v[0], 4);
+          else
+            _mm_storel_epi64(d, v[0]);
+        } else {
+          if (half)
+            _mm_storel_epi64(d, v[0]);
+          else
+            _mm_storeu_si128(d, v[0]);
+        }
       } else {
         static_assert(kPx == 4);
-        // 4x4 transpose of int32 tap pairs: row j of the result is tap
-        // pair j of pixels 0..3.
+        // 4x4 transpose of 4-byte steps: row j of the result is step j of
+        // pixels 0..3. 8 bytes fill 2 quad steps or 4 pair steps.
         const __m128i ab_lo = _mm_unpacklo_epi32(v[0], v[1]);
         const __m128i cd_lo = _mm_unpacklo_epi32(v[2], v[3]);
-        _mm_storeu_si128(dst, _mm_unpacklo_epi64(ab_lo, cd_lo));
-        _mm_storeu_si128(dst + 1, _mm_unpackhi_epi64(ab_lo, cd_lo));
-        if (!half) {
+        _mm_storeu_si128(d, _mm_unpacklo_epi64(ab_lo, cd_lo));
+        if (kQuads && half) continue;
+        _mm_storeu_si128(d + 1, _mm_unpackhi_epi64(ab_lo, cd_lo));
+        if (!kQuads && !half) {
           const __m128i ab_hi = _mm_unpackhi_epi32(v[0], v[1]);
           const __m128i cd_hi = _mm_unpackhi_epi32(v[2], v[3]);
-          _mm_storeu_si128(dst + 2, _mm_unpacklo_epi64(ab_hi, cd_hi));
-          _mm_storeu_si128(dst + 3, _mm_unpackhi_epi64(ab_hi, cd_hi));
+          _mm_storeu_si128(d + 2, _mm_unpacklo_epi64(ab_hi, cd_hi));
+          _mm_storeu_si128(d + 3, _mm_unpackhi_epi64(ab_hi, cd_hi));
         }
       }
     }
   }
 }
 
-// One tap pair of a tile: per group one panel load, per pixel one
-// broadcast, shared by the groups.
+// One step of a tile: per group one panel load, per pixel one broadcast,
+// shared by the groups.
 template <class Isa, int kPx, int kG>
-inline void mac_pair(typename Isa::Acc (&acc)[kPx][kG], const int8_t* w,
-                     int64_t group_bytes, const int16_t* x) {
+inline void mac_step(typename Isa::Acc (&acc)[kPx][kG], const int8_t* w,
+                     int64_t group_bytes, const int8_t* x) {
   typename Isa::Panel wv[kG];
   unroll<kG>([&](auto g) { wv[g.v] = Isa::load_panel(w + g.v * group_bytes); });
   const typename Isa::Cols xc = Isa::template load_cols<kPx>(x);
@@ -353,30 +388,30 @@ inline void mac_pair(typename Isa::Acc (&acc)[kPx][kG], const int8_t* w,
 }
 
 // Accumulates kG groups of 8 channels (group g's panel `group_bytes` past
-// group 0's) over every tap pair of a tile's kPx pixels. Where the
+// group 0's) over every step of a tile's kPx pixels. Where the
 // multiply-add is one fused instruction (Isa::kFusedMadd), its latency lies
 // on each accumulator's chain, so a tile of at most 4 accumulators (one
-// pixel, or one group) runs the even and the odd tap pairs into two sets,
+// pixel, or one group) runs the even and the odd steps into two sets,
 // summed at the end: int32 addition is order-free, so that is exact.
 template <class Isa, int kPx, int kG>
-inline void tile_mac(const int8_t* w, int64_t group_bytes, const int16_t* x,
-                     int64_t pairs, typename Isa::Acc (&acc_out)[kPx][kG]) {
+inline void tile_mac(const int8_t* w, int64_t group_bytes, const int8_t* x,
+                     int64_t steps, typename Isa::Acc (&acc_out)[kPx][kG]) {
   // A local copy, written back once: accumulating into the caller's array
   // directly measurably costs a spill and register copies in the AVX2 loop.
   typename Isa::Acc acc[kPx][kG];
   unroll<kPx>([&](auto p) {
     unroll<kG>([&](auto g) { acc[p.v][g.v] = acc_out[p.v][g.v]; });
   });
-  constexpr int64_t kStepW = 2 * kPanelLanes, kStepX = 2 * kPx;
+  constexpr int64_t kStepW = Isa::kTaps * kPanelLanes, kStepX = 4 * kPx;
   int64_t j = 0;
   if constexpr (Isa::kFusedMadd && kPx * kG <= 4) {
     typename Isa::Acc odd[kPx][kG];
     unroll<kPx>([&](auto p) {
       unroll<kG>([&](auto g) { odd[p.v][g.v] = Isa::zero_acc(); });
     });
-    for (; j + 1 < pairs; j += 2, w += 2 * kStepW, x += 2 * kStepX) {
-      mac_pair<Isa, kPx, kG>(acc, w, group_bytes, x);
-      mac_pair<Isa, kPx, kG>(odd, w + kStepW, group_bytes, x + kStepX);
+    for (; j + 1 < steps; j += 2, w += 2 * kStepW, x += 2 * kStepX) {
+      mac_step<Isa, kPx, kG>(acc, w, group_bytes, x);
+      mac_step<Isa, kPx, kG>(odd, w + kStepW, group_bytes, x + kStepX);
     }
     unroll<kPx>([&](auto p) {
       unroll<kG>([&](auto g) {
@@ -384,30 +419,52 @@ inline void tile_mac(const int8_t* w, int64_t group_bytes, const int16_t* x,
       });
     });
   }
-  for (; j < pairs; ++j, w += kStepW, x += kStepX)
-    mac_pair<Isa, kPx, kG>(acc, w, group_bytes, x);
+  for (; j < steps; ++j, w += kStepW, x += kStepX)
+    mac_step<Isa, kPx, kG>(acc, w, group_bytes, x);
   unroll<kPx>([&](auto p) {
     unroll<kG>([&](auto g) { acc_out[p.v][g.v] = acc[p.v][g.v]; });
   });
 }
 
+// What a conv call's accumulators start at, per 8-channel group: the bias,
+// and for the quad form less (128 + input_zp) * sum(w), computed with
+// wrapping int32 lanes like the kernel's sums. Then sum(w * (x + 128)) -
+// (128 + zp) * sum(w) = sum(w * (x - zp)), which is the reference's sum.
+template <class Isa>
+struct TileBias {
+  GroupBias bias;
+  const int32_t* sums;
+  typename Isa::Acc fold;
+
+  explicit TileBias(const ConvCall& c)
+      : bias(c.bias, c.g.out_ch),
+        sums(c.sums),
+        fold(Isa::splat(128 + c.rq->input_zp)) {}
+  typename Isa::Acc at(int32_t oc0) const {
+    const typename Isa::Acc b = Isa::load_acc(bias.at(oc0));
+    if constexpr (Isa::kTaps == 4)
+      return Isa::fold_bias(b, sums + oc0, fold);
+    else
+      return b;
+  }
+};
+
 // The tile of kPx pixels x kG groups starting at group gi: accumulators
-// from the bias, the tap-pair loop, then the requantized stores of each
-// pixel, two groups at a time.
+// from the bias, the step loop, then the requantized stores of each pixel,
+// two groups at a time.
 template <class Isa, int kPx, int kG>
 inline void conv_block(const ConvCall& c, const typename Isa::Rq& rqc,
-                       const GroupBias& bias, int64_t p0, int np, int32_t gi,
-                       int64_t pairs) {
+                       const TileBias<Isa>& bias, int64_t p0, int np,
+                       int32_t gi, int64_t steps) {
   const ConvGeometry& g = c.g;
-  const int64_t group_bytes = pairs * 2 * kPanelLanes;
+  const int64_t group_bytes = steps * Isa::kTaps * kPanelLanes;
   typename Isa::Acc acc[kPx][kG];
   unroll<kG>([&](auto k) {
-    const int32_t oc0 = (gi + k.v) * kPanelLanes;
-    const typename Isa::Acc b = Isa::load_acc(bias.at(oc0));
+    const typename Isa::Acc b = bias.at((gi + k.v) * kPanelLanes);
     unroll<kPx>([&](auto p) { acc[p.v][k.v] = b; });
   });
   tile_mac<Isa, kPx, kG>(c.panel + gi * group_bytes, group_bytes, c.cols,
-                         pairs, acc);
+                         steps, acc);
   // Groups in twos, then the odd last one.
   const int32_t oc = gi * kPanelLanes;
   const int left = g.out_ch - oc;
@@ -433,13 +490,13 @@ inline void conv_block(const ConvCall& c, const typename Isa::Rq& rqc,
 // one tile of `rest` groups.
 template <class Isa, int kPx, int kG>
 inline void conv_rest(const ConvCall& c, const typename Isa::Rq& rqc,
-                      const GroupBias& bias, int64_t p0, int np, int32_t gi,
-                      int32_t rest, int64_t pairs) {
+                      const TileBias<Isa>& bias, int64_t p0, int np,
+                      int32_t gi, int32_t rest, int64_t steps) {
   if constexpr (kG > 0) {
     if (rest == kG)
-      conv_block<Isa, kPx, kG>(c, rqc, bias, p0, np, gi, pairs);
+      conv_block<Isa, kPx, kG>(c, rqc, bias, p0, np, gi, steps);
     else
-      conv_rest<Isa, kPx, kG - 1>(c, rqc, bias, p0, np, gi, rest, pairs);
+      conv_rest<Isa, kPx, kG - 1>(c, rqc, bias, p0, np, gi, rest, steps);
   }
 }
 
@@ -449,15 +506,18 @@ inline void conv_rest(const ConvCall& c, const typename Isa::Rq& rqc,
 // patch first; then one gather serves them all.
 template <class Isa, int kPx>
 inline void conv_pixels(const ConvCall& c, const typename Isa::Rq& rqc,
-                        const GroupBias& bias) {
+                        const TileBias<Isa>& bias) {
   const ConvGeometry& g = c.g;
-  const ConvRows r = conv_rows(g);
+  const ConvRows r = conv_rows(g, Isa::kTaps);
   const int64_t pixels = int64_t{g.out_h} * g.out_w;
-  const int64_t pairs = g.kh * r.row_pairs;
+  const int64_t steps = g.kh * r.row_steps;
   const int32_t groups = (g.out_ch + kPanelLanes - 1) / kPanelLanes;
   const int64_t in_row = int64_t{g.in_w} * g.in_ch;
   const int64_t patch_bytes = g.kh * r.row_read;
-  const __m128i zp16 = _mm_set1_epi16(static_cast<int16_t>(c.rq->input_zp));
+  const __m128i adj =
+      Isa::kTaps == 4
+          ? _mm_set1_epi8(static_cast<char>(0x80))
+          : _mm_set1_epi16(static_cast<int16_t>(c.rq->input_zp));
   const int8_t* src[kPx];
   int64_t step[kPx];
   int32_t oy = 0, ox = 0;
@@ -485,12 +545,12 @@ inline void conv_pixels(const ConvCall& c, const typename Isa::Rq& rqc,
       src[px] = src[0];
       step[px] = step[0];
     }
-    gather_tile<Isa, kPx>(src, step, r, g.kh, zp16, c.cols);
+    gather_tile<Isa, kPx>(src, step, r, g.kh, adj, c.cols);
     int32_t gi = 0;
     for (; gi + Isa::kGroups <= groups; gi += Isa::kGroups)
-      conv_block<Isa, kPx, Isa::kGroups>(c, rqc, bias, p0, np, gi, pairs);
+      conv_block<Isa, kPx, Isa::kGroups>(c, rqc, bias, p0, np, gi, steps);
     conv_rest<Isa, kPx, Isa::kGroups - 1>(c, rqc, bias, p0, np, gi,
-                                          groups - gi, pairs);
+                                          groups - gi, steps);
   }
 }
 
@@ -500,8 +560,9 @@ inline void conv_pixels(const ConvCall& c, const typename Isa::Rq& rqc,
 template <class Isa>
 void conv_tiles(const ConvCall& c) {
   const ConvGeometry& g = c.g;
-  const GroupBias bias(c.bias, g.out_ch);
-  const typename Isa::Rq rqc = Isa::rq_consts(*c.rq);
+  const TileBias<Isa> bias(c);
+  const typename Isa::Rq rqc =
+      Isa::rq_consts(c.rq->output_zp, c.rq->act_min, c.rq->act_max);
   if (int64_t{g.out_h} * g.out_w == 1)
     conv_pixels<Isa, 1>(c, rqc, bias);
   else
@@ -706,7 +767,8 @@ void depthwise_passes(const DepthwiseCall& c) {
   const int8_t* table[kDwMaxTaps / 3 * kTableCols > kDwMaxTaps
                           ? kDwMaxTaps / 3 * kTableCols
                           : kDwMaxTaps];
-  const typename Isa::Rq rqc = Isa::rq_consts(*c.rq);
+  const typename Isa::Rq rqc =
+      Isa::rq_consts(c.rq->output_zp, c.rq->act_min, c.rq->act_max);
   DwChunk k{};
   k.wbuf = wbuf;
   k.w_group = w_group;
@@ -754,6 +816,43 @@ void depthwise_passes(const DepthwiseCall& c) {
         dw_row<Isa, 0, 0>(c, rqc, k, oy, 0, table);
     }
   }
+}
+
+// --- add -------------------------------------------------------------------
+
+// Elementwise add over whole passes of 16 elements, two accumulators of 8
+// each: x - zp of each input (|x - zp| <= 255) shifted left (< 2^31 for
+// left_shift <= 22), rescaled with its per-tensor multiplier, the two
+// summed (no overflow, see prepare_add_requant) and the sum requantized,
+// offset and clamped like every other output, 16 bytes stored at once.
+// Returns the elements written; the caller runs the last n % 16.
+template <class Isa>
+size_t add_pass(const AddCall& c) {
+  using Acc = typename Isa::Acc;
+  const AddParams& p = *c.p;
+  const RequantGroup& ga = c.groups[0];
+  const RequantGroup& gb = c.groups[1];
+  const RequantGroup& gs = c.groups[2];
+  const Acc a_zp = Isa::splat(p.a_zp);
+  const Acc b_zp = Isa::splat(p.b_zp);
+  const typename Isa::Rq rqc = Isa::rq_consts(p.out_zp, p.act_min, p.act_max);
+  const auto input = [&](const int8_t* x, const Acc& zp,
+                         const RequantGroup& g) {
+    return Isa::template rescale<true>(
+        Isa::shl_acc(Isa::sub_acc(Isa::widen_acc(x), zp), p.left_shift), g);
+  };
+  size_t i = 0;
+  for (; i + 16 <= c.n; i += 16) {
+    Acc sum[2];
+    unroll<2>([&](auto h) {
+      const size_t at = i + 8 * h.v;
+      sum[h.v] = Isa::add_acc(input(c.a + at, a_zp, ga),
+                              input(c.b + at, b_zp, gb));
+    });
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(c.output + i),
+                     Isa::template requant16<true>(sum[0], sum[1], gs, gs, rqc));
+  }
+  return i;
 }
 
 }  // namespace

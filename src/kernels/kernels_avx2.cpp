@@ -3,7 +3,8 @@
 // (src/kernels/CMakeLists.txt) and runs only where kernels_fast.cpp has seen
 // AVX2 in CPUID. A conv tile is 4 pixels x 2 groups, so its 8 accumulators
 // leave 8 of the 16 ymm registers for operands; so does a depthwise x-tile
-// of 4 pixels in a 16-channel pass.
+// of 4 pixels in a 16-channel pass. An add pass is 16 elements, two
+// accumulators of 8.
 #include "kernels/fast_isa.hpp"
 
 #if defined(__SSE2__) && defined(__AVX2__)
@@ -13,7 +14,8 @@ namespace mn::kernels::detail {
 
 const IsaKernels* avx2_kernels() {
   static constexpr IsaKernels kKernels{&conv_tiles<Avx2>,
-                                       &depthwise_passes<Avx2>};
+                                       &depthwise_passes<Avx2>,
+                                       &add_pass<Avx2>};
   return &kKernels;
 }
 

@@ -3,23 +3,30 @@
 // the bit-exactness contract).
 //
 // Conv2d and fully-connected run one register-tiled micro-kernel, each step
-// exact in integer arithmetic:
+// exact in integer arithmetic. Its panel steps hold 2 taps (int16 pairs,
+// SSE2 and AVX2) or 4 (u8 x s8 quads, AVX512-VNNI; panel_taps()):
 //   1. Gather. A tile of 4 output pixels, walked row by row, is gathered
-//      into int16 im2col columns holding x - input_zp, laid out
-//      [tap pair][pixel][2] to match the panel's [tap pair][channel][2],
-//      one kernel row at a time with vector loads: an interior pixel's rows
-//      straight from the input, a border pixel's from a patch of its window
-//      in which padding taps hold input_zp (x - zp = 0, which is what the
-//      reference kernel's skipped taps contribute).
-//   2. Multiply-accumulate. For each tap pair, 16 panel bytes (8 output
-//      channels x 2 taps) are loaded once per group and widened to int16;
-//      each pixel's 2 column values are broadcast and pmaddwd sums the two
-//      products per channel into int32. With the zero point in int8 range,
-//      |x - zp| <= 255 and |w| <= 128, so each pair sum is at most
-//      2 * 255 * 128 < 2^31: exact. Accumulating in int32 wraps exactly like
-//      the reference's scalar int32 sum, and integer addition is order-free,
-//      so the tiling cannot change a result. The accumulators start at the
-//      bias and never need a horizontal reduction.
+//      into im2col columns laid out [step][pixel][4 bytes] to match the
+//      panel's [step][channel][taps], one kernel row at a time with vector
+//      loads: an interior pixel's rows straight from the input, a border
+//      pixel's from a patch of its window in which padding taps hold
+//      input_zp. A pair step holds x - input_zp as two int16 (a padding tap
+//      is 0, which is what the reference kernel's skipped taps contribute);
+//      a quad step holds x ^ 0x80 = x + 128 as four u8 (a padding tap is
+//      zp + 128, cancelled by the fold of step 2).
+//   2. Multiply-accumulate. For each step, the panel's 8 output channels x
+//      taps are loaded once per group (pairs widened to int16); each
+//      pixel's step is broadcast and pmaddwd (vpdpwssd) sums the two
+//      products per channel, or vpdpbusd the four, into int32. With the
+//      zero point in int8 range, |x - zp| and x + 128 are at most 255 and
+//      |w| <= 128, so a pair sum is at most 2 * 255 * 128 and a quad sum
+//      4 * 255 * 128, both < 2^31 (vpdpbusd does not saturate): exact.
+//      Accumulating in int32 wraps exactly like the reference's scalar int32
+//      sum, and integer addition is order-free, so the tiling cannot change
+//      a result. The accumulators start at the bias, in the quad form less
+//      (128 + input_zp) * sum(w) (the panel's per-channel sums), since
+//      sum(w * (x + 128)) - (128 + zp) * sum(w) = sum(w * (x - zp)); they
+//      never need a horizontal reduction.
 //   3. Store. Each pixel's 8 channels of a group are requantized at once
 //      (exact, DESIGN.md §14) from the op's RequantTable, which is prepared
 //      once per model, clamped in int16 and written with one 8-byte store;
@@ -27,15 +34,16 @@
 //      int8, requantizes through the scalar primitive instead.
 // A fully-connected layer is the same kernel on a 1x1 conv of one pixel,
 // run with a one-pixel tile. Depthwise needs no panel: it pairs taps on the
-// raw weights, two per pmaddwd, in tiles of output pixels along x, with the
-// same requantization and table.
-// Both are written once in fast_tile.hpp and compiled per instruction set
-// (kernels_sse2.cpp, kernels_avx2.cpp, kernels_avx512vnni.cpp);
+// raw weights, two per pmaddwd (vpdpwssd on AVX512-VNNI, where quads of
+// rows would pad its 3-row kernels to 4), in tiles of output pixels along
+// x, with the same requantization and table. Add rescales, sums and
+// requantizes 16 elements per pass.
+// All three are written once in fast_tile.hpp and compiled per instruction
+// set (kernels_sse2.cpp, kernels_avx2.cpp, kernels_avx512vnni.cpp);
 // active_kernel_isa() picks one per process. The scalar variant, non-x86
 // builds and zero points outside int8 range run the portable loops here —
-// slower, byte-identical. Add runs its three per-tensor requantizations
-// through the SSE2 form, 16 elements per pass. Pool and softmax have no fast
-// kernel and fall back to the reference loops.
+// slower, byte-identical. Pool and softmax have no fast kernel and fall
+// back to the reference loops.
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
@@ -119,17 +127,24 @@ const detail::IsaKernels* checked_isa(const char* who, KernelIsa isa) {
   return isa_kernels(isa);
 }
 
-// A panel must be packed for this op's shape, in its kernel rows, and hold
-// every group the kernel streams; anything else throws before a byte is
-// read. Equal pair counts mean equal layouts: rows only pad when their
-// length is odd, and two paddings of one k give equal counts only at equal
-// row counts.
+// A panel must be packed for this op's shape, in its kernel rows, in the
+// form `isa` reads, and hold every group (and, in the quad form, every
+// group's sums) the kernel streams; anything else throws before a byte is
+// read.
 void check_panel(const char* who, const PackedOpWeights& p,
-                 const ConvGeometry& g) {
+                 const ConvGeometry& g, KernelIsa isa) {
   const int64_t k = int64_t{g.kh} * g.kw * g.in_ch;
-  if (g.kh < 1 || p.rows < 1 || p.out_ch != g.out_ch || p.k != k ||
-      conv_panel_pairs(p.k, p.rows) != conv_panel_pairs(k, g.kh) ||
-      p.bytes() < conv_panel_bytes(g.out_ch, k, g.kh))
+  const int64_t groups = (int64_t{g.out_ch} + kPanelLanes - 1) / kPanelLanes;
+  if (p.taps != panel_taps(isa))
+    throw std::invalid_argument(std::string(who) + ": panel packed for " +
+                                std::to_string(p.taps) + " taps per step, " +
+                                kernel_isa_name(isa) + " reads " +
+                                std::to_string(panel_taps(isa)));
+  if (g.kh < 1 || p.rows != g.kh || p.out_ch != g.out_ch || p.k != k ||
+      static_cast<int64_t>(p.values.size()) <
+          groups * conv_panel_steps(k, g.kh, p.taps) * p.taps * kPanelLanes ||
+      static_cast<int64_t>(p.sums.size()) <
+          (p.taps == 4 ? groups * kPanelLanes : 0))
     throw std::invalid_argument(std::string(who) +
                                 ": packed panel/geometry mismatch");
 }
@@ -194,17 +209,19 @@ inline void for_each_dw_window(const ConvGeometry& g, const int8_t* input,
   }
 }
 
-// The portable conv: the reference arithmetic over the panel, one output
-// pixel and 8 channels at a time. Runs the scalar variant (all of it on
-// non-x86 builds), and zero points outside int8 range, whose x - zp int16
-// columns cannot hold.
+// The portable conv: the reference arithmetic over the panel, in either
+// form, one output pixel and 8 channels at a time. Runs the scalar variant
+// (all of it on non-x86 builds), and zero points outside int8 range, which
+// neither the x - zp int16 columns nor the x + 128 u8 ones with their
+// folded bias can carry.
 void conv_scalar(std::span<const int8_t> input, const PackedOpWeights& packed,
                  std::span<const int32_t> bias, std::span<int8_t> output,
                  const ConvGeometry& g, const RequantParams& rq) {
+  const int32_t taps = packed.taps;
   const int64_t group_bytes =
-      conv_panel_pairs(packed.k, g.kh) * 2 * kPanelLanes;
-  // Panel taps per kernel row: each row starts a pair.
-  const int64_t row_taps = (int64_t{g.kw} * g.in_ch + 1) / 2 * 2;
+      conv_panel_steps(packed.k, g.kh, taps) * taps * kPanelLanes;
+  // Panel taps per kernel row: each row starts a step.
+  const int64_t row_taps = (int64_t{g.kw} * g.in_ch + taps - 1) / taps * taps;
   int8_t* out = output.data();
   for (int32_t oy = 0; oy < g.out_h; ++oy) {
     for (int32_t ox = 0; ox < g.out_w; ++ox, out += g.out_ch) {
@@ -227,9 +244,9 @@ void conv_scalar(std::span<const int8_t> input, const PackedOpWeights& packed,
             const int64_t t0 = ky * row_taps + int64_t{kx} * g.in_ch;
             for (int32_t c = 0; c < g.in_ch; ++c) {
               const int64_t t = t0 + c;
-              const int8_t* wt = w + t / 2 * 2 * kPanelLanes + t % 2;
+              const int8_t* wt = w + t / taps * taps * kPanelLanes + t % taps;
               const int32_t v = static_cast<int32_t>(x[c]) - rq.input_zp;
-              for (int l = 0; l < kPanelLanes; ++l) acc[l] += v * wt[2 * l];
+              for (int l = 0; l < kPanelLanes; ++l) acc[l] += v * wt[taps * l];
             }
           }
         }
@@ -241,9 +258,10 @@ void conv_scalar(std::span<const int8_t> input, const PackedOpWeights& packed,
 }
 
 // The fast conv's scratch after its 16 bytes of alignment slack: one tile
-// of int16 columns, one spare tap pair per pixel (a kernel row's last load
-// may write one pair past the row), rounded to 16 bytes, then one patch of
-// kh rows of ceil4(kw * in_ch) bytes per tile pixel.
+// of columns in the pair form (int16 pairs; the quad form's u8 quads take
+// at most as many bytes), one spare pair per pixel (a kernel row's last
+// load may write one pair past the row), rounded to 16 bytes, then one
+// patch of kh rows of ceil4(kw * in_ch) bytes per tile pixel.
 struct ConvScratch {
   int64_t cols_bytes, patch_bytes;
 };
@@ -262,7 +280,7 @@ void conv_fast(const char* who, std::span<const int8_t> input,
                std::span<int8_t> output, std::span<int8_t> scratch,
                const ConvGeometry& g, const RequantTable& t, KernelIsa isa) {
   const detail::IsaKernels* simd = checked_isa(who, isa);
-  check_panel(who, packed, g);
+  check_panel(who, packed, g, isa);
   check_requant(who, t, g.out_ch);
   check_conv_buffers(who, input, packed.values, bias, output, g);
   if (static_cast<int64_t>(scratch.size()) < conv2d_fast_scratch_bytes(g))
@@ -271,13 +289,13 @@ void conv_fast(const char* who, std::span<const int8_t> input,
     detail::ConvCall call;
     call.input = input.data();
     call.panel = packed.values.data();
+    call.sums = packed.sums.data();
     call.bias = bias.empty() ? nullptr : bias.data();
     call.output = output.data();
     // Scratch: 16-byte alignment slack, the columns, then the patches.
-    call.cols = reinterpret_cast<int16_t*>(
+    call.cols = reinterpret_cast<int8_t*>(
         (reinterpret_cast<uintptr_t>(scratch.data()) + 15) & ~uintptr_t{15});
-    call.patches =
-        reinterpret_cast<int8_t*>(call.cols) + conv_scratch(g).cols_bytes;
+    call.patches = call.cols + conv_scratch(g).cols_bytes;
     call.groups = t.groups.data();
     call.rq = &t.rq;
     call.g = g;
@@ -440,17 +458,26 @@ void depthwise_conv2d_s8_fast(std::span<const int8_t> input,
 }
 
 void add_s8_fast(std::span<const int8_t> a, std::span<const int8_t> b,
-                 std::span<int8_t> output, const AddRequantTable& t) {
+                 std::span<int8_t> output, const AddRequantTable& t,
+                 KernelIsa isa) {
+  const detail::IsaKernels* simd = checked_isa("add_s8_fast", isa);
   if (a.size() != b.size() || a.size() != output.size())
     throw std::invalid_argument("add_s8_fast: size mismatch");
   if (t.groups.size() != 3)
     throw std::invalid_argument("add_s8_fast: not a prepared add table");
   size_t i = 0;
-  if (t.groups[0].simd)
-    i = detail::add_s8_sse2(a.data(), b.data(), output.data(), a.size(), t.p,
-                            t.groups.data());
-  // The tail, a call outside the SIMD domain and non-x86 hosts: the oracle
-  // itself.
+  if (simd != nullptr && t.groups[0].simd) {
+    detail::AddCall call;
+    call.a = a.data();
+    call.b = b.data();
+    call.output = output.data();
+    call.n = a.size();
+    call.p = &t.p;
+    call.groups = t.groups.data();
+    i = simd->add(call);
+  }
+  // The tail, a call outside the SIMD domain and the scalar variant: the
+  // oracle itself.
   if (i < a.size())
     add_s8(a.subspan(i), b.subspan(i), output.subspan(i), t.p);
 }

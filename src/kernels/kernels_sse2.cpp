@@ -1,8 +1,8 @@
-// The SSE2 instantiation of the fast kernels (fast_tile.hpp) and the SIMD
-// body of add_s8_fast. An 8-channel accumulator is two xmm registers
-// (channels 0-3 and 4-7); a conv tile is 4 pixels x 1 group, so its 8
-// accumulators leave 8 of the 16 xmm registers for operands, and a
-// depthwise x-tile is 2 pixels (8 accumulators in a 16-channel pass).
+// The SSE2 instantiation of the fast kernels (fast_tile.hpp). An 8-channel
+// accumulator is two xmm registers (channels 0-3 and 4-7); a conv tile is
+// 4 pixels x 1 group, so its 8 accumulators leave 8 of the 16 xmm
+// registers for operands, and a depthwise x-tile is 2 pixels (8
+// accumulators in a 16-channel pass).
 #include "kernels/fast_isa.hpp"
 
 #if defined(__SSE2__)
@@ -95,6 +95,7 @@ inline __m128i requant8_lanes(__m128i lo, __m128i hi, const RequantGroup& g,
 struct Sse2 {
   static constexpr int kGroups = 1;
   static constexpr int kDwPixels = 2;
+  static constexpr int kTaps = 2;
 
   struct Acc {
     __m128i lo, hi;
@@ -107,6 +108,21 @@ struct Sse2 {
   static Acc zero_acc() { return {_mm_setzero_si128(), _mm_setzero_si128()}; }
   static Acc add_acc(Acc a, Acc b) {
     return {_mm_add_epi32(a.lo, b.lo), _mm_add_epi32(a.hi, b.hi)};
+  }
+  static Acc sub_acc(Acc a, Acc b) {
+    return {_mm_sub_epi32(a.lo, b.lo), _mm_sub_epi32(a.hi, b.hi)};
+  }
+  static Acc splat(int32_t v) {
+    return {_mm_set1_epi32(v), _mm_set1_epi32(v)};
+  }
+  static Acc widen_acc(const int8_t* p) {
+    const __m128i v16 =
+        widen_lo_s8(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
+    return {widen_lo_s16(v16), widen_hi_s16(v16)};
+  }
+  static Acc shl_acc(Acc a, int n) {
+    const __m128i count = _mm_cvtsi32_si128(n);
+    return {_mm_sll_epi32(a.lo, count), _mm_sll_epi32(a.hi, count)};
   }
 
   struct Panel {
@@ -121,7 +137,7 @@ struct Sse2 {
   // (one lane for a one-pixel tile); pshufd broadcasts pixel p's.
   using Cols = __m128i;
   template <int kPx>
-  static Cols load_cols(const int16_t* x) {
+  static Cols load_cols(const int8_t* x) {
     if constexpr (kPx == 1) {
       int32_t pair;
       std::memcpy(&pair, x, 4);
@@ -156,12 +172,16 @@ struct Sse2 {
   struct Rq {
     __m128i out_zp, act_min, act_max;
   };
-  static Rq rq_consts(const RequantParams& rq) {
-    return {_mm_set1_epi32(rq.output_zp),
-            _mm_set1_epi16(static_cast<int16_t>(rq.act_min)),
-            _mm_set1_epi16(static_cast<int16_t>(rq.act_max))};
+  static Rq rq_consts(int32_t out_zp, int32_t act_min, int32_t act_max) {
+    return {_mm_set1_epi32(out_zp),
+            _mm_set1_epi16(static_cast<int16_t>(act_min)),
+            _mm_set1_epi16(static_cast<int16_t>(act_max))};
   }
   static constexpr bool kSharedCountForm = true;
+  template <bool kShared>
+  static Acc rescale(Acc acc, const RequantGroup& g) {
+    return {requant4<kShared>(acc.lo, g, 0), requant4<kShared>(acc.hi, g, 1)};
+  }
   template <bool kShared>
   static __m128i requant8(Acc acc, const RequantGroup& g, const Rq& c) {
     return requant8_lanes<kShared>(acc.lo, acc.hi, g, c.out_zp, c.act_min,
@@ -179,49 +199,9 @@ struct Sse2 {
 
 const IsaKernels* sse2_kernels() {
   static constexpr IsaKernels kKernels{&conv_tiles<Sse2>,
-                                       &depthwise_passes<Sse2>};
+                                       &depthwise_passes<Sse2>,
+                                       &add_pass<Sse2>};
   return &kKernels;
-}
-
-size_t add_s8_sse2(const int8_t* a, const int8_t* b, int8_t* out, size_t n,
-                   const AddParams& p, const RequantGroup* groups) {
-  // Per 16 elements: x - zp in int16 (|x - zp| <= 255), widened to int32
-  // and shifted left (< 2^31 for left_shift <= 22), each input
-  // requantized, the two summed (no overflow, see prepare_add_requant) and
-  // the sum requantized, offset and clamped like every other output.
-  const RequantGroup& ra = groups[0];
-  const RequantGroup& rb = groups[1];
-  const RequantGroup& rsum = groups[2];
-  const __m128i a_zp = _mm_set1_epi16(static_cast<int16_t>(p.a_zp));
-  const __m128i b_zp = _mm_set1_epi16(static_cast<int16_t>(p.b_zp));
-  const __m128i left = _mm_cvtsi32_si128(p.left_shift);
-  const __m128i out_zp = _mm_set1_epi32(p.out_zp);
-  const __m128i act_min = _mm_set1_epi16(static_cast<int16_t>(p.act_min));
-  const __m128i act_max = _mm_set1_epi16(static_cast<int16_t>(p.act_max));
-  const auto rescaled = [&](__m128i v16, const RequantGroup& g) {
-    return std::pair{
-        requant4<true>(_mm_sll_epi32(widen_lo_s16(v16), left), g, 0),
-        requant4<true>(_mm_sll_epi32(widen_hi_s16(v16), left), g, 0)};
-  };
-  const auto sum8 = [&](__m128i a16, __m128i b16) {
-    const auto [a_lo, a_hi] = rescaled(a16, ra);
-    const auto [b_lo, b_hi] = rescaled(b16, rb);
-    return requant8_lanes<true>(_mm_add_epi32(a_lo, b_lo),
-                                _mm_add_epi32(a_hi, b_hi), rsum, out_zp,
-                                act_min, act_max);
-  };
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i va = load128(a + i);
-    const __m128i vb = load128(b + i);
-    const __m128i lo = sum8(_mm_sub_epi16(widen_lo_s8(va), a_zp),
-                            _mm_sub_epi16(widen_lo_s8(vb), b_zp));
-    const __m128i hi = sum8(_mm_sub_epi16(widen_hi_s8(va), a_zp),
-                            _mm_sub_epi16(widen_hi_s8(vb), b_zp));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     _mm_packs_epi16(lo, hi));
-  }
-  return i;
 }
 
 }  // namespace mn::kernels::detail
@@ -231,11 +211,6 @@ size_t add_s8_sse2(const int8_t* a, const int8_t* b, int8_t* out, size_t n,
 namespace mn::kernels::detail {
 
 const IsaKernels* sse2_kernels() { return nullptr; }
-
-size_t add_s8_sse2(const int8_t*, const int8_t*, int8_t*, size_t,
-                   const AddParams&, const RequantGroup*) {
-  return 0;
-}
 
 }  // namespace mn::kernels::detail
 

@@ -88,15 +88,20 @@ kernels::PackedOpWeights fast_weights(const ModelDef& m, const OpDef& op) {
   }
   // Conv weights [out_ch][kh][kw][in_ch] and FC weights [out][in] are
   // row-major with one row per output channel/feature; both become a
-  // micro-kernel panel, a conv's in its kh kernel rows. Depthwise keeps its
-  // [1][kh][kw][ch] weights as they are.
-  if (op.type == OpType::kDepthwiseConv2D)
-    return {{values.begin(), values.end()}};
+  // micro-kernel panel in the form of the variant the kernels run
+  // (active_kernel_isa()), a conv's in its kh kernel rows. Depthwise keeps
+  // its [1][kh][kw][ch] weights as they are.
+  if (op.type == OpType::kDepthwiseConv2D) {
+    kernels::PackedOpWeights p;
+    p.values.assign(values.begin(), values.end());
+    return p;
+  }
   const auto out_ch = static_cast<int32_t>(w.shape.dim(0));
   const auto rows = op.type == OpType::kConv2D
                         ? static_cast<int32_t>(w.shape.dim(1))
                         : 1;
-  return kernels::pack_conv_panel(values, out_ch, w.elements() / out_ch, rows);
+  return kernels::pack_conv_panel(values, out_ch, w.elements() / out_ch, rows,
+                                  kernels::active_kernel_isa());
 }
 
 }  // namespace

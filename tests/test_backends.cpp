@@ -85,6 +85,17 @@ std::vector<int32_t> random_bias(Rng& rng, int64_t n) {
   return v;
 }
 
+// Every variant of the fast kernels this build carries and this CPU runs,
+// the portable loops included.
+std::vector<kernels::KernelIsa> available_isas() {
+  std::vector<kernels::KernelIsa> isas;
+  for (const auto isa : {kernels::KernelIsa::kScalar, kernels::KernelIsa::kSse2,
+                         kernels::KernelIsa::kAvx2,
+                         kernels::KernelIsa::kAvx512Vnni})
+    if (kernels::kernel_isa_available(isa)) isas.push_back(isa);
+  return isas;
+}
+
 // Runs conv2d_s8 (the oracle) and conv2d_s8_fast on the same operands and
 // asserts every byte agrees.
 void check_conv_fast(const kernels::ConvGeometry& g,
@@ -151,18 +162,22 @@ TEST(BackendRegistry, DefaultConfigIsFast) {
 // --- panel packing -----------------------------------------------------------
 
 TEST(BackendPacking, PanelInterleavesEightChannelsPerTapPair) {
-  // 11 channels (a full group and a 3-channel one) of 19 taps (odd): every
-  // weight lands at [group][tap pair][channel][tap parity], every other
-  // byte is a zero weight.
+  // The pair form (every variant but AVX512-VNNI), 11 channels (a full
+  // group and a 3-channel one) of 19 taps (odd): every weight lands at
+  // [group][tap pair][channel][tap parity], every other byte is a zero
+  // weight, and the form holds no sums.
   Rng rng(7);
   const int32_t out_ch = 11;
   const int64_t k = 19;
   const auto w = random_s8(rng, out_ch * k);
-  const kernels::PackedOpWeights p = kernels::pack_conv_panel(w, out_ch, k);
+  const kernels::PackedOpWeights p =
+      kernels::pack_conv_panel(w, out_ch, k, 1, kernels::KernelIsa::kAvx2);
   EXPECT_EQ(p.out_ch, out_ch);
   EXPECT_EQ(p.k, k);
+  EXPECT_EQ(p.taps, 2);
+  EXPECT_TRUE(p.sums.empty());
   ASSERT_EQ(p.bytes(), 2 * 10 * 16);
-  ASSERT_EQ(kernels::conv_panel_bytes(out_ch, k), p.bytes());
+  ASSERT_EQ(kernels::conv_panel_bytes(out_ch, k, 1, 2), p.bytes());
   std::vector<bool> placed(p.values.size(), false);
   for (int32_t oc = 0; oc < out_ch; ++oc)
     for (int64_t t = 0; t < k; ++t) {
@@ -180,28 +195,34 @@ TEST(BackendPacking, PanelInterleavesEightChannelsPerTapPair) {
 }
 
 TEST(BackendPacking, WholeGroupsOfEvenLengthGetNoPadding) {
-  // VWW-S's 1x1 expand 4 -> 24 packs to exactly its 96 weights.
+  // VWW-S's 1x1 expand 4 -> 24 packs to exactly its 96 weights in the pair
+  // form, and to them plus 24 sums in the quad form.
   Rng rng(8);
   const auto w = random_s8(rng, 24 * 4);
-  const kernels::PackedOpWeights p = kernels::pack_conv_panel(w, 24, 4);
-  EXPECT_EQ(p.bytes(), 24 * 4);
+  EXPECT_EQ(kernels::pack_conv_panel(w, 24, 4, 1, kernels::KernelIsa::kAvx2)
+                .bytes(),
+            24 * 4);
+  EXPECT_EQ(
+      kernels::pack_conv_panel(w, 24, 4, 1, kernels::KernelIsa::kAvx512Vnni)
+          .bytes(),
+      24 * 4 + 24 * 4);
 }
 
 TEST(BackendPacking, OddKernelRowsEachStartAPair) {
-  // A 3x3 1-channel stem, 9 output channels, packed in its 3 kernel rows:
-  // each 3-tap row fills 2 pairs, the last with a zero weight, so weight
-  // (oc, ky, kx) lands in pair 2 * ky + kx / 2. The conv kernel refuses the
-  // same weights packed as one 9-tap row, and rows must divide k (and be at
-  // least 1).
+  // A 3x3 1-channel stem, 9 output channels, packed in its 3 kernel rows in
+  // the pair form: each 3-tap row fills 2 pairs, the last with a zero
+  // weight, so weight (oc, ky, kx) lands in pair 2 * ky + kx / 2. Rows must
+  // divide k (and be at least 1).
   Rng rng(9);
   const int32_t out_ch = 9;
   const auto w = random_s8(rng, out_ch * 9);
-  const kernels::PackedOpWeights p = kernels::pack_conv_panel(w, out_ch, 9, 3);
+  const kernels::PackedOpWeights p =
+      kernels::pack_conv_panel(w, out_ch, 9, 3, kernels::KernelIsa::kAvx2);
   EXPECT_EQ(p.rows, 3);
-  EXPECT_EQ(kernels::conv_panel_pairs(9, 3), 6);
-  EXPECT_EQ(kernels::conv_panel_pairs(9, 1), 5);
+  EXPECT_EQ(kernels::conv_panel_steps(9, 3, 2), 6);
+  EXPECT_EQ(kernels::conv_panel_steps(9, 1, 2), 5);
   ASSERT_EQ(p.bytes(), 2 * 6 * 16);
-  ASSERT_EQ(kernels::conv_panel_bytes(out_ch, 9, 3), p.bytes());
+  ASSERT_EQ(kernels::conv_panel_bytes(out_ch, 9, 3, 2), p.bytes());
   std::vector<bool> placed(p.values.size(), false);
   for (int32_t oc = 0; oc < out_ch; ++oc)
     for (int32_t ky = 0; ky < 3; ++ky)
@@ -218,17 +239,110 @@ TEST(BackendPacking, OddKernelRowsEachStartAPair) {
   }
   EXPECT_THROW(kernels::pack_conv_panel(w, out_ch, 9, 2),
                std::invalid_argument);
-  EXPECT_THROW(kernels::conv_panel_bytes(out_ch, 9, 0), std::invalid_argument);
+  EXPECT_THROW(kernels::conv_panel_bytes(out_ch, 9, 0, 2),
+               std::invalid_argument);
+}
+
+TEST(BackendPacking, QuadPanelStartsEachRowAQuadAndSumsItsWeights) {
+  // The quad form (AVX512-VNNI): weight (oc, ky, t) of a kernel row of
+  // row_len taps lands at [group][quad ky * ceil(row_len / 4) + t / 4]
+  // [channel][t % 4], every other byte is a zero weight, and sums[oc] is
+  // the channel's weight sum (zero past out_ch, to a whole group). Rows of
+  // 3 taps (a 1-channel 3x3 stem), of 5 and 6 taps (kw * in_ch = 1 and
+  // 2 mod 4) and of 8 (no padding), under 1-11 channels.
+  const struct {
+    int32_t out_ch, rows, row_len;
+  } cases[] = {{9, 3, 3}, {11, 2, 5}, {3, 3, 6}, {1, 10, 6}, {8, 1, 8},
+               {16, 3, 1}, {5, 1, 1027}};
+  Rng rng(10);
+  for (const auto& c : cases) {
+    SCOPED_TRACE(testing::Message() << c.out_ch << " channels, " << c.rows
+                                    << " rows of " << c.row_len);
+    const int64_t k = int64_t{c.rows} * c.row_len;
+    const auto w = random_s8(rng, c.out_ch * k);
+    const kernels::PackedOpWeights p = kernels::pack_conv_panel(
+        w, c.out_ch, k, c.rows, kernels::KernelIsa::kAvx512Vnni);
+    const int64_t row_quads = (c.row_len + 3) / 4;
+    const int64_t quads = c.rows * row_quads;
+    const int64_t groups = (c.out_ch + 7) / 8;
+    EXPECT_EQ(p.taps, 4);
+    EXPECT_EQ(kernels::conv_panel_steps(k, c.rows, 4), quads);
+    ASSERT_EQ(p.values.size(), static_cast<size_t>(groups * quads * 32));
+    ASSERT_EQ(p.sums.size(), static_cast<size_t>(groups * 8));
+    EXPECT_EQ(p.bytes(), groups * quads * 32 + groups * 8 * 4);
+    EXPECT_EQ(kernels::conv_panel_bytes(c.out_ch, k, c.rows, 4), p.bytes());
+    std::vector<bool> placed(p.values.size(), false);
+    for (int32_t oc = 0; oc < c.out_ch; ++oc) {
+      int32_t sum = 0;
+      for (int32_t ky = 0; ky < c.rows; ++ky)
+        for (int32_t t = 0; t < c.row_len; ++t) {
+          const size_t at = static_cast<size_t>(
+              (oc / 8) * quads * 32 + (ky * row_quads + t / 4) * 32 +
+              (oc % 8) * 4 + t % 4);
+          const int8_t v = w[static_cast<size_t>(oc * k + ky * c.row_len + t)];
+          EXPECT_EQ(p.values[at], v);
+          placed[at] = true;
+          sum += v;
+        }
+      EXPECT_EQ(p.sums[static_cast<size_t>(oc)], sum);
+    }
+    for (size_t b = 0; b < placed.size(); ++b) {
+      if (!placed[b]) {
+        EXPECT_EQ(p.values[b], 0) << "padding byte " << b;
+      }
+    }
+    for (size_t oc = static_cast<size_t>(c.out_ch); oc < p.sums.size(); ++oc)
+      EXPECT_EQ(p.sums[oc], 0);
+  }
+}
+
+TEST(BackendPacking, KernelsRefuseAPanelOfAnotherFormOrRowLayout) {
+  // A conv or FC panel is read only by a variant of its form: a pair panel
+  // on the quad variant, or a quad panel on a pair variant (scalar
+  // included), throws before an output byte is written, and so does a conv
+  // panel packed in other rows than kh.
+  Rng rng(11);
+  const int32_t out_ch = 9;
   const auto g = make_geom(5, 5, 1, out_ch, 3, 3, 1, 1, 1);
+  const auto w = random_s8(rng, out_ch * 9);
   const std::vector<int8_t> x(static_cast<size_t>(g.input_elements()));
-  std::vector<int8_t> y(static_cast<size_t>(g.output_elements()));
+  std::vector<int8_t> y(static_cast<size_t>(g.output_elements()), int8_t{7});
+  const auto untouched = y;
   std::vector<int8_t> scratch(
       static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
   const auto t = kernels::prepare_requant(kernels::RequantParams{}, out_ch);
-  EXPECT_NO_THROW(kernels::conv2d_s8_fast(x, p, {}, y, scratch, g, t));
-  EXPECT_THROW(kernels::conv2d_s8_fast(x, kernels::pack_conv_panel(w, out_ch, 9),
-                                       {}, y, scratch, g, t),
-               std::invalid_argument);
+  const auto fg = kernels::fully_connected_geometry(9, out_ch);
+  std::vector<int8_t> fscratch(
+      static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(fg)));
+  for (const kernels::KernelIsa isa : available_isas()) {
+    SCOPED_TRACE(kernels::kernel_isa_name(isa));
+    const kernels::KernelIsa other = kernels::panel_taps(isa) == 4
+                                         ? kernels::KernelIsa::kAvx2
+                                         : kernels::KernelIsa::kAvx512Vnni;
+    const auto own = kernels::pack_conv_panel(w, out_ch, 9, 3, isa);
+    const auto foreign = kernels::pack_conv_panel(w, out_ch, 9, 3, other);
+    const auto one_row = kernels::pack_conv_panel(w, out_ch, 9, 1, isa);
+    EXPECT_NO_THROW(kernels::conv2d_s8_fast(x, own, {}, y, scratch, g, t, isa));
+    y = untouched;
+    EXPECT_THROW(
+        kernels::conv2d_s8_fast(x, foreign, {}, y, scratch, g, t, isa),
+        std::invalid_argument);
+    EXPECT_THROW(
+        kernels::conv2d_s8_fast(x, one_row, {}, y, scratch, g, t, isa),
+        std::invalid_argument);
+    EXPECT_EQ(y, untouched);
+    const auto fown = kernels::pack_conv_panel(w, out_ch, 9, 1, isa);
+    const auto fforeign = kernels::pack_conv_panel(w, out_ch, 9, 1, other);
+    std::vector<int8_t> fy(static_cast<size_t>(out_ch), int8_t{7});
+    const auto funtouched = fy;
+    const auto fx = std::span(x).first(9);
+    EXPECT_THROW(kernels::fully_connected_s8_fast(fx, fforeign, {}, fy,
+                                                  fscratch, 9, out_ch, t, isa),
+                 std::invalid_argument);
+    EXPECT_EQ(fy, funtouched);
+    EXPECT_NO_THROW(kernels::fully_connected_s8_fast(fx, fown, {}, fy, fscratch,
+                                                     9, out_ch, t, isa));
+  }
 }
 
 // --- differential sweeps -----------------------------------------------------
@@ -553,14 +667,19 @@ TEST(BackendDifferential, ConvFastTileAndGatherEdges) {
 
 namespace {
 
-// Runs add_s8 (the oracle) and add_s8_fast on the same operands and asserts
-// every byte agrees.
+// Runs add_s8 (the oracle) and add_s8_fast on every available variant on
+// the same operands and asserts every byte agrees.
 void check_add_fast(const std::vector<int8_t>& a, const std::vector<int8_t>& b,
                     const kernels::AddParams& p) {
-  std::vector<int8_t> y_ref(a.size()), y_fast(a.size(), int8_t{1});
+  std::vector<int8_t> y_ref(a.size());
   kernels::add_s8(a, b, y_ref, p);
-  kernels::add_s8_fast(a, b, y_fast, kernels::prepare_add_requant(p));
-  ASSERT_EQ(y_fast, y_ref) << "fast add diverged from the oracle";
+  const kernels::AddRequantTable t = kernels::prepare_add_requant(p);
+  for (const kernels::KernelIsa isa : available_isas()) {
+    std::vector<int8_t> y_fast(a.size(), int8_t{1});
+    kernels::add_s8_fast(a, b, y_fast, t, isa);
+    ASSERT_EQ(y_fast, y_ref) << "fast add on " << kernels::kernel_isa_name(isa)
+                             << " diverged from the oracle";
+  }
 }
 
 // add_s8's parameters the way the interpreter derives them from three
@@ -682,20 +801,10 @@ TEST(BackendDifferential, AddFastRequantEdgeCases) {
 
 namespace {
 
-// Every variant of the fast kernels this build carries and this CPU runs,
-// the portable loops included.
-std::vector<kernels::KernelIsa> available_isas() {
-  std::vector<kernels::KernelIsa> isas;
-  for (const auto isa : {kernels::KernelIsa::kScalar, kernels::KernelIsa::kSse2,
-                         kernels::KernelIsa::kAvx2,
-                         kernels::KernelIsa::kAvx512Vnni})
-    if (kernels::kernel_isa_available(isa)) isas.push_back(isa);
-  return isas;
-}
-
-// Runs conv2d_s8 once and conv2d_s8_fast on every available variant, and
-// fully_connected_s8 against fully_connected_s8_fast when `fc` (g is then
-// fully_connected_geometry), asserting every byte agrees.
+// Runs conv2d_s8 once and conv2d_s8_fast on every available variant, each
+// on a panel packed for it, and fully_connected_s8 against
+// fully_connected_s8_fast when `fc` (g is then fully_connected_geometry),
+// asserting every byte agrees.
 void check_conv_every_isa(const kernels::ConvGeometry& g,
                           const kernels::RequantParams& rq,
                           const std::vector<int8_t>& x,
@@ -706,12 +815,12 @@ void check_conv_every_isa(const kernels::ConvGeometry& g,
     kernels::fully_connected_s8(x, w, bias, y_ref, g.in_ch, g.out_ch, rq);
   else
     kernels::conv2d_s8(x, w, bias, y_ref, g, rq);
-  const auto packed = kernels::pack_conv_panel(
-      w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch, g.kh);
   std::vector<int8_t> scratch(
       static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
   const kernels::RequantTable t = kernels::prepare_requant(rq, g.out_ch);
   for (const kernels::KernelIsa isa : available_isas()) {
+    const auto packed = kernels::pack_conv_panel(
+        w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch, g.kh, isa);
     std::vector<int8_t> y(y_ref.size(), int8_t{1});
     if (fc)
       kernels::fully_connected_s8_fast(x, packed, bias, y, scratch, g.in_ch,
@@ -1002,7 +1111,8 @@ TEST(BackendIsa, ConvAndFcSweepEveryVariant) {
   // The zoo's stems (KWS 10x4 stride 2, VWW-S 50x50 -> 8, VWW-M 160x160
   // stride 2 -> 12, AD 32x32 -> 128), VWW-S's 1x1 4 -> 24 and 8 -> 4, and a
   // 2-channel 3x3, each at the int16 corner (zero point -128 or 127, all
-  // -128 operands) and with random operands.
+  // -128 operands) and with random operands; at zero point 127 without
+  // bias, so that the quad form's folded bias starts from zero.
   const struct {
     int32_t in_h, in_w, in_ch, out_ch, kh, kw, stride, pad_h, pad_w;
   } zoo[] = {{49, 10, 1, 64, 10, 4, 2, 4, 1}, {50, 50, 1, 8, 3, 3, 1, 1, 1},
@@ -1021,7 +1131,44 @@ TEST(BackendIsa, ConvAndFcSweepEveryVariant) {
           g, sweep_rq(rng, z.out_ch, zp == -5 ? 1 : 0, zp),
           operands(zp, g.input_elements()),
           operands(zp, int64_t{z.out_ch} * z.kh * z.kw * z.in_ch),
-          random_bias(rng, z.out_ch));
+          zp == 127 ? std::vector<int32_t>{} : random_bias(rng, z.out_ch));
+    }
+  }
+}
+
+TEST(BackendIsa, QuadProductBoundEveryVariant) {
+  // Every tap at the quad form's largest product: x = 127, so u = x + 128 =
+  // 255, against w = -128, over K >= 1024 taps (a 1x1 conv of 1024
+  // channels, a 3x3 of 116 and an FC of 1027 features), so that every
+  // vpdpbusd adds 4 * 255 * -128 and the sum reaches -32640 * K. At zero
+  // point -128 the fold is 0 and x - zp = 255; at 127 x - zp = 0 and the
+  // fold takes back 255 * sum(w). With bias and without, on every variant.
+  Rng rng(9300);
+  const kernels::ConvGeometry geoms[] = {
+      make_geom(3, 3, 1024, 12, 1, 1, 1, 0, 0),
+      make_geom(4, 5, 116, 9, 3, 3, 1, 1, 1),
+      kernels::fully_connected_geometry(1027, 20)};
+  for (size_t i = 0; i < std::size(geoms); ++i) {
+    const kernels::ConvGeometry& g = geoms[i];
+    for (const int32_t zp : {-128, 127}) {
+      for (const bool with_bias : {true, false}) {
+        SCOPED_TRACE(testing::Message() << "geometry #" << i << " zp " << zp
+                                        << " bias " << with_bias);
+        kernels::RequantParams rq;
+        rq.input_zp = zp;
+        rq.output_zp = 3;
+        // Scales -32640 * 1044 (about -3.4e7) into int8 range.
+        rq.mult = quant::quantize_multiplier(1.0 / (1 << 19));
+        const std::vector<int8_t> x(static_cast<size_t>(g.input_elements()),
+                                    int8_t{127});
+        const std::vector<int8_t> w(
+            static_cast<size_t>(int64_t{g.out_ch} * g.kh * g.kw * g.in_ch),
+            int8_t{-128});
+        check_conv_every_isa(
+            g, rq, x, w,
+            with_bias ? random_bias(rng, g.out_ch) : std::vector<int32_t>{},
+            /*fc=*/i == 2);
+      }
     }
   }
 }
@@ -1489,9 +1636,11 @@ TEST(BackendInterpreter, FastClaimsConvDepthwiseFcAtInt8AndInt4) {
           EXPECT_EQ(int64_t{panel->out_ch} * panel->k, w.elements());
           EXPECT_EQ(panel->rows,
                     t == rt::OpType::kConv2D ? w.shape.dim(1) : 1);
+          EXPECT_EQ(panel->taps,
+                    kernels::panel_taps(kernels::active_kernel_isa()));
           EXPECT_EQ(panel->bytes(),
                     kernels::conv_panel_bytes(panel->out_ch, panel->k,
-                                              panel->rows));
+                                              panel->rows, panel->taps));
         }
       }
     }
