@@ -13,10 +13,9 @@
 //   <shape>_reference_us_p50 / <shape>_fast_us_p50   median per-call latency
 //   <shape>_backend_speedup                           reference / fast ratio
 //   <shape>_fast_<isa>_us_p50   the same fast kernel called directly on each
-//                               instruction-set variant this host runs
-//                               (scalar, sse2, avx2, avx512vnni; conv, FC
-//                               on a panel packed for that variant,
-//                               depthwise and add), each output
+//                               SIMD variant this host runs (sse2, avx2,
+//                               avx512vnni; conv, FC on a panel packed for
+//                               that variant, depthwise and add), each output
 //                               byte-checked too; the committed baseline
 //                               holds no
 //                               avx512vnni key, since a baseline key missing
@@ -25,8 +24,9 @@
 //   conv_backend_speedup_min                          worst conv-shape ratio
 //   ab_mismatch_count                                 bytes that differed (0)
 //
-// <shape>_fast_us_p50 is the variant the interpreter runs
-// (kernels::active_kernel_isa(), named by the JSON's "kernel_isa").
+// <shape>_fast_us_p50 is the time of the variant the interpreter runs
+// (kernels::active_kernel_isa(), named by the JSON's "kernel_isa"); a host
+// without a SIMD variant has no fast kernels, and the bench exits 1.
 // The regression gate (tools/mn_regress) holds every *_backend_speedup
 // metric to an ABSOLUTE floor (default 2.0, --speedup-floor): the fast
 // backend must earn >=2x on the machine the gate runs on, not merely match a
@@ -105,11 +105,10 @@ double median_us_per_call(int reps, int iters, Fn&& fn) {
   return us[us.size() / 2];
 }
 
-// Every instruction-set variant of the fast kernels this host runs.
+// Every variant of the fast kernels this host runs (kScalar has none).
 std::vector<kernels::KernelIsa> available_isas() {
   std::vector<kernels::KernelIsa> isas;
-  for (const auto isa : {kernels::KernelIsa::kScalar, kernels::KernelIsa::kSse2,
-                         kernels::KernelIsa::kAvx2,
+  for (const auto isa : {kernels::KernelIsa::kSse2, kernels::KernelIsa::kAvx2,
                          kernels::KernelIsa::kAvx512Vnni})
     if (kernels::kernel_isa_available(isa)) isas.push_back(isa);
   return isas;
@@ -132,12 +131,15 @@ struct PanelPerIsa {
 };
 
 // Runs run(isa) once per available variant, counting the bytes that differ
-// from `expected` in `out` into *mismatches, then times it and reports
-// <shape>_fast_<isa>_us_p50.
+// from `expected` (the reference output) in `out` into *mismatches, then
+// times it and reports <shape>_fast_<isa>_us_p50. Reports the reference
+// time `ref_us`, the active variant's as <shape>_fast_us_p50 and their
+// ratio, <shape>_backend_speedup, which it returns.
 template <typename Run>
-void time_every_isa(bench::Reporter& report, const std::string& shape,
-                    const TensorI8& expected, TensorI8& out, int reps,
-                    int iters, int64_t* mismatches, Run&& run) {
+double time_every_isa(bench::Reporter& report, const std::string& shape,
+                      double ref_us, const TensorI8& expected, TensorI8& out,
+                      int reps, int iters, int64_t* mismatches, Run&& run) {
+  double fast_us = 0.0;
   for (const kernels::KernelIsa isa : available_isas()) {
     run(isa);
     for (int64_t i = 0; i < expected.size(); ++i)
@@ -148,7 +150,15 @@ void time_every_isa(bench::Reporter& report, const std::string& shape,
     report.metric(shape + "_fast_" + kernels::kernel_isa_name(isa) +
                       "_us_p50",
                   us);
+    if (isa == kernels::active_kernel_isa()) fast_us = us;
   }
+  const double speedup = ref_us / fast_us;
+  std::printf("  %-22s ref %8.2f us  fast %8.2f us  speedup %5.2fx\n",
+              shape.c_str(), ref_us, fast_us, speedup);
+  report.metric(shape + "_reference_us_p50", ref_us);
+  report.metric(shape + "_fast_us_p50", fast_us);
+  report.metric(shape + "_backend_speedup", speedup);
+  return speedup;
 }
 
 }  // namespace
@@ -159,6 +169,10 @@ int main(int argc, char** argv) {
   bench::BenchOptions opt = bench::parse_args(argc, argv);
   bench::print_header("kernel backend A/B microbench (reference vs fast)");
   bench::Reporter report("kernels_micro", opt);
+  if (!kernels::fast_kernels_run()) {
+    std::fprintf(stderr, "no SIMD variant: the fast kernels do not run\n");
+    return 1;
+  }
   std::printf("fast kernels run on %s\n",
               kernels::kernel_isa_name(kernels::active_kernel_isa()));
 
@@ -204,42 +218,24 @@ int main(int argc, char** argv) {
     for (auto& b : bias) b = static_cast<int32_t>(rng.uniform_int(-4096, 4096));
     const kernels::RequantParams rq = default_rq();
 
-    const kernels::PackedOpWeights packed = kernels::pack_conv_panel(
-        w.span(), g.out_ch, int64_t{g.kh} * g.kw * g.in_ch, g.kh);
     const PanelPerIsa panels(w.span(), g.out_ch,
                              int64_t{g.kh} * g.kw * g.in_ch, g.kh);
     std::vector<int8_t> fast_scratch(
         static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
     const kernels::RequantTable consts = kernels::prepare_requant(rq, g.out_ch);
 
-    // A/B correctness first: the ratio below is only meaningful if the two
-    // paths agree on every byte.
-    kernels::conv2d_s8(x.span(), w.span(), bias, y_ref.span(), g, rq);
-    kernels::conv2d_s8_fast(x.span(), packed, bias, y_fast.span(), fast_scratch,
-                            g, consts);
-    for (int64_t i = 0; i < y_ref.size(); ++i)
-      if (y_ref[i] != y_fast[i]) ++mismatches;
-
+    // The timed reference calls write y_ref, which every variant must match
+    // byte for byte: the ratio is only meaningful if the two paths agree.
     const double ref_us = median_us_per_call(reps, iters, [&] {
       kernels::conv2d_s8(x.span(), w.span(), bias, y_ref.span(), g, rq);
     });
-    const double fast_us = median_us_per_call(reps, iters, [&] {
-      kernels::conv2d_s8_fast(x.span(), packed, bias, y_fast.span(),
-                              fast_scratch, g, consts);
-    });
-    const double speedup = ref_us / fast_us;
+    const double speedup = time_every_isa(
+        report, c.name, ref_us, y_ref, y_fast, reps, iters, &mismatches,
+        [&](kernels::KernelIsa isa) {
+          kernels::conv2d_s8_fast(x.span(), panels[isa], bias, y_fast.span(),
+                                  fast_scratch, g, consts, isa);
+        });
     min_conv_speedup = std::min(min_conv_speedup, speedup);
-    std::printf("  %-22s ref %8.2f us  fast %8.2f us  speedup %5.2fx\n",
-                c.name, ref_us, fast_us, speedup);
-    report.metric(std::string(c.name) + "_reference_us_p50", ref_us);
-    report.metric(std::string(c.name) + "_fast_us_p50", fast_us);
-    report.metric(std::string(c.name) + "_backend_speedup", speedup);
-    time_every_isa(report, c.name, y_ref, y_fast, reps, iters, &mismatches,
-                   [&](kernels::KernelIsa isa) {
-                     kernels::conv2d_s8_fast(x.span(), panels[isa], bias,
-                                             y_fast.span(), fast_scratch, g,
-                                             consts, isa);
-                   });
   }
   report.metric("conv_backend_speedup_min", min_conv_speedup);
 
@@ -269,28 +265,12 @@ int main(int argc, char** argv) {
     const kernels::RequantParams rq = default_rq();
     const kernels::RequantTable consts = kernels::prepare_requant(rq, g.out_ch);
 
-    kernels::depthwise_conv2d_s8(x.span(), w.span(), bias, y_ref.span(), g, rq);
-    kernels::depthwise_conv2d_s8_fast(x.span(), w.span(), bias, y_fast.span(),
-                                      g, consts);
-    for (int64_t i = 0; i < y_ref.size(); ++i)
-      if (y_ref[i] != y_fast[i]) ++mismatches;
-
     const double ref_us = median_us_per_call(reps, iters, [&] {
       kernels::depthwise_conv2d_s8(x.span(), w.span(), bias, y_ref.span(), g,
                                    rq);
     });
-    const double fast_us = median_us_per_call(reps, iters, [&] {
-      kernels::depthwise_conv2d_s8_fast(x.span(), w.span(), bias,
-                                        y_fast.span(), g, consts);
-    });
-    const double speedup = ref_us / fast_us;
-    std::printf("  %-22s ref %8.2f us  fast %8.2f us  speedup %5.2fx\n",
-                c.name, ref_us, fast_us, speedup);
-    report.metric(std::string(c.name) + "_reference_us_p50", ref_us);
-    report.metric(std::string(c.name) + "_fast_us_p50", fast_us);
-    report.metric(std::string(c.name) + "_backend_speedup", speedup);
-    time_every_isa(report, c.name, y_ref, y_fast, reps, iters, &mismatches,
-                   [&](kernels::KernelIsa isa) {
+    time_every_isa(report, c.name, ref_us, y_ref, y_fast, reps, iters,
+                   &mismatches, [&](kernels::KernelIsa isa) {
                      kernels::depthwise_conv2d_s8_fast(x.span(), w.span(),
                                                        bias, y_fast.span(), g,
                                                        consts, isa);
@@ -306,37 +286,18 @@ int main(int argc, char** argv) {
     fill_s8(x, rng);
     fill_s8(w, rng);
     const kernels::RequantParams rq = default_rq();
-    const kernels::PackedOpWeights packed =
-        kernels::pack_conv_panel(w.span(), out_f, in_f);
     const PanelPerIsa panels(w.span(), out_f, in_f, 1);
     std::vector<int8_t> fast_scratch(
         static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(
             kernels::fully_connected_geometry(in_f, out_f))));
     const kernels::RequantTable consts = kernels::prepare_requant(rq, out_f);
 
-    kernels::fully_connected_s8(x.span(), w.span(), {}, y_ref.span(), in_f,
-                                out_f, rq);
-    kernels::fully_connected_s8_fast(x.span(), packed, {}, y_fast.span(),
-                                     fast_scratch, in_f, out_f, consts);
-    for (int64_t i = 0; i < y_ref.size(); ++i)
-      if (y_ref[i] != y_fast[i]) ++mismatches;
-
     const double ref_us = median_us_per_call(reps, iters * 4, [&] {
       kernels::fully_connected_s8(x.span(), w.span(), {}, y_ref.span(), in_f,
                                   out_f, rq);
     });
-    const double fast_us = median_us_per_call(reps, iters * 4, [&] {
-      kernels::fully_connected_s8_fast(x.span(), packed, {}, y_fast.span(),
-                                       fast_scratch, in_f, out_f, consts);
-    });
-    const double speedup = ref_us / fast_us;
-    std::printf("  %-22s ref %8.2f us  fast %8.2f us  speedup %5.2fx\n",
-                "fc_1024x128", ref_us, fast_us, speedup);
-    report.metric("fc_1024x128_reference_us_p50", ref_us);
-    report.metric("fc_1024x128_fast_us_p50", fast_us);
-    report.metric("fc_1024x128_backend_speedup", speedup);
-    time_every_isa(report, "fc_1024x128", y_ref, y_fast, reps, iters * 4,
-                   &mismatches, [&](kernels::KernelIsa isa) {
+    time_every_isa(report, "fc_1024x128", ref_us, y_ref, y_fast, reps,
+                   iters * 4, &mismatches, [&](kernels::KernelIsa isa) {
                      kernels::fully_connected_s8_fast(x.span(), panels[isa],
                                                       {}, y_fast.span(),
                                                       fast_scratch, in_f,
@@ -372,25 +333,11 @@ int main(int argc, char** argv) {
         twice_max / ((1 << p.left_shift) * out_scale));
     const kernels::AddRequantTable consts = kernels::prepare_add_requant(p);
 
-    kernels::add_s8(a.span(), b.span(), y_ref.span(), p);
-    kernels::add_s8_fast(a.span(), b.span(), y_fast.span(), consts);
-    for (int64_t i = 0; i < y_ref.size(); ++i)
-      if (y_ref[i] != y_fast[i]) ++mismatches;
-
     const double ref_us = median_us_per_call(reps, iters, [&] {
       kernels::add_s8(a.span(), b.span(), y_ref.span(), p);
     });
-    const double fast_us = median_us_per_call(reps, iters, [&] {
-      kernels::add_s8_fast(a.span(), b.span(), y_fast.span(), consts);
-    });
-    const double speedup = ref_us / fast_us;
-    std::printf("  %-22s ref %8.2f us  fast %8.2f us  speedup %5.2fx\n",
-                c.name, ref_us, fast_us, speedup);
-    report.metric(std::string(c.name) + "_reference_us_p50", ref_us);
-    report.metric(std::string(c.name) + "_fast_us_p50", fast_us);
-    report.metric(std::string(c.name) + "_backend_speedup", speedup);
-    time_every_isa(report, c.name, y_ref, y_fast, reps, iters, &mismatches,
-                   [&](kernels::KernelIsa isa) {
+    time_every_isa(report, c.name, ref_us, y_ref, y_fast, reps, iters,
+                   &mismatches, [&](kernels::KernelIsa isa) {
                      kernels::add_s8_fast(a.span(), b.span(), y_fast.span(),
                                           consts, isa);
                    });

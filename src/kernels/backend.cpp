@@ -59,6 +59,9 @@ PackedOpWeights pack_conv_panel(std::span<const int8_t> weights,
   if (rows < 1 || k % rows != 0)
     throw std::invalid_argument(
         "pack_conv_panel: rows must divide k");
+  if (isa == KernelIsa::kScalar)
+    throw std::invalid_argument(
+        "pack_conv_panel: no kernel reads a panel for kernel ISA scalar");
   PackedOpWeights p;
   p.out_ch = out_ch;
   p.k = k;

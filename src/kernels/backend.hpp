@@ -30,18 +30,18 @@
 //     form, fused multiply-accumulates and 4 pixels x 4 groups). The widest
 //     variant the build carries and the CPU runs is picked once per process
 //     from CPUID (active_kernel_isa()); no setting selects it, since every
-//     variant writes the same bytes. Non-x86 builds, and zero points outside
-//     int8 range, take scalar loops over the same data. Add rescales, sums
-//     and requantizes 16 elements per pass on the same variant. Every
-//     SIMD requantization is the one-multiply form, read from a table
-//     prepared once per model next to the panels; no kernel builds
-//     constants during a call.
-//     Claims conv2d, depthwise and fully-connected when input, weights and
-//     output are all int8 or all int4, and add when both inputs and the
-//     output are; pool and softmax fall back. Int4 ops run these same
-//     kernels: the interpreter unpacks their input into scratch and packs
-//     the result, and their panels are packed from the unpacked weights
-//     (int4 depthwise: the unpacked weights as they are).
+//     variant writes the same bytes. A host without one (non-x86,
+//     -U__SSE2__) has no fast kernels. Add rescales, sums and requantizes
+//     16 elements per pass on the same variant. Every SIMD requantization
+//     is the one-multiply form, read from a table prepared once per model
+//     next to the panels; no kernel builds constants during a call.
+//     Claims what fast_kernels_run() admits: conv2d, depthwise (windows of
+//     1-128 taps) and fully-connected when input, weights and output are
+//     all int8 or all int4, and add when both inputs and the output are;
+//     pool and softmax fall back. Int4 ops run these same kernels: the
+//     interpreter unpacks their input into scratch and packs the result,
+//     and their panels are packed from the unpacked weights (int4
+//     depthwise: the unpacked weights as they are).
 //   kReference — the naive loops in kernels_s8.cpp: the semantic ground
 //     truth every claimed op must match byte-for-byte, at int4 through the
 //     same unpack/pack staging. Reached only through
@@ -59,6 +59,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -87,7 +88,7 @@ struct BackendConfig {
 
 // The instruction set a fast conv, depthwise or FC call runs on.
 enum class KernelIsa : uint8_t {
-  kScalar = 0,  // portable loops over the same panels
+  kScalar = 0,  // no SIMD variant: the naive loops; no fast kernel runs
   kSse2,
   kAvx2,
   kAvx512Vnni,  // AVX2 plus AVX512VL and AVX512-VNNI (vpdpbusd, vpdpwssd)
@@ -98,12 +99,18 @@ enum class KernelIsa : uint8_t {
 const char* kernel_isa_name(KernelIsa isa);
 
 // Whether this build compiled `isa`'s kernels and this CPU can run them.
-// kScalar always can.
+// Never for kScalar, which has none.
 bool kernel_isa_available(KernelIsa isa);
 
 // The variant every fast kernel call runs by default: the widest available
-// one, picked once per process from CPUID.
+// one, picked once per process from CPUID; kScalar when none is.
 KernelIsa active_kernel_isa();
+
+// Whether the fast kernels run an op on this host, which the fast backend
+// claims it by: a SIMD variant is active and a depthwise window (its kh * kw
+// `depthwise_taps`) has 1 to 128 taps. A fast kernel throws
+// std::invalid_argument for a call outside this domain.
+bool fast_kernels_run(std::optional<int64_t> depthwise_taps = std::nullopt);
 
 // --- packed weight panels (fast backend, built once at model load) ----------
 
@@ -160,7 +167,8 @@ int64_t conv_panel_bytes(int32_t out_ch, int64_t k, int32_t rows,
 
 // Packs out_ch x k row-major int8 weights into the panel layout above, in
 // the form `isa`'s kernels read (panel_taps(isa)); a conv passes rows = kh.
-// Throws std::invalid_argument when rows does not divide k.
+// Throws std::invalid_argument when rows does not divide k, and for
+// kScalar, whose panel no kernel reads.
 PackedOpWeights pack_conv_panel(std::span<const int8_t> weights,
                                 int32_t out_ch, int64_t k, int32_t rows = 1,
                                 KernelIsa isa = active_kernel_isa());
@@ -198,8 +206,8 @@ struct alignas(16) RequantGroup {
 
 // The prepared requantization of one conv, depthwise or fully-connected
 // op: the RequantParams it was built from — the fast kernels' only source
-// of zero points, clamp and (on their scalar paths) multipliers — and one
-// group per 8 output channels.
+// of zero points, clamp and (on their scalar requant paths) multipliers —
+// and one group per 8 output channels.
 struct RequantTable {
   RequantParams rq;
   int32_t channels = 0;
@@ -245,7 +253,8 @@ int64_t conv2d_fast_scratch_bytes(const ConvGeometry& g);
 // Every fast conv, depthwise, FC and add kernel runs on `isa`, which
 // defaults to active_kernel_isa(); tests and benches name another
 // available variant to hold it to the oracle or time it. An unavailable
-// one throws std::invalid_argument.
+// one (kScalar always) throws std::invalid_argument, and so does an input
+// zero point outside int8, each before a byte is written.
 void conv2d_s8_fast(std::span<const int8_t> input, const PackedOpWeights& packed,
                     std::span<const int32_t> bias, std::span<int8_t> output,
                     std::span<int8_t> scratch, const ConvGeometry& g,
@@ -257,8 +266,9 @@ void conv2d_s8_fast(std::span<const int8_t> input, const PackedOpWeights& packed
 // and no scratch, and `rq` from prepare_requant(params, ch). Taps pair
 // vertically, two per multiply-add, 16, 8 or 4 channels per pass; interior
 // windows run in tiles of 2-4 output pixels along x that share each input
-// column. The last ch % 4 channels, and windows of more than 128 taps, run
-// a scalar loop.
+// column. The last ch % 4 channels (all of them below 4) run a scalar loop.
+// A window outside 1..128 taps throws std::invalid_argument (the fast
+// backend does not claim it).
 void depthwise_conv2d_s8_fast(std::span<const int8_t> input,
                               std::span<const int8_t> weights,
                               std::span<const int32_t> bias,
@@ -286,8 +296,7 @@ void fully_connected_s8_fast(std::span<const int8_t> input,
 // Elementwise add, bit-identical to add_s8 with rq.p; `rq` must come from
 // prepare_add_requant. 16 elements per pass on `isa`, which defaults to
 // active_kernel_isa() like the conv kernels' (an unavailable one throws);
-// the tail, a call outside the SIMD domain and the scalar variant run
-// add_s8 itself.
+// the n % 16 tail and a table outside the SIMD domain run add_s8 itself.
 void add_s8_fast(std::span<const int8_t> a, std::span<const int8_t> b,
                  std::span<int8_t> output, const AddRequantTable& rq,
                  KernelIsa isa = active_kernel_isa());

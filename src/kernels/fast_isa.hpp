@@ -32,7 +32,8 @@ struct ConvCall {
   ConvGeometry g;
 };
 
-// Windows of more than this many taps run the portable depthwise loop.
+// The depthwise pass's stack buffers hold this many taps; fast_kernels_run()
+// admits no window of more (or of none).
 inline constexpr int32_t kDwMaxTaps = 128;
 
 // One checked depthwise call: channels [0, channels) of the layer, a

@@ -1,6 +1,6 @@
-// Fast-backend kernels: argument checks, instruction-set
-// dispatch and the portable loops (see backend.hpp for the panel layout and
-// the bit-exactness contract).
+// Fast-backend kernels: argument checks and instruction-set dispatch (see
+// backend.hpp for the panel layout, the claim domain and the bit-exactness
+// contract).
 //
 // Conv2d and fully-connected run one register-tiled micro-kernel, each step
 // exact in integer arithmetic. Its panel steps hold 2 taps (int16 pairs,
@@ -40,14 +40,16 @@
 // requantizes 16 elements per pass.
 // All three are written once in fast_tile.hpp and compiled per instruction
 // set (kernels_sse2.cpp, kernels_avx2.cpp, kernels_avx512vnni.cpp);
-// active_kernel_isa() picks one per process. The scalar variant, non-x86
-// builds and zero points outside int8 range run the portable loops here —
-// slower, byte-identical. Pool and softmax have no fast kernel and fall
-// back to the reference loops.
+// active_kernel_isa() picks one per process. A call outside their domain
+// (no variant available, an input zero point outside int8, a depthwise
+// window outside 1..kDwMaxTaps taps) throws before it writes a byte; the
+// fast backend claims no such op (fast_kernels_run()). Pool and softmax
+// have no fast kernel.
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -73,20 +75,12 @@ void requant_scalar(const int32_t* acc, int lanes, const RequantParams& rq,
 
 namespace {
 
-const detail::IsaKernels* isa_kernels(KernelIsa isa) {
-  switch (isa) {
-    case KernelIsa::kScalar: return nullptr;
-    case KernelIsa::kSse2: return detail::sse2_kernels();
-    case KernelIsa::kAvx2: return detail::avx2_kernels();
-    case KernelIsa::kAvx512Vnni: return detail::avx512vnni_kernels();
-  }
-  return nullptr;
-}
-
 // Which variants this build carries and this CPU runs, and the widest of
 // them: probed once per process, so a kernel call pays one table read.
 struct IsaTable {
-  bool available[4] = {true, false, false, false};  // indexed by KernelIsa
+  // Indexed by KernelIsa; nullptr for kScalar and for a variant the build or
+  // the CPU lacks.
+  const detail::IsaKernels* kernels[4] = {};
   KernelIsa active = KernelIsa::kScalar;
 };
 
@@ -94,21 +88,18 @@ IsaTable probe_isas() {
   IsaTable t;
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_cpu_init();
-  t.available[static_cast<int>(KernelIsa::kSse2)] =
-      isa_kernels(KernelIsa::kSse2) != nullptr &&
-      __builtin_cpu_supports("sse2");
-  t.available[static_cast<int>(KernelIsa::kAvx2)] =
-      isa_kernels(KernelIsa::kAvx2) != nullptr &&
-      __builtin_cpu_supports("avx2");
-  t.available[static_cast<int>(KernelIsa::kAvx512Vnni)] =
-      isa_kernels(KernelIsa::kAvx512Vnni) != nullptr &&
-      __builtin_cpu_supports("avx2") &&
-      __builtin_cpu_supports("avx512vl") &&
-      __builtin_cpu_supports("avx512vnni");
+  if (__builtin_cpu_supports("sse2"))
+    t.kernels[static_cast<int>(KernelIsa::kSse2)] = detail::sse2_kernels();
+  if (__builtin_cpu_supports("avx2"))
+    t.kernels[static_cast<int>(KernelIsa::kAvx2)] = detail::avx2_kernels();
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("avx512vl") &&
+      __builtin_cpu_supports("avx512vnni"))
+    t.kernels[static_cast<int>(KernelIsa::kAvx512Vnni)] =
+        detail::avx512vnni_kernels();
 #endif
   for (const KernelIsa isa :
        {KernelIsa::kSse2, KernelIsa::kAvx2, KernelIsa::kAvx512Vnni})
-    if (t.available[static_cast<int>(isa)]) t.active = isa;
+    if (t.kernels[static_cast<int>(isa)] != nullptr) t.active = isa;
   return t;
 }
 
@@ -117,14 +108,14 @@ const IsaTable& isa_table() {
   return table;
 }
 
-// The compiled kernels of an available SIMD variant, nullptr for kScalar;
-// throws for a variant the build or the CPU lacks.
-const detail::IsaKernels* checked_isa(const char* who, KernelIsa isa) {
+// The compiled kernels of an available variant; throws for kScalar and for
+// a variant the build or the CPU lacks.
+const detail::IsaKernels& checked_isa(const char* who, KernelIsa isa) {
   if (!kernel_isa_available(isa))
     throw std::invalid_argument(std::string(who) + ": kernel ISA " +
                                 kernel_isa_name(isa) +
                                 " is not available on this host");
-  return isa_kernels(isa);
+  return *isa_table().kernels[static_cast<int>(isa)];
 }
 
 // A panel must be packed for this op's shape, in its kernel rows, in the
@@ -149,13 +140,20 @@ void check_panel(const char* who, const PackedOpWeights& p,
                                 ": packed panel/geometry mismatch");
 }
 
-// So must the requant table: one group per 8 of the op's channels.
+inline bool zp_in_s8(int32_t zp) { return zp >= -128 && zp <= 127; }
+
+// So must the requant table: one group per 8 of the op's channels. Its
+// input zero point must lie in int8, which bounds every SIMD kernel's
+// columns and tap pairs (x - zp, or x + 128 with zp folded into the bias).
 void check_requant(const char* who, const RequantTable& t, int32_t channels) {
   if (t.channels != channels ||
       static_cast<int64_t>(t.groups.size()) !=
           (int64_t{channels} + kPanelLanes - 1) / kPanelLanes)
     throw std::invalid_argument(std::string(who) +
                                 ": requant table/channel mismatch");
+  if (!zp_in_s8(t.rq.input_zp))
+    throw std::invalid_argument(std::string(who) +
+                                ": input zero point outside int8");
 }
 
 // Fills lane l of `g` with multiplier m and reports whether m is in the
@@ -172,14 +170,6 @@ bool set_requant_lane(RequantGroup& g, int l, const quant::FixedMultiplier& m) {
   g.count[slot] = static_cast<uint64_t>(31 + r);
   return true;
 }
-
-inline int8_t requant_store(int32_t acc, const RequantParams& rq, int32_t oc) {
-  int8_t out;
-  detail::requant_scalar(&acc, 1, rq, oc, &out);
-  return out;
-}
-
-inline bool zp_in_s8(int32_t zp) { return zp >= -128 && zp <= 127; }
 
 // Calls fn(out_px, x, w, rows, cols) for every output pixel of a depthwise
 // layer with its valid tap window [ky_lo, ky_hi) x [kx_lo, kx_hi) resolved
@@ -209,54 +199,6 @@ inline void for_each_dw_window(const ConvGeometry& g, const int8_t* input,
   }
 }
 
-// The portable conv: the reference arithmetic over the panel, in either
-// form, one output pixel and 8 channels at a time. Runs the scalar variant
-// (all of it on non-x86 builds), and zero points outside int8 range, which
-// neither the x - zp int16 columns nor the x + 128 u8 ones with their
-// folded bias can carry.
-void conv_scalar(std::span<const int8_t> input, const PackedOpWeights& packed,
-                 std::span<const int32_t> bias, std::span<int8_t> output,
-                 const ConvGeometry& g, const RequantParams& rq) {
-  const int32_t taps = packed.taps;
-  const int64_t group_bytes =
-      conv_panel_steps(packed.k, g.kh, taps) * taps * kPanelLanes;
-  // Panel taps per kernel row: each row starts a step.
-  const int64_t row_taps = (int64_t{g.kw} * g.in_ch + taps - 1) / taps * taps;
-  int8_t* out = output.data();
-  for (int32_t oy = 0; oy < g.out_h; ++oy) {
-    for (int32_t ox = 0; ox < g.out_w; ++ox, out += g.out_ch) {
-      for (int32_t oc0 = 0; oc0 < g.out_ch; oc0 += kPanelLanes) {
-        const int lanes = std::min(kPanelLanes, g.out_ch - oc0);
-        const int8_t* w =
-            packed.values.data() + oc0 / kPanelLanes * group_bytes;
-        int32_t acc[kPanelLanes] = {};
-        if (!bias.empty())
-          for (int l = 0; l < lanes; ++l)
-            acc[l] = bias[static_cast<size_t>(oc0 + l)];
-        for (int32_t ky = 0; ky < g.kh; ++ky) {
-          const int32_t iy = oy * g.stride - g.pad_h + ky;
-          if (iy < 0 || iy >= g.in_h) continue;
-          for (int32_t kx = 0; kx < g.kw; ++kx) {
-            const int32_t ix = ox * g.stride - g.pad_w + kx;
-            if (ix < 0 || ix >= g.in_w) continue;
-            const int8_t* x =
-                input.data() + (int64_t{iy} * g.in_w + ix) * g.in_ch;
-            const int64_t t0 = ky * row_taps + int64_t{kx} * g.in_ch;
-            for (int32_t c = 0; c < g.in_ch; ++c) {
-              const int64_t t = t0 + c;
-              const int8_t* wt = w + t / taps * taps * kPanelLanes + t % taps;
-              const int32_t v = static_cast<int32_t>(x[c]) - rq.input_zp;
-              for (int l = 0; l < kPanelLanes; ++l) acc[l] += v * wt[taps * l];
-            }
-          }
-        }
-        for (int l = 0; l < lanes; ++l)
-          out[oc0 + l] = requant_store(acc[l], rq, oc0 + l);
-      }
-    }
-  }
-}
-
 // The fast conv's scratch after its 16 bytes of alignment slack: one tile
 // of columns in the pair form (int16 pairs; the quad form's u8 quads take
 // at most as many bytes), one spare pair per pixel (a kernel row's last
@@ -279,30 +221,26 @@ void conv_fast(const char* who, std::span<const int8_t> input,
                const PackedOpWeights& packed, std::span<const int32_t> bias,
                std::span<int8_t> output, std::span<int8_t> scratch,
                const ConvGeometry& g, const RequantTable& t, KernelIsa isa) {
-  const detail::IsaKernels* simd = checked_isa(who, isa);
+  const detail::IsaKernels& simd = checked_isa(who, isa);
   check_panel(who, packed, g, isa);
   check_requant(who, t, g.out_ch);
   check_conv_buffers(who, input, packed.values, bias, output, g);
   if (static_cast<int64_t>(scratch.size()) < conv2d_fast_scratch_bytes(g))
     throw std::invalid_argument(std::string(who) + ": scratch too small");
-  if (simd != nullptr && zp_in_s8(t.rq.input_zp)) {
-    detail::ConvCall call;
-    call.input = input.data();
-    call.panel = packed.values.data();
-    call.sums = packed.sums.data();
-    call.bias = bias.empty() ? nullptr : bias.data();
-    call.output = output.data();
-    // Scratch: 16-byte alignment slack, the columns, then the patches.
-    call.cols = reinterpret_cast<int8_t*>(
-        (reinterpret_cast<uintptr_t>(scratch.data()) + 15) & ~uintptr_t{15});
-    call.patches = call.cols + conv_scratch(g).cols_bytes;
-    call.groups = t.groups.data();
-    call.rq = &t.rq;
-    call.g = g;
-    simd->conv(call);
-    return;
-  }
-  conv_scalar(input, packed, bias, output, g, t.rq);
+  detail::ConvCall call;
+  call.input = input.data();
+  call.panel = packed.values.data();
+  call.sums = packed.sums.data();
+  call.bias = bias.empty() ? nullptr : bias.data();
+  call.output = output.data();
+  // Scratch: 16-byte alignment slack, the columns, then the patches.
+  call.cols = reinterpret_cast<int8_t*>(
+      (reinterpret_cast<uintptr_t>(scratch.data()) + 15) & ~uintptr_t{15});
+  call.patches = call.cols + conv_scratch(g).cols_bytes;
+  call.groups = t.groups.data();
+  call.rq = &t.rq;
+  call.g = g;
+  simd.conv(call);
 }
 
 }  // namespace
@@ -319,10 +257,17 @@ const char* kernel_isa_name(KernelIsa isa) {
 
 bool kernel_isa_available(KernelIsa isa) {
   const auto i = static_cast<size_t>(isa);
-  return i < std::size(isa_table().available) && isa_table().available[i];
+  return i < std::size(isa_table().kernels) &&
+         isa_table().kernels[i] != nullptr;
 }
 
 KernelIsa active_kernel_isa() { return isa_table().active; }
+
+bool fast_kernels_run(std::optional<int64_t> depthwise_taps) {
+  return active_kernel_isa() != KernelIsa::kScalar &&
+         (!depthwise_taps ||
+          (*depthwise_taps >= 1 && *depthwise_taps <= detail::kDwMaxTaps));
+}
 
 RequantTable prepare_requant(RequantParams rq, int32_t channels) {
   if (channels < 0 || (!rq.per_channel.empty() &&
@@ -406,21 +351,18 @@ void depthwise_conv2d_s8_fast(std::span<const int8_t> input,
                               std::span<const int32_t> bias,
                               std::span<int8_t> output, const ConvGeometry& g,
                               const RequantTable& t, KernelIsa isa) {
-  const detail::IsaKernels* simd =
-      checked_isa("depthwise_conv2d_s8_fast", isa);
-  check_depthwise_buffers("depthwise_conv2d_s8_fast", input, weights, bias,
-                          output, g);
-  check_requant("depthwise_conv2d_s8_fast", t, g.out_ch);
+  const char* who = "depthwise_conv2d_s8_fast";
+  const detail::IsaKernels& simd = checked_isa(who, isa);
+  check_depthwise_buffers(who, input, weights, bias, output, g);
+  check_requant(who, t, g.out_ch);
+  // The pass sizes its stack buffers (and weight chunks) by the taps.
+  if (!fast_kernels_run(int64_t{g.kh} * g.kw))
+    throw std::invalid_argument(std::string(who) +
+                                ": window outside 1..kDwMaxTaps taps");
   const RequantParams& rq = t.rq;
   const int32_t ch = g.in_ch;
   int32_t c = 0;
-  // A zero point outside int8 range (never produced by the converter) would
-  // break the pmaddwd pair bound, and a window of more than kDwMaxTaps taps
-  // would outgrow the kernel's stack buffers (one of none sizes its weight
-  // chunk by dividing by zero); such layers take the scalar loop.
-  const int64_t taps = int64_t{g.kh} * g.kw;
-  if (simd != nullptr && zp_in_s8(rq.input_zp) && taps >= 1 &&
-      taps <= detail::kDwMaxTaps && ch >= 4) {
+  if (ch >= 4) {
     detail::DepthwiseCall call;
     call.input = input.data();
     call.weights = weights.data();
@@ -430,11 +372,11 @@ void depthwise_conv2d_s8_fast(std::span<const int8_t> input,
     call.rq = &rq;
     call.g = g;
     call.channels = ch / 4 * 4;
-    simd->depthwise(call);
+    simd.depthwise(call);
     c = call.channels;
   }
   if (c == ch) return;
-  // Scalar channel tail (and the whole layer for the scalar variant): the
+  // Scalar channel tail (ch % 4 channels, or all of fewer than 4): the
   // reference arithmetic over the same precomputed windows.
   const int64_t x_row = int64_t{g.in_w} * ch;
   const int64_t w_row = int64_t{g.kw} * ch;
@@ -452,7 +394,7 @@ void depthwise_conv2d_s8_fast(std::span<const int8_t> input,
                       rq.input_zp) *
                      static_cast<int32_t>(wr[int64_t{dx} * ch]);
           }
-          out_px[k] = requant_store(acc, rq, k);
+          detail::requant_scalar(&acc, 1, rq, k, out_px + k);
         }
       });
 }
@@ -460,13 +402,13 @@ void depthwise_conv2d_s8_fast(std::span<const int8_t> input,
 void add_s8_fast(std::span<const int8_t> a, std::span<const int8_t> b,
                  std::span<int8_t> output, const AddRequantTable& t,
                  KernelIsa isa) {
-  const detail::IsaKernels* simd = checked_isa("add_s8_fast", isa);
+  const detail::IsaKernels& simd = checked_isa("add_s8_fast", isa);
   if (a.size() != b.size() || a.size() != output.size())
     throw std::invalid_argument("add_s8_fast: size mismatch");
   if (t.groups.size() != 3)
     throw std::invalid_argument("add_s8_fast: not a prepared add table");
   size_t i = 0;
-  if (simd != nullptr && t.groups[0].simd) {
+  if (t.groups[0].simd) {
     detail::AddCall call;
     call.a = a.data();
     call.b = b.data();
@@ -474,10 +416,9 @@ void add_s8_fast(std::span<const int8_t> a, std::span<const int8_t> b,
     call.n = a.size();
     call.p = &t.p;
     call.groups = t.groups.data();
-    i = simd->add(call);
+    i = simd.add(call);
   }
-  // The tail, a call outside the SIMD domain and the scalar variant: the
-  // oracle itself.
+  // The tail and a call outside the SIMD domain: the oracle itself.
   if (i < a.size())
     add_s8(a.subspan(i), b.subspan(i), output.subspan(i), t.p);
 }

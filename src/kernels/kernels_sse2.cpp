@@ -206,7 +206,7 @@ const IsaKernels* sse2_kernels() {
 
 }  // namespace mn::kernels::detail
 
-#else  // no SSE2: the portable loops in kernels_fast.cpp run everything
+#else  // no SSE2: no SIMD variant, so the fast backend claims no op
 
 namespace mn::kernels::detail {
 

@@ -16,8 +16,8 @@ constexpr uint8_t kCanaryByte = 0xA5;
 // Claim predicate for the fast backend: conv2d / depthwise / fully-connected
 // whose input, constant weights and output are all int8 or all int4 (panels
 // are packed once at load time, so mutable weights cannot be claimed), and
-// add whose two inputs and output are all int8 or all int4. Everything else
-// falls back.
+// add whose two inputs and output are all int8 or all int4, where
+// kernels::fast_kernels_run admits them. Everything else falls back.
 bool fast_claims(const ModelDef& m, const OpDef& op) {
   if (op.type != OpType::kConv2D && op.type != OpType::kDepthwiseConv2D &&
       op.type != OpType::kFullyConnected && op.type != OpType::kAdd)
@@ -26,7 +26,10 @@ bool fast_claims(const ModelDef& m, const OpDef& op) {
   const TensorDef& in2 = m.tensors[static_cast<size_t>(op.inputs[1])];
   const TensorDef& out = m.tensors[static_cast<size_t>(op.output)];
   return (in.bits == 8 || in.bits == 4) && in2.bits == in.bits &&
-         out.bits == in.bits && (op.type == OpType::kAdd || in2.is_const);
+         out.bits == in.bits && (op.type == OpType::kAdd || in2.is_const) &&
+         (op.type == OpType::kDepthwiseConv2D  // weights [1][kh][kw][ch]
+              ? kernels::fast_kernels_run(in2.shape.dim(1) * in2.shape.dim(2))
+              : kernels::fast_kernels_run());
 }
 
 // The requantization of a conv, depthwise or fully-connected op, from its

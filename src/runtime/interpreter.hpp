@@ -75,8 +75,8 @@ struct PackedModel {
 };
 
 // Builds the FastOpData of every op `config.kind` claims (fast: int8/int4
-// conv2d, depthwise, fully-connected and add). Returns an empty-per_op
-// PackedModel for kReference.
+// conv2d, depthwise, fully-connected and add that kernels::fast_kernels_run
+// admits). Returns an empty-per_op PackedModel for kReference.
 std::shared_ptr<const PackedModel> pack_model_weights(
     const ModelDef& model, kernels::BackendConfig config);
 
@@ -155,9 +155,10 @@ class Interpreter {
   const std::vector<kernels::BackendKind>& op_backends() const {
     return op_backend_;
   }
-  // The instruction set this interpreter's conv, depthwise and FC kernels
-  // run on: the process-wide kernels::active_kernel_isa() on the fast
-  // backend, kScalar (the naive loops) on the reference one.
+  // The instruction set this interpreter's fast-served ops run on: the
+  // process-wide kernels::active_kernel_isa() on the fast backend (kScalar,
+  // serving none, on a host without a SIMD variant), kScalar (the naive
+  // loops) on the reference one.
   kernels::KernelIsa kernel_isa() const {
     return backend_.kind == kernels::BackendKind::kFast
                ? kernels::active_kernel_isa()

@@ -480,20 +480,27 @@ std::optional<RtError> check_op_runnable(const ModelDef& m, size_t i) {
                     "mixed-precision operands unsupported");
   if (in.bits == 4 && op.type == OpType::kSoftmax)
     return op_error(ErrorCode::kUnsupportedOp, i, op, "int4 unsupported");
-  // The fused clamp must be a non-empty range of the output's bit width; an
+  // Every zero point and the fused clamp lie in the bit width: the fast
+  // kernels' int16 lanes hold x - zp only for an int8 zero point, and an
   // int4 result goes through the nibble codec, which keeps only the low four
-  // bits.
+  // bits. The clamp must also be a non-empty range.
+  const quant::QRange r = quant::qrange(in.bits);
+  const auto outside = [&](const std::string& what) {
+    return op_error(ErrorCode::kUnsupportedOp, i, op,
+                    what + " outside [" + std::to_string(r.qmin) + ", " +
+                        std::to_string(r.qmax) + "]");
+  };
+  for (const TensorDef* t : {&in, second, &out})
+    if (t != nullptr &&
+        (t->qp.zero_point < r.qmin || t->qp.zero_point > r.qmax))
+      return outside(t->name + " zero point " +
+                     std::to_string(t->qp.zero_point));
   if (op.type != OpType::kSoftmax) {
     int32_t lo = 0, hi = 0;
     activation_range(op.act, out.qp, out.bits, &lo, &hi);
-    if (lo > hi) {
-      const quant::QRange r = quant::qrange(out.bits);
-      return op_error(ErrorCode::kUnsupportedOp, i, op,
-                      "clamps to [" + std::to_string(lo) + ", " +
-                          std::to_string(hi) + "], outside [" +
-                          std::to_string(r.qmin) + ", " +
-                          std::to_string(r.qmax) + "]");
-    }
+    if (lo > hi)
+      return outside("clamps to [" + std::to_string(lo) + ", " +
+                     std::to_string(hi) + "],");
   }
 
   // Sizes: what each kernel reads and writes.

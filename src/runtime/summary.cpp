@@ -1,5 +1,6 @@
 #include "runtime/summary.hpp"
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 
@@ -41,9 +42,13 @@ std::string model_summary(const ModelDef& model) {
 
 std::string deployment_summary(const Interpreter& interp) {
   std::string out = model_summary(interp.model());
-  out += fmt("kernels: %s backend, %s ISA\n",
+  const auto& backends = interp.op_backends();
+  out += fmt("kernels: %s backend, %s ISA, %lld/%zu ops on the fast kernels\n",
              kernels::backend_name(interp.backend()),
-             kernels::kernel_isa_name(interp.kernel_isa()));
+             kernels::kernel_isa_name(interp.kernel_isa()),
+             static_cast<long long>(std::count(backends.begin(), backends.end(),
+                                               kernels::BackendKind::kFast)),
+             backends.size());
   const MemoryPlan& plan = interp.memory_plan();
   out += fmt("arena plan (%lld KB):\n",
              static_cast<long long>(plan.arena_bytes / 1024));

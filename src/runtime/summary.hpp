@@ -14,8 +14,8 @@ namespace mn::rt {
 std::string model_summary(const ModelDef& model);
 
 // Summary including the kernel backend and instruction set that serve the
-// interpreter, the memory plan (tensor offsets/lifetimes) and the footprint
-// report.
+// interpreter with how many ops the fast kernels serve, the memory plan
+// (tensor offsets/lifetimes) and the footprint report.
 std::string deployment_summary(const Interpreter& interp);
 
 }  // namespace mn::rt

@@ -3,9 +3,11 @@
 // SIMD micro-kernel) must produce BYTE-IDENTICAL outputs to the reference
 // kernels over randomized conv/depthwise/FC geometries — odd sizes, stride
 // 2, symmetric and asymmetric padding, per-channel requant, channel counts
-// that are not multiples of the pack/tile width — and at MN_THREADS 1/2/8;
-// for conv, FC and depthwise also the requantization's edge multipliers and
-// accumulators, and for depthwise the int16 product bound. Plus:
+// that are not multiples of the pack/tile width — on every SIMD variant the
+// host runs, and at MN_THREADS 1/2/8; for conv, FC and depthwise also the
+// requantization's edge multipliers and accumulators, and for depthwise the
+// int16 product bound. A call outside the SIMD kernels' domain must be
+// refused with its output untouched. Plus:
 // backend names and the fast default, panel-packing invariants, a seeded
 // >=500-case geometry fuzzer cross-checking ConvGeometry::macs() against a
 // per-output-pixel counting oracle, an asymmetric-padding golden vector
@@ -85,53 +87,97 @@ std::vector<int32_t> random_bias(Rng& rng, int64_t n) {
   return v;
 }
 
-// Every variant of the fast kernels this build carries and this CPU runs,
-// the portable loops included.
+// Every SIMD variant of the fast kernels this build carries and this CPU
+// runs; none in a non-x86 or -U__SSE2__ build, where the fast backend claims
+// no op.
 std::vector<kernels::KernelIsa> available_isas() {
   std::vector<kernels::KernelIsa> isas;
-  for (const auto isa : {kernels::KernelIsa::kScalar, kernels::KernelIsa::kSse2,
-                         kernels::KernelIsa::kAvx2,
+  for (const auto isa : {kernels::KernelIsa::kSse2, kernels::KernelIsa::kAvx2,
                          kernels::KernelIsa::kAvx512Vnni})
     if (kernels::kernel_isa_available(isa)) isas.push_back(isa);
   return isas;
 }
 
-// Runs conv2d_s8 (the oracle) and conv2d_s8_fast on the same operands and
-// asserts every byte agrees.
-void check_conv_fast(const kernels::ConvGeometry& g,
-                     const kernels::RequantParams& rq,
-                     const std::vector<int8_t>& x, const std::vector<int8_t>& w,
-                     const std::vector<int32_t>& bias) {
+// Why a test that calls the fast kernels on the active variant is skipped.
+constexpr const char* kNoSimd =
+    "no SIMD variant in this build or on this CPU: the fast kernels do not run";
+
+// Expects `run` to throw std::invalid_argument and to leave `y` as it was.
+template <typename Run>
+void expect_refused(std::vector<int8_t>& y, Run&& run) {
+  std::fill(y.begin(), y.end(), int8_t{7});
+  EXPECT_THROW(run(), std::invalid_argument);
+  EXPECT_TRUE(std::all_of(y.begin(), y.end(), [](int8_t v) { return v == 7; }))
+      << "a refused call wrote its output";
+}
+
+// Runs conv2d_s8 once and conv2d_s8_fast on every available variant, each
+// on a panel packed for it, and fully_connected_s8 against
+// fully_connected_s8_fast when `fc` (g is then fully_connected_geometry),
+// asserting every byte agrees. An input zero point outside int8 is outside
+// the kernels' domain: each variant must refuse it instead.
+void check_conv_every_isa(const kernels::ConvGeometry& g,
+                          const kernels::RequantParams& rq,
+                          const std::vector<int8_t>& x,
+                          const std::vector<int8_t>& w,
+                          const std::vector<int32_t>& bias, bool fc = false) {
   std::vector<int8_t> y_ref(static_cast<size_t>(g.output_elements()));
-  std::vector<int8_t> y_fast(y_ref.size(), int8_t{1});
-  kernels::conv2d_s8(x, w, bias, y_ref, g, rq);
-  const auto packed = kernels::pack_conv_panel(
-      w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch, g.kh);
+  if (fc)
+    kernels::fully_connected_s8(x, w, bias, y_ref, g.in_ch, g.out_ch, rq);
+  else
+    kernels::conv2d_s8(x, w, bias, y_ref, g, rq);
   std::vector<int8_t> scratch(
       static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
-  kernels::conv2d_s8_fast(x, packed, bias, y_fast, scratch, g,
-                          kernels::prepare_requant(rq, g.out_ch));
-  ASSERT_EQ(y_fast, y_ref) << "fast conv diverged from the oracle";
+  const kernels::RequantTable t = kernels::prepare_requant(rq, g.out_ch);
+  for (const kernels::KernelIsa isa : available_isas()) {
+    const auto packed = kernels::pack_conv_panel(
+        w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch, g.kh, isa);
+    std::vector<int8_t> y(y_ref.size(), int8_t{1});
+    const auto run = [&] {
+      if (fc)
+        kernels::fully_connected_s8_fast(x, packed, bias, y, scratch, g.in_ch,
+                                         g.out_ch, t, isa);
+      else
+        kernels::conv2d_s8_fast(x, packed, bias, y, scratch, g, t, isa);
+    };
+    if (rq.input_zp < -128 || rq.input_zp > 127) {
+      expect_refused(y, run);
+      continue;
+    }
+    run();
+    ASSERT_EQ(y, y_ref) << (fc ? "FC" : "conv") << " on "
+                        << kernels::kernel_isa_name(isa)
+                        << " diverged from the oracle";
+  }
 }
 
-// The same for fully_connected_s8 and fully_connected_s8_fast.
-void check_fc_fast(int32_t in_f, int32_t out_f,
-                   const kernels::RequantParams& rq,
-                   const std::vector<int8_t>& x, const std::vector<int8_t>& w,
-                   const std::vector<int32_t>& bias) {
-  std::vector<int8_t> y_ref(static_cast<size_t>(out_f));
-  std::vector<int8_t> y_fast(y_ref.size(), int8_t{1});
-  kernels::fully_connected_s8(x, w, bias, y_ref, in_f, out_f, rq);
-  const auto packed = kernels::pack_conv_panel(w, out_f, in_f);
-  std::vector<int8_t> scratch(static_cast<size_t>(
-      kernels::conv2d_fast_scratch_bytes(
-          kernels::fully_connected_geometry(in_f, out_f))));
-  kernels::fully_connected_s8_fast(x, packed, bias, y_fast, scratch, in_f,
-                                   out_f, kernels::prepare_requant(rq, out_f));
-  ASSERT_EQ(y_fast, y_ref) << "fast FC diverged from the oracle";
+// The same for depthwise, whose domain also bounds the window to 1..128
+// taps.
+void check_depthwise_every_isa(const kernels::ConvGeometry& g,
+                               const kernels::RequantParams& rq,
+                               const std::vector<int8_t>& x,
+                               const std::vector<int8_t>& w,
+                               const std::vector<int32_t>& bias) {
+  std::vector<int8_t> y_ref(static_cast<size_t>(g.output_elements()));
+  kernels::depthwise_conv2d_s8(x, w, bias, y_ref, g, rq);
+  const kernels::RequantTable t = kernels::prepare_requant(rq, g.out_ch);
+  const int64_t taps = int64_t{g.kh} * g.kw;
+  for (const kernels::KernelIsa isa : available_isas()) {
+    std::vector<int8_t> y(y_ref.size(), int8_t{1});
+    const auto run = [&] {
+      kernels::depthwise_conv2d_s8_fast(x, w, bias, y, g, t, isa);
+    };
+    if (taps < 1 || taps > 128) {
+      expect_refused(y, run);
+      continue;
+    }
+    run();
+    ASSERT_EQ(y, y_ref) << "depthwise on " << kernels::kernel_isa_name(isa)
+                        << " diverged from the oracle";
+  }
 }
 
-// check_conv_fast on random operands.
+// check_conv_every_isa on random operands.
 void check_conv_all_backends(const kernels::ConvGeometry& g,
                              const kernels::RequantParams& rq, Rng& rng,
                              bool with_bias) {
@@ -139,7 +185,7 @@ void check_conv_all_backends(const kernels::ConvGeometry& g,
   const auto w = random_s8(rng, int64_t{g.out_ch} * g.kh * g.kw * g.in_ch);
   std::vector<int32_t> bias;
   if (with_bias) bias = random_bias(rng, g.out_ch);
-  check_conv_fast(g, rq, x, w, bias);
+  check_conv_every_isa(g, rq, x, w, bias);
 }
 
 }  // namespace
@@ -298,9 +344,9 @@ TEST(BackendPacking, QuadPanelStartsEachRowAQuadAndSumsItsWeights) {
 
 TEST(BackendPacking, KernelsRefuseAPanelOfAnotherFormOrRowLayout) {
   // A conv or FC panel is read only by a variant of its form: a pair panel
-  // on the quad variant, or a quad panel on a pair variant (scalar
-  // included), throws before an output byte is written, and so does a conv
-  // panel packed in other rows than kh.
+  // on the quad variant, or a quad panel on a pair variant, throws before
+  // an output byte is written, and so does a conv panel packed in other
+  // rows than kh.
   Rng rng(11);
   const int32_t out_ch = 9;
   const auto g = make_geom(5, 5, 1, out_ch, 3, 3, 1, 1, 1);
@@ -416,31 +462,24 @@ TEST(BackendDifferential, FullyConnectedSweep) {
       const auto rq = random_rq(rng, c.out_f, per_channel);
       const auto x = random_s8(rng, c.in_f);
       const auto w = random_s8(rng, int64_t{c.in_f} * c.out_f);
-      check_fc_fast(c.in_f, c.out_f, rq, x, w, random_bias(rng, c.out_f));
+      check_conv_every_isa(kernels::fully_connected_geometry(c.in_f, c.out_f),
+                           rq, x, w, random_bias(rng, c.out_f), /*fc=*/true);
     }
   }
 }
 
 namespace {
 
-// Runs depthwise_conv2d_s8 (the oracle) and depthwise_conv2d_s8_fast on the
-// same inputs at MN_THREADS 1, 2 and 8 and asserts every byte agrees.
+// check_depthwise_every_isa at MN_THREADS 1, 2 and 8.
 void check_depthwise_fast(const kernels::ConvGeometry& g,
                           const kernels::RequantParams& rq,
                           const std::vector<int8_t>& x,
                           const std::vector<int8_t>& w,
                           const std::vector<int32_t>& bias) {
-  std::vector<int8_t> y_ref(static_cast<size_t>(g.output_elements()));
-  std::vector<int8_t> y_fast(y_ref.size());
-  const kernels::RequantTable consts = kernels::prepare_requant(rq, g.out_ch);
   for (const int threads : {1, 2, 8}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
     parallel::set_threads(threads);
-    std::fill(y_ref.begin(), y_ref.end(), int8_t{0});
-    std::fill(y_fast.begin(), y_fast.end(), int8_t{1});
-    kernels::depthwise_conv2d_s8(x, w, bias, y_ref, g, rq);
-    kernels::depthwise_conv2d_s8_fast(x, w, bias, y_fast, g, consts);
-    ASSERT_EQ(y_fast, y_ref) << "fast depthwise diverged at " << threads
-                             << " threads";
+    check_depthwise_every_isa(g, rq, x, w, bias);
   }
   parallel::set_threads(0);
 }
@@ -605,13 +644,15 @@ TEST(BackendDifferential, ConvFastRequantEdgeCases) {
       SCOPED_TRACE(testing::Message() << "zp " << zp << " multiplier #" << mi
                                       << " clamp " << clamp.lo << ".."
                                       << clamp.hi);
-      check_conv_fast(g, rq, x, w, accs);
-      check_fc_fast(g.in_ch, ch, rq, fx, w, accs);
+      check_conv_every_isa(g, rq, x, w, accs);
+      check_conv_every_isa(kernels::fully_connected_geometry(g.in_ch, ch), rq,
+                           fx, w, accs, /*fc=*/true);
       for (int32_t c = 0; c < ch; ++c)
         rq.per_channel.push_back(mults[(mi + static_cast<size_t>(c)) %
                                        mults.size()]);
-      check_conv_fast(g, rq, x, w, accs);
-      check_fc_fast(g.in_ch, ch, rq, fx, w, accs);
+      check_conv_every_isa(g, rq, x, w, accs);
+      check_conv_every_isa(kernels::fully_connected_geometry(g.in_ch, ch), rq,
+                           fx, w, accs, /*fc=*/true);
     }
   }
 }
@@ -622,7 +663,8 @@ TEST(BackendDifferential, ConvFastTileAndGatherEdges) {
   // 4-channel gather step), stride 2 with padding, and pixel counts that
   // end mid-tile. Operands: random ones, ones at the int16 corner (all -128
   // inputs and weights at input_zp 127, the largest |x - zp| * |w|, and at
-  // -128), and zero points outside int8 range, which take the scalar path.
+  // -128), and zero points outside int8 range, which every variant must
+  // refuse (ModelDef::check refuses them at load).
   // Fused relu and relu6 clamps ride along. FC runs the same out_ch sweep.
   const struct {
     int32_t in_h, in_w, in_ch, kh, kw, stride, pad;
@@ -655,9 +697,12 @@ TEST(BackendDifferential, ConvFastTileAndGatherEdges) {
           w = random_s8(rng, out_ch * k);
         }
         const auto bias = random_bias(rng, out_ch);
-        check_conv_fast(g, rq, x, w, bias);
-        check_fc_fast(static_cast<int32_t>(g.input_elements()), out_ch, rq,
-                      x, random_s8(rng, out_ch * g.input_elements()), bias);
+        check_conv_every_isa(g, rq, x, w, bias);
+        check_conv_every_isa(
+            kernels::fully_connected_geometry(
+                static_cast<int32_t>(g.input_elements()), out_ch),
+            rq, x, random_s8(rng, out_ch * g.input_elements()), bias,
+            /*fc=*/true);
       }
     }
   }
@@ -801,54 +846,6 @@ TEST(BackendDifferential, AddFastRequantEdgeCases) {
 
 namespace {
 
-// Runs conv2d_s8 once and conv2d_s8_fast on every available variant, each
-// on a panel packed for it, and fully_connected_s8 against
-// fully_connected_s8_fast when `fc` (g is then fully_connected_geometry),
-// asserting every byte agrees.
-void check_conv_every_isa(const kernels::ConvGeometry& g,
-                          const kernels::RequantParams& rq,
-                          const std::vector<int8_t>& x,
-                          const std::vector<int8_t>& w,
-                          const std::vector<int32_t>& bias, bool fc = false) {
-  std::vector<int8_t> y_ref(static_cast<size_t>(g.output_elements()));
-  if (fc)
-    kernels::fully_connected_s8(x, w, bias, y_ref, g.in_ch, g.out_ch, rq);
-  else
-    kernels::conv2d_s8(x, w, bias, y_ref, g, rq);
-  std::vector<int8_t> scratch(
-      static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
-  const kernels::RequantTable t = kernels::prepare_requant(rq, g.out_ch);
-  for (const kernels::KernelIsa isa : available_isas()) {
-    const auto packed = kernels::pack_conv_panel(
-        w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch, g.kh, isa);
-    std::vector<int8_t> y(y_ref.size(), int8_t{1});
-    if (fc)
-      kernels::fully_connected_s8_fast(x, packed, bias, y, scratch, g.in_ch,
-                                       g.out_ch, t, isa);
-    else
-      kernels::conv2d_s8_fast(x, packed, bias, y, scratch, g, t, isa);
-    ASSERT_EQ(y, y_ref) << (fc ? "FC" : "conv") << " on "
-                        << kernels::kernel_isa_name(isa)
-                        << " diverged from the oracle";
-  }
-}
-
-void check_depthwise_every_isa(const kernels::ConvGeometry& g,
-                               const kernels::RequantParams& rq,
-                               const std::vector<int8_t>& x,
-                               const std::vector<int8_t>& w,
-                               const std::vector<int32_t>& bias) {
-  std::vector<int8_t> y_ref(static_cast<size_t>(g.output_elements()));
-  kernels::depthwise_conv2d_s8(x, w, bias, y_ref, g, rq);
-  const kernels::RequantTable t = kernels::prepare_requant(rq, g.out_ch);
-  for (const kernels::KernelIsa isa : available_isas()) {
-    std::vector<int8_t> y(y_ref.size(), int8_t{1});
-    kernels::depthwise_conv2d_s8_fast(x, w, bias, y, g, t, isa);
-    ASSERT_EQ(y, y_ref) << "depthwise on " << kernels::kernel_isa_name(isa)
-                        << " diverged from the oracle";
-  }
-}
-
 // The requantization variants the ISA sweep cycles through: per-tensor,
 // per-channel with shifts spread over several octaves (so a group's lanes
 // rarely share one), a clamp wider than int8 and one multiplier <= 0 (both
@@ -895,25 +892,50 @@ TEST(BackendIsa, NamesAndAvailability) {
   EXPECT_STREQ(kernels::kernel_isa_name(kernels::KernelIsa::kAvx2), "avx2");
   EXPECT_STREQ(kernels::kernel_isa_name(kernels::KernelIsa::kAvx512Vnni),
                "avx512vnni");
-  EXPECT_TRUE(kernels::kernel_isa_available(kernels::KernelIsa::kScalar));
-  // The active variant is the widest available one, and stays put.
+  // kScalar names "no SIMD variant" and has no kernels.
+  EXPECT_FALSE(kernels::kernel_isa_available(kernels::KernelIsa::kScalar));
+  // The active variant is the widest available one (kScalar when there is
+  // none) and stays put; the fast kernels run only where there is one.
   const std::vector<kernels::KernelIsa> isas = available_isas();
-  EXPECT_EQ(kernels::active_kernel_isa(), isas.back());
+  EXPECT_EQ(kernels::active_kernel_isa(),
+            isas.empty() ? kernels::KernelIsa::kScalar : isas.back());
   EXPECT_EQ(kernels::active_kernel_isa(), kernels::active_kernel_isa());
-  // A variant the build or the CPU lacks is refused, not silently replaced.
+  EXPECT_EQ(kernels::fast_kernels_run(), !isas.empty());
+  // A variant the build or the CPU lacks, and kScalar always, is refused
+  // before a byte is written, not silently replaced; so is packing a panel
+  // for kScalar.
   const auto g = make_geom(4, 4, 4, 8, 3, 3, 1, 1, 1);
   const std::vector<int8_t> x(static_cast<size_t>(g.input_elements()));
   const std::vector<int8_t> w(static_cast<size_t>(8 * 9 * 4));
-  const auto packed = kernels::pack_conv_panel(w, 8, 9 * 4);
+  EXPECT_THROW(
+      kernels::pack_conv_panel(w, 8, 9 * 4, 3, kernels::KernelIsa::kScalar),
+      std::invalid_argument);
+  const auto packed =
+      kernels::pack_conv_panel(w, 8, 9 * 4, 3, kernels::KernelIsa::kAvx2);
   std::vector<int8_t> scratch(
       static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
   std::vector<int8_t> y(static_cast<size_t>(g.output_elements()));
   const auto t = kernels::prepare_requant(kernels::RequantParams{}, 8);
-  for (const auto isa : {kernels::KernelIsa::kSse2, kernels::KernelIsa::kAvx2,
-                         kernels::KernelIsa::kAvx512Vnni}) {
+  const auto dw_g = make_geom(4, 4, 4, 4, 3, 3, 1, 1, 1);
+  std::vector<int8_t> dw_y(static_cast<size_t>(dw_g.output_elements()));
+  for (const auto isa :
+       {kernels::KernelIsa::kScalar, kernels::KernelIsa::kSse2,
+        kernels::KernelIsa::kAvx2, kernels::KernelIsa::kAvx512Vnni}) {
     if (kernels::kernel_isa_available(isa)) continue;
-    EXPECT_THROW(kernels::conv2d_s8_fast(x, packed, {}, y, scratch, g, t, isa),
-                 std::invalid_argument);
+    SCOPED_TRACE(kernels::kernel_isa_name(isa));
+    expect_refused(y, [&] {
+      kernels::conv2d_s8_fast(x, packed, {}, y, scratch, g, t, isa);
+    });
+    expect_refused(dw_y, [&] {
+      kernels::depthwise_conv2d_s8_fast(x, std::span(w).first(9 * 4), {},
+                                        dw_y, dw_g,
+                                        kernels::prepare_requant({}, 4), isa);
+    });
+    expect_refused(dw_y, [&] {
+      kernels::add_s8_fast(x, x, dw_y,
+                           kernels::prepare_add_requant(kernels::AddParams{}),
+                           isa);
+    });
   }
 }
 
@@ -1178,8 +1200,8 @@ TEST(BackendIsa, DepthwiseSweepEveryVariant) {
   // 4-channel passes and the scalar tail after them) plus 116 and 132
   // (the KWS 4-channel tail); then windows that shrink the weight chunk
   // (11x11: 32 channels per chunk), a layer of more than 256 channels (two
-  // chunks), a 12x11 window past the 128-tap bound and a window of no taps
-  // (both on the portable loop).
+  // chunks), and a 12x11 window past the 128-tap bound and a window of no
+  // taps, which every variant must refuse (the fast backend claims neither).
   std::vector<int32_t> chs;
   for (int32_t c = 1; c <= 17; ++c) chs.push_back(c);
   chs.insert(chs.end(), {116, 132});
@@ -1386,14 +1408,8 @@ TEST(BackendGolden, AsymmetricPaddingOracle) {
   std::vector<int8_t> y(oracle.size());
   kernels::conv2d_s8(x, w, bias, y, g, rq);
   EXPECT_EQ(y, oracle) << "reference conv disagrees with the naive oracle";
-  const auto packed = kernels::pack_conv_panel(
-      w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch, g.kh);
-  std::vector<int8_t> fast_scratch(
-      static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
-  std::fill(y.begin(), y.end(), int8_t{0});
-  kernels::conv2d_s8_fast(x, packed, bias, y, fast_scratch, g,
-                          kernels::prepare_requant(rq, g.out_ch));
-  EXPECT_EQ(y, oracle) << "fast conv disagrees with the naive oracle";
+  // Every fast variant must match the reference conv, and so the oracle.
+  check_conv_every_isa(g, rq, x, w, bias);
 }
 
 // --- geometry fuzzer ---------------------------------------------------------
@@ -1450,27 +1466,18 @@ TEST(BackendGeometryFuzz, MacsMatchPerPixelCountingOracle) {
 // --- thread invariance -------------------------------------------------------
 
 TEST(BackendThreads, FastConvBitIdenticalAcrossThreadCounts) {
+  // Every variant matches the oracle, and so each other, at 1, 2 and 8
+  // threads.
   const auto g = make_geom(23, 9, 13, 21, 3, 3, 1, 1, 2);
   Rng rng(55);
   const auto rq = random_rq(rng, g.out_ch, true);
   const auto x = random_s8(rng, g.input_elements());
   const auto w = random_s8(rng, int64_t{g.out_ch} * g.kh * g.kw * g.in_ch);
   const auto bias = random_bias(rng, g.out_ch);
-  const auto packed = kernels::pack_conv_panel(
-      w, g.out_ch, int64_t{g.kh} * g.kw * g.in_ch, g.kh);
-  std::vector<int8_t> scratch(
-      static_cast<size_t>(kernels::conv2d_fast_scratch_bytes(g)));
-  const kernels::RequantTable consts = kernels::prepare_requant(rq, g.out_ch);
-  std::vector<int8_t> baseline;
   for (const int threads : {1, 2, 8}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
     parallel::set_threads(threads);
-    std::vector<int8_t> y(static_cast<size_t>(g.output_elements()));
-    kernels::conv2d_s8_fast(x, packed, bias, y, scratch, g, consts);
-    if (baseline.empty())
-      baseline = y;
-    else
-      EXPECT_EQ(y, baseline) << "fast conv output moved at " << threads
-                             << " threads";
+    check_conv_every_isa(g, rq, x, w, bias);
   }
   parallel::set_threads(0);
 }
@@ -1478,6 +1485,24 @@ TEST(BackendThreads, FastConvBitIdenticalAcrossThreadCounts) {
 // --- interpreter integration -------------------------------------------------
 
 namespace {
+
+// `graph` calibrated on two N(0, 0.5) inputs drawn from `seed` and
+// converted at `bits` (weights and activations) as `name`.
+rt::ModelDef convert_at(nn::Graph graph, const Shape& input, uint64_t seed,
+                        int bits, const std::string& name,
+                        bool softmax = false) {
+  Rng rng(seed);
+  TensorF batch(Shape{2, input.dim(0), input.dim(1), input.dim(2)});
+  for (int64_t i = 0; i < batch.size(); ++i)
+    batch[i] = static_cast<float>(rng.normal(0.0, 0.5));
+  const rt::RangeMap ranges = rt::calibrate_ranges(graph, batch);
+  rt::ConvertOptions co;
+  co.name = bits == 8 ? name : name + "_s4";
+  co.append_softmax = softmax;
+  co.weight_bits = bits;
+  co.act_bits = bits;
+  return rt::convert(graph, co, &ranges);
+}
 
 rt::ModelDef tiny_model(uint64_t seed = 1, int bits = 8) {
   models::DsCnnConfig cfg;
@@ -1490,17 +1515,8 @@ rt::ModelDef tiny_model(uint64_t seed = 1, int bits = 8) {
   models::BuildOptions opt;
   opt.seed = seed;
   opt.qat = false;
-  nn::Graph g = models::build_ds_cnn(cfg, opt);
-  Rng rng(seed + 1);
-  TensorF batch(Shape{2, 12, 8, 1});
-  for (int64_t i = 0; i < batch.size(); ++i)
-    batch[i] = static_cast<float>(rng.normal(0.0, 0.5));
-  const rt::RangeMap ranges = rt::calibrate_ranges(g, batch);
-  rt::ConvertOptions co;
-  co.name = bits == 8 ? "backend_tiny" : "backend_tiny_s4";
-  co.weight_bits = bits;
-  co.act_bits = bits;
-  return rt::convert(g, co, &ranges);
+  return convert_at(models::build_ds_cnn(cfg, opt), cfg.input, seed + 1, bits,
+                    "backend_tiny");
 }
 
 // A residual MobileNetV2: conv, depthwise, FC, pool and add ops, plus a
@@ -1515,18 +1531,8 @@ rt::ModelDef residual_model(int bits) {
   models::BuildOptions opt;
   opt.seed = 3;
   opt.qat = false;
-  nn::Graph graph = models::build_mobilenet_v2(cfg, opt);
-  Rng rng(4);
-  TensorF batch(Shape{2, 12, 12, 1});
-  for (int64_t i = 0; i < batch.size(); ++i)
-    batch[i] = static_cast<float>(rng.normal(0.0, 0.5));
-  const rt::RangeMap ranges = rt::calibrate_ranges(graph, batch);
-  rt::ConvertOptions co;
-  co.name = bits == 8 ? "backend_resid" : "backend_resid_s4";
-  co.append_softmax = bits == 8;
-  co.weight_bits = bits;
-  co.act_bits = bits;
-  return rt::convert(graph, co, &ranges);
+  return convert_at(models::build_mobilenet_v2(cfg, opt), cfg.input, 4, bits,
+                    "backend_resid", /*softmax=*/bits == 8);
 }
 
 // A KWS-int4-shaped DS-CNN at int4: the 49x10 input and 10x4 stride-2 stem
@@ -1540,17 +1546,28 @@ rt::ModelDef kws_int4_shaped_model() {
   models::BuildOptions opt;
   opt.seed = 11;
   opt.qat = false;
-  nn::Graph g = models::build_ds_cnn(cfg, opt);
-  Rng rng(12);
-  TensorF batch(Shape{2, 49, 10, 1});
-  for (int64_t i = 0; i < batch.size(); ++i)
-    batch[i] = static_cast<float>(rng.normal(0.0, 0.5));
-  const rt::RangeMap ranges = rt::calibrate_ranges(g, batch);
-  rt::ConvertOptions co;
-  co.name = "backend_kws_s4";
-  co.weight_bits = 4;
-  co.act_bits = 4;
-  return rt::convert(g, co, &ranges);
+  return convert_at(models::build_ds_cnn(cfg, opt), cfg.input, 12, 4,
+                    "backend_kws");
+}
+
+// A 3x3 stem, one 12x11 depthwise (132 taps, past the fast depthwise
+// kernel's 128), a 1x1 conv and the pool + FC head.
+rt::ModelDef wide_depthwise_model(int bits) {
+  nn::GraphBuilder b(21);
+  const Shape input{14, 12, 1};
+  nn::Conv2DOptions stem;
+  stem.out_channels = 8;
+  stem.kh = stem.kw = 3;
+  nn::DepthwiseConv2DOptions dw;
+  dw.kh = 12;
+  dw.kw = 11;
+  nn::Conv2DOptions pw;
+  pw.out_channels = 12;
+  pw.kh = pw.kw = 1;
+  const int x = b.conv_bn_relu(
+      b.dwconv_bn_relu(b.conv_bn_relu(b.input(input), stem), dw), pw);
+  return convert_at(b.build(b.dense(b.global_avg_pool(x), 3)), input, 22,
+                    bits, "backend_wide_dw");
 }
 
 // Uniform over the input tensor's full range: [-127, 127] at int8, every
@@ -1569,99 +1586,123 @@ TensorI8 random_input(const rt::ModelDef& m, uint64_t seed) {
 }  // namespace
 
 TEST(BackendInterpreter, FastInvokeIsByteIdenticalToReference) {
-  const rt::ModelDef m = tiny_model(3);
-  const rt::MemoryPlan plan = rt::plan_memory(m);
-  rt::Interpreter ref(m, plan, kernels::BackendConfig::reference());
-  rt::Interpreter fast(m, plan, kernels::BackendConfig::fast());
-  EXPECT_EQ(ref.backend(), kernels::BackendKind::kReference);
-  EXPECT_EQ(fast.backend(), kernels::BackendKind::kFast);
-  // Claim-or-fall-back: the DS-CNN has conv, depthwise and FC (claimed) and
-  // pool / softmax (reference fallback) — both kinds must appear.
-  int fast_ops = 0, ref_ops = 0;
-  for (size_t i = 0; i < m.ops.size(); ++i)
-    (fast.op_backend(i) == kernels::BackendKind::kFast ? fast_ops : ref_ops)++;
-  EXPECT_GT(fast_ops, 0);
-  EXPECT_GT(ref_ops, 0);
-  for (const auto kind : ref.op_backends())
-    EXPECT_EQ(kind, kernels::BackendKind::kReference);
-  for (int trial = 0; trial < 4; ++trial) {
-    const TensorI8 in = random_input(m, 700 + static_cast<uint64_t>(trial));
-    const TensorI8 out_ref = ref.invoke_quantized(in);
-    const TensorI8 out_fast = fast.invoke_quantized(in);
-    ASSERT_EQ(out_ref.size(), out_fast.size());
-    for (int64_t i = 0; i < out_ref.size(); ++i)
-      ASSERT_EQ(out_ref[i], out_fast[i]) << "output byte " << i << " differs";
+  // Also with a depthwise the fast backend leaves to the reference kernels
+  // between two convs it claims.
+  for (const rt::ModelDef& m : {tiny_model(3), wide_depthwise_model(8)}) {
+    SCOPED_TRACE(m.name);
+    const rt::MemoryPlan plan = rt::plan_memory(m);
+    rt::Interpreter ref(m, plan, kernels::BackendConfig::reference());
+    rt::Interpreter fast(m, plan, kernels::BackendConfig::fast());
+    EXPECT_EQ(ref.backend(), kernels::BackendKind::kReference);
+    EXPECT_EQ(fast.backend(), kernels::BackendKind::kFast);
+    // Claim-or-fall-back: the DS-CNN has conv, depthwise and FC (claimed
+    // where a SIMD variant runs) and pool / softmax (reference fallback).
+    int fast_ops = 0, ref_ops = 0;
+    for (size_t i = 0; i < m.ops.size(); ++i)
+      (fast.op_backend(i) == kernels::BackendKind::kFast ? fast_ops
+                                                         : ref_ops)++;
+    EXPECT_EQ(fast_ops > 0, !available_isas().empty());
+    EXPECT_GT(ref_ops, 0);
+    for (const auto kind : ref.op_backends())
+      EXPECT_EQ(kind, kernels::BackendKind::kReference);
+    for (int trial = 0; trial < 4; ++trial) {
+      const TensorI8 in = random_input(m, 700 + static_cast<uint64_t>(trial));
+      const TensorI8 out_ref = ref.invoke_quantized(in);
+      const TensorI8 out_fast = fast.invoke_quantized(in);
+      ASSERT_EQ(out_ref.size(), out_fast.size());
+      for (int64_t i = 0; i < out_ref.size(); ++i)
+        ASSERT_EQ(out_ref[i], out_fast[i])
+            << "output byte " << i << " differs";
+    }
   }
 }
 
 TEST(BackendInterpreter, FastClaimsConvDepthwiseFcAtInt8AndInt4) {
-  // Every int8 and int4 conv / depthwise / FC / add op is fast-served; pool
-  // and softmax fall back. The residual MobileNetV2 carries the add ops.
+  // An op is fast-served if and only if a SIMD variant is active and the op
+  // is in the fast kernels' domain: every int8 and int4 conv / FC / add, and
+  // depthwise with a window of 1..128 taps. Pool and softmax fall back, and
+  // so does a 12x11 depthwise (132 taps) between two fast convs. The
+  // residual MobileNetV2 carries the add ops.
+  const bool simd = !available_isas().empty();
   for (const int bits : {8, 4}) {
-    SCOPED_TRACE("bits " + std::to_string(bits));
-    const rt::ModelDef m = residual_model(bits);
-    rt::Interpreter fast(m, rt::plan_memory(m), kernels::BackendConfig::fast());
-    std::set<rt::OpType> fast_types, ref_types;
-    for (size_t i = 0; i < m.ops.size(); ++i) {
-      const rt::OpType t = m.ops[i].type;
-      const bool claimed = t == rt::OpType::kConv2D ||
-                           t == rt::OpType::kDepthwiseConv2D ||
-                           t == rt::OpType::kFullyConnected ||
-                           t == rt::OpType::kAdd;
-      EXPECT_EQ(fast.op_backend(i), claimed ? kernels::BackendKind::kFast
-                                            : kernels::BackendKind::kReference)
-          << "op " << i;
-      (claimed ? fast_types : ref_types).insert(t);
-      // Every claimed op has its fast data and no other op does. Add has
-      // no weights and int8 depthwise reads its weights in place; every
-      // other claimed op holds its weights (unpacked at int4) in a panel.
-      const auto& data = fast.packed_model()->per_op[i];
-      ASSERT_EQ(data != nullptr, claimed) << "op " << i;
-      if (!claimed) continue;
-      const kernels::PackedOpWeights* panel = &data->weights;
-      if (t == rt::OpType::kAdd) {
-        EXPECT_EQ(data->add.groups.size(), 3u);
-        EXPECT_EQ(panel->bytes(), 0);
-      } else if (t == rt::OpType::kDepthwiseConv2D && bits == 8) {
-        EXPECT_FALSE(data->requant.groups.empty());
-        EXPECT_EQ(panel->bytes(), 0);
-      } else {
-        EXPECT_FALSE(data->requant.groups.empty());
-        EXPECT_GT(panel->bytes(), 0);
-        const rt::TensorDef& w =
-            m.tensors[static_cast<size_t>(m.ops[i].inputs[1])];
+    for (const rt::ModelDef& m :
+         {residual_model(bits), wide_depthwise_model(bits)}) {
+      SCOPED_TRACE(m.name);
+      rt::Interpreter fast(m, rt::plan_memory(m),
+                           kernels::BackendConfig::fast());
+      std::set<rt::OpType> fast_types, ref_types;
+      bool wide_dw = false;
+      for (size_t i = 0; i < m.ops.size(); ++i) {
+        const rt::OpType t = m.ops[i].type;
+        bool in_domain = t == rt::OpType::kConv2D ||
+                         t == rt::OpType::kFullyConnected ||
+                         t == rt::OpType::kAdd;
         if (t == rt::OpType::kDepthwiseConv2D) {
-          EXPECT_EQ(panel->bytes(), w.elements());
+          // Weights [1][kh][kw][ch].
+          const Shape& ws =
+              m.tensors[static_cast<size_t>(m.ops[i].inputs[1])].shape;
+          in_domain = ws.dim(1) * ws.dim(2) <= 128;
+          wide_dw = wide_dw || !in_domain;
+        }
+        const bool claimed = simd && in_domain;
+        EXPECT_EQ(fast.op_backend(i), claimed
+                                          ? kernels::BackendKind::kFast
+                                          : kernels::BackendKind::kReference)
+            << "op " << i;
+        (claimed ? fast_types : ref_types).insert(t);
+        // Every claimed op has its fast data and no other op does. Add has
+        // no weights and int8 depthwise reads its weights in place; every
+        // other claimed op holds its weights (unpacked at int4) in a panel.
+        const auto& data = fast.packed_model()->per_op[i];
+        ASSERT_EQ(data != nullptr, claimed) << "op " << i;
+        if (!claimed) continue;
+        const kernels::PackedOpWeights* panel = &data->weights;
+        if (t == rt::OpType::kAdd) {
+          EXPECT_EQ(data->add.groups.size(), 3u);
+          EXPECT_EQ(panel->bytes(), 0);
+        } else if (t == rt::OpType::kDepthwiseConv2D && bits == 8) {
+          EXPECT_FALSE(data->requant.groups.empty());
+          EXPECT_EQ(panel->bytes(), 0);
         } else {
-          EXPECT_EQ(int64_t{panel->out_ch} * panel->k, w.elements());
-          EXPECT_EQ(panel->rows,
-                    t == rt::OpType::kConv2D ? w.shape.dim(1) : 1);
-          EXPECT_EQ(panel->taps,
-                    kernels::panel_taps(kernels::active_kernel_isa()));
-          EXPECT_EQ(panel->bytes(),
-                    kernels::conv_panel_bytes(panel->out_ch, panel->k,
-                                              panel->rows, panel->taps));
+          EXPECT_FALSE(data->requant.groups.empty());
+          EXPECT_GT(panel->bytes(), 0);
+          const rt::TensorDef& w =
+              m.tensors[static_cast<size_t>(m.ops[i].inputs[1])];
+          if (t == rt::OpType::kDepthwiseConv2D) {
+            EXPECT_EQ(panel->bytes(), w.elements());
+          } else {
+            EXPECT_EQ(int64_t{panel->out_ch} * panel->k, w.elements());
+            EXPECT_EQ(panel->rows,
+                      t == rt::OpType::kConv2D ? w.shape.dim(1) : 1);
+            EXPECT_EQ(panel->taps,
+                      kernels::panel_taps(kernels::active_kernel_isa()));
+            EXPECT_EQ(panel->bytes(),
+                      kernels::conv_panel_bytes(panel->out_ch, panel->k,
+                                                panel->rows, panel->taps));
+          }
         }
       }
+      EXPECT_EQ(ref_types.count(rt::OpType::kAvgPool2D), 1u);
+      if (wide_dw) continue;
+      for (const rt::OpType t :
+           {rt::OpType::kConv2D, rt::OpType::kDepthwiseConv2D,
+            rt::OpType::kFullyConnected, rt::OpType::kAdd})
+        EXPECT_EQ(fast_types.count(t), simd ? 1u : 0u) << rt::op_type_name(t);
+      EXPECT_EQ(ref_types.count(rt::OpType::kSoftmax), bits == 8 ? 1u : 0u);
     }
-    EXPECT_EQ(fast_types.count(rt::OpType::kConv2D), 1u);
-    EXPECT_EQ(fast_types.count(rt::OpType::kDepthwiseConv2D), 1u);
-    EXPECT_EQ(fast_types.count(rt::OpType::kFullyConnected), 1u);
-    EXPECT_EQ(fast_types.count(rt::OpType::kAdd), 1u);
-    EXPECT_EQ(ref_types.count(rt::OpType::kAvgPool2D), 1u);
-    EXPECT_EQ(ref_types.count(rt::OpType::kSoftmax), bits == 8 ? 1u : 0u);
   }
 }
 
 // Int4 runs the int8 kernels on unpacked operands, so the fast backend must
 // match the reference backend byte for byte on int4 models too: a plain
 // DS-CNN, a residual MobileNetV2 (add runs add_s8_fast; avg pool falls back
-// to the int8 oracle) and a KWS-int4-shaped model with a stride-2 10x4
-// stem, per-channel multipliers and odd element counts. Inputs cover every
-// nibble value.
+// to the int8 oracle), a KWS-int4-shaped model with a stride-2 10x4 stem,
+// per-channel multipliers and odd element counts, and the unclaimed 12x11
+// depthwise. Inputs cover every nibble value.
 TEST(BackendInterpreter, FastInt4InvokeIsByteIdenticalToReference) {
   for (const rt::ModelDef& m :
-       {tiny_model(8, /*bits=*/4), residual_model(4), kws_int4_shaped_model()}) {
+       {tiny_model(8, /*bits=*/4), residual_model(4), kws_int4_shaped_model(),
+        wide_depthwise_model(4)}) {
     SCOPED_TRACE(m.name);
     const rt::TensorDef& out_t = m.tensors[static_cast<size_t>(m.output_tensor)];
     if (m.name == "backend_kws_s4") {
@@ -1687,7 +1728,7 @@ TEST(BackendInterpreter, FastInt4InvokeIsByteIdenticalToReference) {
     int claimed = 0;
     for (size_t i = 0; i < m.ops.size(); ++i)
       claimed += fast.op_backend(i) == kernels::BackendKind::kFast;
-    EXPECT_GT(claimed, 0);
+    EXPECT_EQ(claimed > 0, !available_isas().empty());
     std::set<int> seen;
     for (int trial = 0; trial < 3; ++trial) {
       const TensorI8 in = random_input(m, 1300 + static_cast<uint64_t>(trial));
@@ -1768,7 +1809,8 @@ TEST(BackendInterpreter, DispatchCountersAndProfileReportBackend) {
                                    kernels::BackendKind::kFast);
   const auto ref_ops = std::count(backends.begin(), backends.end(),
                                   kernels::BackendKind::kReference);
-  EXPECT_GT(fast_ops, 0);
+  const bool simd = !available_isas().empty();
+  EXPECT_EQ(fast_ops > 0, simd);
   EXPECT_GT(ref_ops, 0);
   EXPECT_EQ(fast_ops + ref_ops, static_cast<std::ptrdiff_t>(m.ops.size()));
   const rt::ProfileReport rep = fast.profile_report();
@@ -1779,14 +1821,15 @@ TEST(BackendInterpreter, DispatchCountersAndProfileReportBackend) {
     if (std::string(rep.ops[i].backend) == "fast") saw_fast = true;
     if (std::string(rep.ops[i].backend) == "reference") saw_ref = true;
   }
-  EXPECT_TRUE(saw_fast);
+  EXPECT_EQ(saw_fast, simd);
   EXPECT_TRUE(saw_ref);
   EXPECT_NE(rep.table().find("backend"), std::string::npos);
 }
 
 TEST(BackendInterpreter, SummaryAndProfileNameTheKernelIsa) {
   // Which kernel produced a number: the fast backend runs the process's
-  // active variant, the reference backend the naive (scalar) loops.
+  // active variant, the reference backend the naive (scalar) loops, and the
+  // summary counts the ops the fast kernels serve.
   const rt::ModelDef m = tiny_model(5);
   const std::string active =
       kernels::kernel_isa_name(kernels::active_kernel_isa());
@@ -1800,6 +1843,14 @@ TEST(BackendInterpreter, SummaryAndProfileNameTheKernelIsa) {
             std::string::npos);
   EXPECT_NE(rt::deployment_summary(ref).find(
                 "kernels: reference backend, scalar ISA"),
+            std::string::npos);
+  // All of its five ops but the pool where a SIMD variant runs.
+  ASSERT_EQ(m.ops.size(), 5u);
+  EXPECT_NE(rt::deployment_summary(fast).find(
+                (available_isas().empty() ? ", 0" : ", 4") +
+                std::string("/5 ops on the fast kernels\n")),
+            std::string::npos);
+  EXPECT_NE(rt::deployment_summary(ref).find(", 0/5 ops on the fast kernels"),
             std::string::npos);
   fast.set_profiling(true);
   fast.invoke_quantized(random_input(m, 43));
@@ -1815,6 +1866,10 @@ TEST(BackendInterpreter, SharedPackedModelIsReusedAndValidated) {
       rt::pack_model_weights(m, kernels::BackendConfig::fast());
   EXPECT_EQ(packed->kind, kernels::BackendKind::kFast);
   EXPECT_EQ(packed->per_op.size(), m.ops.size());
+  if (available_isas().empty()) {
+    EXPECT_EQ(packed->bytes(), 0);
+    GTEST_SKIP() << "no SIMD variant: the fast backend claims and packs no op";
+  }
   EXPECT_GT(packed->bytes(), 0);
   bool any_claimed = false, any_fallback = false;
   for (const auto& p : packed->per_op) (p ? any_claimed : any_fallback) = true;
@@ -1852,6 +1907,7 @@ TEST(BackendInterpreter, SharedPackedModelIsReusedAndValidated) {
 // --- hardened kernel validation --------------------------------------------
 
 TEST(BackendValidation, KernelsRejectUndersizedBuffers) {
+  if (available_isas().empty()) GTEST_SKIP() << kNoSimd;
   const auto g = make_geom(6, 6, 4, 4, 3, 3, 1, 1, 1);
   Rng rng(13);
   const auto rq = random_rq(rng, g.out_ch, false);
@@ -1999,6 +2055,7 @@ TEST(BackendValidation, KernelsRejectUndersizedBuffers) {
 }
 
 TEST(BackendValidation, KernelsRejectMismatchedRequantTables) {
+  if (available_isas().empty()) GTEST_SKIP() << kNoSimd;
   // A requant table prepared for another channel count, or cut short, is
   // refused with invalid_argument before any output byte is written.
   const auto g = make_geom(5, 5, 12, 12, 3, 3, 1, 1, 1);

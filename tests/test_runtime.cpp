@@ -154,6 +154,10 @@ TEST(ModelDef, CheckRejectsUnrunnableGraphs) {
       [](ModelDef&) {});
   add("int4 clamp outside [-8, 7]", m4, kOp,
       [](ModelDef& m) { tensor(m, m.ops[0].output).qp.zero_point = 9; });
+  add("int8 zero point outside [-128, 127]", m8, kOp,
+      [](ModelDef& m) { tensor(m, m.input_tensor).qp.zero_point = 300; });
+  add("int4 zero point outside [-8, 7]", m4, kOp,
+      [](ModelDef& m) { tensor(m, m.ops[2].output).qp.zero_point = -9; });
   add("int32 model output", m8, kOp,
       [](ModelDef& m) { m.output_tensor = m.ops[6].inputs[2]; });
   // Sizes.
